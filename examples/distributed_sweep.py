@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Distributed sweeps: a coordinator, expendable workers, identical bytes.
+"""Distributed sweeps: one daemon, expendable workers, identical bytes.
 
-The sweep engine's grids are embarrassingly parallel, and since PR 4 they
-no longer stop at one process tree: ``run_sweep(spec, dispatch=...)``
-serves the grid as a durable work queue over TCP, and any number of
-workers — on any hosts that can reach the coordinator — pull chunks,
-execute points, and stream results back.  Three properties matter:
+The sweep engine's grids are embarrassingly parallel, and they do not stop
+at one process tree: ``run_sweep(spec, dispatch=DispatchSpec(...))`` starts
+a fleet daemon that lives for exactly that sweep and serves the grid as a
+lease-based work queue over TCP, and any number of workers — on any hosts
+that can reach it — pull chunks, execute points, and stream results back.
+Three properties matter:
 
 * **Determinism.** Points travel as portable JSON, results come back keyed
-  by point index, and the coordinator reassembles them in spec order — so
+  by point index, and the submitter reassembles them in spec order — so
   the distributed artifact is byte-identical to a serial ``jobs=1`` run.
 * **Fault tolerance.** Chunks are *leases*: a worker that dies mid-chunk
   (its TCP connection drops) or goes silent past the lease timeout has its
@@ -20,18 +21,24 @@ This example stays on loopback so it runs anywhere: the "remote" workers
 are threads, one of them rigged with a FaultPlan to disconnect mid-run.
 Across real hosts the shape is identical, via the CLI::
 
-    # on the coordinator host
+    # on the serving host
     python -m repro.experiments scenario --dispatch 0.0.0.0:7643 --json out.json
 
     # on each worker host (same package version, any number of them)
-    python -m repro.experiments worker --connect COORDINATOR:7643
+    python -m repro.experiments worker --connect SERVING-HOST:7643
 
 Run:  python examples/distributed_sweep.py
 """
 
 import threading
 
-from repro.dispatch import Coordinator, DispatchSpec, FaultPlan, run_worker
+from repro.dispatch import (
+    FaultPlan,
+    FleetConfig,
+    FleetDaemon,
+    run_worker,
+    serve_sweep,
+)
 from repro.experiments.report import normalized_artifact, print_table
 from repro.experiments.scenarios import backend_rows
 from repro.experiments.sweep import run_sweep
@@ -53,11 +60,18 @@ def main() -> None:
     )
     print(f"grid: {len(spec)} scenario points ({spec.description})\n")
 
-    # --- the distributed run: coordinator + 3 loopback workers ----------
-    coordinator = Coordinator(
-        spec, DispatchSpec(port=0, chunk_size=2, lease_timeout=15.0)
+    # --- the distributed run: one-sweep daemon + 3 loopback workers -----
+    # run_sweep(spec, dispatch=DispatchSpec(port=...)) builds exactly this
+    # daemon; building it here lets the example bind port 0 and read the
+    # address back before the workers start.  Two-point leases (instead of
+    # sizes measured per worker) guarantee the flaky worker below drops
+    # while still holding unfinished work.
+    daemon = FleetDaemon(
+        FleetConfig(
+            port=0, lease_timeout=15.0, probe_chunk_points=2, max_chunk_points=2
+        )
     )
-    host, port = coordinator.address
+    host, port = daemon.address
     workers = [
         threading.Thread(
             target=run_worker,
@@ -73,8 +87,8 @@ def main() -> None:
         ),
         threading.Thread(
             # This one is rigged: it drops its connection after one point,
-            # like a spot instance being reclaimed.  The coordinator
-            # re-leases whatever it was holding.
+            # like a spot instance being reclaimed.  The daemon re-leases
+            # whatever it was holding.
             target=run_worker,
             args=(host, port),
             kwargs={
@@ -86,15 +100,14 @@ def main() -> None:
     ]
     for worker in workers:
         worker.start()
-    distributed = coordinator.serve()
+    distributed = serve_sweep(daemon, spec)
     for worker in workers:
         worker.join(timeout=30)
-    stats = coordinator.queue.stats
     print(
         f"distributed: {len(distributed.results)} points from "
         f"{distributed.jobs} workers in {distributed.wall_clock_seconds:.1f}s "
-        f"({stats.chunks_assigned} chunk(s) assigned, "
-        f"{stats.chunks_reassigned} reassigned after the flaky worker dropped)\n"
+        f"({daemon.queue.leases_requeued} lease(s) re-queued after the flaky "
+        "worker dropped)\n"
     )
 
     # --- determinism: the serial run must produce the same bytes --------

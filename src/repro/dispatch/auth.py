@@ -1,10 +1,12 @@
-"""Shared-secret HMAC authentication for fleet connections.
+"""Shared-secret HMAC authentication for daemon connections.
 
-The one-shot :class:`~repro.dispatch.coordinator.Coordinator` trusts its
-LAN: anyone who can reach the port can pull work.  A long-lived
-:class:`~repro.dispatch.daemon.FleetDaemon` cannot — workers and submitters
-join from anywhere, so every connection must prove it knows the fleet
-secret *before* any frame touches the queue.
+A :class:`~repro.dispatch.daemon.FleetDaemon` without a secret trusts its
+LAN: anyone who can reach the port can pull work.  With one — and workers
+and submitters joining from anywhere — every connection must prove it
+knows the fleet secret *before* any frame touches the queue.  The secret
+is read from the ``REPRO_FLEET_SECRET`` environment variable by daemon,
+worker and submitter alike, so a ``--dispatch`` run is authenticated the
+same way a ``fleet serve`` one is.
 
 The scheme is a classic challenge/response over the existing framing:
 
@@ -20,10 +22,10 @@ The scheme is a classic challenge/response over the existing framing:
 Binding the *role* and *name* into the MAC means a frame recorded from a
 worker handshake cannot be replayed to authenticate a submitter, and vice
 versa.  The secret itself never crosses the wire.  A daemon constructed
-without a secret skips the challenge entirely — the trusted-LAN mode the
-one-shot coordinator already provides — and the CLI reads the secret from
-the ``REPRO_FLEET_SECRET`` environment variable so it never appears in
-``argv`` or shell history.
+without a secret skips the challenge entirely (trusted-LAN mode); the
+environment variable keeps the secret out of ``argv`` and shell history.
+A failed challenge is answered with an ``error`` frame whose ``code`` is
+``"auth"``, which is what peers raise :class:`AuthenticationError` from.
 
 This is deliberately *authentication only*: frames are still cleartext on
 the wire.  TLS for WAN deployments is the named follow-up in ROADMAP.md.

@@ -8,8 +8,7 @@ execution backend: it submits the sweep (named by content fingerprint, so
 re-running the same experiment resumes rather than recomputes), waits for
 the daemon to drain it, fetches the wire results and decodes them against
 its *own* spec objects (:mod:`repro.dispatch.codec`), so a fleet-served
-:class:`SweepResult` is byte-identical to a ``jobs=1`` run — the same
-contract the one-shot coordinator honours.
+:class:`SweepResult` is byte-identical to a ``jobs=1`` run.
 
 Every operation opens a fresh authenticated connection.  That costs a
 handshake per call but buys the property the failure drills rely on: a
@@ -25,34 +24,30 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.dispatch.auth import compute_mac, secret_from_env
+from repro.dispatch.auth import secret_from_env
+from repro.dispatch.codec import decode_results
 from repro.dispatch.journal import sweep_fingerprint
-from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
-from repro.dispatch.worker import _connect
+from repro.dispatch.protocol import recv_frame, send_frame
+from repro.dispatch.worker import _connect, _handshake
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
     DispatchError,
     ProtocolError,
 )
-from repro.experiments.sweep import (
-    SweepResult,
-    SweepSpec,
-    ordered_results,
-    spec_artifact,
-)
+from repro.experiments.sweep import SweepResult, SweepSpec, spec_artifact
 
 __all__ = ["FleetClient", "FleetSpec", "run_fleet_sweep"]
 
 
 @dataclass(slots=True)
 class FleetSpec:
-    """How to hand a sweep to a fleet daemon instead of self-coordinating.
+    """How to hand a sweep to a running fleet daemon.
 
     The ``dispatch=`` twin of :class:`~repro.dispatch.coordinator.DispatchSpec`:
     passing one to :func:`~repro.experiments.sweep.run_sweep` (or
-    ``--fleet HOST:PORT`` on the CLI) submits the sweep to a daemon and
-    waits, instead of binding a coordinator port of its own.
+    ``--fleet HOST:PORT`` on the CLI) submits the sweep to a long-lived
+    daemon and waits, instead of starting a one-sweep daemon of its own.
     """
 
     host: str = "127.0.0.1"
@@ -203,7 +198,7 @@ class FleetClient:
             self.host, self.port, self.connect_timeout, retry_delay=0.2
         )
         try:
-            self._handshake(sock)
+            _handshake(sock, "submitter", self.client_name, self.secret)
             send_frame(sock, frame)
             reply = recv_frame(sock)
             if reply is None:
@@ -226,50 +221,6 @@ class FleetClient:
             except OSError:
                 pass
 
-    def _handshake(self, sock) -> None:
-        send_frame(
-            sock,
-            {
-                "type": "hello",
-                "role": "submitter",
-                "worker": self.client_name,
-                "protocol": PROTOCOL_VERSION,
-            },
-        )
-        reply = recv_frame(sock)
-        if reply is None:
-            raise ProtocolError("daemon closed the connection at hello")
-        if reply.get("type") == "challenge":
-            if not self.secret:
-                raise AuthenticationError(
-                    "daemon demands authentication but no fleet secret is "
-                    "configured (set REPRO_FLEET_SECRET)"
-                )
-            send_frame(
-                sock,
-                {
-                    "type": "auth",
-                    "mac": compute_mac(
-                        self.secret,
-                        str(reply.get("nonce")),
-                        "submitter",
-                        self.client_name,
-                    ),
-                },
-            )
-            reply = recv_frame(sock)
-            if reply is None:
-                raise AuthenticationError("daemon hung up after auth")
-        if reply.get("type") == "error":
-            message = str(reply.get("message"))
-            if "secret" in message or "auth" in message.lower():
-                raise AuthenticationError(f"daemon refused: {message}")
-            raise ProtocolError(f"daemon refused: {message}")
-        if reply.get("type") != "welcome":
-            raise ProtocolError(
-                f"expected welcome, got {reply.get('type')!r}"
-            )
-
 
 def fleet_sweep_name(spec: SweepSpec) -> str:
     """The content-derived name :func:`run_fleet_sweep` submits under.
@@ -291,8 +242,6 @@ def run_fleet_sweep(spec: SweepSpec, fleet: FleetSpec) -> SweepResult:
     reassemble in spec order through the shared
     :func:`~repro.experiments.sweep.ordered_results`.
     """
-    from repro.dispatch.codec import decode_result
-
     start = time.perf_counter()
     client = FleetClient(
         fleet.host,
@@ -314,14 +263,7 @@ def run_fleet_sweep(spec: SweepSpec, fleet: FleetSpec) -> SweepResult:
     reply = client.wait_for(
         name, poll_interval=fleet.poll_interval, timeout=fleet.wait_timeout
     )
-    results_by_index: dict[int, object] = {}
-    for index, payload in reply.get("results", ()):
-        if not isinstance(index, int) or not 0 <= index < len(spec.points):
-            raise ProtocolError(
-                f"fleet results carry index {index!r} outside the sweep"
-            )
-        results_by_index[index] = decode_result(payload, spec.points[index])
-    results = ordered_results(len(spec.points), results_by_index)
+    results = decode_results(spec.points, reply.get("results", ()))
     status = client.status(name)
     workers = [
         row
@@ -333,8 +275,7 @@ def run_fleet_sweep(spec: SweepSpec, fleet: FleetSpec) -> SweepResult:
         spec=spec,
         results=results,
         # Workers that completed points for *any* sweep this daemon
-        # lifetime; resumed runs may show 0 live workers — report 1 then,
-        # mirroring the coordinator's max(1, workers) convention.
+        # lifetime; resumed runs may show 0 live workers — report 1 then.
         jobs=max(1, len(workers)),
         wall_clock_seconds=elapsed,
     )

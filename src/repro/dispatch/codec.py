@@ -3,7 +3,7 @@
 Work travels *to* a worker as a :meth:`SweepPoint.as_dict` payload (the
 portable half of the sweep layer); results travel *back* through this
 module.  The encoding is plain JSON — stat dataclasses by field dict,
-series as-is — and the decoder reattaches the **coordinator's own** spec
+series as-is — and the decoder reattaches the **submitter's own** spec
 objects (the point's :class:`ColumnConfig` or :class:`ScenarioSpec`)
 instead of echoing them over the wire.  That keeps result frames small and
 makes the determinism contract structural: a dispatched
@@ -18,14 +18,15 @@ Python floats (``repr`` round-trip), counters are ints.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.cache.base import CacheStats
 from repro.clients.read_client import ReadClientStats
 from repro.clients.update_client import UpdateClientStats
 from repro.db.database import DatabaseStats
+from repro.dispatch.protocol import is_index
 from repro.errors import ProtocolError
-from repro.experiments.sweep import SweepPoint
+from repro.experiments.sweep import SweepPoint, ordered_results
 from repro.monitor.stats import ClassCounts
 from repro.scenario.results import (
     BackendAggregates,
@@ -36,7 +37,7 @@ from repro.scenario.results import (
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.channel import ChannelStats
 
-__all__ = ["decode_result", "encode_result"]
+__all__ = ["decode_result", "decode_results", "encode_result"]
 
 
 def _decode_stats(cls: type, payload: Mapping[str, object]):
@@ -48,7 +49,7 @@ def _decode_stats(cls: type, payload: Mapping[str, object]):
 
 def _encode_column(result: ColumnResult) -> dict[str, object]:
     # The config is deliberately omitted: the decoder reattaches the
-    # coordinator's local config/spec objects (see module docstring).
+    # submitter's local config/spec objects (see module docstring).
     return {
         "counts": asdict(result.counts),
         "cache_stats": asdict(result.cache_stats),
@@ -161,7 +162,7 @@ def decode_result(
 ) -> ColumnResult | ScenarioResult:
     """Rebuild a result from :func:`encode_result` output.
 
-    ``point`` supplies the coordinator-side spec objects the wire payload
+    ``point`` supplies the submitter-side spec objects the wire payload
     deliberately omits; the payload's kind must match the point's.
     """
     try:
@@ -181,3 +182,21 @@ def decode_result(
             )
         return _decode_column(payload, point.config)
     raise ProtocolError(f"unknown result kind {kind!r}")
+
+
+def decode_results(
+    points: Sequence[SweepPoint], wire_results: Iterable[tuple[object, object]]
+) -> list[ColumnResult | ScenarioResult]:
+    """A whole sweep's ``(index, payload)`` pairs as results in spec order.
+
+    What every submitter does with what a daemon collected: decode each
+    payload against its own point, then reassemble through the same
+    :func:`~repro.experiments.sweep.ordered_results` the local pool uses
+    (which raises if any index is missing).
+    """
+    results_by_index: dict[int, object] = {}
+    for index, payload in wire_results:
+        if not is_index(index) or not 0 <= index < len(points):
+            raise ProtocolError(f"results carry index {index!r} outside the sweep")
+        results_by_index[index] = decode_result(payload, points[index])
+    return ordered_results(len(points), results_by_index)

@@ -1,15 +1,15 @@
-"""The dispatch coordinator: serve a sweep as a work queue over TCP.
+"""``--dispatch HOST:PORT``: a fleet daemon that lives for one sweep.
 
-``run_sweep(spec, dispatch=DispatchSpec(...))`` lands here.  The
-coordinator turns the spec's points into JSON wire payloads up front —
-failing loudly if any point is not portable — then serves them to workers
-(:mod:`repro.dispatch.worker`) over the length-prefixed JSON protocol
-(:mod:`repro.dispatch.protocol`): workers pull chunks from the lease-based
-:class:`~repro.dispatch.queue.WorkQueue`, execute each point through the
+``run_sweep(spec, dispatch=DispatchSpec(...))`` lands here.
+:func:`run_dispatched` binds a journal-less
+:class:`~repro.dispatch.daemon.FleetDaemon` at the given address, submits
+the sweep to it in-process — failing loudly, before any worker connects, if
+a point is not portable — and blocks while workers
+(:mod:`repro.dispatch.worker`) pull chunks, execute each point through the
 same ``_execute_point`` path a local pool uses, and stream one result frame
-per point.  Results are decoded against the coordinator's own spec objects
-(:mod:`repro.dispatch.codec`) and reassembled in spec order through the
-same :func:`~repro.experiments.sweep.ordered_results` the pool executor
+per point.  The wire results are then decoded against the caller's own spec
+objects (:mod:`repro.dispatch.codec`) and reassembled in spec order through
+the same :func:`~repro.experiments.sweep.ordered_results` the pool executor
 uses, so a dispatched :class:`SweepResult` is indistinguishable from a
 ``jobs=1`` run (byte-identical ``to_artifact()`` modulo the ``jobs`` /
 ``wall_clock_seconds`` run metadata).
@@ -19,28 +19,24 @@ releases the worker's leases immediately, a silent-but-connected worker
 loses its leases after ``lease_timeout``, and in both cases only points
 *without* results are re-queued — finished work always counts, and late
 duplicate results are ignored.  The sweep completes as long as at least one
-worker keeps making progress; the coordinator itself never executes points.
+worker keeps making progress; the daemon itself never executes points.
+Everything else a daemon does comes along: ``REPRO_FLEET_SECRET`` turns on
+the HMAC challenge, chunk sizes follow each worker's measured throughput,
+and ``fleet status`` / ``fleet cancel`` work against the address while the
+sweep runs.
 """
 
 from __future__ import annotations
 
-import socketserver
-import threading
 import time
 from dataclasses import dataclass
 
-from repro.dispatch.codec import decode_result
-from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
-from repro.dispatch.queue import WorkQueue
-from repro.errors import ConfigurationError, DispatchError, ProtocolError
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepResult,
-    SweepSpec,
-    ordered_results,
-)
+from repro.dispatch.codec import decode_results
+from repro.dispatch.daemon import FleetConfig, FleetDaemon
+from repro.errors import ConfigurationError, DispatchError
+from repro.experiments.sweep import SweepResult, SweepSpec
 
-__all__ = ["Coordinator", "DispatchSpec", "parse_hostport", "run_dispatched"]
+__all__ = ["DispatchSpec", "parse_hostport", "run_dispatched", "serve_sweep"]
 
 
 def parse_hostport(text: str) -> tuple[str, int]:
@@ -59,267 +55,76 @@ def parse_hostport(text: str) -> tuple[str, int]:
 
 @dataclass(slots=True)
 class DispatchSpec:
-    """How to serve one sweep to remote workers.
+    """Where and how patiently to serve one sweep to remote workers.
 
-    ``port=0`` binds an ephemeral port (read it back from
-    :attr:`Coordinator.address` before starting workers — the pattern the
-    tests and examples use); a fixed port is the cross-host CLI pattern.
-    ``chunk_size=None`` sizes chunks to about a sixteenth of the sweep so
-    a handful of workers interleave while keeping per-chunk overhead low.
+    A fixed port is the cross-host CLI pattern.  ``port=0`` binds an
+    OS-chosen port nobody is told about; callers that need to read the
+    address back build the :class:`~repro.dispatch.daemon.FleetDaemon`
+    themselves and hand it to :func:`serve_sweep`.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Points per lease; ``None`` picks ``max(1, total // 16)``.
-    chunk_size: int | None = None
     #: Seconds of worker silence (no heartbeat, no result) before its
-    #: chunks are presumed lost and re-queued.
+    #: leases are presumed lost and re-queued.
     lease_timeout: float = 30.0
-    #: Serve-loop tick and the delay quoted to workers in ``wait`` replies.
+    #: Stale-lease sweep tick and the delay quoted to workers in ``wait``
+    #: replies.
     poll_interval: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.host:
-            raise ConfigurationError("dispatch host must be non-empty")
-        if not 0 <= self.port <= 65535:
-            raise ConfigurationError(
-                f"dispatch port must be in [0, 65535], got {self.port}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}"
-            )
-        if self.lease_timeout <= 0:
-            raise ConfigurationError(
-                f"lease_timeout must be positive, got {self.lease_timeout}"
-            )
-        if self.poll_interval <= 0:
-            raise ConfigurationError(
-                f"poll_interval must be positive, got {self.poll_interval}"
-            )
+        # Range checks live in FleetConfig; building one here keeps a bad
+        # spec failing at construction rather than at run_sweep time.
+        self.config()
 
-    @classmethod
-    def parse(cls, text: str, **overrides) -> "DispatchSpec":
-        """A spec from the CLI's ``--dispatch HOST:PORT`` argument."""
-        host, port = parse_hostport(text)
-        return cls(host=host, port=port, **overrides)
+    def config(self) -> FleetConfig:
+        """The journal-less daemon configuration this spec describes."""
+        return FleetConfig(
+            host=self.host,
+            port=self.port,
+            lease_timeout=self.lease_timeout,
+            poll_interval=self.poll_interval,
+        )
 
 
-class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+def serve_sweep(daemon: FleetDaemon, spec: SweepSpec) -> SweepResult:
+    """Serve ``spec`` from ``daemon`` until workers finish it; shut down.
 
-
-class Coordinator:
-    """One sweep served as a durable work queue of JSON-encoded points.
-
-    Construction binds the listening socket (so ``port=0`` callers can read
-    :attr:`address` and start workers first) and validates that every point
-    round-trips through :meth:`SweepPoint.from_dict` — a sweep with
-    non-portable workloads must fail before any worker connects, not
-    mid-run on a remote host.
+    Blocks the calling thread; connection handling happens on the daemon's
+    threads.  The wait doubles as the stalled-worker detector, sweeping
+    expired leases every ``poll_interval``.  The daemon is shut down on the
+    way out, whatever happened — it told its workers ``done``.
     """
-
-    def __init__(self, spec: SweepSpec, dispatch: DispatchSpec | None = None) -> None:
-        self.spec = spec
-        self.dispatch = dispatch or DispatchSpec()
-        self._point_payloads: list[dict] = []
-        for point in spec.points:
-            payload = point.as_dict()
-            # from_dict raises ConfigurationError for non-portable points,
-            # naming the offending workload — the loud-failure contract.
-            SweepPoint.from_dict(payload)
-            self._point_payloads.append(payload)
-        total = len(spec.points)
-        chunk_size = self.dispatch.chunk_size or max(1, total // 16)
-        self.queue = WorkQueue(
-            total,
-            chunk_size=chunk_size,
-            lease_timeout=self.dispatch.lease_timeout,
-        )
-        self._complete = threading.Event()
-        if self.queue.done:  # empty sweep: nothing to serve
-            self._complete.set()
-        self._workers_seen: set[str] = set()
-        self._owner_counter = 0
-        self._lock = threading.Lock()
-        handler = self._handler_class()
-        self._server = _ThreadingTCPServer(
-            (self.dispatch.host, self.dispatch.port), handler
-        )
-        self._server_thread: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    # Public surface
-    # ------------------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` workers should connect to."""
-        host, port = self._server.server_address[:2]
-        return host, port
-
-    @property
-    def workers_seen(self) -> int:
-        """Distinct worker connections that said hello so far."""
-        with self._lock:
-            return len(self._workers_seen)
-
-    def start(self) -> None:
-        """Begin accepting worker connections in the background (idempotent).
-
-        :meth:`serve` calls this itself; call it directly when the
-        handshake must be exercised before — or without — the blocking
-        serve loop (the protocol tests do).
-        """
-        if self._server_thread is None:
-            self._server_thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": min(0.1, self.dispatch.poll_interval)},
-                name="dispatch-coordinator",
-                daemon=True,
-            )
-            self._server_thread.start()
-
-    def serve(self) -> SweepResult:
-        """Serve the queue until every point has a result; assemble in order.
-
-        Blocks the calling thread; connection handling happens on the
-        server's daemon threads.  The serve loop doubles as the stalled-
-        worker detector, sweeping expired leases every ``poll_interval``.
-        """
-        start = time.perf_counter()
-        self.start()
-        try:
-            while not self._complete.is_set():
-                self._complete.wait(timeout=self.dispatch.poll_interval)
-                self.queue.expire_stale_leases()
-        finally:
-            self.shutdown()
-            self._server_thread.join(timeout=5.0)
-        elapsed = time.perf_counter() - start
-        results = ordered_results(
-            len(self.spec.points), self.queue.results_by_index()
-        )
-        return SweepResult(
-            spec=self.spec,
-            results=results,
-            jobs=max(1, len(self._workers_seen)),
-            wall_clock_seconds=elapsed,
-        )
-
-    def shutdown(self) -> None:
-        """Stop accepting connections and close the listening socket."""
-        if self._server_thread is not None:
-            self._server.shutdown()
-        self._server.server_close()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    def _register(self, name: object) -> str:
-        with self._lock:
-            self._owner_counter += 1
-            owner = f"{name or 'worker'}#{self._owner_counter}"
-            self._workers_seen.add(owner)
-            return owner
-
-    def _handler_class(self) -> type:
-        coordinator = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:  # pragma: no cover - thin shim
-                coordinator._handle_connection(self.request)
-
-        return Handler
-
-    def _handle_connection(self, sock) -> None:
-        owner = None
-        try:
-            hello = recv_frame(sock)
-            if hello is None:
-                return
-            if hello.get("type") != "hello":
-                raise ProtocolError(
-                    f"expected hello, got {hello.get('type')!r}"
-                )
-            if hello.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol version mismatch: coordinator speaks "
-                    f"{PROTOCOL_VERSION}, worker {hello.get('protocol')!r}"
-                )
-            owner = self._register(hello.get("worker"))
-            send_frame(
-                sock,
-                {
-                    "type": "welcome",
-                    "spec": self.spec.name,
-                    "total_points": len(self.spec.points),
-                },
-            )
-            while True:
-                frame = recv_frame(sock)
-                if frame is None:
-                    return
-                reply = self._reply_to(frame, owner)
-                send_frame(sock, reply)
-                if frame.get("type") == "goodbye":
-                    return
-        except ProtocolError as exc:
-            try:
-                send_frame(sock, {"type": "error", "message": str(exc)})
-            except OSError:
-                pass
-        except OSError:
-            pass  # connection died; the finally clause reassigns its work
-        finally:
-            if owner is not None:
-                self.queue.release(owner)
-
-    def _reply_to(self, frame: dict, owner: str) -> dict:
-        kind = frame.get("type")
-        if kind == "request":
-            chunk = self.queue.acquire(owner)
-            if chunk is not None:
-                return {
-                    "type": "chunk",
-                    "chunk_id": chunk.chunk_id,
-                    "points": [
-                        {"index": index, "point": self._point_payloads[index]}
-                        for index in chunk.indices
-                    ],
-                }
-            if self.queue.done:
-                return {"type": "done"}
-            return {"type": "wait", "delay": self.dispatch.poll_interval}
-        if kind == "result":
-            index = frame.get("index")
-            if not isinstance(index, int) or not 0 <= index < len(self.spec.points):
-                raise ProtocolError(f"result with bad index {index!r}")
-            result = decode_result(frame.get("result"), self.spec.points[index])
-            accepted = self.queue.complete(index, result, owner)
-            if self.queue.done:
-                self._complete.set()
-            return {"type": "ok", "accepted": accepted}
-        if kind == "heartbeat":
-            self.queue.heartbeat(owner)
-            return {"type": "ok", "done": self.queue.done}
-        if kind == "goodbye":
-            return {"type": "ok"}
-        raise ProtocolError(f"unknown message type {kind!r}")
+    start = time.perf_counter()
+    try:
+        entry = daemon.submit(spec)
+        daemon.start()
+        while not entry.finished.wait(timeout=daemon.config.poll_interval):
+            daemon.queue.expire_stale_leases()
+    finally:
+        daemon.shutdown()
+    results = decode_results(
+        spec.points, daemon.queue.results_for(entry.name).items()
+    )
+    workers = sum(
+        1 for row in daemon.health.snapshot() if row["points_completed"] > 0
+    )
+    return SweepResult(
+        spec=spec,
+        results=results,
+        jobs=max(1, workers),
+        wall_clock_seconds=time.perf_counter() - start,
+    )
 
 
 def run_dispatched(spec: SweepSpec, dispatch: DispatchSpec) -> SweepResult:
     """Serve ``spec`` at ``dispatch``'s address until workers complete it.
 
-    The ``run_sweep(spec, dispatch=...)`` execution backend.  Raises
-    :class:`DispatchError` if the sweep cannot be completed (e.g. the
-    results are missing indices after the server stops — which only
-    happens if :meth:`Coordinator.serve` is interrupted externally).
+    The ``run_sweep(spec, dispatch=...)`` execution backend: an ephemeral,
+    journal-less daemon holding one entry.
     """
     if not isinstance(dispatch, DispatchSpec):
         raise DispatchError(
             f"dispatch= expects a DispatchSpec, got {type(dispatch).__name__}"
         )
-    return Coordinator(spec, dispatch).serve()
+    return serve_sweep(FleetDaemon(dispatch.config()), spec)

@@ -1,19 +1,20 @@
-"""The fleet daemon: a long-lived, journaled, authenticated sweep service.
+"""The fleet daemon: the one dispatch server.
 
-PR 4's :class:`~repro.dispatch.coordinator.Coordinator` serves exactly one
-sweep and forgets everything on exit.  A :class:`FleetDaemon` is the
-promotion to infrastructure: it accepts many *named* sweeps with
-priorities from ``submit`` connections, serves their points to workers
-over the same frame protocol (now version-gated at protocol 2), journals
+A :class:`FleetDaemon` accepts *named* sweeps with priorities — from
+``submit`` connections, or in-process through :meth:`FleetDaemon.submit` —
+and serves their points to workers over the frame protocol
+(:mod:`repro.dispatch.protocol`).  With a journal directory it journals
 every accepted result to an append-only JSONL file
 (:mod:`repro.dispatch.journal`) *before* acknowledging it, and — when a
-shared secret is configured — refuses any connection that cannot answer
+shared secret is configured — it refuses any connection that cannot answer
 the HMAC challenge (:mod:`repro.dispatch.auth`) before a single frame
-touches the queue.
+touches the queue.  ``--dispatch HOST:PORT`` is the same daemon without a
+journal, living for exactly one sweep
+(:func:`repro.dispatch.coordinator.run_dispatched`).
 
-Because the journal is the state, the daemon survives its own failure
-drills: SIGKILL it mid-sweep, restart it against the same ``--journal``
-directory, and it rebuilds each sweep from the journal header
+Because the journal is the state, a journaled daemon survives its own
+failure drills: SIGKILL it mid-sweep, restart it against the same
+``--journal`` directory, and it rebuilds each sweep from the journal header
 (:meth:`SweepSpec.from_dict` round-trip, fingerprint-checked), seeds the
 completed indices, and serves only the remainder — already-journaled
 points are provably never re-executed (the ``executed`` counter in
@@ -27,9 +28,9 @@ each worker's observed points/sec so heterogeneous hosts drain a sweep's
 tail together instead of parking it on the slowest machine.
 
 The daemon stores and serves *wire payloads* only; decoding results
-against live spec objects happens in the submitting client
-(:mod:`repro.dispatch.client`), which is what keeps a fleet-served
-artifact byte-identical to a ``jobs=1`` run.
+against live spec objects is the submitter's job
+(:mod:`repro.dispatch.client`, :mod:`repro.dispatch.coordinator`), which is
+what keeps a daemon-served artifact byte-identical to a ``jobs=1`` run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.dispatch.auth import issue_nonce, secret_from_env, verify_mac
-from repro.dispatch.fleet import FleetQueue
+from repro.dispatch.fleet import FleetEntry, FleetQueue
 from repro.dispatch.health import HealthTracker
 from repro.dispatch.journal import (
     SweepJournal,
@@ -53,10 +54,16 @@ from repro.dispatch.journal import (
     list_journals,
     sweep_fingerprint,
 )
-from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.dispatch.protocol import (
+    PROTOCOL_VERSION,
+    is_index,
+    recv_frame,
+    send_frame,
+)
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
+    DispatchError,
     JournalError,
     ProtocolError,
 )
@@ -77,9 +84,10 @@ class FleetConfig:
     """How one fleet daemon listens, journals and authenticates.
 
     ``secret=None`` (and :data:`~repro.dispatch.auth.SECRET_ENV_VAR`
-    unset) runs the trusted-LAN mode the one-shot coordinator uses;
-    ``journal_dir=None`` disables durability — submitted sweeps then live
-    and die with the process, which is only sensible for tests.
+    unset) runs in trusted-LAN mode: anyone who can reach the port can
+    pull work.  ``journal_dir=None`` disables durability — submitted
+    sweeps then live and die with the process, which is what a one-sweep
+    ``--dispatch`` daemon wants.
     """
 
     host: str = "127.0.0.1"
@@ -103,10 +111,10 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         if not self.host:
-            raise ConfigurationError("fleet host must be non-empty")
+            raise ConfigurationError("daemon host must be non-empty")
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(
-                f"fleet port must be in [0, 65535], got {self.port}"
+                f"daemon port must be in [0, 65535], got {self.port}"
             )
         if self.lease_timeout <= 0:
             raise ConfigurationError(
@@ -145,8 +153,7 @@ class FleetDaemon:
     Construction binds the listening socket and — when ``journal_dir`` is
     set — restores every journaled sweep found there.  :meth:`start`
     accepts connections in the background; :meth:`serve_forever` blocks
-    and doubles as the stale-lease sweeper, exactly like the one-shot
-    coordinator's serve loop.
+    and doubles as the stale-lease sweeper.
     """
 
     def __init__(self, config: FleetConfig | None = None) -> None:
@@ -201,7 +208,12 @@ class FleetDaemon:
             self.queue.expire_stale_leases()
 
     def shutdown(self) -> None:
-        """Stop accepting connections, close journals, release the port."""
+        """Stop accepting connections, close journals, release the port.
+
+        Connections already open stay up just long enough to tell each
+        worker ``done`` at its next ``request``, so it leaves cleanly
+        instead of seeing a dropped link.
+        """
         self._stop.set()
         if self._server_thread is not None:
             self._server.shutdown()
@@ -224,11 +236,9 @@ class FleetDaemon:
             journal, replayed = SweepJournal.attach(path, fsync=self.config.fsync)
             for warning in replayed.warnings:
                 self._log(f"journal warning: {warning}")
-            spec = replayed.rebuild_spec()
             entry, created = self.queue.submit(
                 replayed.name,
-                spec,
-                spec_artifact(spec)["columns"],
+                spec_artifact(replayed.rebuild_spec())["columns"],
                 replayed.fingerprint,
                 priority=replayed.priority,
                 resumed_results=replayed.results,
@@ -296,11 +306,16 @@ class FleetDaemon:
                 frame = recv_frame(sock)
                 if frame is None:
                     return
-                if self._stop.is_set():
-                    # shutdown() ran while we blocked on recv; close the
-                    # connection rather than keep serving a dead daemon's
-                    # queue (workers reconnect to whatever replaces it).
-                    return
+                if self._stop.is_set() and frame.get("type") != "goodbye":
+                    # shutdown() ran while we blocked on recv.  A worker
+                    # asking for more is told to leave; anything else
+                    # closes the connection rather than keep serving a
+                    # dead daemon's queue (workers reconnect to whatever
+                    # replaces it).
+                    if owner is None or frame.get("type") != "request":
+                        return
+                    send_frame(sock, {"type": "done"})
+                    continue
                 if owner is not None:
                     self.health.on_frame(owner)
                     reply = self._reply_to_worker(frame, owner)
@@ -311,10 +326,10 @@ class FleetDaemon:
                     return
         except AuthenticationError as exc:
             self.stats.rejected_auth += 1
-            self._refuse(sock, str(exc))
+            self._refuse(sock, "auth", str(exc))
         except ProtocolError as exc:
             self.stats.rejected_protocol += 1
-            self._refuse(sock, str(exc))
+            self._refuse(sock, "protocol", str(exc))
         except OSError:
             pass  # connection died; leases are released below
         finally:
@@ -343,9 +358,9 @@ class FleetDaemon:
                 "secret"
             )
 
-    def _refuse(self, sock, message: str) -> None:
+    def _refuse(self, sock, code: str, message: str) -> None:
         try:
-            send_frame(sock, {"type": "error", "message": message})
+            send_frame(sock, {"type": "error", "code": code, "message": message})
         except OSError:
             pass
 
@@ -361,13 +376,13 @@ class FleetDaemon:
             )
             if lease is None:
                 return {"type": "wait", "delay": self.config.poll_interval}
-            entry = self.queue.entry(lease.sweep)
+            payloads = self.queue.entry(lease.sweep).point_payloads
             return {
                 "type": "chunk",
                 "sweep": lease.sweep,
                 "chunk_id": lease.lease_id,
                 "points": [
-                    {"index": index, "point": entry.point_payloads[index]}
+                    {"index": index, "point": payloads[index]}
                     for index in lease.indices
                 ],
             }
@@ -379,7 +394,7 @@ class FleetDaemon:
                 raise ProtocolError(
                     f"result frame without a sweep name: {sweep!r}"
                 )
-            if not isinstance(index, int):
+            if not is_index(index):
                 raise ProtocolError(f"result with bad index {index!r}")
             if not isinstance(payload, Mapping):
                 raise ProtocolError(
@@ -387,9 +402,7 @@ class FleetDaemon:
                 )
             try:
                 accepted = self.queue.complete(sweep, index, payload, owner)
-            except ProtocolError:
-                raise
-            except Exception as exc:  # unknown sweep / bad index
+            except DispatchError as exc:  # unknown sweep / index off the grid
                 raise ProtocolError(str(exc)) from exc
             if accepted:
                 self.stats.results_accepted += 1
@@ -457,27 +470,58 @@ class FleetDaemon:
         if not isinstance(spec_payload, Mapping):
             raise ProtocolError("submit frame carries no spec object")
         priority = frame.get("priority", 0)
-        if not isinstance(priority, int):
+        if not is_index(priority):
             raise ProtocolError(f"submit priority must be an int, got {priority!r}")
         try:
             spec = SweepSpec.from_dict(spec_payload)
         except ConfigurationError as exc:
             # Non-portable or malformed grids are refused before anything
-            # is queued or journaled — the coordinator's loud-failure
-            # contract, now at the service boundary.
+            # is queued or journaled.
             raise ProtocolError(f"unsubmittable sweep spec: {exc}") from exc
         name = frame.get("sweep") or spec.name
         if not isinstance(name, str) or not name:
             raise ProtocolError(f"submit without a usable sweep name: {name!r}")
+        try:
+            entry, created = self._submit(spec, name, priority)
+        except (ConfigurationError, DispatchError, OSError) as exc:
+            # Name collision, unsafe name, unreadable or foreign journal.
+            raise ProtocolError(str(exc)) from exc
+        return {
+            "type": "submitted",
+            "sweep": name,
+            "created": created,
+            "state": entry.state,
+            "total": entry.total,
+            "completed": entry.completed,
+            "resumed": len(entry.resumed),
+        }
+
+    def submit(
+        self, spec: SweepSpec, *, name: str | None = None, priority: int = 0
+    ) -> FleetEntry:
+        """Queue ``spec`` from inside the daemon's own process.
+
+        What a ``submit`` frame does, minus the wire: the spec is pushed
+        through the same ``spec_artifact`` → :meth:`SweepSpec.from_dict`
+        round trip, so a point that cannot travel to a worker raises
+        :class:`ConfigurationError` here, before any worker connects.
+        ``name`` defaults to ``spec.name``.
+        """
+        SweepSpec.from_dict(spec_artifact(spec))
+        entry, _ = self._submit(spec, name or spec.name, priority)
+        return entry
+
+    def _submit(
+        self, spec: SweepSpec, name: str, priority: int
+    ) -> tuple[FleetEntry, bool]:
         fingerprint = sweep_fingerprint(spec)
         with self._submit_lock:
             resumed: dict[int, dict] = {}
             journal: SweepJournal | None = None
-            attach_journal = (
+            if (
                 self.config.journal_dir is not None
                 and self.queue.entry(name) is None
-            )
-            if attach_journal:
+            ):
                 path = journal_path(self.config.journal_dir, name)
                 if os.path.exists(path):
                     journal, replayed = SweepJournal.attach(
@@ -499,34 +543,23 @@ class FleetDaemon:
             try:
                 entry, created = self.queue.submit(
                     name,
-                    spec,
                     spec_artifact(spec)["columns"],
                     fingerprint,
                     priority=priority,
                     resumed_results=resumed,
                 )
-            except Exception as exc:
+            except Exception:
                 if journal is not None:
                     journal.close()
-                raise ProtocolError(str(exc)) from exc
-            if created and journal is not None:
-                self._journals[name] = journal
-            elif journal is not None and name not in self._journals:
+                raise
+            if journal is not None:
                 self._journals[name] = journal
         self.stats.submissions += 1
         self._log(
             f"sweep {name!r} {'submitted' if created else 'attached'}: "
             f"{entry.completed}/{entry.total} done, priority {entry.priority}"
         )
-        return {
-            "type": "submitted",
-            "sweep": name,
-            "created": created,
-            "state": entry.state,
-            "total": entry.total,
-            "completed": entry.completed,
-            "resumed": len(entry.resumed),
-        }
+        return entry, created
 
     def _handle_status(self, frame: Mapping[str, object]) -> dict:
         sweep = frame.get("sweep")

@@ -7,7 +7,7 @@ makes that assumption *rehearsable*.  A :class:`FaultPlan` rides along with
 the worker has completed a given number of points:
 
 * ``crash`` — hard process death (``os._exit``): the kernel closes the TCP
-  connection, exactly like a SIGKILL or OOM kill.  The coordinator's fast
+  connection, exactly like a SIGKILL or OOM kill.  The daemon's fast
   path (connection loss → :meth:`WorkQueue.release`) reassigns the chunk.
 * ``stall`` — the worker stops executing *and stops heartbeating* while its
   connection stays open, like a worker stuck in GC or swapped out.  Only
@@ -17,7 +17,7 @@ the worker has completed a given number of points:
   goodbye and exits cleanly, like a deploy draining a node.
 
 The integration tests use these plans (plus a genuine ``SIGKILL`` of a
-worker subprocess) to assert the coordinator's contract: a killed worker
+worker subprocess) to assert the daemon's contract: a killed worker
 never loses finished results and never perturbs the final sweep bytes.
 """
 

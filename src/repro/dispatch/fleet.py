@@ -1,21 +1,16 @@
 """Multi-sweep, priority-ordered work state behind the fleet daemon.
 
-Where the one-shot :class:`~repro.dispatch.queue.WorkQueue` serves exactly
-one sweep and dies with its coordinator, a :class:`FleetQueue` holds *many*
-named sweeps at once and outlives all of them.  It keeps the queue layer's
-hard-won failure semantics — per-point completion, lease deadlines
-extended by heartbeats and results, connection-loss and lease-expiry both
-re-queueing only unfinished indices at the front, first-writer-wins
-results — and adds what a service needs on top:
+A :class:`FleetQueue` holds *many* named sweeps at once and outlives all of
+them.  Each sweep's lease mechanics — per-point completion, deadlines
+extended by heartbeats and results, connection loss and expiry re-queueing
+only unfinished indices at the front, first-writer-wins results — live in
+that sweep's :class:`~repro.dispatch.queue.WorkQueue`; this module adds
+what is multi-sweep on top:
 
 * **Named entries with priorities**: ``acquire`` always drains the
   highest-priority sweep with pending work first (FIFO among equals), so
   an urgent grid submitted mid-run overtakes a bulk backfill without
   cancelling it.
-* **Dynamic chunk sizing**: the caller passes how many points the asking
-  worker should get (the daemon feeds this from
-  :class:`~repro.dispatch.health.HealthTracker`), instead of a chunk size
-  frozen at construction.
 * **Resume**: entries can be seeded with journaled results, and
   resubmitting a sweep whose fingerprint matches an existing entry
   attaches to it — reviving it if it was cancelled — rather than
@@ -23,26 +18,29 @@ results — and adds what a service needs on top:
 * **Cancellation**: pending work is dropped, live leases are torn up, and
   late results for a cancelled sweep are ignored.
 
+Chunk sizes are per request: the caller passes how many points the asking
+worker should get (the daemon feeds this from
+:class:`~repro.dispatch.health.HealthTracker`).
+
 Results are stored as their *wire payloads* (the ``encode_result`` dicts):
 the daemon never rebuilds live result objects — decoding against local
-spec objects is the submitting client's job, which is exactly what keeps
-fleet-served artifacts byte-identical to ``jobs=1`` runs.
+spec objects is the submitter's job, which is exactly what keeps
+daemon-served artifacts byte-identical to ``jobs=1`` runs.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
+from repro.dispatch.queue import Lease, WorkQueue
 from repro.errors import ConfigurationError, DispatchError
-from repro.experiments.sweep import SweepSpec
 
-__all__ = ["FleetEntry", "FleetLease", "FleetQueue"]
+__all__ = ["FleetEntry", "FleetQueue"]
 
-#: Entry lifecycle: accepting/serving work → every point journaled →
+#: Entry lifecycle: accepting/serving work → every point has a result →
 #: explicitly cancelled.  There is no separate "queued" state — a sweep
 #: with no worker yet is simply running with zero progress.
 RUNNING = "running"
@@ -51,55 +49,50 @@ CANCELLED = "cancelled"
 
 
 @dataclass(slots=True)
-class FleetLease:
-    """A batch of one sweep's point indices leased to one worker."""
-
-    lease_id: int
-    sweep: str
-    indices: tuple[int, ...]
-    owner: str
-    deadline: float
-
-
-@dataclass(slots=True)
 class FleetEntry:
-    """One named sweep's full state inside the daemon."""
+    """One named sweep inside the daemon: identity plus its work queue."""
 
     name: str
     priority: int
-    submitted_ord: int
-    spec: SweepSpec
     fingerprint: str
     #: Portable JSON payloads, one per point, in spec order.
     point_payloads: list[dict]
-    #: Wire result payloads keyed by point index (journaled + live).
-    results: dict[int, dict] = field(default_factory=dict)
+    #: Pending indices, leases and wire result payloads (journaled + live).
+    work: WorkQueue
     #: Indices seeded from a journal rather than executed this lifetime.
     resumed: frozenset[int] = frozenset()
-    #: Results accepted over the wire by *this* daemon process — the
-    #: counter the no-re-execution drills assert on.
-    executed: int = 0
-    duplicates: int = 0
     cancelled: bool = False
-    pending: deque[int] = field(default_factory=deque)
+    #: Set once every point has a result — what an in-process submitter
+    #: blocks on instead of polling :attr:`state`.
+    finished: threading.Event = field(default_factory=threading.Event)
 
     @property
     def total(self) -> int:
-        return len(self.point_payloads)
+        return self.work.total
 
     @property
     def completed(self) -> int:
-        return len(self.results)
+        return len(self.work.results)
+
+    @property
+    def executed(self) -> int:
+        """Results accepted over the wire by *this* daemon process — the
+        counter the no-re-execution drills assert on."""
+        return self.completed - len(self.resumed)
+
+    @property
+    def duplicates(self) -> int:
+        return self.work.duplicates
 
     @property
     def state(self) -> str:
         if self.cancelled:
             return CANCELLED
-        if self.completed == self.total:
+        if self.work.done:
             return DONE
         return RUNNING
 
-    def status_row(self, leased: int) -> dict[str, object]:
+    def status_row(self) -> dict[str, object]:
         """A JSON-safe row for ``status`` reports."""
         return {
             "sweep": self.name,
@@ -107,8 +100,8 @@ class FleetEntry:
             "priority": self.priority,
             "total": self.total,
             "completed": self.completed,
-            "pending": len(self.pending),
-            "leased": leased,
+            "pending": self.work.pending,
+            "leased": self.work.leased,
             "resumed": len(self.resumed),
             "executed": self.executed,
             "duplicates": self.duplicates,
@@ -119,10 +112,10 @@ class FleetEntry:
 class FleetQueue:
     """Thread-safe state for every sweep a daemon is serving.
 
-    One lock guards all entries — submissions, leases and results are tiny
-    bookkeeping operations next to the simulations they schedule, so a
-    single lock keeps the invariants easy to believe.  ``clock`` is
-    injectable for tests.
+    One lock guards all entries and their work queues — submissions,
+    leases and results are tiny bookkeeping operations next to the
+    simulations they schedule, so a single lock keeps the invariants easy
+    to believe.  ``clock`` is injectable for tests.
     """
 
     def __init__(
@@ -139,13 +132,6 @@ class FleetQueue:
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: dict[str, FleetEntry] = {}
-        self._leases: dict[int, FleetLease] = {}
-        self._next_lease_id = 0
-        self._next_submit_ord = 0
-        #: Lifetime count of leases whose unfinished work was re-queued
-        #: (worker death, disconnect, or expiry) — the "lease churn" gauge
-        #: the daemon's ``metrics`` verb reports.
-        self.leases_requeued = 0
 
     # ------------------------------------------------------------------
     # Submissions
@@ -154,7 +140,6 @@ class FleetQueue:
     def submit(
         self,
         name: str,
-        spec: SweepSpec,
         point_payloads: list[dict],
         fingerprint: str,
         *,
@@ -183,29 +168,28 @@ class FleetQueue:
                     )
                 if existing.cancelled:
                     existing.cancelled = False
-                    self._requeue_missing(existing)
+                    existing.work.requeue_missing()
                 return existing, False
+            resumed = {
+                index: dict(result)
+                for index, result in (resumed_results or {}).items()
+            }
             entry = FleetEntry(
                 name=name,
                 priority=priority,
-                submitted_ord=self._next_submit_ord,
-                spec=spec,
                 fingerprint=fingerprint,
                 point_payloads=point_payloads,
-                results={
-                    index: dict(result)
-                    for index, result in (resumed_results or {}).items()
-                },
+                work=WorkQueue(
+                    len(point_payloads),
+                    lease_timeout=self.lease_timeout,
+                    sweep=name,
+                    resumed=resumed,
+                    clock=self._clock,
+                ),
+                resumed=frozenset(resumed),
             )
-            self._next_submit_ord += 1
-            entry.resumed = frozenset(entry.results)
-            bad = [i for i in entry.results if not 0 <= i < entry.total]
-            if bad:
-                raise DispatchError(
-                    f"sweep {name!r}: resumed result indices {sorted(bad)} "
-                    f"outside sweep of {entry.total} points"
-                )
-            self._requeue_missing(entry)
+            if entry.work.done:  # empty, or fully resumed from a journal
+                entry.finished.set()
             self._entries[name] = entry
             return entry, True
 
@@ -216,52 +200,31 @@ class FleetQueue:
             if entry is None:
                 return False
             entry.cancelled = True
-            entry.pending.clear()
-            for lease_id in [
-                lease_id
-                for lease_id, lease in self._leases.items()
-                if lease.sweep == name
-            ]:
-                del self._leases[lease_id]
+            entry.work.drop_outstanding()
             return True
 
     # ------------------------------------------------------------------
     # Worker-facing operations
     # ------------------------------------------------------------------
 
-    def acquire(self, owner: str, max_points: int) -> FleetLease | None:
+    def acquire(self, owner: str, max_points: int) -> Lease | None:
         """Lease up to ``max_points`` indices of the most urgent sweep.
 
         Urgency: highest ``priority`` first, then earliest submission.
-        Expired leases are reaped first so a dead worker's points are
-        re-acquirable the moment anyone asks.  ``None`` when nothing is
-        pending anywhere — the daemon replies ``wait``, never ``done``,
-        because new sweeps may arrive at any time.
+        Each sweep reaps its expired leases before answering, so a dead
+        worker's points are re-acquirable the moment anyone asks.  ``None``
+        when nothing is pending anywhere.
         """
-        if max_points < 1:
-            raise ConfigurationError(
-                f"max_points must be >= 1, got {max_points}"
-            )
         with self._lock:
-            self._expire_stale_leases()
-            for entry in self._serving_order():
-                indices: list[int] = []
-                while entry.pending and len(indices) < max_points:
-                    index = entry.pending.popleft()
-                    if index not in entry.results:
-                        indices.append(index)
-                if not indices:
-                    continue
-                lease = FleetLease(
-                    lease_id=self._next_lease_id,
-                    sweep=entry.name,
-                    indices=tuple(indices),
-                    owner=owner,
-                    deadline=self._clock() + self.lease_timeout,
-                )
-                self._next_lease_id += 1
-                self._leases[lease.lease_id] = lease
-                return lease
+            # Entries are never removed and the sort is stable, so equal
+            # priorities keep their submission (insertion) order; a
+            # cancelled entry has nothing pending and yields no lease.
+            for entry in sorted(
+                self._entries.values(), key=lambda entry: -entry.priority
+            ):
+                lease = entry.work.acquire(owner, max_points)
+                if lease is not None:
+                    return lease
             return None
 
     def complete(
@@ -269,62 +232,54 @@ class FleetQueue:
     ) -> bool:
         """Record one point's wire result; ``False`` if dropped.
 
-        Drops (without error) duplicates and results for cancelled sweeps;
-        raises for sweeps the daemon has never heard of or indices outside
-        the grid — those are protocol violations, not races.
+        Drops (without error) duplicates and anything for a cancelled
+        sweep; raises for sweeps the daemon has never heard of or indices
+        outside the grid — those are protocol violations, not races.
         """
         with self._lock:
             entry = self._entries.get(sweep)
             if entry is None:
                 raise DispatchError(f"result for unknown sweep {sweep!r}")
-            if not 0 <= index < entry.total:
-                raise DispatchError(
-                    f"sweep {sweep!r}: result index {index} outside "
-                    f"{entry.total} points"
-                )
-            deadline = self._clock() + self.lease_timeout
-            for lease in self._leases.values():
-                if lease.owner == owner:
-                    lease.deadline = deadline
             if entry.cancelled:
                 return False
-            if index in entry.results:
-                entry.duplicates += 1
-                return False
-            entry.results[index] = dict(result)
-            entry.executed += 1
-            self._reap_finished_leases()
-            return True
+            accepted = entry.work.complete(index, dict(result), owner)
+            if accepted and entry.work.done:
+                entry.finished.set()
+            return accepted
 
     def heartbeat(self, owner: str) -> int:
         """Extend every lease held by ``owner``; returns how many."""
         with self._lock:
-            deadline = self._clock() + self.lease_timeout
-            extended = 0
-            for lease in self._leases.values():
-                if lease.owner == owner:
-                    lease.deadline = deadline
-                    extended += 1
-            return extended
+            return sum(
+                entry.work.heartbeat(owner) for entry in self._entries.values()
+            )
 
     def release(self, owner: str) -> int:
         """Re-queue the unfinished work of every lease held by ``owner``."""
         with self._lock:
-            return self._release_leases(
-                [
-                    lease_id
-                    for lease_id, lease in self._leases.items()
-                    if lease.owner == owner
-                ]
+            return sum(
+                entry.work.release(owner) for entry in self._entries.values()
             )
 
     def expire_stale_leases(self) -> int:
+        """Reap every sweep's leases past their deadline."""
         with self._lock:
-            return self._expire_stale_leases()
+            return sum(
+                entry.work.expire_stale_leases()
+                for entry in self._entries.values()
+            )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def leases_requeued(self) -> int:
+        """Lifetime count of leases whose unfinished work was re-queued
+        (worker death, disconnect, or expiry) — the "lease churn" gauge
+        the daemon's ``metrics`` verb reports."""
+        with self._lock:
+            return sum(entry.work.requeued for entry in self._entries.values())
 
     def entry(self, name: str) -> FleetEntry | None:
         with self._lock:
@@ -340,89 +295,12 @@ class FleetQueue:
             entry = self._entries.get(name)
             if entry is None:
                 return None
-            return {index: dict(result) for index, result in entry.results.items()}
+            return {
+                index: dict(result)
+                for index, result in entry.work.results.items()
+            }
 
     def status_rows(self) -> list[dict[str, object]]:
         """One JSON-safe row per sweep, in submission order."""
         with self._lock:
-            leased_by_sweep: dict[str, int] = {}
-            for lease in self._leases.values():
-                leased_by_sweep[lease.sweep] = (
-                    leased_by_sweep.get(lease.sweep, 0) + len(lease.indices)
-                )
-            return [
-                entry.status_row(leased_by_sweep.get(entry.name, 0))
-                for entry in sorted(
-                    self._entries.values(), key=lambda e: e.submitted_ord
-                )
-            ]
-
-    # ------------------------------------------------------------------
-    # Internals (call with the lock held)
-    # ------------------------------------------------------------------
-
-    def _serving_order(self) -> Iterable[FleetEntry]:
-        return sorted(
-            (
-                entry
-                for entry in self._entries.values()
-                if not entry.cancelled and entry.pending
-            ),
-            key=lambda entry: (-entry.priority, entry.submitted_ord),
-        )
-
-    def _requeue_missing(self, entry: FleetEntry) -> None:
-        queued = set(entry.pending)
-        leased = {
-            index
-            for lease in self._leases.values()
-            if lease.sweep == entry.name
-            for index in lease.indices
-        }
-        entry.pending.extend(
-            index
-            for index in range(entry.total)
-            if index not in entry.results
-            and index not in queued
-            and index not in leased
-        )
-
-    def _expire_stale_leases(self) -> int:
-        now = self._clock()
-        return self._release_leases(
-            [
-                lease_id
-                for lease_id, lease in self._leases.items()
-                if lease.deadline <= now
-            ]
-        )
-
-    def _release_leases(self, lease_ids: list[int]) -> int:
-        requeued = 0
-        for lease_id in lease_ids:
-            lease = self._leases.pop(lease_id)
-            entry = self._entries.get(lease.sweep)
-            if entry is None or entry.cancelled:
-                continue
-            remaining = [
-                index for index in lease.indices if index not in entry.results
-            ]
-            if remaining:
-                # Front of the queue: orphaned work jumps ahead so the
-                # sweep's tail is not parked behind fresh indices.
-                entry.pending.extendleft(reversed(remaining))
-                requeued += 1
-                self.leases_requeued += 1
-        return requeued
-
-    def _reap_finished_leases(self) -> None:
-        finished = [
-            lease_id
-            for lease_id, lease in self._leases.items()
-            if all(
-                index in self._entries[lease.sweep].results
-                for index in lease.indices
-            )
-        ]
-        for lease_id in finished:
-            del self._leases[lease_id]
+            return [entry.status_row() for entry in self._entries.values()]

@@ -1,9 +1,8 @@
 """Per-worker heartbeat/health tracking and adaptive chunk sizing.
 
-The one-shot coordinator sizes every chunk identically, which is fine for
-a fleet of clones but wasteful for the heterogeneous hosts a long-lived
-daemon accumulates: a chunk sized for a fast machine strands a slow one
-holding work everyone else could have finished — the classic straggler
+Sizing every chunk identically is fine for a fleet of clones but wasteful
+for heterogeneous hosts: a chunk sized for a fast machine strands a slow
+one holding work everyone else could have finished — the classic straggler
 tail.  The daemon therefore tracks, per worker connection:
 
 * liveness — the last time any frame (request, result, heartbeat)

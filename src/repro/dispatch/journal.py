@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.dispatch.protocol import is_index
 from repro.errors import ConfigurationError, JournalError
 from repro.experiments.sweep import SweepSpec, spec_artifact
 
@@ -288,9 +289,9 @@ class SweepJournal:
         if (
             not isinstance(name, str)
             or not isinstance(fingerprint, str)
-            or not isinstance(total, int)
+            or not is_index(total)
             or total < 0
-            or not isinstance(priority, int)
+            or not is_index(priority)
             or not isinstance(spec_payload, Mapping)
         ):
             raise JournalError(f"{path}:1: malformed sweep header")
@@ -320,7 +321,7 @@ class SweepJournal:
                 )
             index = record.get("index")
             result = record.get("result")
-            if not isinstance(index, int) or not 0 <= index < total:
+            if not is_index(index) or not 0 <= index < total:
                 raise JournalError(
                     f"{path}:{lineno}: point index {index!r} outside "
                     f"sweep of {total} points"

@@ -1,4 +1,4 @@
-"""Length-prefixed JSON framing for the coordinator/worker protocol.
+"""Length-prefixed JSON framing for the dispatch protocol.
 
 Every dispatch message is one *frame*: a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON encoding a single object.  The
@@ -17,55 +17,58 @@ shares the socket under a lock (see :mod:`repro.dispatch.worker`).
 Message types (protocol version 2)
 ----------------------------------
 
-Version 1 was the one-shot coordinator/worker exchange; version 2 keeps
-those frames bit-compatible and adds — gated by the same ``hello``
-version check — the fleet daemon's handshake and submitter verbs
-(:mod:`repro.dispatch.daemon`).  ``srv`` below is either a one-shot
-coordinator or the fleet daemon; submitter frames are daemon-only.
+There is one server — the :class:`~repro.dispatch.daemon.FleetDaemon`,
+whether it lives for one ``--dispatch`` sweep or for months — and two
+peer roles: workers (``wrk``) and submitters (``sub``).
 
 =============== ============ ===============================================
 type            direction    payload
 =============== ============ ===============================================
 hello           peer → srv   ``worker`` (name), ``protocol`` (version),
-                             optional ``role`` (``worker``/``submitter``,
-                             daemon only)
-challenge       srv → peer   ``nonce`` (daemon with a secret configured;
+                             ``role`` (``worker``, the default, or
+                             ``submitter``)
+challenge       srv → peer   ``nonce`` (only when the daemon has a secret;
                              see :mod:`repro.dispatch.auth`)
 auth            peer → srv   ``mac`` (HMAC-SHA256 over the nonce)
-welcome         srv → peer   coordinator: ``spec``, ``total_points``;
-                             daemon: ``service`` = ``"fleet"``
-request         worker → srv —
-chunk           srv → worker ``chunk_id``, ``points``: [{``index``,
-                             ``point``}], daemon adds ``sweep``
-wait            srv → worker ``delay`` (seconds; nothing to lease right now)
-done            srv → worker coordinator only: sweep complete, worker may
-                             exit (the daemon never says done — new sweeps
-                             may arrive at any time)
-result          worker → srv ``index``, ``result`` (encoded, see codec),
-                             daemon requires ``sweep``
-heartbeat       worker → srv — (extends the worker's chunk leases)
+welcome         srv → peer   ``service`` = ``"fleet"``, ``role``
+request         wrk → srv    —
+chunk           srv → wrk    ``sweep``, ``chunk_id``, ``points``:
+                             [{``index``, ``point``}]
+wait            srv → wrk    ``delay`` (seconds; nothing to lease right now)
+done            srv → wrk    the daemon is stopping: leave cleanly (a
+                             running daemon only ever says ``wait`` — new
+                             sweeps may arrive at any time)
+result          wrk → srv    ``sweep``, ``index``, ``result`` (encoded, see
+                             :mod:`repro.dispatch.codec`)
+heartbeat       wrk → srv    — (extends the worker's leases)
 goodbye         peer → srv   — (clean disconnect)
-ok              srv → worker ``accepted`` (for results: False on duplicates)
-error           srv → peer   ``message`` (violation; connection closes)
-submit          sub → daemon ``sweep`` (name), ``priority``, ``spec``
+ok              srv → wrk    ``accepted`` (for results: False on duplicates)
+error           srv → peer   ``code`` (``"auth"`` for a failed challenge,
+                             ``"protocol"`` for any other violation),
+                             ``message``; the connection closes
+submit          sub → srv    ``sweep`` (name), ``priority``, ``spec``
                              (a ``spec_artifact`` payload)
-submitted       daemon → sub ``sweep``, ``created``, ``state``, ``total``,
+submitted       srv → sub    ``sweep``, ``created``, ``state``, ``total``,
                              ``completed``, ``resumed``
-status          sub → daemon optional ``sweep`` filter
-status_report   daemon → sub ``sweeps``: rows, ``workers``: rows,
+status          sub → srv    optional ``sweep`` filter
+status_report   srv → sub    ``sweeps``: rows, ``workers``: rows,
                              ``daemon``: info
-metrics         sub → daemon —
-metrics_report  daemon → sub ``telemetry``: a ``repro.telemetry/1``
+metrics         sub → srv    —
+metrics_report  srv → sub    ``telemetry``: a ``repro.telemetry/1``
                              snapshot (daemon counters, per-sweep
                              throughput/journal-lag gauges, worker EWMAs)
-cancel          sub → daemon ``sweep``
-cancelled       daemon → sub ``sweep``, ``existed``
-fetch           sub → daemon ``sweep``
-results         daemon → sub ``sweep``, ``total``, ``results``:
+cancel          sub → srv    ``sweep``
+cancelled       srv → sub    ``sweep``, ``existed``
+fetch           sub → srv    ``sweep``
+results         srv → sub    ``sweep``, ``total``, ``results``:
                              [[index, payload], …] (only once done)
-pending         daemon → sub ``sweep``, ``state``, ``completed``, ``total``
+pending         srv → sub    ``sweep``, ``state``, ``completed``, ``total``
                              (fetch before the sweep finished)
 =============== ============ ===============================================
+
+Integer fields (``index``, ``priority``) must be JSON integers: JSON
+``true``/``false`` decode to Python ``bool``, an ``int`` subclass, so every
+reader checks them with :func:`is_index` rather than ``isinstance(x, int)``.
 """
 
 from __future__ import annotations
@@ -79,14 +82,15 @@ from repro.errors import ProtocolError
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "is_index",
     "recv_frame",
     "send_frame",
 ]
 
-#: Version of the coordinator/worker/daemon message schema.  A peer whose
-#: version differs from the server's is refused at ``hello`` time —
-#: mixed fleets must fail loudly, not corrupt results.  Version 2 added
-#: the fleet daemon's auth handshake and submitter verbs.
+#: Version of the message schema.  A peer whose version differs from the
+#: server's is refused at ``hello`` time — mixed fleets must fail loudly,
+#: not corrupt results.  Version 2 added the auth handshake and the
+#: submitter verbs.
 PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's JSON payload.  Scenario results carry full
@@ -95,6 +99,11 @@ PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+
+
+def is_index(value: object) -> bool:
+    """A JSON integer — ``bool`` is an ``int`` subclass and is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def send_frame(sock: socket.socket, payload: dict) -> None:

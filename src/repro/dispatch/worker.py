@@ -1,29 +1,28 @@
 """The dispatch worker: pull chunks, execute points, stream results.
 
 ``repro-experiments worker --connect HOST:PORT`` lands here.  A worker is a
-single TCP connection to a coordinator: it pulls chunk leases, rebuilds
-each point from its JSON payload (:meth:`SweepPoint.from_dict` — the same
-portable codec the coordinator validated against), executes it through the
-*same* ``_execute_point`` path a local ``run_sweep`` uses, and streams one
-result frame per point so nothing finished is ever lost if the process dies
-mid-chunk.  A background thread heartbeats every few seconds to keep the
-worker's leases alive through long simulations.
+single TCP connection to a :class:`~repro.dispatch.daemon.FleetDaemon`: it
+pulls chunk leases, rebuilds each point from its JSON payload
+(:meth:`SweepPoint.from_dict` — the same portable codec the daemon
+validated against), executes it through the *same* ``_execute_point`` path
+a local ``run_sweep`` uses, and streams one result frame per point — tagged
+with the sweep its chunk named, since a daemon serves many sweeps at once —
+so nothing finished is ever lost if the process dies mid-chunk.  A
+background thread heartbeats every few seconds to keep the worker's leases
+alive through long simulations.
 
 Workers are expendable by design: once the ``welcome`` handshake is done,
-a dropped connection or coordinator shutdown is a normal way for a run to
-end (the coordinator may finish and exit while this worker is mid-point),
-reported in :attr:`WorkerStats.disconnected` rather than raised.  Failures
-*before* the handshake — nobody listening, protocol version mismatch, a
-failed auth challenge — are real errors and raise :class:`DispatchError`.
+a dropped connection is a normal way for a run to end (the daemon's
+process may exit while this worker is mid-point), reported in
+:attr:`WorkerStats.disconnected` rather than raised.  Failures *before*
+the handshake completes — nobody listening, protocol version mismatch — are
+real errors and raise :class:`DispatchError`; a failed auth challenge
+raises its subclass :class:`AuthenticationError`.
 
-The same function serves both servers.  Against a one-shot
-:class:`~repro.dispatch.coordinator.Coordinator` nothing changed: pull
-chunks until ``done``.  Against a :class:`~repro.dispatch.daemon.FleetDaemon`
-the worker additionally answers the HMAC ``challenge`` (``secret=``,
-defaulting to the ``REPRO_FLEET_SECRET`` environment variable), tags each
-result with the sweep name its chunk named — the daemon serves many sweeps
-at once — and, because a daemon never says ``done``, uses ``max_idle`` to
-decide when a quiet queue means "go home" rather than "wait for more".
+A daemon that is stopping — a ``--dispatch`` daemon whose one sweep has
+finished — answers ``request`` with ``done`` and the worker leaves cleanly.
+A long-lived daemon only ever says ``wait``, so ``max_idle`` decides when a
+quiet queue means "go home" rather than "wait for more".
 
 :class:`~repro.dispatch.faults.FaultPlan` hooks the failure drills in:
 ``run_worker(..., faults=FaultPlan.parse("crash:3"))`` dies hard after
@@ -60,26 +59,25 @@ class WorkerStats:
     worker: str = "worker"
     points_executed: int = 0
     chunks_received: int = 0
-    #: Results the coordinator had already received from another worker
+    #: Results the daemon had already received from another worker
     #: (this worker raced a reassignment and lost — harmless).
     duplicate_results: int = 0
     waits: int = 0
     heartbeats: int = 0
-    #: Distinct sweep names this worker pulled chunks for (fleet daemons
-    #: serve many sweeps over one connection; coordinators exactly one).
+    #: Distinct sweep names this worker pulled chunks for (a daemon may
+    #: serve many sweeps over one connection).
     sweeps_served: int = 0
-    #: The connection ended without a clean goodbye (coordinator finished
-    #: and went away, or the link dropped).  Normal at end of run.
+    #: The connection ended without a clean goodbye (the daemon's process
+    #: went away, or the link dropped).  Normal at end of run.
     disconnected: bool = False
-    #: The worker left because the fleet queue stayed empty past
-    #: ``max_idle`` — the daemon-side analogue of ``done``.
+    #: The worker left because the queue stayed empty past ``max_idle``.
     idled_out: bool = False
 
 
 def _connect(host: str, port: int, timeout: float, retry_delay: float) -> socket.socket:
-    """Dial the coordinator, retrying until ``timeout`` seconds elapse.
+    """Dial the daemon, retrying until ``timeout`` seconds elapse.
 
-    Workers routinely start before the coordinator binds (CI launches both
+    Workers routinely start before the daemon binds (CI launches both
     concurrently), so refusal is retried rather than fatal.
     """
     deadline = time.monotonic() + timeout
@@ -91,10 +89,50 @@ def _connect(host: str, port: int, timeout: float, retry_delay: float) -> socket
         except OSError as exc:
             if time.monotonic() >= deadline:
                 raise CoordinatorUnreachable(
-                    f"could not reach coordinator at {host}:{port} "
+                    f"could not reach a daemon at {host}:{port} "
                     f"within {timeout:g}s: {exc}"
                 ) from exc
             time.sleep(retry_delay)
+
+
+def _handshake(
+    sock: socket.socket, role: str, name: str, secret: str | None
+) -> None:
+    """``hello`` → (``challenge`` → ``auth``) → ``welcome``, as ``role``.
+
+    The one place a peer introduces itself, used by workers and submitters
+    alike.  A refusal raises by the ``code`` the daemon's error frame
+    carries: :class:`AuthenticationError` for ``"auth"``,
+    :class:`ProtocolError` for anything else.
+    """
+    send_frame(
+        sock,
+        {
+            "type": "hello",
+            "role": role,
+            "worker": name,
+            "protocol": PROTOCOL_VERSION,
+        },
+    )
+    reply = recv_frame(sock)
+    if reply is not None and reply.get("type") == "challenge":
+        if not secret:
+            raise AuthenticationError(
+                "daemon demands authentication but no fleet secret is "
+                "configured (set REPRO_FLEET_SECRET)"
+            )
+        mac = compute_mac(secret, str(reply.get("nonce")), role, name)
+        send_frame(sock, {"type": "auth", "mac": mac})
+        reply = recv_frame(sock)
+    if reply is None:
+        raise ProtocolError("daemon closed the connection during the handshake")
+    if reply.get("type") == "error":
+        refusal = (
+            AuthenticationError if reply.get("code") == "auth" else ProtocolError
+        )
+        raise refusal(f"daemon refused: {reply.get('message')}")
+    if reply.get("type") != "welcome":
+        raise ProtocolError(f"expected welcome, got {reply.get('type')!r}")
 
 
 def run_worker(
@@ -109,17 +147,18 @@ def run_worker(
     secret: str | None = None,
     max_idle: float | None = None,
 ) -> WorkerStats:
-    """Serve one coordinator or fleet daemon; returns stats.
+    """Serve one daemon connection; returns stats.
 
     Blocks the calling thread.  ``faults`` injects a failure drill (see
     :mod:`repro.dispatch.faults`); ``heartbeat_interval`` must stay well
-    under the server's lease timeout or healthy long-running points will
+    under the daemon's lease timeout or healthy long-running points will
     be spuriously reassigned (harmless for correctness, wasteful for
     wall-clock).  ``secret`` (default: the ``REPRO_FLEET_SECRET``
-    environment variable) answers a fleet daemon's auth challenge;
+    environment variable) answers the daemon's auth challenge;
     ``max_idle`` bounds how long the worker waits through an empty queue
     before leaving cleanly — ``None`` waits forever, the right choice
-    against a one-shot coordinator, which says ``done`` when it means it.
+    against a ``--dispatch`` daemon, which says ``done`` once its sweep is
+    finished.
     """
     stats = WorkerStats(worker=name or f"worker-{os.getpid()}")
     if secret is None:
@@ -136,38 +175,14 @@ def run_worker(
             send_frame(sock, payload)
             reply = recv_frame(sock)
         if reply is None:
-            raise ProtocolError("coordinator closed the connection")
+            raise ProtocolError("daemon closed the connection")
         if reply.get("type") == "error":
-            raise ProtocolError(f"coordinator refused: {reply.get('message')}")
+            raise ProtocolError(f"daemon refused: {reply.get('message')}")
         return reply
 
     # Handshake failures are genuine errors — nothing to tolerate yet.
     try:
-        welcome = rpc(
-            {
-                "type": "hello",
-                "role": "worker",
-                "worker": stats.worker,
-                "protocol": PROTOCOL_VERSION,
-            }
-        )
-        if welcome.get("type") == "challenge":
-            # A fleet daemon with a secret configured (repro.dispatch.auth).
-            if not secret:
-                raise AuthenticationError(
-                    "server demands authentication but no fleet secret is "
-                    "configured (set REPRO_FLEET_SECRET)"
-                )
-            welcome = rpc(
-                {
-                    "type": "auth",
-                    "mac": compute_mac(
-                        secret, str(welcome.get("nonce")), "worker", stats.worker
-                    ),
-                }
-            )
-        if welcome.get("type") != "welcome":
-            raise ProtocolError(f"expected welcome, got {welcome.get('type')!r}")
+        _handshake(sock, "worker", stats.worker, secret)
     except AuthenticationError:
         sock.close()
         raise
@@ -236,8 +251,8 @@ def run_worker(
                 if idle_since is None:
                     idle_since = now
                 if max_idle is not None and now - idle_since >= max_idle:
-                    # Fleet daemons never say done; a queue this quiet
-                    # means the fleet has drained and we may leave.
+                    # A running daemon never says done; a queue this
+                    # quiet means the fleet has drained and we may leave.
                     stats.idled_out = True
                     try:
                         rpc({"type": "goodbye"})
@@ -269,22 +284,22 @@ def run_worker(
                         point.trace,
                     )
                 )
-                result_frame = {
-                    "type": "result",
-                    "index": entry["index"],
-                    "result": encode_result(result),
-                }
-                if sweep is not None:
-                    result_frame["sweep"] = sweep
-                ack = rpc(result_frame)
+                ack = rpc(
+                    {
+                        "type": "result",
+                        "sweep": sweep,
+                        "index": entry["index"],
+                        "result": encode_result(result),
+                    }
+                )
                 stats.points_executed += 1
                 if not ack.get("accepted", True):
                     stats.duplicate_results += 1
                 if maybe_inject_fault():
                     return stats
     except (ProtocolError, OSError):
-        # The coordinator finishing (and closing) while we worked on a
-        # since-reassigned point is the normal end of a run.
+        # The daemon going away while we worked on a since-reassigned
+        # point is the normal end of a run.
         stats.disconnected = True
         return stats
     finally:

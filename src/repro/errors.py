@@ -136,19 +136,19 @@ class ConfigurationError(ReproError):
 class DispatchError(ReproError):
     """The cross-host dispatch layer could not complete an operation.
 
-    Raised by the coordinator/worker machinery (:mod:`repro.dispatch`) for
+    Raised by the daemon/worker machinery (:mod:`repro.dispatch`) for
     failures that are not mere worker deaths — those are tolerated and
-    reassigned.  Coordinator side: a sweep whose points cannot travel as
-    JSON, or results missing after serving stopped.  Worker side: no
-    coordinator reachable within the connect timeout
-    (:class:`CoordinatorUnreachable`) or a refused handshake.  A coordinator
-    whose workers all die simply keeps serving the re-queued work until new
-    workers arrive — that is a wait, not an error.
+    reassigned.  Serving side: a name collision between different grids,
+    or results missing after serving stopped.  Worker side: no daemon
+    reachable within the connect timeout (:class:`CoordinatorUnreachable`)
+    or a refused handshake.  A daemon whose workers all die simply keeps
+    serving the re-queued work until new workers arrive — that is a wait,
+    not an error.
     """
 
 
 class CoordinatorUnreachable(DispatchError):
-    """No coordinator accepted the worker's connection before the timeout.
+    """No daemon accepted the peer's connection before the timeout.
 
     The one :class:`DispatchError` that means "nothing is listening" rather
     than "something went wrong" — long-lived workers use it to decide they
@@ -161,7 +161,7 @@ class ProtocolError(DispatchError):
 
     Covers framing violations (bad length prefix, oversized or truncated
     frames), payloads that are not JSON objects, and messages whose type or
-    fields do not fit the coordinator/worker protocol.
+    fields do not fit the dispatch protocol.
     """
 
 

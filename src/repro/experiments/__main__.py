@@ -11,9 +11,9 @@ machine-readable artifact::
     python -m repro.experiments scenario --spec saved-scenario.json
     python -m repro.experiments all --duration 15
 
-    # distributed: one coordinator + any number of workers, any hosts
+    # distributed: a daemon that lives for this run + any number of workers
     python -m repro.experiments fig3 --dispatch 0.0.0.0:7643 --json fig3.json
-    python -m repro.experiments worker --connect coordinator-host:7643
+    python -m repro.experiments worker --connect serving-host:7643
 
     # fleet: a long-lived daemon serving many named sweeps with priorities
     python -m repro.experiments fleet serve --port 7650 --journal-dir journals/
@@ -483,13 +483,14 @@ def _print_bench_trajectory(directory: str, payload: dict) -> int:
 
 
 def _run_worker_command(args, parser: argparse.ArgumentParser) -> int:
-    """The ``worker`` command: serve coordinators or a fleet daemon.
+    """The ``worker`` command: serve fleet daemons at one address.
 
-    Reconnects after each completed sweep (multi-sweep experiments like
-    ``sensitivity`` serve several coordinators back to back); exits once no
-    coordinator appears within ``--connect-timeout`` seconds, or — against
-    a fleet daemon, which never says ``done`` — once the queue stays empty
-    past ``--max-idle``.  Exit code 0 if at least one sweep was served
+    Reconnects whenever a daemon says ``done`` or goes away (multi-sweep
+    experiments like ``sensitivity`` under ``--dispatch`` start several
+    one-sweep daemons back to back); exits once no daemon appears within
+    ``--connect-timeout`` seconds, or — against a long-lived daemon, which
+    only ever says ``wait`` — once the queue stays empty past
+    ``--max-idle``.  Exit code 0 if at least one sweep was served
     before going idle (always 0 for a clean ``--max-idle`` exit: a drained
     fleet is success even for a worker that arrived late), 1 for a worker
     that never served anything or was refused (e.g. a protocol version
@@ -917,8 +918,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=[*EXPERIMENTS, "all", "worker", "bench", "fleet"],
-        help="which figure to regenerate, 'worker' to serve a dispatch "
-        "coordinator or fleet daemon, 'bench' to run the tracked "
+        help="which figure to regenerate, 'worker' to pull work from a "
+        "--dispatch run or a fleet daemon, 'bench' to run the tracked "
         "performance suite, or 'fleet serve|submit|status|cancel' for the "
         "long-lived sweep-queue daemon",
     )
@@ -1036,29 +1037,31 @@ def main(argv: list[str] | None = None) -> int:
         type=_hostport_type,
         metavar="HOST:PORT",
         default=None,
-        help="serve the experiment's sweeps to remote workers at this "
-        "address instead of running a local pool (results are identical)",
+        help="serve the experiment's sweeps to remote workers from a "
+        "journal-less fleet daemon at this address, one per sweep, instead "
+        "of running a local pool (results are identical; "
+        "REPRO_FLEET_SECRET, if set, is demanded of the workers)",
     )
     dispatch_group.add_argument(
         "--connect",
         type=_hostport_type,
         metavar="HOST:PORT",
         default=None,
-        help="worker command only: the coordinator to pull work from",
+        help="worker command only: the daemon to pull work from",
     )
     dispatch_group.add_argument(
         "--connect-timeout",
         type=float,
         metavar="SECONDS",
         default=30.0,
-        help="worker: how long to wait for a coordinator before giving up "
+        help="worker: how long to wait for a daemon before giving up "
         "(default: 30)",
     )
     dispatch_group.add_argument(
         "--worker-name",
         metavar="NAME",
         default=None,
-        help="worker: name reported to the coordinator (default: worker-PID)",
+        help="worker: name reported to the daemon (default: worker-PID)",
     )
     dispatch_group.add_argument(
         "--fault",
@@ -1077,7 +1080,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="HOST:PORT",
         default=None,
         help="submit the experiment's sweeps to a running fleet daemon "
-        "('fleet serve') instead of self-coordinating — identical resubmissions "
+        "('fleet serve') instead of starting one per sweep — identical resubmissions "
         "resume from the daemon's journal (results are identical either way)",
     )
     fleet_group.add_argument(
@@ -1122,7 +1125,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.connect is None:
             parser.error("worker requires --connect HOST:PORT")
         if args.dispatch is not None:
-            parser.error("--dispatch belongs to the coordinator side, not worker")
+            parser.error("--dispatch belongs to the serving side, not worker")
         if args.fleet is not None:
             parser.error("--fleet belongs to the submitter side, not worker")
         if args.max_idle is not None and args.max_idle <= 0:
@@ -1159,7 +1162,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--dispatch and --fleet are mutually exclusive")
     if args.dispatch is not None and args.dispatch[1] == 0:
         # Port 0 binds an OS-chosen port nobody is told about; it is only
-        # useful programmatically, where Coordinator.address can be read.
+        # useful programmatically, where FleetDaemon.address can be read.
         parser.error("--dispatch needs an explicit port (port 0 is ephemeral)")
     if args.fleet is not None and args.fleet[1] == 0:
         parser.error("--fleet needs the daemon's explicit port")

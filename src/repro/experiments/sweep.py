@@ -14,11 +14,11 @@ them a shared, declarative substrate:
   Specs are plain data; building one runs nothing.
 * :func:`run_sweep` — executes a spec serially (``jobs=1``), on a
   ``multiprocessing`` pool (``jobs=N``, default ``os.cpu_count()``), or —
-  given ``dispatch=`` a :class:`~repro.dispatch.coordinator.DispatchSpec` —
-  across remote workers via the :mod:`repro.dispatch` coordinator.  All
+  given ``dispatch=`` — across remote workers via a :mod:`repro.dispatch`
+  fleet daemon (one started for this sweep, or a running one).  All
   three return a :class:`SweepResult` in *spec order* regardless of
   completion order: the pool streams ``imap_unordered`` chunks and the
-  coordinator streams worker result frames, but both reassemble through the
+  daemon collects worker result frames, but both reassemble through the
   same index-keyed :func:`ordered_results`.  Each column is deterministic
   given its config and workload, so every executor produces identical
   results — the test suite asserts byte-identical series for ``jobs=1`` vs
@@ -394,7 +394,7 @@ def ordered_results(
     """Restore spec order from index-keyed results.
 
     The shared reassembly step of every out-of-order executor: the
-    ``imap_unordered`` pool below and the dispatch coordinator both collect
+    ``imap_unordered`` pool below and the dispatch backends both collect
     ``{point index: result}`` as completions stream in, then rebuild the
     spec-ordered list through this function.  Raises
     :class:`~repro.errors.DispatchError` if any index is missing — a sweep
@@ -437,12 +437,14 @@ def run_sweep(
     for determinism tests); ``jobs>1`` fans the columns across a process
     pool, never spawning more workers than there are points, streaming
     completions via chunked ``imap_unordered`` so one slow point never
-    blocks a whole map wave.  Passing ``dispatch=`` a
-    :class:`~repro.dispatch.coordinator.DispatchSpec` instead serves the
-    spec as a work queue to remote workers (see :mod:`repro.dispatch`),
-    while a :class:`~repro.dispatch.client.FleetSpec` submits it to a
-    long-lived fleet daemon and waits; every executor returns identical
-    results for the same spec.
+    blocks a whole map wave.  ``dispatch=`` hands the spec to a fleet
+    daemon instead (see :mod:`repro.dispatch`): a
+    :class:`~repro.dispatch.coordinator.DispatchSpec` starts a journal-less
+    daemon at that address which lives for this one sweep and serves it to
+    whichever workers connect, while a
+    :class:`~repro.dispatch.client.FleetSpec` submits it to a long-lived
+    daemon that is already running and waits.  Every executor returns
+    identical results for the same spec.
     """
     if telemetry.enabled() and not all(point.trace for point in spec.points):
         # Stamp the trace flag onto the points *before* any executor sees

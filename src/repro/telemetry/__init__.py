@@ -14,8 +14,8 @@ Two properties shape the whole design:
   clock; callbacks are named by ``__qualname__``, never ``repr`` (memory
   addresses differ across processes). Wall-clock stamps are isolated in a
   single JSONL header line per sweep, so the body of a trace is
-  byte-identical across reruns, ``jobs=N`` fork pools, dispatch
-  coordinators and the fleet daemon — the same contract the artifacts
+  byte-identical across reruns, ``jobs=N`` fork pools, ``--dispatch``
+  runs and the fleet daemon — the same contract the artifacts
   already honour, and tested the same way
   (:func:`repro.experiments.report.normalized_artifact`).
 

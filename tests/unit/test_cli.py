@@ -98,7 +98,7 @@ class TestCli:
                 )
                 == 1
             )
-        assert "could not reach coordinator" in caplog.text
+        assert "could not reach a daemon" in caplog.text
 
     def test_json_artifact_written_and_loadable(self, tmp_path, capsys) -> None:
         path = tmp_path / "fig7ab.json"

@@ -7,9 +7,9 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.dispatch.codec import decode_result, encode_result
+from repro.dispatch.codec import decode_result, decode_results, encode_result
 from repro.dispatch.faults import FaultPlan
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, DispatchError, ProtocolError
 from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import run_column
 from repro.experiments.sweep import SweepPoint
@@ -71,6 +71,28 @@ class TestColumnResults:
             decode_result({"kind": "mystery"}, point)
         with pytest.raises(ProtocolError, match="kind"):
             decode_result({}, point)
+
+    def test_whole_sweep_decodes_in_spec_order_and_polices_indices(self) -> None:
+        workload = PerfectClusterWorkload(n_objects=100, cluster_size=5)
+        points = [
+            SweepPoint(
+                label=f"col{seed}",
+                config=ColumnConfig(seed=seed, duration=0.6, warmup=0.3),
+                workload=workload,
+            )
+            for seed in (1, 2)
+        ]
+        wire = [
+            wire_round_trip(encode_result(run_column(point.config, workload)))
+            for point in points
+        ]
+        decoded = decode_results(points, [(1, wire[1]), (0, wire[0])])
+        assert [result.config for result in decoded] == [p.config for p in points]
+        for bad in (2, -1, True, "0"):
+            with pytest.raises(ProtocolError, match="outside the sweep"):
+                decode_results(points, [(bad, wire[0])])
+        with pytest.raises(DispatchError, match="sweep incomplete"):
+            decode_results(points, [(0, wire[0])])
 
 
 class TestScenarioResults:

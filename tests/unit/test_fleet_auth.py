@@ -8,6 +8,7 @@ provably untouched after a refused connection.
 from __future__ import annotations
 
 import socket
+import threading
 
 import pytest
 
@@ -119,6 +120,7 @@ class TestDaemonGate:
             "challenge",
             "error",
         ]
+        assert nonce_reply_then_error[-1]["code"] == "auth"
         assert "wrong" in nonce_reply_then_error[-1]["message"]
         assert daemon.queue.names() == []
         assert daemon.stats.submissions == 0
@@ -179,6 +181,7 @@ class TestDaemonGate:
             daemon, [{"type": "hello", "worker": "w", "protocol": 1}]
         )
         assert replies[-1]["type"] == "error"
+        assert replies[-1]["code"] == "protocol"
         assert "version" in replies[-1]["message"]
         assert daemon.stats.rejected_protocol == 1
 
@@ -223,9 +226,40 @@ class TestWorkerSide:
         from repro.dispatch.worker import run_worker
 
         host, port = daemon.address
-        with pytest.raises(DispatchError):
+        with pytest.raises(AuthenticationError, match="wrong secret"):
             run_worker(host, port, secret="wrong", connect_timeout=5.0)
         assert daemon.stats.rejected_auth == 1
+
+    def test_worker_refused_for_protocol_reasons_is_not_an_auth_error(self) -> None:
+        """The refusal type comes from the error frame's ``code``, not from
+        words in its message: this one mentions auth and secrets but is a
+        protocol refusal."""
+        from repro.dispatch.worker import run_worker
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def refuse_once() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                send_frame(
+                    conn,
+                    {
+                        "type": "error",
+                        "code": "protocol",
+                        "message": "no auth secret will fix this version skew",
+                    },
+                )
+
+        server = threading.Thread(target=refuse_once, daemon=True)
+        server.start()
+        try:
+            with pytest.raises(DispatchError) as caught:
+                run_worker(*listener.getsockname()[:2], connect_timeout=5.0)
+            assert not isinstance(caught.value, AuthenticationError)
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
 
     def test_worker_with_no_secret_fails_loudly(self, daemon) -> None:
         from repro.dispatch.worker import run_worker

@@ -210,11 +210,24 @@ class TestCorruptionPolicy:
             SweepJournal.replay(path)
 
     def test_out_of_range_index_is_loud(self, tmp_path) -> None:
+        # JSON true/false are Python bools, an int subclass: ``true`` would
+        # pass a bare range check and seed a result under key ``True``.
+        for case, index in enumerate((99, -1, True, False)):
+            path = self.make_journal(tmp_path / str(case), points=())
+            line = json.dumps({"kind": "point", "index": index, "result": {}})
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line + "\n")
+            with pytest.raises(JournalError, match="outside"):
+                SweepJournal.replay(path)
+
+    @pytest.mark.parametrize("field", ["total", "priority"])
+    def test_boolean_header_integer_is_loud(self, tmp_path, field) -> None:
         path = self.make_journal(tmp_path, points=())
-        line = json.dumps({"kind": "point", "index": 99, "result": {}})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        with pytest.raises(JournalError, match="outside"):
+        header = json.loads(open(path, encoding="utf-8").readline())
+        header[field] = True
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header) + "\n")
+        with pytest.raises(JournalError, match="malformed sweep header"):
             SweepJournal.replay(path)
 
     def test_unknown_schema_is_loud(self, tmp_path) -> None:

@@ -58,7 +58,6 @@ def submit(queue: FleetQueue, name: str, spec=None, **kwargs):
     spec = spec if spec is not None else tiny_spec(name=name)
     return queue.submit(
         name,
-        spec,
         spec_artifact(spec)["columns"],
         sweep_fingerprint(spec),
         **kwargs,
@@ -283,6 +282,79 @@ class TestLeaseRecovery:
         queue.expire_stale_leases()
         again = queue.acquire("w2", 4)
         assert lease.indices[0] not in again.indices
+
+
+class TestCompletionSignal:
+    def test_finished_set_by_the_last_result_only(self) -> None:
+        queue, _ = make_queue()
+        entry, _ = submit(queue, "a", tiny_spec(2, name="a"))
+        queue.acquire("w", 2)
+        queue.complete("a", 0, wire(0), "w")
+        assert not entry.finished.is_set()
+        queue.complete("a", 0, wire(0), "w")  # a duplicate finishes nothing
+        assert not entry.finished.is_set()
+        queue.complete("a", 1, wire(1), "w")
+        assert entry.finished.is_set()
+
+    def test_finished_at_submission_when_nothing_is_left(self) -> None:
+        queue, _ = make_queue()
+        empty, _ = submit(queue, "empty", tiny_spec(0, name="empty"))
+        resumed, _ = submit(
+            queue,
+            "resumed",
+            tiny_spec(2, name="resumed"),
+            resumed_results={0: wire(0), 1: wire(1)},
+        )
+        assert empty.finished.is_set() and resumed.finished.is_set()
+
+    def test_requeue_counter_spans_sweeps(self) -> None:
+        queue, clock = make_queue(lease_timeout=10.0)
+        submit(queue, "a", priority=1)
+        submit(queue, "b")
+        queue.acquire("dead", 4)  # all of "a"
+        queue.acquire("stalled", 4)  # all of "b"
+        assert queue.release("dead") == 1
+        clock.advance(11.0)
+        assert queue.expire_stale_leases() == 1
+        assert queue.leases_requeued == 2
+
+    def test_concurrent_workers_lose_no_update(self) -> None:
+        """More threads than cores hammer one queue: every index must end
+        up with exactly one accepted result and the signal must fire."""
+        import sys
+        import threading
+
+        queue = FleetQueue(lease_timeout=30.0)
+        spec = tiny_spec(1, name="stress")
+        point = spec_artifact(spec)["columns"][0]
+        total = 400
+        entry, _ = queue.submit("stress", [point] * total, "fp")
+        accepted: list[int] = []
+
+        def worker(owner: str) -> None:
+            while (lease := queue.acquire(owner, 3)) is not None:
+                for index in lease.indices:
+                    if queue.complete("stress", index, wire(index), owner):
+                        accepted.append(index)
+                queue.heartbeat(owner)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(f"w{i}",), daemon=True)
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(accepted) == list(range(total))
+        assert entry.finished.is_set() and entry.duplicates == 0
+        assert queue.status_rows()[0]["leased"] == 0
 
 
 class TestStatusRows:

@@ -59,6 +59,20 @@ class TestPublicAPI:
         module = importlib.import_module(module_name)
         assert module.__doc__ and len(module.__doc__.strip()) > 40
 
+    def test_dispatch_exports_one_server(self) -> None:
+        """One dispatch stack: the one-shot ``Coordinator`` and its ``Chunk``
+        are gone; what ``--dispatch`` needs is still importable."""
+        import repro.dispatch as dispatch
+
+        for name in dispatch.__all__:
+            assert hasattr(dispatch, name), f"__all__ advertises missing {name!r}"
+        assert not {"Coordinator", "Chunk"} & set(dispatch.__all__)
+        assert not hasattr(dispatch, "Coordinator")
+        assert {"DispatchSpec", "WorkQueue", "run_dispatched", "FleetDaemon"} <= set(
+            dispatch.__all__
+        )
+        assert "chunk_size" not in dispatch.DispatchSpec.__dataclass_fields__
+
     def test_public_classes_are_documented(self) -> None:
         undocumented = []
         for name in repro.__all__:
