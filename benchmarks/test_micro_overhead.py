@@ -10,6 +10,7 @@ claim by timing the same operation against histories of different sizes.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.bench.suite import sgt_history, sgt_read_sets
@@ -128,3 +129,31 @@ def test_sgt_check_rate_flat_in_history_size(benchmark):
     for txn in txns:
         tester.record_update(txn)
     benchmark(lambda: [tester.is_consistent(reads) for reads in read_sets])
+
+
+def test_sgt_record_allocates_one_container_per_transaction():
+    """Deterministic guard for what made ``record_update`` slow: every
+    GC-tracked container it leaves alive (adjacency lists, reader lists,
+    tuple keys) feeds the cyclic collector, whose passes were a fifth of the
+    record phase. A commit-order history may keep at most 1.5 containers
+    per transaction plus 3 per distinct key (chain, pending list and the
+    pair holding them); the back-patching tester kept 5.5 per transaction."""
+    n_updates = 10_000
+    txns, current, _ = sgt_history(n_updates)
+    tester = SerializationGraphTester()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for txn in txns:
+            tester.record_update(txn)
+        created = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert tester.reordered_count == 0
+    assert created <= 1.5 * n_updates + 3 * len(current), (
+        f"{created} GC-tracked containers for {n_updates} transactions over "
+        f"{len(current)} keys ({created / n_updates:.2f} per transaction)"
+    )

@@ -229,19 +229,33 @@ class DependencyList:
     def from_trusted(cls, entries: Sequence[DepEntry]) -> "DependencyList":
         """Wrap entries that are *already* deduplicated, skipping subsumption.
 
-        The per-read hot path: every transactional cache read wraps the
-        dependency tuple shipped with a :class:`~repro.types.VersionedValue`,
-        and those tuples are the ``entries`` of a list this class built at
-        commit time — one key per entry, subsumption already applied (a
-        prefix slice of such a tuple keeps the invariant). Running the full
-        constructor would re-dedupe an input that cannot contain duplicates.
+        The commit path: the dependency tuples shipped with each
+        :class:`~repro.types.VersionedValue` are the ``entries`` of lists
+        this class built at earlier commits — one key per entry, subsumption
+        already applied (a prefix slice of such a tuple, or the tuple minus
+        one entry, keeps the invariant). Running the full constructor would
+        re-dedupe an input that cannot contain duplicates.
         """
         instance = cls.__new__(cls)
         instance._entries = tuple(entries)
-        # Built lazily: the hot consumers (the per-read §III-B checks)
-        # iterate entries and never probe by key.
+        # Built lazily: the hot consumer (:meth:`merge`) iterates entries
+        # and never probes by key.
         instance._by_key = None
         return instance
+
+    def without(self, key: Key, max_len: int) -> "DependencyList":
+        """This list minus ``key``'s entry, truncated to ``max_len``.
+
+        What one commit stores with each written object: :meth:`merge` runs
+        once per transaction, and pruning order does not depend on which
+        entry is left out, so dropping the self-entry from the shared result
+        equals merging with ``exclude=key`` (while no key is pinned).
+        """
+        entries = self._entries
+        if max_len == UNBOUNDED:
+            return self.from_trusted([e for e in entries if e.key != key])
+        kept = [e for e in entries[: max_len + 1] if e.key != key]
+        return self.from_trusted(kept[:max_len])
 
     # ------------------------------------------------------------------
     # Queries

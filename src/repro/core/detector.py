@@ -30,10 +30,10 @@ transaction must abort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.core.deplist import DependencyList
 from repro.core.records import TransactionContext
-from repro.types import Key, Version
+from repro.types import DepEntry, Key, Version
 
 __all__ = ["InconsistencyReport", "check_read", "check_equation1", "check_equation2"]
 
@@ -83,7 +83,7 @@ def check_equation2(
 
 
 def check_equation1(
-    context: TransactionContext, key_curr: Key, deps_curr: DependencyList
+    context: TransactionContext, key_curr: Key, deps_curr: Iterable[DepEntry]
 ) -> InconsistencyReport | None:
     """Does the current read prove some previous read stale?"""
     for entry in deps_curr:
@@ -127,7 +127,7 @@ def check_read(
     context: TransactionContext,
     key_curr: Key,
     ver_curr: Version,
-    deps_curr: DependencyList,
+    deps_curr: Iterable[DepEntry],
 ) -> InconsistencyReport | None:
     """Run all checks for a read, Equation 2 first.
 

@@ -24,14 +24,19 @@ from __future__ import annotations
 from collections import deque
 
 from repro.cache.base import BackendReader
-from repro.core.deplist import DependencyList
 from repro.core.detector import InconsistencyReport, check_read
 from repro.core.records import TransactionContext
 from repro.core.strategies import Strategy
 from repro.core.tcache import TCache
 from repro.errors import ConfigurationError
 from repro.sim.core import Simulator
-from repro.types import Key, ReadOnlyTransactionRecord, TxnId, VersionedValue
+from repro.types import (
+    DepEntry,
+    Key,
+    ReadOnlyTransactionRecord,
+    TxnId,
+    VersionedValue,
+)
 
 __all__ = ["MultiversionTCache"]
 
@@ -113,7 +118,7 @@ class MultiversionTCache(TCache):
         record: ReadOnlyTransactionRecord,
         context: TransactionContext,
         entry: VersionedValue,
-        deps: DependencyList,
+        deps: tuple[DepEntry, ...],
         report: InconsistencyReport,
     ) -> tuple[VersionedValue, bool]:
         if not report.stale_read_is_current:

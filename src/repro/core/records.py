@@ -10,10 +10,9 @@ checked in O(size of its dependency list) rather than O(reads × list size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from repro.core.deplist import DependencyList
-from repro.types import Key, TxnId, Version
+from repro.types import DepEntry, Key, TxnId, Version
 
 __all__ = ["ReadRecord", "TransactionContext"]
 
@@ -27,7 +26,7 @@ class ReadRecord(NamedTuple):
 
     key: Key
     version: Version
-    deps: DependencyList
+    deps: Iterable[DepEntry]
 
 
 @dataclass(slots=True)
@@ -45,7 +44,9 @@ class TransactionContext:
     #: Maps key -> (required version, key of the read that demanded it).
     requirements: dict[Key, tuple[Version, Key]] = field(default_factory=dict)
 
-    def record_read(self, key: Key, version: Version, deps: DependencyList) -> None:
+    def record_read(
+        self, key: Key, version: Version, deps: Iterable[DepEntry]
+    ) -> None:
         """Fold a successful read into the record.
 
         Requirements are merged monotonically: only a strictly larger

@@ -17,13 +17,13 @@ unbounded cache, no violation escapes (Theorem 1; property-tested in
 from __future__ import annotations
 
 from repro.cache.base import BackendReader, CacheServer
-from repro.core.deplist import DependencyList
 from repro.core.detector import InconsistencyReport, check_equation1, check_read
 from repro.core.records import TransactionContext
 from repro.core.strategies import Strategy
 from repro.errors import ConfigurationError, InconsistencyDetected
 from repro.sim.core import Simulator
 from repro.types import (
+    DepEntry,
     Key,
     ReadOnlyTransactionRecord,
     TransactionOutcome,
@@ -104,7 +104,7 @@ class TCache(CacheServer):
         record: ReadOnlyTransactionRecord,
         context: TransactionContext,
         entry: VersionedValue,
-        deps: DependencyList,
+        deps: tuple[DepEntry, ...],
         report: InconsistencyReport,
     ) -> tuple[VersionedValue, bool]:
         self._count_detection(report)
@@ -132,16 +132,17 @@ class TCache(CacheServer):
         self._abort_with(txn_id, record, entry.key, entry.version, report)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _deps_of(self, entry: VersionedValue) -> DependencyList:
+    def _deps_of(self, entry: VersionedValue) -> tuple[DepEntry, ...]:
         """The dependency entries this cache consults for ``entry``.
 
-        With a ``deplist_limit`` only the first ``limit`` shipped entries
-        are checked — lists arrive most-relevant-first under the database's
+        The stored tuple itself — the §III-B checks only iterate it. With a
+        ``deplist_limit`` only the first ``limit`` shipped entries are
+        checked — lists arrive most-relevant-first under the database's
         pruning policy (most-recently-used first for the paper's LRU).
         """
         if self.deplist_limit is None:
-            return DependencyList.from_trusted(entry.deps)
-        return DependencyList.from_trusted(entry.deps[: self.deplist_limit])
+            return entry.deps
+        return entry.deps[: self.deplist_limit]
 
     # ------------------------------------------------------------------
     # Strategy actions

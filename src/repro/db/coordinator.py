@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-from repro.core.deplist import DependencyList
+from repro.core.deplist import UNBOUNDED, DependencyList
 from repro.db.participant import Participant
 from repro.db.wal import RecordType, WriteAheadLog
 from repro.errors import (
@@ -216,7 +216,11 @@ class Coordinator:
         must see the transaction's effect), purely-read objects at the
         version observed. Inherited entries: the dependency lists stored
         with every object in the read and write sets. Each written object
-        stores the merge minus its self-entry.
+        stores the merge minus its self-entry, pruned to its own bound.
+
+        The aggregation runs once per commit and is projected per written
+        object; only an object with pinned dependencies (§VII), whose
+        pruning order is its own, is merged separately.
         """
         write_set = set(txn.write_keys)
         direct: dict[Key, Version] = {}
@@ -229,17 +233,27 @@ class Coordinator:
         inherited = [
             DependencyList.from_trusted(entry.deps) for entry in txn.reads.values()
         ]
-        return {
-            key: DependencyList.merge(
-                direct,
-                inherited,
-                max_len=self._bound_for(key),
-                exclude=key,
-                pinned=self._pinned_for(key) if self._pinned_for else None,
-                policy=self._pruning_policy,
-            )
-            for key in write_set
-        }
+        policy = self._pruning_policy
+        full: DependencyList | None = None
+        deps_per_key: dict[Key, DependencyList] = {}
+        for key in write_set:
+            pinned = self._pinned_for(key) if self._pinned_for else None
+            if pinned:
+                deps_per_key[key] = DependencyList.merge(
+                    direct,
+                    inherited,
+                    max_len=self._bound_for(key),
+                    exclude=key,
+                    pinned=pinned,
+                    policy=policy,
+                )
+                continue
+            if full is None:
+                full = DependencyList.merge(
+                    direct, inherited, max_len=UNBOUNDED, policy=policy
+                )
+            deps_per_key[key] = full.without(key, self._bound_for(key))
+        return deps_per_key
 
     def _bound_for(self, key: Key) -> int:
         """Per-object dependency-list bound (§VII extension).

@@ -9,13 +9,16 @@ per process because several figures share them.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.workloads.graphs import amazon_like_graph, orkut_like_graph, topology_stats
 from repro.workloads.sampling import random_walk_sample
 from repro.workloads.walker import RandomWalkWorkload
+
+if TYPE_CHECKING:  # annotations only: importing networkx costs ~0.1 s
+    import networkx as nx
 
 __all__ = [
     "AMAZON",

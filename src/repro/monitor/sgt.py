@@ -28,26 +28,37 @@ a writer.
 
 Incremental adjacency
 ---------------------
-Earlier revisions re-derived a transaction's outgoing conflict edges on
-every BFS expansion (per-key ``bisect`` over the version chains plus reader
-lookups), which made each check pay ``O(edges x log chain)`` in dictionary
-and bisect traffic. The tester now maintains the adjacency **incrementally**
-in :meth:`record_update`, the same precomputed-conflict idea Nagar &
-Jagannathan's violation detector uses:
+The tester keeps every update transaction's outgoing conflict edges
+(WW/WR/RW) as a prebuilt adjacency list — the precomputed-conflict idea of
+Nagar & Jagannathan's violation detector — so ``is_consistent`` is a walk
+over lists, O(1) in the history size (§V-B2). :meth:`record_update` builds
+those lists on one of two paths, chosen only by what the arriving
+transaction looks like:
 
-* recording a write of key ``k`` at version ``v`` *back-patches* the
-  transactions whose next-writer on ``k`` becomes ``v`` — the writer of the
-  version directly below ``v`` gains its WW edge, and every recorded reader
-  of a version in ``[below, v)`` gains its RW edge;
-* recording a read of ``(k, u)`` adds the RW edge to the current next
-  writer (if any — otherwise the future writer back-patches it) and the WR
-  edge from ``u``'s writer.
+* **Commit order** (the transaction is newer than everything recorded and
+  reads nothing newer than its key's chain tail — what the backend emits,
+  since versions come from its commit-sequence counter). Every edge the
+  transaction creates then points *at* it, so recording only appends: per
+  key there is one version chain and one ``pending`` list of readers still
+  waiting for their overwriter; a write gives the chain tail its WW edge
+  and each pending reader its RW edge, then clears ``pending`` in place; a
+  read gives the writer of the observed version its WR edge. The one edge
+  that leaves the new transaction is the RW edge of a *stale* read (an
+  update transaction that observed an already-overwritten version), found
+  with one ``bisect``; it descends, which is exactly what
+  :meth:`verify_update_dag` reports. One new container per transaction.
+* **Any other arrival** (an older ``txn_id``, or a read of a version whose
+  writer has not been recorded yet) is only indexed; the adjacency is
+  marked stale and the next query re-derives every chain and edge from the
+  definition — next writer by ``bisect``, readers by ``(key, version)``.
+  That costs O(history) per query that follows such an arrival, so
+  ``reordered_count`` says how many arrivals took this path (0 for every
+  producer in this repository).
 
-``is_consistent`` is then a walk over prebuilt adjacency lists — no
-per-expansion derivation — and the per-check cost stays O(1) in the history
-size (§V-B2), with the same ``expansions`` accounting. Out-of-order version
-arrival (a lower version recorded after a higher one) is supported: the
-affected edges are re-pointed when the chain insertion lands mid-chain.
+Both paths leave every adjacency list **ascending** (a multiset: two
+conflicts with the same endpoints, one per key, stay two entries — the
+search dedupes through its visited set). A bounded search can therefore stop
+scanning a list at the first successor above its bound.
 
 Because conflict edges only ever point towards *later* versions, a read set
 that is consistent now can never become inconsistent as more update
@@ -57,7 +68,7 @@ transaction once, at completion time.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterable, Mapping
 
 from repro.errors import SimulationError
@@ -80,20 +91,23 @@ class SerializationGraphTester:
     def __init__(self, namespace: str | None = None) -> None:
         self.namespace = namespace
         self._txns: dict[TxnId, CommittedTransaction] = {}
-        #: Per key: sorted list of versions installed (ascending).
-        self._chains: dict[Key, list[Version]] = {}
-        #: Update transactions that *read* (key, version), for WR edges
-        #: between update transactions.
-        self._readers: dict[tuple[Key, Version], list[TxnId]] = {}
-        #: Per key: sorted distinct versions with at least one recorded
-        #: reader — the index the write-time RW back-patch walks.
-        self._read_versions: dict[Key, list[Version]] = {}
+        #: Per key ``(chain, pending)``: the versions installed, ascending,
+        #: and the update transactions whose read of that key has no
+        #: overwriter yet (they take their RW edge from the next writer).
+        self._keys: dict[Key, tuple[list[Version], list[TxnId]]] = {}
         #: Outgoing conflict edges (WW/WR/RW) per update transaction,
-        #: maintained incrementally. Entries may repeat when two conflicts
-        #: share endpoints (one per conflicting key) — the BFS dedupes via
-        #: its visited set, exactly as the derive-on-the-fly version did.
+        #: ascending. Entries repeat when two conflicts share endpoints (one
+        #: per conflicting key) — the BFS dedupes via its visited set.
         self._adjacency: dict[TxnId, list[TxnId]] = {}
+        #: Largest transaction id recorded.
+        self._newest: TxnId = 0
+        #: True while ``_keys``/``_adjacency`` lag ``_txns`` (an arrival out
+        #: of commit order); queries call :meth:`_derive` first.
+        self._stale = False
         self.update_count = 0
+        #: Arrivals that were not in commit order, or came while the
+        #: adjacency was stale, and so await re-derivation by a query.
+        self.reordered_count = 0
         self.checks = 0
         #: Total BFS node expansions, for overhead reporting.
         self.expansions = 0
@@ -105,87 +119,117 @@ class SerializationGraphTester:
     def record_update(self, txn: CommittedTransaction) -> None:
         """Add a committed update transaction to the history.
 
-        Amortised cost is O(reads + writes) dictionary work per
-        transaction; the back-patches touch only the readers whose
-        next-writer actually changes.
+        O(reads + writes) appends for an arrival in commit order; anything
+        else is indexed and left to the next query (module docstring).
+        Nothing is recorded when the transaction is rejected.
         """
         version = txn.txn_id
-        if version in self._txns:
+        txns = self._txns
+        if version in txns:
             where = f" in namespace {self.namespace!r}" if self.namespace else ""
             raise SimulationError(
                 f"update transaction {version} recorded twice{where}"
             )
-        self._txns[version] = txn
-        self.update_count += 1
-        adjacency = self._adjacency
-        edges = adjacency.setdefault(version, [])
-
-        # Writes first, so the RW edges of this transaction's own reads see
-        # its installed versions (self-overwrites stay self-edge-free, as in
-        # the derived construction).
-        for key, written in txn.writes.items():
+        writes = txn.writes
+        for written in writes.values():
             if written != version:
                 raise SimulationError(
                     f"write version {written} differs from txn version {version}"
                 )
-            chain = self._chains.get(key)
-            if chain is None:
-                chain = self._chains[key] = []
-            if not chain or written > chain[-1]:
-                index = len(chain)
-                chain.append(written)
-            else:  # out-of-order arrival: splice into the middle
-                index = bisect_right(chain, written)
-                chain.insert(index, written)
-            below = chain[index - 1] if index else 0
-            above = chain[index + 1] if index + 1 < len(chain) else None
+        txns[version] = txn
+        self.update_count += 1
+        if self._stale or version <= self._newest:
+            self._stale = True
+            self.reordered_count += 1
+            return
+        self._newest = version
 
-            if above is not None:
-                # This version was (already) overwritten: WW edge out.
-                edges.append(above)
-            if below:
-                # The writer below used to point at `above` (or nowhere);
-                # its next writer is now this transaction.
-                below_edges = adjacency[below]
-                if above is not None:
-                    below_edges.remove(above)
-                below_edges.append(version)
-            # Readers of any version in [below, written) likewise re-point.
-            read_versions = self._read_versions.get(key)
-            if read_versions:
-                start = bisect_left(read_versions, below)
-                stop = bisect_left(read_versions, written)
-                for observed in read_versions[start:stop]:
-                    for reader in self._readers[(key, observed)]:
-                        reader_edges = adjacency[reader]
-                        if above is not None and above != reader:
-                            reader_edges.remove(above)
-                        reader_edges.append(version)
-            # WR edges towards readers that recorded this exact version
-            # before its writer arrived (out-of-order only).
-            for reader in self._readers.get((key, written), ()):
-                if reader != version:
-                    edges.append(reader)
-
+        keys = self._keys
+        adjacency = self._adjacency
+        adjacency[version] = edges = []
+        # Reads first: a transaction that reads and overwrites the same
+        # version is then the last entry of that key's pending list.
         for key, observed in txn.reads.items():
-            self._readers.setdefault((key, observed), []).append(version)
-            read_versions = self._read_versions.setdefault(key, [])
-            index = bisect_left(read_versions, observed)
-            if index == len(read_versions) or read_versions[index] != observed:
-                read_versions.insert(index, observed)
-            # RW: edge to the current next writer of the version read.
-            chain = self._chains.get(key)
-            if chain:
+            state = keys.get(key)
+            if state is None:
+                state = keys[key] = ([], [])
+            chain, pending = state
+            tail = chain[-1] if chain else 0
+            if observed == tail:
+                pending.append(version)
+                if observed:
+                    adjacency[observed].append(version)  # WR
+            elif observed < tail:
                 index = bisect_right(chain, observed)
+                edges.append(chain[index])  # RW of a stale read: descends
+                if index and chain[index - 1] == observed:
+                    adjacency[observed].append(version)  # WR
+            else:
+                # Reads a version whose writer is not recorded yet; whatever
+                # was appended above is discarded by the re-derivation.
+                self._stale = True
+                self.reordered_count += 1
+                return
+        if len(edges) > 1:
+            edges.sort()
+        for key in writes:
+            state = keys.get(key)
+            if state is None:
+                keys[key] = ([version], [])
+                continue
+            chain, pending = state
+            if chain:
+                adjacency[chain[-1]].append(version)  # WW
+            if pending:
+                if pending[-1] == version:
+                    del pending[-1]
+                for reader in pending:
+                    adjacency[reader].append(version)  # RW
+                pending.clear()
+            chain.append(version)
+
+    def _derive(self) -> None:
+        """Rebuild every chain, pending list and edge from the definition.
+
+        The any-order path: WW to the next writer of each written key, WR to
+        every other reader of each written version, RW from each read to the
+        next writer of the version it observed.
+        """
+        txns = self._txns
+        commit_order = sorted(txns)
+        keys: dict[Key, tuple[list[Version], list[TxnId]]] = {}
+        readers: dict[tuple[Key, Version], list[TxnId]] = {}
+        for txn_id in commit_order:
+            txn = txns[txn_id]
+            for key in txn.writes:
+                keys.setdefault(key, ([], []))[0].append(txn_id)
+            for key, observed in txn.reads.items():
+                keys.setdefault(key, ([], []))
+                readers.setdefault((key, observed), []).append(txn_id)
+        adjacency: dict[TxnId, list[TxnId]] = {}
+        for txn_id in commit_order:
+            txn = txns[txn_id]
+            edges = adjacency[txn_id] = []
+            for key in txn.writes:
+                chain = keys[key][0]
+                index = bisect_right(chain, txn_id)
                 if index < len(chain):
-                    overwriter = chain[index]
-                    if overwriter != version:
-                        edges.append(overwriter)
-            # WR: the writer of the version read gains an edge to this txn.
-            if observed and observed != version:
-                writer_txn = self._txns.get(observed)
-                if writer_txn is not None and key in writer_txn.writes:
-                    adjacency[observed].append(version)
+                    edges.append(chain[index])  # WW
+                for reader in readers.get((key, txn_id), ()):
+                    if reader != txn_id:
+                        edges.append(reader)  # WR
+            for key, observed in txn.reads.items():
+                chain, pending = keys[key]
+                index = bisect_right(chain, observed)
+                if index == len(chain):
+                    pending.append(txn_id)
+                elif chain[index] != txn_id:
+                    edges.append(chain[index])  # RW
+            edges.sort()
+        self._keys = keys
+        self._adjacency = adjacency
+        self._newest = commit_order[-1]
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Queries
@@ -205,9 +249,12 @@ class SerializationGraphTester:
 
     def next_writer(self, key: Key, version: Version) -> TxnId | None:
         """The earliest transaction that overwrote ``(key, version)``."""
-        chain = self._chains.get(key)
-        if not chain:
+        if self._stale:
+            self._derive()
+        state = self._keys.get(key)
+        if state is None:
             return None
+        chain = state[0]
         index = bisect_right(chain, version)
         if index == len(chain):
             return None
@@ -223,22 +270,33 @@ class SerializationGraphTester:
         self.checks += 1
         if len(reads) <= 1:
             return True
+        if self._stale:
+            self._derive()
 
+        # One pass resolves both ends of the search: the writer of each
+        # version read (it must sit in the key's chain) and its next writer.
+        keys = self._keys
         writers: set[TxnId] = set()
-        for key, version in reads.items():
-            writer = self.writer_of(key, version)
-            if writer is not None:
-                writers.add(writer)
         starts: set[TxnId] = set()
         for key, version in reads.items():
-            overwriter = self.next_writer(key, version)
-            if overwriter is not None:
-                starts.add(overwriter)
+            state = keys.get(key)
+            chain = state[0] if state is not None else ()
+            tail = chain[-1] if chain else 0
+            if version != tail:
+                index = bisect_right(chain, version)
+                if version and not (index and chain[index - 1] == version):
+                    raise SimulationError(
+                        f"no recorded writer for {key!r} @ {version}"
+                    )
+                starts.add(chain[index])
+            if version:
+                writers.add(version)
         if not writers or not starts:
             return True
         bound = max(writers)
 
-        # BFS over the prebuilt conflict adjacency, versions ascending.
+        # BFS over the prebuilt conflict adjacency; lists ascend, so the
+        # first successor above the bound ends the scan of a list.
         frontier = [txn for txn in starts if txn <= bound]
         visited: set[TxnId] = set(frontier)
         adjacency = self._adjacency
@@ -249,8 +307,10 @@ class SerializationGraphTester:
                 if node in writers:
                     return False
                 expansions += 1
-                for successor in adjacency.get(node, ()):
-                    if successor <= bound and successor not in visited:
+                for successor in adjacency[node]:
+                    if successor > bound:
+                        break
+                    if successor not in visited:
                         visited.add(successor)
                         frontier.append(successor)
             return True
@@ -282,7 +342,6 @@ class SerializationGraphTester:
         if not writer_keys:
             return None
 
-        adjacency = self._adjacency
         reachable_from: dict[TxnId, set[TxnId]] = {}
         for stale_key, stale_version in reads.items():
             start = self.next_writer(stale_key, stale_version)
@@ -290,12 +349,15 @@ class SerializationGraphTester:
                 continue
             reached = reachable_from.get(start)
             if reached is None:
+                adjacency = self._adjacency
                 reached = {start}
                 frontier = [start] if start <= bound else []
                 while frontier:
                     node = frontier.pop()
-                    for successor in adjacency.get(node, ()):
-                        if successor <= bound and successor not in reached:
+                    for successor in adjacency[node]:
+                        if successor > bound:
+                            break
+                        if successor not in reached:
                             reached.add(successor)
                             frontier.append(successor)
                 reachable_from[start] = reached
@@ -309,12 +371,13 @@ class SerializationGraphTester:
     # ------------------------------------------------------------------
 
     def _successors(self, txn_id: TxnId) -> Iterable[TxnId]:
-        """Outgoing conflict edges of an update transaction.
+        """Outgoing conflict edges of an update transaction, ascending.
 
-        The prebuilt adjacency list (possibly with benign duplicates); the
-        multiset union over keys of WW/WR/RW conflicts, exactly what the
-        old per-query derivation yielded.
+        The multiset union over keys of WW/WR/RW conflicts (benign
+        duplicates kept), empty for an unrecorded transaction.
         """
+        if self._stale:
+            self._derive()
         return self._adjacency.get(txn_id, ())
 
     def _reaches(self, start: TxnId, target: TxnId) -> bool:
@@ -327,13 +390,13 @@ class SerializationGraphTester:
             return True
         frontier = [start] if start < target else []
         visited = {start}
-        adjacency = self._adjacency
         while frontier:
-            node = frontier.pop()
-            for successor in adjacency.get(node, ()):
-                if successor == target:
-                    return True
-                if successor < target and successor not in visited:
+            for successor in self._successors(frontier.pop()):
+                if successor >= target:
+                    if successor == target:
+                        return True
+                    break
+                if successor not in visited:
                     visited.add(successor)
                     frontier.append(successor)
         return False

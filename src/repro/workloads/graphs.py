@@ -35,10 +35,12 @@ graph", §IV, via co-access locality, not from degree tails).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # the generators import networkx when called (~0.1 s)
+    import networkx as nx
 
 __all__ = ["amazon_like_graph", "orkut_like_graph", "topology_stats", "GraphStats"]
 
@@ -84,6 +86,8 @@ def amazon_like_graph(n_nodes: int = 4000, seed: int = 1) -> nx.Graph:
     12 % of edges rewired across cliques — strongly clustered yet connected
     enough for random-walk sampling and transaction walks to traverse it.
     """
+    import networkx as nx
+
     if n_nodes < 2 * _AMAZON_CLIQUE:
         raise ConfigurationError(f"need at least {2 * _AMAZON_CLIQUE} nodes, got {n_nodes}")
     cliques = n_nodes // _AMAZON_CLIQUE
@@ -100,6 +104,8 @@ def orkut_like_graph(n_nodes: int = 4000, seed: int = 2) -> nx.Graph:
     and an order of magnitude less clustered than the Amazon stand-in,
     matching the relative structure the paper describes.
     """
+    import networkx as nx
+
     if n_nodes < 2 * _ORKUT_COMMUNITY_MEAN:
         raise ConfigurationError(
             f"need at least {2 * _ORKUT_COMMUNITY_MEAN} nodes, got {n_nodes}"
@@ -118,6 +124,8 @@ def orkut_like_graph(n_nodes: int = 4000, seed: int = 2) -> nx.Graph:
 
 def topology_stats(graph: nx.Graph) -> GraphStats:
     """Summary statistics for a topology (used by tests and Fig. 7ab)."""
+    import networkx as nx
+
     degrees = [degree for _, degree in graph.degree()]
     components = nx.number_connected_components(graph)
     return GraphStats(

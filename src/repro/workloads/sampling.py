@@ -14,10 +14,14 @@ from a fresh uniformly chosen node, so the sampler terminates on any graph.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # annotations only: importing networkx costs ~0.1 s
+    import networkx as nx
 
 __all__ = ["random_walk_sample"]
 

@@ -15,13 +15,15 @@ node's neighbourhood, which is what makes short dependency lists effective.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.types import Key
+
+if TYPE_CHECKING:  # annotations only: importing networkx costs ~0.1 s
+    import networkx as nx
 
 __all__ = ["RandomWalkWorkload", "node_key"]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deplist import UNBOUNDED, DependencyList
+from repro.core.deplist import PRUNING_POLICIES, UNBOUNDED, DependencyList
 
 keys = st.text(alphabet="abcdefgh", min_size=1, max_size=2)
 versions = st.integers(min_value=0, max_value=50)
@@ -85,6 +85,21 @@ class TestMergeInvariants:
     def test_exclude_is_absent(self, direct, inherited, bound, excluded) -> None:
         merged = DependencyList.merge(direct, inherited, max_len=bound, exclude=excluded)
         assert excluded not in merged
+
+    @given(
+        direct_maps, inherited_lists, bounds, keys, st.sampled_from(PRUNING_POLICIES)
+    )
+    def test_projection_equals_merge_with_exclude(
+        self, direct, inherited, bound, excluded, policy
+    ) -> None:
+        """One merge per commit, projected per written key (the coordinator's
+        path), stores what a merge per key with ``exclude`` would."""
+        full = DependencyList.merge(
+            direct, inherited, max_len=UNBOUNDED, policy=policy
+        )
+        assert full.without(excluded, bound) == DependencyList.merge(
+            direct, inherited, max_len=bound, exclude=excluded, policy=policy
+        )
 
     @given(direct_maps, inherited_lists, bounds)
     def test_merge_is_deterministic(self, direct, inherited, bound) -> None:

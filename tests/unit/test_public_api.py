@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +75,21 @@ class TestPublicAPI:
             dispatch.__all__
         )
         assert "chunk_size" not in dispatch.DispatchSpec.__dataclass_fields__
+
+    def test_importing_the_package_leaves_networkx_out(self) -> None:
+        """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
+        CLI start, pool worker and fleet worker would otherwise pay for it."""
+        probe = (
+            "import sys, repro, repro.experiments.runner, repro.dispatch; "
+            "sys.exit('networkx' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
     def test_public_classes_are_documented(self) -> None:
         undocumented = []

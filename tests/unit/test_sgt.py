@@ -29,6 +29,25 @@ class TestHistoryConstruction:
         with pytest.raises(SimulationError):
             tester.record_update(txn(2, {}, {"a": 3}))
 
+    def test_rejected_transaction_leaves_no_trace(self) -> None:
+        """A write version that disagrees with the transaction id is found
+        before anything is recorded, so the corrected transaction records."""
+        tester = SerializationGraphTester()
+        tester.record_update(write_all(1, ["a"], {"a": 0}))
+        with pytest.raises(SimulationError, match="write version 3"):
+            tester.record_update(txn(2, {"a": 1}, {"a": 2, "b": 3}))
+        assert tester.update_count == 1
+        assert tester.next_writer("a", 1) is None
+        assert tester.next_writer("b", 0) is None
+        assert list(tester._successors(1)) == []
+        assert list(tester._successors(2)) == []
+
+        tester.record_update(txn(2, {"a": 1}, {"a": 2, "b": 2}))
+        assert tester.update_count == 2
+        assert tester.next_writer("a", 1) == 2
+        assert sorted(tester._successors(1)) == [2, 2]  # WW and WR
+        assert tester.reordered_count == 0
+
     def test_writer_lookup(self) -> None:
         tester = SerializationGraphTester()
         tester.record_update(write_all(1, ["a", "b"], {"a": 0, "b": 0}))
@@ -138,6 +157,32 @@ class TestConsistency:
         tester.record_update(txn(1, {"a": 0}, {"a": 1}))
         tester.record_update(txn(2, {"a": 1, "b": 0}, {"b": 2}))
         tester.record_update(txn(3, {"b": 2}, {"b": 3}))
+        assert tester.verify_update_dag()
+
+    def test_stale_read_by_an_update_breaks_the_dag(self) -> None:
+        """An update transaction that observed an overwritten version takes
+        an RW edge back to the overwriter — recorded in commit order."""
+        tester = SerializationGraphTester()
+        tester.record_update(txn(1, {"a": 0}, {"a": 1}))
+        tester.record_update(txn(2, {"a": 1}, {"a": 2}))
+        tester.record_update(txn(3, {"a": 1, "b": 0}, {"b": 3}))
+        assert tester.reordered_count == 0
+        assert list(tester._successors(3)) == [2]
+        assert not tester.verify_update_dag()
+
+    def test_arrival_out_of_commit_order_is_counted_and_rederived(self) -> None:
+        tester = SerializationGraphTester()
+        tester.record_update(txn(2, {"a": 1, "b": 0}, {"b": 2}))  # reads unrecorded a@1
+        assert tester.reordered_count == 1
+        with pytest.raises(SimulationError):
+            tester.is_consistent({"a": 1, "b": 2})
+        tester.record_update(txn(1, {"a": 0}, {"a": 1}))  # older than 2
+        assert tester.reordered_count == 2
+        assert list(tester._successors(1)) == [2]
+        assert not tester.is_consistent({"a": 0, "b": 2})
+        tester.record_update(txn(3, {"b": 2}, {"b": 3}))  # commit order again
+        assert tester.reordered_count == 2
+        assert list(tester._successors(2)) == [3, 3]
         assert tester.verify_update_dag()
 
     def test_counters(self) -> None:
