@@ -1,6 +1,6 @@
 """The deterministic perf suite behind ``repro-experiments bench``.
 
-Four probes, each with a fixed seeded workload so two runs measure the same
+Six probes, each with a fixed seeded workload so two runs measure the same
 work and only the wall clock varies:
 
 * ``column_throughput`` — the reference single-edge column (the same
@@ -15,6 +15,9 @@ work and only the wall clock varies:
 * ``deplist_merge`` — the §III-A commit-time merge at the paper's k = 5.
 * ``scenario`` — a routed two-backend fleet through the full scenario
   layer, the macro check that kernel wins survive composition.
+* ``kernel_sleep`` — wake-ups/sec of processes that only ``yield delay``,
+  on a tie-free and a tie-heavy schedule (the inline and the queued wake).
+* ``telemetry_overhead`` — the reference column untraced, then fully traced.
 
 ``scale`` shrinks the simulated durations / history sizes for CI smoke runs
 (the recorded workload metadata includes it, so payloads are only compared
@@ -38,6 +41,7 @@ from repro.experiments.runner import build_column
 from repro.monitor.sgt import SerializationGraphTester
 from repro.scenario import run_scenario
 from repro.scenario.library import regional_backends_scenario
+from repro.sim.core import Simulator
 from repro.types import CommittedTransaction
 from repro.workloads.synthetic import ParetoClusterWorkload
 
@@ -217,6 +221,46 @@ def bench_scenario(scale: float = 1.0) -> dict[str, object]:
     }
 
 
+def bench_kernel_sleep(scale: float = 1.0) -> dict[str, object]:
+    """Wake-ups/sec of processes that do nothing but ``yield delay``.
+
+    Sixteen sleepers, two schedules, so both ends of
+    :meth:`~repro.sim.process.Process._wake` are on the trajectory:
+    ``tie_free`` gives every process its own irrational multiple of a
+    millisecond, so no two wake-ups share an instant and each resumes in
+    the dispatch that popped it; ``tie_heavy`` gives all of them the same
+    delay, so every wake-up finds a peer due at the same instant and takes
+    its slot in the immediate FIFO. ``events`` is the determinism witness:
+    two per wake-up plus one start per process on either schedule.
+    """
+    rounds = max(50, int(12_500 * scale))
+
+    def sleeper(delay: float):
+        for _ in range(rounds):
+            yield delay
+
+    def run(delays: list[float]) -> dict[str, object]:
+        sim = Simulator()
+        for delay in delays:
+            sim.process(sleeper(delay))
+        start = time.perf_counter()
+        sim.run()
+        wall = time.perf_counter() - start
+        wakeups = rounds * len(delays)
+        return {
+            "wakeups": wakeups,
+            "events": sim.events_executed,
+            "wall_seconds": wall,
+            "wakeups_per_sec": wakeups / wall if wall else 0.0,
+        }
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    return {
+        "tie_free": run([0.001 * math.sqrt(prime) for prime in primes]),
+        "tie_heavy": run([0.001] * len(primes)),
+    }
+
+
 def bench_telemetry_overhead(scale: float = 1.0) -> dict[str, object]:
     """The same seeded column with telemetry off, then fully traced.
 
@@ -276,9 +320,10 @@ def run_suite(scale: float = 1.0) -> dict[str, object]:
         "sgt_checks": bench_sgt_checks(scale),
         "deplist_merge": bench_deplist_merge(scale),
         "scenario": bench_scenario(scale),
-        # Absent from older committed baselines; compare_payloads and
-        # trajectory_rows only walk _HEADLINE_METRICS, so the series
-        # stays comparable across the addition.
+        "kernel_sleep": bench_kernel_sleep(scale),
+        # These two are absent from older committed baselines;
+        # compare_payloads and trajectory_rows only walk _HEADLINE_METRICS,
+        # so the series stays comparable across the additions.
         "telemetry_overhead": bench_telemetry_overhead(scale),
     }
     return {

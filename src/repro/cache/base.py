@@ -366,6 +366,7 @@ class CacheServer:
 
     def _finish(self, txn_id: TxnId, outcome: TransactionOutcome) -> None:
         record = self._open_txns.pop(txn_id)
+        record.context = None  # open-transaction state; listeners may keep the record
         record.outcome = outcome
         record.finish_time = self._sim.now
         if outcome is TransactionOutcome.COMMITTED:

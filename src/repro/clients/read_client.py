@@ -68,10 +68,11 @@ class ReadOnlyClient:
         self._cache = cache
         self._workload = workload
         self._rate = rate
-        self._mean_gap = 1.0 / rate
+        # Gaps are slept on (``yield gap``), which takes an exact float.
+        self._mean_gap = float(1.0 / rate)
         self._rng = rng
         self._txn_ids = txn_ids
-        self._read_gap = read_gap
+        self._read_gap = float(read_gap)
         self._poisson = poisson
         self._retry_aborted = retry_aborted
         self._max_retries = max_retries
@@ -81,7 +82,7 @@ class ReadOnlyClient:
 
     def _run(self):
         while True:
-            yield self._sim.timeout(self._next_gap())
+            yield self._next_gap()
             keys = self._workload.access_set(self._rng, self._sim.now)
             self._sim.process(self._transaction(keys, attempt=0))
 
@@ -93,13 +94,14 @@ class ReadOnlyClient:
         txn_id = next(self._txn_ids)
         cache_read = self._cache.read
         last = len(keys) - 1
+        read_gap = self._read_gap
         try:
             for position, key in enumerate(keys):
                 last_op = position == last
                 cache_read(txn_id, key, last_op)
                 stats.reads += 1
-                if not last_op and self._read_gap:
-                    yield self._sim.timeout(self._read_gap)
+                if not last_op and read_gap:
+                    yield read_gap
         except TransactionAborted:
             if self._retry_aborted and attempt < self._max_retries:
                 self.stats.retried_transactions += 1

@@ -57,7 +57,8 @@ class UpdateClient:
         self._database = database
         self._workload = workload
         self._rate = rate
-        self._mean_gap = 1.0 / rate
+        # Gaps are slept on (``yield gap``), which takes an exact float.
+        self._mean_gap = float(1.0 / rate)
         self._rng = rng
         self._max_retries = max_retries
         self._poisson = poisson
@@ -72,7 +73,7 @@ class UpdateClient:
 
     def _run(self):
         while True:
-            yield self._sim.timeout(self._next_gap())
+            yield self._next_gap()
             keys = self._workload.access_set(self._rng, self._sim.now)
             self._sim.process(self._transaction(keys, attempt=0))
 
@@ -87,7 +88,7 @@ class UpdateClient:
             if attempt < self._max_retries:
                 self.stats.retries += 1
                 # Brief backoff so the wounding transaction can finish.
-                yield self._sim.timeout(self._next_gap() * 0.1)
+                yield self._next_gap() * 0.1
                 yield from self._transaction(keys, attempt + 1)
             else:
                 self.stats.abandoned += 1

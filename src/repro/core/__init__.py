@@ -9,14 +9,13 @@
 
 from repro.core.deplist import DependencyList
 from repro.core.detector import InconsistencyReport, check_read
-from repro.core.records import ReadRecord, TransactionContext
+from repro.core.records import TransactionContext
 from repro.core.strategies import Strategy
 from repro.core.tcache import TCache
 
 __all__ = [
     "DependencyList",
     "InconsistencyReport",
-    "ReadRecord",
     "Strategy",
     "TCache",
     "TransactionContext",

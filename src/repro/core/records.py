@@ -4,29 +4,18 @@
 transaction with its read values, their versions, and their dependency
 lists." The record also pre-aggregates, per key, the strongest version
 requirement implied by everything read so far, so that each new read is
-checked in O(size of its dependency list) rather than O(reads × list size).
+checked in O(size of its dependency list) rather than O(reads × list size);
+the lists themselves are folded into those requirements, not retained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from repro.types import DepEntry, Key, TxnId, Version
 
-__all__ = ["ReadRecord", "TransactionContext"]
-
-
-class ReadRecord(NamedTuple):
-    """One read the transaction performed: key, version seen, stored deps.
-
-    One is appended per transactional read, so construction cost matters —
-    hence a ``NamedTuple``.
-    """
-
-    key: Key
-    version: Version
-    deps: Iterable[DepEntry]
+__all__ = ["TransactionContext"]
 
 
 @dataclass(slots=True)
@@ -35,7 +24,6 @@ class TransactionContext:
 
     txn_id: TxnId
     start_time: float
-    reads: list[ReadRecord] = field(default_factory=list)
     #: Version at which each key was (last) read. §III-B's ``readSet``.
     read_versions: dict[Key, Version] = field(default_factory=dict)
     #: Strongest requirement on each key implied by prior reads: the maximum
@@ -43,6 +31,8 @@ class TransactionContext:
     #: version or because some prior read's dependency list demands it.
     #: Maps key -> (required version, key of the read that demanded it).
     requirements: dict[Key, tuple[Version, Key]] = field(default_factory=dict)
+    #: Reads folded in so far (a repeated key counts every time).
+    read_count: int = 0
 
     def record_read(
         self, key: Key, version: Version, deps: Iterable[DepEntry]
@@ -53,7 +43,7 @@ class TransactionContext:
         required version replaces an existing one, so the record always
         reflects the strongest constraint seen so far.
         """
-        self.reads.append(ReadRecord(key, version, deps))
+        self.read_count += 1
         prior = self.read_versions.get(key)
         if prior is None or version > prior:
             self.read_versions[key] = version
@@ -81,10 +71,6 @@ class TransactionContext:
 
     def version_read(self, key: Key) -> Version | None:
         return self.read_versions.get(key)
-
-    @property
-    def read_count(self) -> int:
-        return len(self.reads)
 
     def keys_read(self) -> set[Key]:
         return set(self.read_versions)

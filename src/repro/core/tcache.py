@@ -69,7 +69,6 @@ class TCache(CacheServer):
         super().__init__(sim, backend, ttl=ttl, capacity=capacity, name=name)
         self.strategy = strategy
         self.deplist_limit = deplist_limit
-        self._contexts: dict[TxnId, TransactionContext] = {}
         #: Violations detected, by equation, for the experiment reports.
         self.detections_eq1 = 0
         self.detections_eq2 = 0
@@ -86,10 +85,11 @@ class TCache(CacheServer):
         record: ReadOnlyTransactionRecord,
         entry: VersionedValue,
     ) -> tuple[VersionedValue, bool]:
-        context = self._contexts.get(txn_id)
+        context = record.context
         if context is None:
-            context = TransactionContext(txn_id=txn_id, start_time=self._sim.now)
-            self._contexts[txn_id] = context
+            context = record.context = TransactionContext(
+                txn_id=txn_id, start_time=self._sim.now
+            )
 
         deps = self._deps_of(entry)
         report = check_read(context, entry.key, entry.version, deps)
@@ -191,11 +191,3 @@ class TCache(CacheServer):
     @property
     def detections(self) -> int:
         return self.detections_eq1 + self.detections_eq2
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def _finish(self, txn_id: TxnId, outcome: TransactionOutcome) -> None:
-        self._contexts.pop(txn_id, None)
-        super()._finish(txn_id, outcome)

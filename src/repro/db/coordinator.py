@@ -100,7 +100,12 @@ class Coordinator:
     ) -> None:
         self._sim = sim
         self._shard_for = shard_for
-        self._timing = timing
+        # Phase delays are slept on (``yield delay``), which takes an exact
+        # float; a profile built from JSON may carry ints.
+        self._lock_delay = float(timing.lock_delay)
+        self._execute_delay = float(timing.execute_delay)
+        self._prepare_delay = float(timing.prepare_delay)
+        self._commit_delay = float(timing.commit_delay)
         self._allocate_version = allocate_version
         self._deplist_max = deplist_max
         self._deplist_bound_for = deplist_bound_for
@@ -145,19 +150,20 @@ class Coordinator:
 
     def _lock_phase(self, txn: TransactionHandle):
         write_set = set(txn.write_keys)
+        lock_delay = self._lock_delay
         # Deterministic global order keeps the common path deadlock-light;
         # wound-wait still protects arbitrary orders (exercised in tests).
         for key in sorted(txn.all_keys()):
             self._check_wounded(txn)
             mode = LockMode.EXCLUSIVE if key in write_set else LockMode.SHARED
             yield self._shard_for(key).lock(txn.txn_id, key, mode)
-            if self._timing.lock_delay:
-                yield self._sim.timeout(self._timing.lock_delay)
+            if lock_delay:
+                yield lock_delay
         self._check_wounded(txn)
 
     def _execute_phase(self, txn: TransactionHandle):
-        if self._timing.execute_delay:
-            yield self._sim.timeout(self._timing.execute_delay)
+        if self._execute_delay:
+            yield self._execute_delay
         self._check_wounded(txn)
         for key in txn.all_keys():
             txn.reads[key] = self._shard_for(key).read(txn.txn_id, key)
@@ -175,8 +181,8 @@ class Coordinator:
         txn.state = TransactionState.PREPARING
         votes: list[bool] = []
         for participant in participants:
-            if self._timing.prepare_delay:
-                yield self._sim.timeout(self._timing.prepare_delay)
+            if self._prepare_delay:
+                yield self._prepare_delay
             votes.append(participant.prepare(txn.txn_id))
         if all(votes):
             txn.state = TransactionState.PREPARED
@@ -188,8 +194,8 @@ class Coordinator:
         deps_per_key = self._dependency_lists(txn, version)
         self.decisions[txn.txn_id] = True
         self.wal.append(RecordType.DECISION_COMMIT, txn.txn_id, version)
-        if self._timing.commit_delay:
-            yield self._sim.timeout(self._timing.commit_delay)
+        if self._commit_delay:
+            yield self._commit_delay
         installed: list[VersionedValue] = []
         for participant in participants:
             installed.extend(participant.commit(txn.txn_id, version, deps_per_key))

@@ -399,6 +399,14 @@ def _run_bench_command(args, parser: argparse.ArgumentParser) -> int:
             "metric": "txns/wall-sec",
             "value": round(results["scenario"]["transactions_per_wall_sec"], 1),
         },
+        *(
+            {
+                "probe": f"kernel_sleep ({schedule.replace('_', '-')})",
+                "metric": "wake-ups/sec",
+                "value": round(results["kernel_sleep"][schedule]["wakeups_per_sec"], 1),
+            }
+            for schedule in ("tie_free", "tie_heavy")
+        ),
         {
             "probe": "telemetry off",
             "metric": "events/sec",

@@ -10,7 +10,9 @@ substrate with its own test suite:
 * :class:`~repro.sim.core.Event` / :class:`~repro.sim.core.Timeout` — wait
   primitives.
 * :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes (clients, invalidation pipelines, cluster-shift schedulers).
+  processes (clients, invalidation pipelines, cluster-shift schedulers);
+  a process sleeps by yielding a bare ``float`` delay and waits on anything
+  else by yielding the event.
 * :class:`~repro.sim.channel.Channel` — unidirectional message channel with
   configurable latency and loss, used for DB→cache invalidations and
   cache→DB reads.

@@ -15,17 +15,27 @@ therefore every seeded artifact — is identical to the pure-heap kernel's.
 channel delivery path) can pass a bound method plus its argument instead of
 allocating a closure per event.
 
-Implementation note: the trigger/timeout fast paths below intentionally
-duplicate :meth:`Simulator.schedule`'s zero-delay branch (an inline sequence
-bump plus a deque append) rather than calling it — these run once per event
-and the call overhead was a measurable slice of every figure experiment.
-Any change to the queueing discipline must be applied to ``schedule`` *and*
-the inlined sites; ``tests/unit/test_sim_core.py`` pins the shared
-``(time, sequence)`` ordering contract.
+Implementation note: the trigger/timeout fast paths below, and the sleep
+path in :mod:`repro.sim.process`, intentionally duplicate
+:meth:`Simulator.schedule`'s branches (an inline sequence bump plus a deque
+append or a heap push) rather than calling it — these run once per event and
+the call overhead was a measurable slice of every figure experiment. Any
+change to the queueing discipline must be applied to ``schedule`` *and* the
+inlined sites; ``tests/unit/test_sim_core.py`` pins the shared
+``(time, sequence)`` ordering contract. Every one of them rejects a delay
+with ``if not delay >= 0``, which is false for NaN as well as for negatives:
+a NaN time in the heap would silently break its ordering.
 
-Components never sleep or block; they schedule callbacks or, more
-conveniently, run as generator :class:`~repro.sim.process.Process` objects
-that yield the wait primitives defined here.
+Components never block; they schedule callbacks or, more conveniently, run
+as generator :class:`~repro.sim.process.Process` objects. A process waits in
+one of two forms. ``yield delay`` (an exact, non-negative ``float``) sleeps:
+the process itself is the heap entry, no :class:`Timeout` is built — this
+is how every process in the package waits on the clock. ``yield event`` waits on an
+:class:`Event`. :class:`Timeout` stays for what only an event can do — be
+shared between waiters, be composed in :class:`AnyOf` / :class:`AllOf`,
+carry callbacks or a value; ``yield sim.timeout(d)`` and ``yield d`` execute
+the same ``(time, sequence)`` order (:mod:`repro.sim.process` gives the
+argument), the second in one dispatch instead of two.
 """
 
 from __future__ import annotations
@@ -143,16 +153,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after ``delay`` sim-seconds."""
+    """An event that triggers automatically after ``delay`` sim-seconds.
+
+    A process that only needs to wait should ``yield delay`` instead; a
+    ``Timeout`` is for a wait that is shared, composed or given callbacks.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        # Event.__init__ and schedule(delay, self.succeed, value), inlined:
-        # one Timeout is created per client arrival gap, per read gap and
-        # per 2PC phase delay.
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        # Event.__init__ and schedule(delay, self.succeed, value), inlined.
         self.sim = sim
         self._callbacks = []
         self._triggered = False
@@ -259,6 +271,8 @@ class Simulator:
         self._sequence = 0
         self._running = False
         #: Callbacks executed so far, for throughput (events/sec) reporting.
+        #: A sleeper resumed in the dispatch that woke it counts as the two
+        #: events it replaces, so the count does not depend on the wait form.
         self.events_executed = 0
         #: The thread's active telemetry tracer, captured once at
         #: construction. ``None`` on every untraced run, so instrumentation
@@ -278,8 +292,8 @@ class Simulator:
         Passing ``arg`` lets hot paths hand over a bound method plus its
         argument instead of allocating a closure per event.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"schedule delay must be >= 0, got {delay}")
         sequence = self._sequence
         self._sequence = sequence + 1
         if delay == 0.0:
@@ -373,7 +387,9 @@ class Simulator:
         branch for speed): callers only reach it through ``run()``, which has
         set ``_running``. Callback names come from ``__qualname__`` — never
         ``repr``, whose memory addresses would break cross-process trace
-        determinism.
+        determinism. ``sim.events_dispatched`` counts the records emitted
+        here: a sleeper resumed inside its wake-up is one dispatch (and one
+        ``process_resume`` record) but two ``events_executed``.
         """
         executed = 0
         immediate = self._immediate

@@ -1,15 +1,47 @@
 """Generator-based cooperative processes for the simulation kernel.
 
-A *process* is a Python generator that yields :class:`~repro.sim.core.Event`
-objects (most often :class:`~repro.sim.core.Timeout`). The process is resumed
-with the event's value when the event triggers, mirroring how a thread would
-block on I/O — but deterministically and with zero concurrency hazards.
+A *process* is a Python generator that yields what it waits for, mirroring
+how a thread would block on I/O — but deterministically and with zero
+concurrency hazards. There are two wait forms:
+
+* ``yield delay`` — **sleep**. ``delay`` is an exact ``float`` (not an
+  ``int``, a ``bool`` or a numpy scalar: convert at the boundary), ``>= 0``
+  and not NaN. The process puts *itself* on the event heap as
+  ``(now + delay, sequence, self._wake, None)``: no ``Timeout`` is built, no
+  callback list walked, no ``succeed`` called. This is how every process in
+  the package waits on the clock, traced or not.
+* ``yield event`` — wait on an :class:`~repro.sim.core.Event` (a lock grant,
+  another process, an ``any_of``); the process is resumed with the event's
+  value, or the event's exception is thrown into it.
+
+Anything else fails the process with a :class:`~repro.errors.SimulationError`.
+
+**Why a sleep executes the order a ``Timeout`` would.** ``yield
+sim.timeout(d)`` takes one sequence number for the heap entry; when that
+entry is dispatched, ``succeed`` takes a second one and appends the waiter's
+resume to the immediate FIFO, and the resume is a second dispatch. A sleep
+takes the same first number for the same heap slot. When the entry is
+dispatched, :meth:`Process._wake` looks at what the loop would run next: if
+the FIFO is empty and the heap holds nothing at ``now``, the appended resume
+would be exactly that, so ``_wake`` runs it in place and counts it in
+``events_executed``; otherwise it appends the resume with a fresh sequence
+number — the slot ``succeed`` would have given it. The only difference is
+that the in-place case never draws the second number; its entry would have
+been popped before anything else was queued, so it was never compared with
+another, and every later number keeps its place relative to the rest. Ties
+included, the executed ``(time, sequence)`` order is the same
+(``tests/property/test_sleep_equivalence.py`` runs random tie-heavy programs
+both ways; the golden kernel digest did not move).
+
+:class:`~repro.sim.core.Timeout` therefore remains only as what it uniquely
+is: an event — shareable, composable in ``any_of`` / ``all_of``, able to
+carry callbacks and a value.
 
 Example::
 
     def client(sim, cache):
         while True:
-            yield sim.timeout(0.002)          # inter-arrival gap
+            yield 0.002                       # inter-arrival gap
             value = cache.read("user:42")     # synchronous model call
             ...
 
@@ -19,6 +51,7 @@ Example::
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator
 
 from repro.errors import ProcessKilled, SimulationError
@@ -28,7 +61,7 @@ __all__ = ["Process"]
 
 
 class Process(Event):
-    """Drives a generator, waking it whenever its yielded event triggers.
+    """Drives a generator, waking it when what it yielded is due.
 
     A ``Process`` is itself an :class:`Event`: it triggers when the generator
     returns (successfully, with the ``return`` value) or raises (failure).
@@ -41,7 +74,7 @@ class Process(Event):
 
     __slots__ = ("_generator", "_alive", "_resume_callback")
 
-    def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]) -> None:
+    def __init__(self, sim: Simulator, generator: Generator[Event | float, Any, Any]) -> None:
         if not hasattr(generator, "send"):
             raise SimulationError(
                 "Process requires a generator; did you forget to call the function?"
@@ -109,9 +142,9 @@ class Process(Event):
     def _resume(self, event: Event | None = None) -> None:
         """Advance the generator with the outcome of ``event``.
 
-        ``event`` is ``None`` exactly once, for the initial start. This is
-        registered directly as the awaited event's callback, so the event's
-        triggered state is already final when it runs.
+        ``event`` is ``None`` for the initial start and after a sleep. This
+        is registered directly as the awaited event's callback, so the
+        event's triggered state is already final when it runs.
         """
         if not self._alive:
             return
@@ -139,18 +172,57 @@ class Process(Event):
             self.fail(exc)
             return
 
-        if not isinstance(target, Event):
+        if type(target) is float:
+            # A sleep: the process itself is the heap entry.
+            if not target >= 0:  # negative or NaN
+                self._alive = False
+                self.fail(
+                    SimulationError(f"sleep delay must be >= 0, got {target}")
+                )
+                return
+            sim = self.sim
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            if target == 0.0:
+                sim._immediate.append((sequence, self._wake, None))
+            else:
+                heappush(sim._queue, (sim.now + target, sequence, self._wake, None))
+        elif not isinstance(target, Event):
             self._alive = False
-            error = SimulationError(
-                f"process yielded {target!r}; processes must yield Event instances"
+            self.fail(
+                SimulationError(
+                    f"process yielded {target!r}; a process yields an Event "
+                    "to wait on or a float delay to sleep (exactly float: "
+                    "not int, bool or a numpy scalar)"
+                )
             )
-            self.fail(error)
-            return
         # target.add_callback(self._resume_callback), inlined.
-        if target._triggered:
+        elif target._triggered:
             sim = self.sim
             sequence = sim._sequence
             sim._sequence = sequence + 1
             sim._immediate.append((sequence, self._resume_callback, target))
         else:
             target._callbacks.append(self._resume_callback)
+
+    def _wake(self, _arg: None) -> None:
+        """A sleep ended: resume now if nothing else is due at this instant.
+
+        ``Timeout.succeed`` would append the waiter's resume to the immediate
+        FIFO with a fresh sequence number. When the FIFO is empty and the
+        heap holds nothing at ``now``, that entry would be the very next one
+        dispatched, so running it here — counted as the event it replaces —
+        executes the same ``(time, sequence)`` order in one dispatch. In any
+        other case the resume takes that FIFO slot. A killed sleeper goes the
+        same way and :meth:`_resume` drops it, so ``events_executed`` matches
+        the ``Timeout`` form exactly.
+        """
+        sim = self.sim
+        queue = sim._queue
+        if sim._immediate or (queue and queue[0][0] <= sim.now):
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            sim._immediate.append((sequence, self._resume_callback, None))
+        else:
+            sim.events_executed += 1
+            self._resume_callback(None)

@@ -100,6 +100,21 @@ class BoundedPareto:
         draw = self.low * (1.0 - rng.random() * self._tail) ** self._exponent
         return int(draw) - self._low_offset
 
+    def sample_offsets(self, rng: np.random.Generator, count: int) -> list[int]:
+        """``count`` draws of :meth:`sample_offset` from one vector draw.
+
+        ``rng.random(count)`` consumes the generator's stream exactly as
+        ``count`` scalar ``rng.random()`` calls do, and the inverse-CDF
+        power stays in Python floats, so the offsets — and the stream
+        position afterwards — are those of the scalar form.
+        """
+        low, tail, exponent = self.low, self._tail, self._exponent
+        low_offset = self._low_offset
+        return [
+            int(low * (1.0 - uniform * tail) ** exponent) - low_offset
+            for uniform in rng.random(count).tolist()
+        ]
+
     def cdf(self, x: float) -> float:
         """Exact CDF, used by distribution tests."""
         if x <= self.low:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Key",
@@ -145,6 +145,11 @@ class ReadOnlyTransactionRecord:
     #: ``reads`` dict can only hold one version per key, so the cache flags
     #: the condition explicitly for the monitor.
     non_repeatable: bool = False
+    #: The serving cache's own state for the transaction while it is open
+    #: (T-Cache keeps its §III-B ``TransactionContext`` here, so a read finds
+    #: it with the record in one probe); cleared when the transaction
+    #: finishes. Not part of the observation: the monitor never sees it.
+    context: Any = field(default=None, compare=False, repr=False)
 
 
 def entries_from_pairs(pairs: Iterable[tuple[Key, Version]]) -> tuple[DepEntry, ...]:

@@ -120,11 +120,11 @@ class ParetoClusterWorkload(_SyntheticBase):
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
         head = int(rng.integers(0, self.n_clusters)) * self.cluster_size
-        accesses = []
-        for _ in range(self.txn_size):
-            offset = self._pareto.sample_offset(rng)
-            accesses.append(self._keys[(head + offset) % self.n_objects])
-        return accesses
+        keys, n_objects = self._keys, self.n_objects
+        return [
+            keys[(head + offset) % n_objects]
+            for offset in self._pareto.sample_offsets(rng, self.txn_size)
+        ]
 
 
 class PhaseSwitchWorkload:

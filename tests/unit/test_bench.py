@@ -30,6 +30,7 @@ class TestSuitePayload:
             "sgt_checks",
             "deplist_merge",
             "scenario",
+            "kernel_sleep",
             "telemetry_overhead",
         }
 
@@ -46,6 +47,14 @@ class TestSuitePayload:
         for entry in by_size:
             assert entry["checks_per_sec"] > 0
             assert entry["records_per_sec"] > 0
+
+    def test_kernel_sleep_probe_covers_both_wakes(self, payload: dict) -> None:
+        probe = payload["results"]["kernel_sleep"]
+        assert set(probe) == {"tie_free", "tie_heavy"}
+        for schedule in probe.values():
+            assert schedule["wakeups_per_sec"] > 0
+            # One start per sleeper, two events per wake-up — inline or not.
+            assert schedule["events"] == 16 + 2 * schedule["wakeups"]
 
     def test_telemetry_overhead_probe(self, payload: dict) -> None:
         probe = payload["results"]["telemetry_overhead"]

@@ -50,11 +50,3 @@ class TestRecording:
         assert context.version_read("a") == 8
         assert context.read_count == 2
         assert context.keys_read() == {"a"}
-
-    def test_read_records_preserve_order_and_deps(self) -> None:
-        context = make_context()
-        deps = DependencyList.from_pairs([("z", 1)])
-        context.record_read("a", 1, deps)
-        context.record_read("b", 2, DependencyList())
-        assert [record.key for record in context.reads] == ["a", "b"]
-        assert context.reads[0].deps is deps

@@ -37,6 +37,12 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self, sim: Simulator) -> None:
+        """NaN compares false both ways: ``delay < 0`` let it into the heap."""
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_nested_scheduling(self, sim: Simulator) -> None:
         seen = []
         sim.schedule(1.0, lambda: sim.schedule(1.0, lambda: seen.append(sim.now)))
@@ -220,6 +226,11 @@ class TestTimeout:
     def test_negative_delay_rejected(self, sim: Simulator) -> None:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
+
+    def test_nan_delay_rejected(self, sim: Simulator) -> None:
+        with pytest.raises(SimulationError):
+            sim.timeout(float("nan"))
+        assert sim.pending_events == 0
 
     def test_zero_delay_fires_at_current_time(self, sim: Simulator) -> None:
         timeout = sim.timeout(0.0)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import ProcessKilled, SimulationError
 from repro.sim.core import Simulator
 
@@ -68,6 +70,189 @@ class TestBasicExecution:
         sim.run()
         assert process.triggered and not process.ok
         assert isinstance(process.value, SimulationError)
+
+
+class TestSleep:
+    """``yield delay``: the process waits on the event heap itself."""
+
+    def test_process_advances_through_sleeps(self, sim: Simulator) -> None:
+        trace = []
+
+        def body():
+            trace.append(sim.now)
+            resumed_with = yield 1.0
+            trace.append((sim.now, resumed_with))
+            yield 2.0
+            trace.append(sim.now)
+
+        sim.process(body())
+        sim.run()
+        assert trace == [0.0, (1.0, None), 3.0]
+        assert sim.pending_events == 0
+
+    def test_sleep_counts_the_two_events_of_a_timeout(self, sim: Simulator) -> None:
+        def sleeper():
+            yield 1.0
+
+        def waiter(other):
+            yield other.timeout(1.0)
+
+        other = Simulator()
+        sim.process(sleeper())
+        other.process(waiter(other))
+        sim.run()
+        other.run()
+        # Start, wake-up, resume — the resume ran inside the wake-up.
+        assert sim.events_executed == other.events_executed == 3
+
+    def test_zero_delay_sleep_yields_to_what_is_already_queued(
+        self, sim: Simulator
+    ) -> None:
+        order = []
+
+        def body(tag):
+            order.append((tag, "start"))
+            yield 0.0
+            order.append((tag, "resumed"))
+
+        sim.process(body("a"))
+        sim.process(body("b"))
+        sim.run()
+        assert order == [
+            ("a", "start"),
+            ("b", "start"),
+            ("a", "resumed"),
+            ("b", "resumed"),
+        ]
+        assert sim.now == 0.0
+
+    def test_simultaneous_sleepers_wake_in_sleep_order(self, sim: Simulator) -> None:
+        order = []
+
+        def body(tag):
+            yield 1.0
+            order.append(tag)
+            yield 1.0
+            order.append(tag)
+
+        for tag in ("a", "b", "c"):
+            sim.process(body(tag))
+        sim.run()
+        assert order == ["a", "b", "c", "a", "b", "c"]
+
+    def test_sleep_ending_exactly_at_until_runs(self, sim: Simulator) -> None:
+        seen = []
+
+        def body():
+            yield 1.0
+            seen.append(sim.now)
+            yield 1.0
+            seen.append(sim.now)
+
+        sim.process(body())
+        sim.run(until=1.0)
+        assert seen == [1.0]
+        assert sim.now == 1.0
+        sim.run(until=1.5)
+        assert seen == [1.0] and sim.now == 1.5
+        sim.run()
+        assert seen == [1.0, 2.0]
+
+    def test_step_over_a_sleeping_process(self, sim: Simulator) -> None:
+        seen = []
+
+        def body():
+            yield 1.0
+            seen.append(sim.now)
+
+        process = sim.process(body())
+        assert sim.step()  # the start
+        assert seen == [] and sim.events_executed == 1
+        assert sim.step()  # the wake-up, which resumes in place
+        assert seen == [1.0] and sim.events_executed == 3
+        assert not process.alive
+        assert not sim.step()
+
+    def test_killed_sleeper_never_wakes(self, sim: Simulator) -> None:
+        seen = []
+
+        def body():
+            yield 5.0
+            seen.append("woke")
+
+        process = sim.process(body())
+        sim.run(until=1.0)
+        process.kill()
+        sim.run()
+        assert seen == []
+        assert process.triggered and isinstance(process.value, ProcessKilled)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("-inf")])
+    def test_invalid_delay_fails_the_process(self, sim: Simulator, delay) -> None:
+        def body():
+            yield delay
+
+        process = sim.process(body())
+        sim.run()
+        assert process.triggered and not process.ok
+        assert isinstance(process.value, SimulationError)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("value", [1, True, np.float64(0.5), "1.0", None])
+    def test_only_an_exact_float_sleeps(self, sim: Simulator, value) -> None:
+        def body():
+            yield value
+
+        process = sim.process(body())
+        sim.run()
+        assert process.triggered and not process.ok
+        assert isinstance(process.value, SimulationError)
+        message = str(process.value)
+        assert "Event" in message and "float" in message
+
+    def test_traced_and_untraced_runs_execute_the_same_events(self) -> None:
+        def program(sim: Simulator) -> int:
+            def body(delay):
+                for _ in range(20):
+                    yield delay
+
+            for delay in (0.001, 0.001, 0.0015, 0.002):
+                sim.process(body(delay))
+            sim.run()
+            return sim.events_executed
+
+        untraced = program(Simulator())
+        with telemetry.capture("sleep") as tracer:
+            traced = program(Simulator())
+        assert traced == untraced
+        resumes = [record for record in tracer.records if record[2] == "process_resume"]
+        assert len(resumes) == 4 + 4 * 20
+
+    @pytest.mark.parametrize(
+        "delays, inline_wakes",
+        [
+            # No two wake-ups share an instant: each resumes in its dispatch.
+            ([0.001 * 2**0.5, 0.001 * 3**0.5, 0.001 * 5**0.5], 30),
+            # Every wake-up has a peer due at the same instant: all queue.
+            ([0.001, 0.001, 0.001], 0),
+        ],
+    )
+    def test_wake_is_inline_exactly_when_nothing_else_is_due(
+        self, delays, inline_wakes
+    ) -> None:
+        with telemetry.capture("sleep") as tracer:
+            sim = Simulator()
+
+            def body(delay):
+                for _ in range(10):
+                    yield delay
+
+            for delay in delays:
+                sim.process(body(delay))
+            sim.run()
+        dispatched = tracer.snapshot()["counters"]["sim.events_dispatched"]
+        assert sim.events_executed == 3 + 2 * 30
+        assert sim.events_executed - dispatched == inline_wakes
 
 
 class TestErrorPropagation:

@@ -107,6 +107,17 @@ class TestBoundedPareto:
         assert 0 in offsets
         assert min(offsets) == 0
 
+    @pytest.mark.parametrize("alpha", [1 / 32, 1.0, 4.0])
+    def test_vector_draw_equals_the_scalar_sequence(self, alpha) -> None:
+        dist = BoundedPareto(alpha=alpha, low=1.0, high=2000.0)
+        scalar_rng = np.random.default_rng(77)
+        vector_rng = np.random.default_rng(77)
+        for count in (1, 5, 5, 64, 3):
+            scalar = [dist.sample_offset(scalar_rng) for _ in range(count)]
+            assert dist.sample_offsets(vector_rng, count) == scalar
+        # Both generators sit at the same point of the PCG64 stream.
+        assert scalar_rng.random() == vector_rng.random()
+
     @pytest.mark.parametrize("alpha,low,high", [(0.0, 1, 10), (-1, 1, 10), (1, 0, 10), (1, 10, 10), (1, 20, 10)])
     def test_invalid_parameters_rejected(self, alpha, low, high) -> None:
         with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import BoundedPareto
 from repro.workloads.base import index_of, key_for
 from repro.workloads.synthetic import (
     DriftingClusterWorkload,
@@ -85,6 +86,24 @@ class TestParetoClusters:
         for _ in range(500):
             for key in workload.access_set(rng, 0.0):
                 assert 0 <= index_of(key) < 50
+
+    @pytest.mark.parametrize("alpha", [1 / 32, 1.0, 4.0])
+    def test_access_set_returns_the_keys_of_the_scalar_form(self, alpha) -> None:
+        """The pre-vectorisation loop, kept here as the reference."""
+        workload = ParetoClusterWorkload(
+            n_objects=2000, cluster_size=5, alpha=alpha, txn_size=5
+        )
+        pareto = BoundedPareto(alpha, low=1.0, high=2000.0)
+        keys = workload.all_keys()
+        scalar_rng = np.random.default_rng(11)
+        vector_rng = np.random.default_rng(11)
+        for _ in range(200):
+            head = int(scalar_rng.integers(0, workload.n_clusters)) * 5
+            expected = [
+                keys[(head + pareto.sample_offset(scalar_rng)) % 2000]
+                for _ in range(5)
+            ]
+            assert workload.access_set(vector_rng, 0.0) == expected
 
     def test_invalid_alpha_rejected(self) -> None:
         with pytest.raises(ConfigurationError):
