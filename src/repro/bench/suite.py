@@ -1,6 +1,6 @@
 """The deterministic perf suite behind ``repro-experiments bench``.
 
-Six probes, each with a fixed seeded workload so two runs measure the same
+Seven probes, each with a fixed seeded workload so two runs measure the same
 work and only the wall clock varies:
 
 * ``column_throughput`` — the reference single-edge column (the same
@@ -15,6 +15,10 @@ work and only the wall clock varies:
 * ``deplist_merge`` — the §III-A commit-time merge at the paper's k = 5.
 * ``scenario`` — a routed two-backend fleet through the full scenario
   layer, the macro check that kernel wins survive composition.
+* ``commit_path`` — three-key update transactions straight through
+  :meth:`~repro.db.database.Database.execute_update` on a bare simulator
+  (2PC, locks, WAL, the k = 5 aggregation; no cache, client or monitor), on
+  one participant and on two shards.
 * ``kernel_sleep`` — wake-ups/sec of processes that only ``yield delay``,
   on a tie-free and a tie-heavy schedule (the inline and the queued wake).
 * ``telemetry_overhead`` — the reference column untraced, then fully traced.
@@ -36,6 +40,7 @@ import sys
 import time
 
 from repro.core.deplist import DependencyList
+from repro.db.database import Database, DatabaseConfig
 from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import build_column
 from repro.monitor.sgt import SerializationGraphTester
@@ -43,6 +48,7 @@ from repro.scenario import run_scenario
 from repro.scenario.library import regional_backends_scenario
 from repro.sim.core import Simulator
 from repro.types import CommittedTransaction
+from repro.workloads.base import key_for
 from repro.workloads.synthetic import ParetoClusterWorkload
 
 __all__ = [
@@ -221,6 +227,52 @@ def bench_scenario(scale: float = 1.0) -> dict[str, object]:
     }
 
 
+def bench_commit_path(scale: float = 1.0) -> dict[str, object]:
+    """Commits/sec of the 2PC commit path alone.
+
+    A launcher submits three-key read-all-write-all transactions (three
+    objects of one five-object cluster, so the k = 5 lists fill up) 600 times
+    a simulated second, the ``column_write`` rate, to a database with default
+    phase timing and nothing attached: no cache, channel, client or monitor.
+    ``one_participant`` keeps every key on one shard; ``two_shards`` spreads
+    them, so most transactions prepare and commit at two participants.
+    ``commits``, ``aborts`` and ``events`` are the determinism witnesses.
+    """
+    transactions = max(200, int(20_000 * scale))
+    keys = [key_for(index) for index in range(2000)]
+
+    def run(shards: int) -> dict[str, object]:
+        sim = Simulator()
+        database = Database(sim, DatabaseConfig(shards=shards, deplist_max=5))
+        database.load({key: 0 for key in keys})
+        rng = random.Random(15)
+
+        def launcher():
+            for index in range(transactions):
+                cluster = 5 * rng.randrange(len(keys) // 5)
+                group = [keys[cluster + offset] for offset in rng.sample(range(5), 3)]
+                database.execute_update(
+                    read_keys=group, writes={key: index for key in group}
+                )
+                yield 1.0 / 600.0
+
+        sim.process(launcher())
+        start = time.perf_counter()
+        sim.run()
+        wall = time.perf_counter() - start
+        commits = database.stats.committed
+        return {
+            "transactions": transactions,
+            "commits": commits,
+            "aborts": database.stats.aborted,
+            "events": sim.events_executed,
+            "wall_seconds": wall,
+            "commits_per_sec": commits / wall if wall else 0.0,
+        }
+
+    return {"one_participant": run(1), "two_shards": run(2)}
+
+
 def bench_kernel_sleep(scale: float = 1.0) -> dict[str, object]:
     """Wake-ups/sec of processes that do nothing but ``yield delay``.
 
@@ -320,8 +372,9 @@ def run_suite(scale: float = 1.0) -> dict[str, object]:
         "sgt_checks": bench_sgt_checks(scale),
         "deplist_merge": bench_deplist_merge(scale),
         "scenario": bench_scenario(scale),
+        "commit_path": bench_commit_path(scale),
         "kernel_sleep": bench_kernel_sleep(scale),
-        # These two are absent from older committed baselines;
+        # These three are absent from older committed baselines;
         # compare_payloads and trajectory_rows only walk _HEADLINE_METRICS,
         # so the series stays comparable across the additions.
         "telemetry_overhead": bench_telemetry_overhead(scale),

@@ -131,7 +131,7 @@ class DependencyList:
     def merge(
         cls,
         direct: Mapping[Key, Version],
-        inherited: Sequence["DependencyList"],
+        inherited: Sequence["DependencyList | tuple[DepEntry, ...]"],
         *,
         max_len: int,
         exclude: Key | None = None,
@@ -142,11 +142,14 @@ class DependencyList:
 
         ``direct`` maps each object the committing transaction accessed to
         the version a dependant must observe (the new version for writes, the
-        version read for pure reads). ``inherited`` holds the dependency
-        lists stored with those objects. ``exclude`` removes the self-entry
-        when attaching the list to a particular write-set object — an object
-        need not record a dependency on itself, and dropping it frees one of
-        the ``k`` slots for useful information.
+        version read for pure reads). ``inherited`` holds what was stored
+        with those objects: dependency lists, or the bare ``deps`` tuples of
+        the :class:`~repro.types.VersionedValue` entries read (each the
+        entries of a list built at an earlier commit, in recency order), so
+        the commit path wraps nothing. ``exclude`` removes the self-entry when
+        attaching the list to a particular write-set object — an object need
+        not record a dependency on itself, and dropping it frees one of the
+        ``k`` slots for useful information.
 
         ``pinned`` implements the §VII extension: keys the application
         declared semantically important (e.g. an album's ACL) outrank
@@ -166,6 +169,11 @@ class DependencyList:
 
         Subsumption keeps the maximum version per key in every policy.
         Finally the list is truncated to ``max_len``.
+
+        A caller that attaches one aggregation to several objects (see
+        :meth:`without`) needs ``max_len`` no larger than its largest bound
+        plus one: dropping one self-entry from the leading ``b + 1`` entries
+        leaves at least ``b``, and the order does not depend on ``max_len``.
         """
         if max_len != UNBOUNDED and max_len < 0:
             raise ConfigurationError(f"max_len must be >= 0 or UNBOUNDED, got {max_len}")
@@ -181,16 +189,19 @@ class DependencyList:
             best_rank[key] = -1
             best_version[key] = version
 
+        # The two dicts share their key set, so one probe answers for both.
         for source in inherited:
-            for position, entry in enumerate(source.entries):
-                rank = best_rank.get(entry.key)
-                if rank is None or position < rank:
-                    # Direct entries keep rank -1 unconditionally.
-                    if rank != -1:
-                        best_rank[entry.key] = position
-                version = best_version.get(entry.key)
-                if version is None or entry.version > version:
-                    best_version[entry.key] = entry.version
+            for position, (key, version) in enumerate(source):
+                rank = best_rank.get(key)
+                if rank is None:
+                    best_rank[key] = position
+                    best_version[key] = version
+                    continue
+                # Direct entries keep rank -1: no position is below it.
+                if position < rank:
+                    best_rank[key] = position
+                if version > best_version[key]:
+                    best_version[key] = version
 
         if exclude is not None:
             best_rank.pop(exclude, None)
@@ -229,17 +240,15 @@ class DependencyList:
     def from_trusted(cls, entries: Sequence[DepEntry]) -> "DependencyList":
         """Wrap entries that are *already* deduplicated, skipping subsumption.
 
-        The commit path: the dependency tuples shipped with each
-        :class:`~repro.types.VersionedValue` are the ``entries`` of lists
-        this class built at earlier commits — one key per entry, subsumption
-        already applied (a prefix slice of such a tuple, or the tuple minus
-        one entry, keeps the invariant). Running the full constructor would
-        re-dedupe an input that cannot contain duplicates.
+        For what :meth:`merge` and :meth:`without` build: one key per entry,
+        subsumption already applied (a prefix slice of such a list, or the
+        list minus one entry, keeps the invariant). Running the full
+        constructor would re-dedupe an input that cannot contain duplicates.
         """
         instance = cls.__new__(cls)
         instance._entries = tuple(entries)
-        # Built lazily: the hot consumer (:meth:`merge`) iterates entries
-        # and never probes by key.
+        # Built lazily: a list stored at commit is read through ``entries``
+        # and never probed by key.
         instance._by_key = None
         return instance
 
@@ -249,7 +258,9 @@ class DependencyList:
         What one commit stores with each written object: :meth:`merge` runs
         once per transaction, and pruning order does not depend on which
         entry is left out, so dropping the self-entry from the shared result
-        equals merging with ``exclude=key`` (while no key is pinned).
+        equals merging with ``exclude=key`` (while no key is pinned). Only
+        the leading ``max_len + 1`` entries are read, which is why the shared
+        merge may itself be capped at the largest bound it serves plus one.
         """
         entries = self._entries
         if max_len == UNBOUNDED:

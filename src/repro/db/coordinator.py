@@ -7,12 +7,19 @@ the commit decision — at which point the transaction receives its *version*
 (a global commit-sequence number, satisfying §III-A's requirement that a
 transaction's version exceed the versions of all objects it accessed) and its
 §III-A dependency lists are computed and installed with every written object.
+
+Every per-transaction decision is taken once, when the process starts: which
+participant stores each key (one ``key -> participant`` dict in the order the
+keys are read), the participant list derived from it, the write set, and the
+wound callback. The lock, execute, commit and abort code are handed those;
+none of them asks the placement function again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from repro.core.deplist import UNBOUNDED, DependencyList
@@ -31,6 +38,9 @@ from repro.sim.core import Simulator
 from repro.types import CommittedTransaction, Key, TxnId, Version, VersionedValue
 
 __all__ = ["Coordinator", "TransactionHandle", "TransactionState", "TimingProfile"]
+
+#: 2PC visits the participants of a transaction in name order.
+_PARTICIPANT_NAME = attrgetter("name")
 
 
 class TransactionState(Enum):
@@ -64,22 +74,15 @@ class TransactionHandle:
     age: int
     read_keys: tuple[Key, ...]
     write_keys: tuple[Key, ...]
+    #: Every key the transaction touches, once each: the read keys, then the
+    #: keys it only writes. The order its reads happen in.
+    keys: tuple[Key, ...]
     compute: Callable[[dict[Key, VersionedValue]], Mapping[Key, object]]
     start_time: float
     state: TransactionState = TransactionState.ACTIVE
     wounded: bool = False
     abort_reason: str | None = None
     reads: dict[Key, VersionedValue] = field(default_factory=dict)
-    #: Memoised all_keys(); the key sets are frozen at construction.
-    _keys_cache: tuple[Key, ...] | None = None
-
-    def all_keys(self) -> tuple[Key, ...]:
-        cached = self._keys_cache
-        if cached is None:
-            seen = dict.fromkeys(self.read_keys)
-            seen.update(dict.fromkeys(self.write_keys))
-            cached = self._keys_cache = tuple(seen)
-        return cached
 
 
 class Coordinator:
@@ -129,16 +132,23 @@ class Coordinator:
         :class:`TransactionAborted` when wounded or when a participant
         fails.
         """
-        participants = self._participants_for(txn)
+        # The plan: placement asked once per key, everything else derived.
+        shard_for = self._shard_for
+        shards = {key: shard_for(key) for key in txn.keys}
+        participants = list(set(shards.values()))
+        if len(participants) > 1:  # one participant: nothing to order
+            participants.sort(key=_PARTICIPANT_NAME)
+        write_set = frozenset(txn.write_keys)
+        on_wound = self._wound_handler(txn, participants)
         try:
             for participant in participants:
-                participant.register_txn(txn.txn_id, txn.age, self._wound_handler(txn))
-            yield from self._lock_phase(txn)
-            yield from self._execute_phase(txn)
+                participant.register_txn(txn.txn_id, txn.age, on_wound)
+            yield from self._lock_phase(txn, shards, write_set)
+            yield from self._execute_phase(txn, shards, write_set)
             votes_ok = yield from self._prepare_phase(txn, participants)
             if not votes_ok:
                 raise TwoPhaseCommitError(txn.txn_id, "a participant voted NO")
-            result = yield from self._commit_phase(txn, participants)
+            result = yield from self._commit_phase(txn, participants, write_set)
             return result
         except ReproError as error:
             self._abort(txn, participants, reason=str(error))
@@ -148,33 +158,45 @@ class Coordinator:
     # Phases
     # ------------------------------------------------------------------
 
-    def _lock_phase(self, txn: TransactionHandle):
-        write_set = set(txn.write_keys)
+    def _lock_phase(
+        self,
+        txn: TransactionHandle,
+        shards: Mapping[Key, Participant],
+        write_set: frozenset[Key],
+    ):
+        txn_id = txn.txn_id
         lock_delay = self._lock_delay
         # Deterministic global order keeps the common path deadlock-light;
         # wound-wait still protects arbitrary orders (exercised in tests).
-        for key in sorted(txn.all_keys()):
+        for key in sorted(shards):
             self._check_wounded(txn)
             mode = LockMode.EXCLUSIVE if key in write_set else LockMode.SHARED
-            yield self._shard_for(key).lock(txn.txn_id, key, mode)
+            yield shards[key].lock(txn_id, key, mode)
             if lock_delay:
                 yield lock_delay
         self._check_wounded(txn)
 
-    def _execute_phase(self, txn: TransactionHandle):
+    def _execute_phase(
+        self,
+        txn: TransactionHandle,
+        shards: Mapping[Key, Participant],
+        write_set: frozenset[Key],
+    ):
         if self._execute_delay:
             yield self._execute_delay
         self._check_wounded(txn)
-        for key in txn.all_keys():
-            txn.reads[key] = self._shard_for(key).read(txn.txn_id, key)
-        new_values = txn.compute(dict(txn.reads))
-        unexpected = set(new_values) - set(txn.write_keys)
+        txn_id = txn.txn_id
+        reads = txn.reads
+        for key, participant in shards.items():
+            reads[key] = participant.read(txn_id, key)
+        new_values = txn.compute(dict(reads))
+        unexpected = [key for key in new_values if key not in write_set]
         if unexpected:
             raise InvalidTransactionState(
-                txn.txn_id, f"writes outside the declared write set: {sorted(unexpected)}"
+                txn_id, f"writes outside the declared write set: {sorted(unexpected)}"
             )
         for key, value in new_values.items():
-            self._shard_for(key).buffer_write(txn.txn_id, key, value)
+            shards[key].buffer_write(txn_id, key, value)
 
     def _prepare_phase(self, txn: TransactionHandle, participants: Sequence[Participant]):
         self._check_wounded(txn)
@@ -189,9 +211,14 @@ class Coordinator:
             return True
         return False
 
-    def _commit_phase(self, txn: TransactionHandle, participants: Sequence[Participant]):
+    def _commit_phase(
+        self,
+        txn: TransactionHandle,
+        participants: Sequence[Participant],
+        write_set: frozenset[Key],
+    ):
         version = self._allocate_version()
-        deps_per_key = self._dependency_lists(txn, version)
+        deps_per_key = self._dependency_lists(txn, version, write_set)
         self.decisions[txn.txn_id] = True
         self.wal.append(RecordType.DECISION_COMMIT, txn.txn_id, version)
         if self._commit_delay:
@@ -204,7 +231,7 @@ class Coordinator:
         committed = CommittedTransaction(
             txn_id=version,
             reads={key: value.version for key, value in txn.reads.items()},
-            writes={key: version for key in txn.write_keys},
+            writes=dict.fromkeys(txn.write_keys, version),
             commit_time=self._sim.now,
         )
         return _CommitOutcome(committed, tuple(installed), version)
@@ -214,7 +241,7 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def _dependency_lists(
-        self, txn: TransactionHandle, version: Version
+        self, txn: TransactionHandle, version: Version, write_set: frozenset[Key]
     ) -> dict[Key, DependencyList]:
         """The full-dep-list aggregation, pruned per written object.
 
@@ -226,24 +253,26 @@ class Coordinator:
 
         The aggregation runs once per commit and is projected per written
         object; only an object with pinned dependencies (§VII), whose
-        pruning order is its own, is merged separately.
+        pruning order is its own, is merged separately. The shared merge
+        keeps one entry more than the largest bound among the objects it
+        serves: an object with bound ``b`` stores the first ``b`` entries
+        that are not its own, all of which sit among the leading ``b + 1``.
         """
-        write_set = set(txn.write_keys)
-        direct: dict[Key, Version] = {}
-        for key, entry in txn.reads.items():
-            direct[key] = version if key in write_set else entry.version
-        for key in write_set:
-            direct.setdefault(key, version)
+        # The execute phase read every key of the transaction, written-only
+        # keys included, so ``txn.reads`` covers the write set.
+        direct = {
+            key: version if key in write_set else entry.version
+            for key, entry in txn.reads.items()
+        }
         # Stored deps tuples are the entries of lists this merge built at
-        # earlier commits — already deduplicated, so skip re-subsumption.
-        inherited = [
-            DependencyList.from_trusted(entry.deps) for entry in txn.reads.values()
-        ]
+        # earlier commits; merge takes them as they are.
+        inherited = [entry.deps for entry in txn.reads.values()]
         policy = self._pruning_policy
-        full: DependencyList | None = None
+        pinned_for = self._pinned_for
         deps_per_key: dict[Key, DependencyList] = {}
-        for key in write_set:
-            pinned = self._pinned_for(key) if self._pinned_for else None
+        shared: dict[Key, int] = {}
+        for key in txn.write_keys:
+            pinned = pinned_for(key) if pinned_for else None
             if pinned:
                 deps_per_key[key] = DependencyList.merge(
                     direct,
@@ -253,12 +282,18 @@ class Coordinator:
                     pinned=pinned,
                     policy=policy,
                 )
-                continue
-            if full is None:
-                full = DependencyList.merge(
-                    direct, inherited, max_len=UNBOUNDED, policy=policy
-                )
-            deps_per_key[key] = full.without(key, self._bound_for(key))
+            else:
+                shared[key] = self._bound_for(key)
+        if shared:
+            bounds = shared.values()
+            full = DependencyList.merge(
+                direct,
+                inherited,
+                max_len=UNBOUNDED if UNBOUNDED in bounds else max(bounds) + 1,
+                policy=policy,
+            )
+            for key, bound in shared.items():
+                deps_per_key[key] = full.without(key, bound)
         return deps_per_key
 
     def _bound_for(self, key: Key) -> int:
@@ -276,7 +311,12 @@ class Coordinator:
     # Abort handling
     # ------------------------------------------------------------------
 
-    def _wound_handler(self, txn: TransactionHandle) -> Callable[[TxnId], None]:
+    def _wound_handler(
+        self, txn: TransactionHandle, participants: Sequence[Participant]
+    ) -> Callable[[TxnId], None]:
+        """The callback every participant of ``txn`` registers: one per
+        transaction, whichever participant's lock manager delivers it."""
+
         def on_wound(_victim: TxnId) -> None:
             # A transaction that reached PREPARING is immune: a prepared
             # participant may no longer unilaterally abort, and prepared
@@ -286,20 +326,13 @@ class Coordinator:
                 return
             txn.wounded = True
             txn.abort_reason = "wounded by an older transaction"
-            self._abort_participants(txn)
+            self._abort_at(participants, txn.txn_id)
 
         return on_wound
 
     def _check_wounded(self, txn: TransactionHandle) -> None:
         if txn.wounded:
             raise DeadlockDetected(txn.txn_id, "wounded by an older transaction")
-
-    def _abort_participants(self, txn: TransactionHandle) -> None:
-        for participant in self._participants_for(txn):
-            try:
-                participant.abort(txn.txn_id)
-            except ParticipantFailure:
-                continue
 
     def _abort(
         self, txn: TransactionHandle, participants: Sequence[Participant], *, reason: str
@@ -311,21 +344,18 @@ class Coordinator:
         self.decisions.setdefault(txn.txn_id, False)
         self.wal.append(RecordType.DECISION_ABORT, txn.txn_id, reason)
         self.aborted_count += 1
+        self._abort_at(participants, txn.txn_id)
+
+    @staticmethod
+    def _abort_at(participants: Sequence[Participant], txn_id: TxnId) -> None:
         for participant in participants:
             try:
-                participant.abort(txn.txn_id)
+                participant.abort(txn_id)
             except ParticipantFailure:
                 continue
 
-    def _participants_for(self, txn: TransactionHandle) -> list[Participant]:
-        seen: dict[str, Participant] = {}
-        for key in txn.all_keys():
-            participant = self._shard_for(key)
-            seen.setdefault(participant.name, participant)
-        return [seen[name] for name in sorted(seen)]
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _CommitOutcome:
     """Internal return value of a successful transaction process."""
 

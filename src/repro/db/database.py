@@ -189,12 +189,14 @@ class Database:
             write_keys = tuple(dict.fromkeys(write_keys))
             compute_fn = compute
 
+        read_keys = tuple(dict.fromkeys(read_keys))
         txn_id = next(self._txn_counter)
         handle = TransactionHandle(
             txn_id=txn_id,
             age=txn_id,
-            read_keys=tuple(dict.fromkeys(read_keys)),
-            write_keys=tuple(write_keys),
+            read_keys=read_keys,
+            write_keys=write_keys,
+            keys=tuple(dict.fromkeys(read_keys + write_keys)),
             compute=compute_fn,
             start_time=self._sim.now,
         )

@@ -14,6 +14,11 @@ Transactions that have entered the prepared state of two-phase commit are
 immune to wounding — a prepared participant may no longer unilaterally abort
 — which is safe because prepared transactions never wait for locks and
 therefore cannot take part in a deadlock cycle.
+
+Two ways to ask what is held. :meth:`LockManager.mode_held` probes one key's
+holder map and is what the participant calls before every read and buffered
+write; :meth:`LockManager.held_keys` and :meth:`LockManager.holders` return
+copies and are for tests and statistics.
 """
 
 from __future__ import annotations
@@ -168,8 +173,18 @@ class LockManager:
         self._wound_callbacks.pop(txn_id, None)
         self._prepared.discard(txn_id)
 
+    def mode_held(self, txn_id: TxnId, key: Key) -> LockMode | None:
+        """The mode ``txn_id`` holds ``key`` in, ``None`` when it holds none.
+
+        One probe of the key's holder map, no copy: what a participant asks
+        before every read and buffered write. A queued request (an upgrade
+        still waiting included) does not count — only a granted lock does.
+        """
+        state = self._locks.get(key)
+        return state.holders.get(txn_id) if state is not None else None
+
     # ------------------------------------------------------------------
-    # Introspection (tests and statistics)
+    # Introspection (tests and statistics) — these copy
     # ------------------------------------------------------------------
 
     def holders(self, key: Key) -> dict[TxnId, LockMode]:

@@ -63,7 +63,7 @@ class Participant:
     def read(self, txn_id: TxnId, key: Key) -> VersionedValue:
         """Read under an already-held lock (asserted, not re-acquired)."""
         self._require_alive()
-        if key not in self.locks.held_keys(txn_id):
+        if self.locks.mode_held(txn_id, key) is None:
             raise InvalidTransactionState(txn_id, f"read of {key!r} without a lock")
         return self.store.get(key)
 
@@ -78,9 +78,10 @@ class Participant:
 
     def buffer_write(self, txn_id: TxnId, key: Key, value: object) -> None:
         self._require_alive()
-        if key not in self.locks.held_keys(txn_id):
+        mode = self.locks.mode_held(txn_id, key)
+        if mode is None:
             raise InvalidTransactionState(txn_id, f"write of {key!r} without a lock")
-        if self.locks.holders(key).get(txn_id) is not LockMode.EXCLUSIVE:
+        if mode is not LockMode.EXCLUSIVE:
             raise InvalidTransactionState(txn_id, f"write of {key!r} without X lock")
         self._buffered.setdefault(txn_id, {})[key] = value
 

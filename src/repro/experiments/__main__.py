@@ -401,6 +401,14 @@ def _run_bench_command(args, parser: argparse.ArgumentParser) -> int:
         },
         *(
             {
+                "probe": f"commit_path ({topology.replace('_', ' ')})",
+                "metric": "commits/sec",
+                "value": round(results["commit_path"][topology]["commits_per_sec"], 1),
+            }
+            for topology in ("one_participant", "two_shards")
+        ),
+        *(
+            {
                 "probe": f"kernel_sleep ({schedule.replace('_', '-')})",
                 "metric": "wake-ups/sec",
                 "value": round(results["kernel_sleep"][schedule]["wakeups_per_sec"], 1),

@@ -127,7 +127,9 @@ class Channel:
         self.stats.sent += 1
         sequence = self._send_seq
         self._send_seq += 1
-        loss = self._current_loss()
+        loss = self._loss_probability
+        if self._outages or callable(loss):
+            loss = self._current_loss()
         if loss >= 1.0 or (loss > 0.0 and self._rng.random() < loss):
             self.stats.dropped += 1
             tracer = self._sim._tracer

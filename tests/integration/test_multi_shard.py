@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.db.database import Database, DatabaseConfig, TimingConfig
@@ -113,3 +121,114 @@ class TestCrossShardAbort:
         # The committed transaction is decided; nothing is in doubt.
         assert resolutions == {}
         assert victim.store.get(keys[0]).value == "pre-crash"
+
+
+def _commit_path_trace() -> dict:
+    """A seeded, contended 50-transaction run over three participants.
+
+    Returns what the participants saw, in the order they saw it: the
+    registration / prepare calls across participants, and each participant's
+    log as ``(lsn, record_type, txn_id)``.
+    """
+    sim = Simulator()
+    db = Database(
+        sim,
+        DatabaseConfig(
+            shards=3, deplist_max=5, timing=TimingConfig(0.0, 0.002, 0.001, 0.001)
+        ),
+    )
+    keys = [f"k{i}" for i in range(12)]
+    db.load({key: 0 for key in keys})
+    calls: list[list] = []
+    for participant in db.participants:
+        for method in ("register_txn", "prepare"):
+            original = getattr(participant, method)
+
+            def recording(txn_id, *args, _original=original, _tag=(method, participant.name)):
+                calls.append([*_tag, txn_id])
+                return _original(txn_id, *args)
+
+            setattr(participant, method, recording)
+    rng = random.Random(15)
+    processes = []
+
+    def launch(index: int) -> None:
+        group = rng.sample(keys, 3)
+        written = group[: rng.randint(1, 3)]
+        processes.append(
+            db.execute_update(read_keys=group, writes={key: index for key in written})
+        )
+
+    for index in range(50):
+        sim.schedule(index * 0.0007, launch, index)
+    sim.run()
+    assert all(process.triggered for process in processes)
+    return {
+        "calls": calls,
+        "wal": {
+            participant.name: [
+                [record.lsn, record.record_type.value, record.txn_id]
+                for record in participant.wal
+            ]
+            for participant in db.participants
+        },
+        "committed": db.stats.committed,
+        "aborted": db.stats.aborted,
+        "wounds": sum(participant.locks.wounds for participant in db.participants),
+    }
+
+
+class TestCommitPathOrder:
+    """The 2PC driver's observable order, pinned against the commit before
+    the per-transaction plan (PR 15): resolving shards, lock order and lock
+    modes once must not change who is registered, prepared or logged when.
+
+    The run happens in a child interpreter with ``PYTHONHASHSEED=0`` (as the
+    benchmark's children do): ``LockManager.release_all`` walks a ``set`` of
+    string keys, so the order waiters are promoted in — and with it which of
+    two contenders is wounded — follows the interpreter's string hash.
+    """
+
+    #: Recorded at e30ec08 (PR 14) with this same function.
+    GOLDEN_SHA256 = "60cab6d4b0523dd8797257395934dd285954bf101d973a52718df6cf7d8de8e5"
+    GOLDEN_SUMMARY = {
+        "calls": 198,
+        "records": {"db-shard0": 91, "db-shard1": 102, "db-shard2": 117},
+        "committed": 38,
+        "aborted": 12,
+        "wounds": 14,
+    }
+
+    def test_seeded_run_matches_the_recorded_order(self) -> None:
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json; from tests.integration.test_multi_shard import "
+                "_commit_path_trace; print(json.dumps(_commit_path_trace()))",
+            ],
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": "0",
+                "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
+            },
+            cwd=Path(__file__).resolve().parents[2],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        trace = json.loads(child.stdout)
+        assert sum(1 for records in trace["wal"].values() if records) >= 2
+        summary = {
+            "calls": len(trace["calls"]),
+            "records": {name: len(records) for name, records in trace["wal"].items()},
+            "committed": trace["committed"],
+            "aborted": trace["aborted"],
+            "wounds": trace["wounds"],
+        }
+        assert summary == self.GOLDEN_SUMMARY
+        digest = hashlib.sha256(
+            json.dumps(trace, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN_SHA256

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deplist import PRUNING_POLICIES, UNBOUNDED, DependencyList
+from repro.db.database import Database, DatabaseConfig, TimingConfig
+from repro.sim.core import Simulator
+from tests.conftest import commit_update
 
 keys = st.text(alphabet="abcdefgh", min_size=1, max_size=2)
 versions = st.integers(min_value=0, max_value=50)
@@ -101,6 +104,59 @@ class TestMergeInvariants:
             direct, inherited, max_len=bound, exclude=excluded, policy=policy
         )
 
+    @given(
+        direct_maps,
+        inherited_lists,
+        st.dictionaries(keys, bounds, min_size=1, max_size=4),
+        st.sampled_from(PRUNING_POLICIES),
+    )
+    def test_one_more_than_the_largest_bound_is_enough(
+        self, direct, inherited, bound_of, policy
+    ) -> None:
+        """The commit path merges once at ``max(bounds) + 1`` (unbounded if
+        any bound is) and projects per written key: same lists as projecting
+        the unbounded merge, same as a merge per key with ``exclude``."""
+        per_key = bound_of.values()
+        shared_len = UNBOUNDED if UNBOUNDED in per_key else max(per_key) + 1
+        capped = DependencyList.merge(
+            direct, inherited, max_len=shared_len, policy=policy
+        )
+        full = DependencyList.merge(
+            direct, inherited, max_len=UNBOUNDED, policy=policy
+        )
+        for key, bound in bound_of.items():
+            stored = capped.without(key, bound)
+            assert stored == full.without(key, bound)
+            assert stored == DependencyList.merge(
+                direct, inherited, max_len=bound, exclude=key, policy=policy
+            )
+
+    @given(
+        direct_maps,
+        inherited_lists,
+        bounds,
+        st.one_of(st.none(), keys),
+        st.frozensets(keys, max_size=2),
+        st.sampled_from(PRUNING_POLICIES),
+    )
+    def test_bare_entry_tuples_merge_like_their_lists(
+        self, direct, inherited, bound, excluded, pinned, policy
+    ) -> None:
+        options = dict(max_len=bound, exclude=excluded, pinned=pinned, policy=policy)
+        as_lists = DependencyList.merge(direct, inherited, **options)
+        as_tuples = DependencyList.merge(
+            direct, [source.entries for source in inherited], **options
+        )
+        mixed = DependencyList.merge(
+            direct,
+            [
+                source.entries if index % 2 else source
+                for index, source in enumerate(inherited)
+            ],
+            **options,
+        )
+        assert as_lists == as_tuples == mixed
+
     @given(direct_maps, inherited_lists, bounds)
     def test_merge_is_deterministic(self, direct, inherited, bound) -> None:
         once = DependencyList.merge(direct, inherited, max_len=bound)
@@ -134,3 +190,91 @@ class TestRecencySemantics:
                 assert not inherited_only_seen
             else:
                 inherited_only_seen = True
+
+
+OBJECTS = tuple("abcdefgh")
+object_keys = st.sampled_from(OBJECTS)
+update_transactions = st.lists(
+    st.tuples(
+        st.lists(object_keys, min_size=1, max_size=4, unique=True),  # read set
+        st.lists(object_keys, min_size=1, max_size=3, unique=True),  # write set
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestCommitAggregation:
+    """What the database stores at commit against the §III-A definition.
+
+    The coordinator aggregates once per transaction, capped at one entry
+    more than the largest bound it serves, and projects per written object;
+    an object with pinned dependencies is merged on its own. The reference
+    below is one merge per written object with ``exclude``, straight from
+    the entries read before the commit.
+    """
+
+    @given(
+        update_transactions,
+        st.sampled_from(PRUNING_POLICIES),
+        st.integers(min_value=0, max_value=4),
+        st.dictionaries(
+            object_keys, st.sampled_from([0, 1, 7, UNBOUNDED]), max_size=3
+        ),
+        st.dictionaries(object_keys, st.sets(object_keys, min_size=1, max_size=2), max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stored_lists_equal_the_per_object_merge(
+        self, transactions, policy, k, overrides, pins
+    ) -> None:
+        sim = Simulator()
+        database = Database(
+            sim,
+            DatabaseConfig(
+                deplist_max=k,
+                timing=TimingConfig(0.0, 0.0, 0.0, 0.0),
+                pruning_policy=policy,
+            ),
+        )
+        database.load({key: 0 for key in OBJECTS})
+        for key, bound in overrides.items():
+            database.set_deplist_bound(key, bound)
+        for carrier, dependencies in pins.items():
+            for dependency in sorted(dependencies):
+                database.pin_dependency(carrier, dependency)
+        for read_set, write_set in transactions:
+            touched = list(dict.fromkeys(read_set + write_set))
+            before = {key: database.read_entry(key) for key in touched}
+            committed = commit_update(sim, database, read_set, write_keys=write_set)
+            direct = {
+                key: committed.txn_id if key in write_set else before[key].version
+                for key in touched
+            }
+            inherited = [
+                DependencyList(before[key].deps) for key in touched
+            ]
+            for key in write_set:
+                expected = DependencyList.merge(
+                    direct,
+                    inherited,
+                    max_len=overrides.get(key, k),
+                    exclude=key,
+                    pinned=frozenset(pins.get(key, ())),
+                    policy=policy,
+                )
+                assert database.read_entry(key).deps == expected.entries
+
+    def test_pinned_object_takes_its_own_merge(self) -> None:
+        """A pinned dependency outranks the recency order, so the pinned
+        object's list is not a projection of the shared aggregation."""
+        sim = Simulator()
+        database = Database(
+            sim, DatabaseConfig(deplist_max=1, timing=TimingConfig(0.0, 0.0, 0.0, 0.0))
+        )
+        database.load({key: 0 for key in "abz"})
+        database.pin_dependency("a", "z")
+        committed = commit_update(sim, database, ["a", "b", "z"], write_keys=["a", "b"])
+        # Shared order is (a, b, z): b keeps a; a, pinned to z, keeps z, not b.
+        assert database.read_entry("b").deps == (("a", committed.txn_id),)
+        assert database.read_entry("a").deps == (("z", 0),)
+

@@ -30,6 +30,7 @@ class TestSuitePayload:
             "sgt_checks",
             "deplist_merge",
             "scenario",
+            "commit_path",
             "kernel_sleep",
             "telemetry_overhead",
         }
@@ -47,6 +48,17 @@ class TestSuitePayload:
         for entry in by_size:
             assert entry["checks_per_sec"] > 0
             assert entry["records_per_sec"] > 0
+
+    def test_commit_path_probe_covers_both_topologies(self, payload: dict) -> None:
+        probe = payload["results"]["commit_path"]
+        assert set(probe) == {"one_participant", "two_shards"}
+        for topology in probe.values():
+            assert topology["commits_per_sec"] > 0
+            assert (
+                topology["commits"] + topology["aborts"] == topology["transactions"]
+            )
+        # Same transactions either way; two shards add prepare rounds.
+        assert probe["two_shards"]["events"] > probe["one_participant"]["events"]
 
     def test_kernel_sleep_probe_covers_both_wakes(self, payload: dict) -> None:
         probe = payload["results"]["kernel_sleep"]
@@ -78,6 +90,12 @@ class TestSuitePayload:
         first = [e["inconsistent"] for e in payload["results"]["sgt_checks"]["by_size"]]
         second = [e["inconsistent"] for e in again["results"]["sgt_checks"]["by_size"]]
         assert first == second
+        for topology, probe in payload["results"]["commit_path"].items():
+            rerun = again["results"]["commit_path"][topology]
+            assert (probe["commits"], probe["events"]) == (
+                rerun["commits"],
+                rerun["events"],
+            )
 
     def test_bad_scale_rejected(self) -> None:
         with pytest.raises(ValueError):

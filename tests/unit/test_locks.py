@@ -188,3 +188,87 @@ class TestWoundWait:
         # The holder is unaffected and later release leaves a clean table.
         locks.release_all(1)
         assert locks.holders("k") == {}
+
+
+def assert_probe_agrees(locks: LockManager, txn_ids, keys) -> None:
+    """``mode_held`` answers what the copying introspection API answers."""
+    for txn_id in txn_ids:
+        held = locks.held_keys(txn_id)
+        for key in keys:
+            mode = locks.mode_held(txn_id, key)
+            assert mode is locks.holders(key).get(txn_id)
+            assert (mode is not None) == (key in held)
+
+
+class TestModeHeld:
+    """The participant's no-copy lock check against ``held_keys``/``holders``."""
+
+    def test_unknown_key_and_unknown_transaction(self, sim, locks) -> None:
+        register(locks, 1)
+        assert locks.mode_held(1, "never-locked") is None
+        assert locks.mode_held(99, "never-locked") is None
+        locks.acquire(1, "k", LockMode.SHARED)
+        assert locks.mode_held(99, "k") is None
+
+    def test_after_grant(self, sim, locks) -> None:
+        register(locks, 1)
+        register(locks, 2)
+        locks.acquire(1, "a", LockMode.SHARED)
+        locks.acquire(2, "a", LockMode.SHARED)
+        locks.acquire(1, "b", LockMode.EXCLUSIVE)
+        assert locks.mode_held(1, "a") is LockMode.SHARED
+        assert locks.mode_held(1, "b") is LockMode.EXCLUSIVE
+        assert locks.mode_held(2, "b") is None
+        assert_probe_agrees(locks, (1, 2), ("a", "b"))
+
+    def test_queued_request_is_not_held(self, sim, locks) -> None:
+        register(locks, 1)
+        register(locks, 2)
+        locks.acquire(1, "k", LockMode.EXCLUSIVE)
+        locks.acquire(2, "k", LockMode.EXCLUSIVE)
+        assert locks.mode_held(2, "k") is None
+        assert_probe_agrees(locks, (1, 2), ("k",))
+        locks.release_all(1)
+        assert locks.mode_held(1, "k") is None
+        assert locks.mode_held(2, "k") is LockMode.EXCLUSIVE
+        assert_probe_agrees(locks, (1, 2), ("k",))
+
+    def test_sole_holder_upgrade(self, sim, locks) -> None:
+        register(locks, 1)
+        locks.acquire(1, "k", LockMode.SHARED)
+        locks.acquire(1, "k", LockMode.EXCLUSIVE)
+        assert locks.mode_held(1, "k") is LockMode.EXCLUSIVE
+        assert_probe_agrees(locks, (1,), ("k",))
+
+    def test_queued_upgrade_stays_shared_until_granted(self, sim, locks) -> None:
+        register(locks, 1)
+        register(locks, 2)
+        locks.acquire(1, "k", LockMode.SHARED)
+        locks.acquire(2, "k", LockMode.SHARED)
+        locks.acquire(2, "k", LockMode.EXCLUSIVE)  # younger: waits
+        assert locks.mode_held(2, "k") is LockMode.SHARED
+        assert_probe_agrees(locks, (1, 2), ("k",))
+        locks.release_all(1)
+        assert locks.mode_held(2, "k") is LockMode.EXCLUSIVE
+        assert_probe_agrees(locks, (1, 2), ("k",))
+
+    def test_after_wound_and_release(self, sim, locks) -> None:
+        wounded: list[int] = []
+
+        def abort_victim(victim: int) -> None:
+            wounded.append(victim)
+            locks.release_all(victim)
+
+        locks.register(1, age=1, on_wound=abort_victim)
+        locks.register(2, age=2, on_wound=abort_victim)
+        locks.acquire(2, "a", LockMode.EXCLUSIVE)
+        locks.acquire(2, "b", LockMode.SHARED)
+        waiting = locks.acquire(1, "a", LockMode.EXCLUSIVE)
+        assert locks.mode_held(2, "a") is LockMode.EXCLUSIVE  # wound is async
+        sim.run()
+        assert wounded == [2] and waiting.triggered
+        assert locks.mode_held(2, "a") is None
+        assert locks.mode_held(2, "b") is None
+        assert locks.mode_held(1, "a") is LockMode.EXCLUSIVE
+        assert_probe_agrees(locks, (1, 2), ("a", "b"))
+

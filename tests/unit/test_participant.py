@@ -43,13 +43,40 @@ class TestExecution:
     def test_write_requires_exclusive_lock(self, participant: Participant) -> None:
         start_txn(participant)
         participant.lock(1, "a", LockMode.SHARED)
-        with pytest.raises(InvalidTransactionState):
+        with pytest.raises(InvalidTransactionState, match="without X lock"):
             participant.buffer_write(1, "a", "new")
 
     def test_write_without_lock_rejected(self, participant: Participant) -> None:
         start_txn(participant)
-        with pytest.raises(InvalidTransactionState):
+        with pytest.raises(InvalidTransactionState, match="without a lock"):
             participant.buffer_write(1, "a", "new")
+
+    def test_lock_held_by_another_transaction_does_not_count(
+        self, participant: Participant
+    ) -> None:
+        start_txn(participant, 1)
+        start_txn(participant, 2)
+        participant.lock(1, "a", LockMode.EXCLUSIVE)
+        with pytest.raises(InvalidTransactionState, match="read of 'a' without a lock"):
+            participant.read(2, "a")
+        with pytest.raises(InvalidTransactionState, match="write of 'a' without a lock"):
+            participant.buffer_write(2, "a", "new")
+
+    def test_queued_upgrade_may_read_but_not_write(
+        self, participant: Participant
+    ) -> None:
+        start_txn(participant, 1)
+        start_txn(participant, 2)
+        participant.lock(1, "a", LockMode.SHARED)
+        participant.lock(2, "a", LockMode.SHARED)
+        upgrade = participant.lock(2, "a", LockMode.EXCLUSIVE)
+        assert not upgrade.triggered
+        assert participant.read(2, "a").value == "a0"
+        with pytest.raises(InvalidTransactionState, match="without X lock"):
+            participant.buffer_write(2, "a", "new")
+        participant.abort(1)
+        assert upgrade.triggered
+        participant.buffer_write(2, "a", "new")
 
     def test_buffered_write_invisible_until_commit(self, participant: Participant) -> None:
         start_txn(participant)
@@ -118,6 +145,22 @@ class TestCrashRecovery:
         participant.crash()
         with pytest.raises(ParticipantFailure):
             participant.read_latest("a")
+
+    def test_crash_is_reported_before_the_lock_check(
+        self, participant: Participant
+    ) -> None:
+        """The locks died with the crash; the error must still name the
+        crash, not a missing lock."""
+        start_txn(participant)
+        participant.lock(1, "a", LockMode.EXCLUSIVE)
+        participant.crash()
+        assert participant.locks.mode_held(1, "a") is None
+        assert participant.locks.held_keys(1) == set()
+        assert participant.locks.holders("a") == {}
+        with pytest.raises(ParticipantFailure):
+            participant.read(1, "a")
+        with pytest.raises(ParticipantFailure):
+            participant.buffer_write(1, "a", "new")
 
     def test_recover_aborts_undecided_by_presumed_abort(self, participant: Participant) -> None:
         start_txn(participant)
