@@ -64,6 +64,7 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 
 from repro.dispatch import (
     DispatchSpec,
@@ -148,14 +149,41 @@ def _section(title: str, rows: list[dict], stride: int = 1) -> Section:
     return {"title": title, "rows": rows, "stride": stride}
 
 
-def _run_fig3(duration: float, jobs: int, dispatch=None):
-    sections = [
-        _section(
-            "Figure 3: detected inconsistencies vs Pareto alpha",
-            fig3_alpha.run(duration=duration, jobs=jobs, dispatch=dispatch),
-        )
-    ]
-    return sections, [fig3_alpha.spec(duration=duration)]
+#: The experiments that are one sweep printed under one title.
+_SINGLE_SWEEPS = {
+    "fig3": (
+        "Figure 3: detected inconsistencies vs Pareto alpha",
+        fig3_alpha.run,
+        fig3_alpha.spec,
+    ),
+    "fig6": (
+        "Figure 6: strategies (synthetic, alpha=1)",
+        fig6_strategies.run,
+        fig6_strategies.spec,
+    ),
+    "fig7c": (
+        "Figure 7c: dependency-list sweep",
+        fig7_realistic.run_deplist_sweep,
+        fig7_realistic.deplist_spec,
+    ),
+    "fig7d": (
+        "Figure 7d: TTL sweep",
+        fig7_realistic.run_ttl_sweep,
+        fig7_realistic.ttl_spec,
+    ),
+    "fig8": (
+        "Figure 8: strategies (realistic, k=3)",
+        fig8_strategies.run,
+        fig8_strategies.spec,
+    ),
+    "theorem1": ("Theorem 1: unbounded T-Cache", theorem1.run, theorem1.spec),
+}
+
+
+def _run_single_sweep(name: str, duration: float, jobs: int, dispatch=None):
+    title, run, spec = _SINGLE_SWEEPS[name]
+    rows = run(duration=duration, jobs=jobs, dispatch=dispatch)
+    return [_section(title, rows)], [spec(duration=duration)]
 
 
 def _run_fig4(duration: float, jobs: int, dispatch=None):
@@ -215,66 +243,12 @@ def _run_fig5(duration: float, jobs: int, dispatch=None):
     ]
 
 
-def _run_fig6(duration: float, jobs: int, dispatch=None):
-    sections = [
-        _section(
-            "Figure 6: strategies (synthetic, alpha=1)",
-            fig6_strategies.run(duration=duration, jobs=jobs, dispatch=dispatch),
-        )
-    ]
-    return sections, [fig6_strategies.spec(duration=duration)]
-
-
 def _run_fig7ab(duration: float, jobs: int, dispatch=None):
     # Pure graph analysis: no simulation grid, nothing to dispatch.
     sections = [
         _section("Figure 7ab: topology statistics", realistic.run(jobs=jobs))
     ]
     return sections, []
-
-
-def _run_fig7c(duration: float, jobs: int, dispatch=None):
-    sections = [
-        _section(
-            "Figure 7c: dependency-list sweep",
-            fig7_realistic.run_deplist_sweep(
-                duration=duration, jobs=jobs, dispatch=dispatch
-            ),
-        )
-    ]
-    return sections, [fig7_realistic.deplist_spec(duration=duration)]
-
-
-def _run_fig7d(duration: float, jobs: int, dispatch=None):
-    sections = [
-        _section(
-            "Figure 7d: TTL sweep",
-            fig7_realistic.run_ttl_sweep(
-                duration=duration, jobs=jobs, dispatch=dispatch
-            ),
-        )
-    ]
-    return sections, [fig7_realistic.ttl_spec(duration=duration)]
-
-
-def _run_fig8(duration: float, jobs: int, dispatch=None):
-    sections = [
-        _section(
-            "Figure 8: strategies (realistic, k=3)",
-            fig8_strategies.run(duration=duration, jobs=jobs, dispatch=dispatch),
-        )
-    ]
-    return sections, [fig8_strategies.spec(duration=duration)]
-
-
-def _run_theorem1(duration: float, jobs: int, dispatch=None):
-    sections = [
-        _section(
-            "Theorem 1: unbounded T-Cache",
-            theorem1.run(duration=duration, jobs=jobs, dispatch=dispatch),
-        )
-    ]
-    return sections, [theorem1.spec(duration=duration)]
 
 
 def _run_scenario(
@@ -349,15 +323,15 @@ def _run_sensitivity(duration: float, jobs: int, dispatch=None):
 
 
 EXPERIMENTS = {
-    "fig3": _run_fig3,
+    "fig3": partial(_run_single_sweep, "fig3"),
     "fig4": _run_fig4,
     "fig5": _run_fig5,
-    "fig6": _run_fig6,
+    "fig6": partial(_run_single_sweep, "fig6"),
     "fig7ab": _run_fig7ab,
-    "fig7c": _run_fig7c,
-    "fig7d": _run_fig7d,
-    "fig8": _run_fig8,
-    "theorem1": _run_theorem1,
+    "fig7c": partial(_run_single_sweep, "fig7c"),
+    "fig7d": partial(_run_single_sweep, "fig7d"),
+    "fig8": partial(_run_single_sweep, "fig8"),
+    "theorem1": partial(_run_single_sweep, "theorem1"),
     "sensitivity": _run_sensitivity,
     "scenario": _run_scenario,
     "protocol-race": _run_protocol_race,

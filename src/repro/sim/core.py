@@ -26,6 +26,12 @@ inlined sites; ``tests/unit/test_sim_core.py`` pins the shared
 with ``if not delay >= 0``, which is false for NaN as well as for negatives:
 a NaN time in the heap would silently break its ordering.
 
+Tracing is not a second path: :meth:`Simulator.run` is the only dispatch
+loop, ``Process._resume`` the only resume (and :meth:`Event.succeed` the only
+trigger body). Both test ``Simulator._sim_tracer``, resolved at construction,
+against ``None`` before they emit; that costs an untraced run 5–10 ns per
+dispatch and 20–30 ns per resume, under 1 % of a figure point's ~5 µs event.
+
 Components never block; they schedule callbacks or, more conveniently, run
 as generator :class:`~repro.sim.process.Process` objects. A process waits in
 one of two forms. ``yield delay`` (an exact, non-negative ``float``) sleeps:
@@ -97,7 +103,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         # The hot path of the whole kernel (every timeout and process exit
-        # lands here): _trigger and the zero-delay schedule are inlined.
+        # lands here): the zero-delay schedule is inlined.
         if self._triggered:
             raise SimulationError("event triggered twice")
         self._triggered = True
@@ -117,7 +123,8 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail() requires an exception instance")
-        self._trigger(ok=False, value=exception)
+        self.succeed(exception)  # raises, changing nothing, if already triggered
+        self._ok = False  # callbacks are only queued so far: none has looked yet
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -133,23 +140,6 @@ class Event:
             sim._immediate.append((sequence, callback, self))
         else:
             self._callbacks.append(callback)
-
-    def _trigger(self, *, ok: bool, value: Any) -> None:
-        if self._triggered:
-            raise SimulationError("event triggered twice")
-        self._triggered = True
-        self._ok = ok
-        self._value = value
-        callbacks = self._callbacks
-        if callbacks:
-            self._callbacks = []
-            sim = self.sim
-            sequence = sim._sequence
-            immediate = sim._immediate
-            for callback in callbacks:
-                immediate.append((sequence, callback, self))
-                sequence += 1
-            sim._sequence = sequence
 
 
 class Timeout(Event):
@@ -277,8 +267,12 @@ class Simulator:
         #: The thread's active telemetry tracer, captured once at
         #: construction. ``None`` on every untraced run, so instrumentation
         #: sites across the stack pay one attribute load plus an ``is None``
-        #: test — the zero-cost-when-off contract.
-        self._tracer = _active_tracer()
+        #: test — the zero-cost-when-off contract. The kernel's own sites
+        #: (the loop, :meth:`step`, ``Process._resume``) test ``_sim_tracer``:
+        #: the same tracer if it records the "sim" category, else ``None``.
+        self._tracer = tracer = _active_tracer()
+        wanted = tracer is not None and tracer.wants("sim")
+        self._sim_tracer = tracer if wanted else None
 
     def schedule(
         self,
@@ -327,20 +321,22 @@ class Simulator:
         Without ``until`` the loop drains both queues. With ``until`` the
         loop stops once the next event would fire strictly after ``until``
         and the clock is advanced to exactly ``until``.
+
+        Traced, each callback is one ``dispatch`` record named by its
+        ``__qualname__`` (never ``repr``: addresses differ across processes);
+        ``sim.events_dispatched`` counts them — a sleeper resumed inside its
+        wake-up is one dispatch but two ``events_executed``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until != until:  # NaN: false in every comparison below, would drain all
+            raise SimulationError(f"run until must not be NaN, got {until}")
         self._running = True
-        tracer = self._tracer
-        if tracer is not None and tracer.wants("sim"):
-            # Checked once per run() call, never per event: the traced loop
-            # is a full duplicate so the untraced path stays branch-free.
-            self._run_traced(until, tracer)
-            return
         executed = 0
         immediate = self._immediate
         queue = self._queue
         no_arg = _NO_ARG
+        tracer = self._sim_tracer
         try:
             if until is not None and self.now > until:
                 # Nothing may fire: even immediates sit beyond the horizon.
@@ -370,6 +366,9 @@ class Simulator:
                 else:
                     break
                 executed += 1
+                if tracer is not None:
+                    name = getattr(callback, "__qualname__", type(callback).__name__)
+                    tracer.emit(self.now, "sim", "dispatch", {"callback": name})
                 if arg is no_arg:
                     callback()
                 else:
@@ -378,72 +377,14 @@ class Simulator:
                 self.now = until
         finally:
             self.events_executed += executed
-            self._running = False
-
-    def _run_traced(self, until: float | None, tracer) -> None:
-        """``run()``'s loop with a per-dispatch trace record.
-
-        A deliberate duplicate (this module already duplicates its zero-delay
-        branch for speed): callers only reach it through ``run()``, which has
-        set ``_running``. Callback names come from ``__qualname__`` — never
-        ``repr``, whose memory addresses would break cross-process trace
-        determinism. ``sim.events_dispatched`` counts the records emitted
-        here: a sleeper resumed inside its wake-up is one dispatch (and one
-        ``process_resume`` record) but two ``events_executed``.
-        """
-        executed = 0
-        immediate = self._immediate
-        queue = self._queue
-        no_arg = _NO_ARG
-        emit = tracer.emit
-        try:
-            if until is not None and self.now > until:
-                return
-            while True:
-                if immediate:
-                    if (
-                        queue
-                        and queue[0][0] <= self.now
-                        and queue[0][1] < immediate[0][0]
-                    ):
-                        entry = heapq.heappop(queue)
-                        self.now = entry[0]
-                        callback, arg = entry[2], entry[3]
-                    else:
-                        _, callback, arg = immediate.popleft()
-                elif queue:
-                    time = queue[0][0]
-                    if until is not None and time > until:
-                        break
-                    entry = heapq.heappop(queue)
-                    self.now = time
-                    callback, arg = entry[2], entry[3]
-                else:
-                    break
-                executed += 1
-                emit(
-                    self.now,
-                    "sim",
-                    "dispatch",
-                    {
-                        "callback": getattr(
-                            callback, "__qualname__", type(callback).__name__
-                        )
-                    },
-                )
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self.events_executed += executed
-            tracer.metrics.count("sim.events_dispatched", executed)
+            if tracer is not None:
+                tracer.metrics.count("sim.events_dispatched", executed)
             self._running = False
 
     def step(self) -> bool:
         """Execute a single event; returns False when nothing is pending."""
+        if self._running:
+            raise SimulationError("simulator is already running (step() inside run())")
         immediate = self._immediate
         queue = self._queue
         if immediate:
@@ -462,14 +403,10 @@ class Simulator:
         else:
             return False
         self.events_executed += 1
-        tracer = self._tracer
-        if tracer is not None and tracer.wants("sim"):
-            tracer.emit(
-                self.now,
-                "sim",
-                "dispatch",
-                {"callback": getattr(callback, "__qualname__", type(callback).__name__)},
-            )
+        tracer = self._sim_tracer
+        if tracer is not None:
+            name = getattr(callback, "__qualname__", type(callback).__name__)
+            tracer.emit(self.now, "sim", "dispatch", {"callback": name})
             tracer.metrics.count("sim.events_dispatched")
         if arg is _NO_ARG:
             callback()

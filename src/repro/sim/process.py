@@ -70,6 +70,8 @@ class Process(Event):
     :meth:`_resume` doubles as the wait-completion callback — the triggered
     event is handed to it directly, which removes one function call and one
     bound-method allocation from every wake-up (the kernel's hottest chain).
+    ``_resume_callback`` is that bound method, allocated once per process:
+    always ``self._resume``, traced or not (it tests ``sim._sim_tracer``).
     """
 
     __slots__ = ("_generator", "_alive", "_resume_callback")
@@ -87,14 +89,7 @@ class Process(Event):
         self._value = None
         self._generator = generator
         self._alive = True
-        #: The bound method handed to every awaited event, allocated once.
-        #: The traced variant is selected here, once per process, so the
-        #: untraced resume chain carries no telemetry branch at all.
-        tracer = sim._tracer
-        if tracer is not None and tracer.wants("sim"):
-            self._resume_callback = self._resume_traced
-        else:
-            self._resume_callback = self._resume
+        self._resume_callback = self._resume
         # First resumption happens as a scheduled event so that process
         # start order matches creation order at the current instant.
         sequence = sim._sequence
@@ -109,35 +104,14 @@ class Process(Event):
         """Throw :class:`ProcessKilled` into the generator.
 
         A process may intercept the exception for cleanup; re-raising (or not
-        catching) marks the process as failed unless it exits normally.
+        catching) marks the process as failed unless it exits normally. A
+        traced run records the throw as the ``process_resume`` it is (the
+        package itself never kills a process, so no committed trace moves).
         """
         if not self._alive:
             return
-        # Route the exception through the regular resume path by handing it
-        # a synthetic failed event.
-        failure = Event(self.sim)
-        failure._triggered = True
-        failure._ok = False
-        failure._value = ProcessKilled("killed")
-        self._resume(failure)
-
-    def _resume_traced(self, event: Event | None = None) -> None:
-        """Telemetry wrapper around :meth:`_resume` (installed per process).
-
-        Named by the generator function's ``__name__`` — stable across
-        processes, unlike any id-bearing repr.
-        """
-        sim = self.sim
-        tracer = sim._tracer
-        if tracer is not None:
-            tracer.emit(
-                sim.now,
-                "sim",
-                "process_resume",
-                {"process": self._generator.__name__},
-            )
-            tracer.metrics.count("sim.process_resumes")
-        self._resume(event)
+        # The regular resume path, handed a synthetic failed event.
+        self._resume(Event(self.sim).fail(ProcessKilled("killed")))
 
     def _resume(self, event: Event | None = None) -> None:
         """Advance the generator with the outcome of ``event``.
@@ -145,7 +119,15 @@ class Process(Event):
         ``event`` is ``None`` for the initial start and after a sleep. This
         is registered directly as the awaited event's callback, so the
         event's triggered state is already final when it runs.
+
+        A traced run records every call, a dead process's dropped wake-up
+        included, under the generator function's ``__name__`` (no id in it).
         """
+        tracer = self.sim._sim_tracer
+        if tracer is not None:
+            name = self._generator.__name__
+            tracer.emit(self.sim.now, "sim", "process_resume", {"process": name})
+            tracer.metrics.count("sim.process_resumes")
         if not self._alive:
             return
         generator = self._generator

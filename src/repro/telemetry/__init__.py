@@ -24,9 +24,9 @@ Two properties shape the whole design:
   (``sim._tracer is None`` on the untraced path) and every other
   instrumentation site guards on that same attribute, so the disabled
   overhead is one attribute load plus an ``is None`` test per *call site*,
-  not per record. ``bench/suite.py``'s ``telemetry_overhead`` section
-  measures the traced and untraced kernels against each other and keeps the
-  disabled cost inside the budget.
+  not per record. The kernel has no second, traced loop: its one dispatch
+  loop and ``Process._resume`` test ``sim._sim_tracer`` (that tracer, if it
+  records the "sim" category) once per dispatch and once per resume.
 
 Enablement travels in two layers. The CLI's ``--trace`` flag flips the
 module-level flag via :func:`enable`; :func:`repro.experiments.sweep.run_sweep`

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.errors import ConfigurationError
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["Tracer", "CATEGORIES"]
@@ -44,6 +45,12 @@ class Tracer:
         self.records: list[tuple[float, str, str, dict[str, Any] | None]] = []
         self.metrics = MetricsRegistry()
         self._categories = CATEGORIES if categories is None else frozenset(categories)
+        unknown = self._categories - CATEGORIES
+        if unknown:
+            raise ConfigurationError(
+                f"unknown trace categories {sorted(unknown)}; "
+                f"valid: {sorted(CATEGORIES)}"
+            )
 
     def wants(self, category: str) -> bool:
         return category in self._categories

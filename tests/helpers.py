@@ -2,11 +2,51 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.core.deplist import DependencyList, UNBOUNDED
 from repro.errors import KeyNotFound
 from repro.types import CommittedTransaction, Key, Version, VersionedValue
 
-__all__ = ["FakeBackend"]
+__all__ = ["FakeBackend", "canonical_sha256", "json_from_child"]
+
+
+def canonical_sha256(payload: object) -> str:
+    """SHA-256 of ``payload`` as compact JSON with sorted keys."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def json_from_child(module: str, function: str) -> object:
+    """``module.function()`` evaluated in a child interpreter, back as JSON.
+
+    The child runs with ``PYTHONHASHSEED=0``, as the benchmark's children do:
+    golden digests of seeded runs are recorded under that string hash.
+    """
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import json; from {module} import {function}; "
+            f"print(json.dumps({function}()))",
+        ],
+        env={
+            **os.environ,
+            "PYTHONHASHSEED": "0",
+            "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
+        },
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 class FakeBackend:

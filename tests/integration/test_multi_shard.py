@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +11,7 @@ from repro.db.wal import RecordType
 from repro.monitor.sgt import SerializationGraphTester
 from repro.sim.core import Simulator
 from tests.conftest import commit_update
+from tests.helpers import canonical_sha256, json_from_child
 
 
 @pytest.fixture
@@ -200,25 +195,9 @@ class TestCommitPathOrder:
     }
 
     def test_seeded_run_matches_the_recorded_order(self) -> None:
-        child = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import json; from tests.integration.test_multi_shard import "
-                "_commit_path_trace; print(json.dumps(_commit_path_trace()))",
-            ],
-            env={
-                **os.environ,
-                "PYTHONHASHSEED": "0",
-                "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
-            },
-            cwd=Path(__file__).resolve().parents[2],
-            capture_output=True,
-            text=True,
-            timeout=120,
+        trace = json_from_child(
+            "tests.integration.test_multi_shard", "_commit_path_trace"
         )
-        assert child.returncode == 0, child.stderr
-        trace = json.loads(child.stdout)
         assert sum(1 for records in trace["wal"].values() if records) >= 2
         summary = {
             "calls": len(trace["calls"]),
@@ -228,7 +207,4 @@ class TestCommitPathOrder:
             "wounds": trace["wounds"],
         }
         assert summary == self.GOLDEN_SUMMARY
-        digest = hashlib.sha256(
-            json.dumps(trace, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        assert digest == self.GOLDEN_SHA256
+        assert canonical_sha256(trace) == self.GOLDEN_SHA256

@@ -22,13 +22,16 @@ from repro.dispatch.client import FleetClient, FleetSpec
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.worker import run_worker
 from repro.experiments import protocol_race
+from repro.experiments.config import ColumnConfig
 from repro.experiments.report import normalized_artifact
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
 from repro.telemetry import (
     normalized_trace_lines,
     trace_jsonl_lines,
     validate_telemetry,
 )
+from repro.workloads.synthetic import PerfectClusterWorkload
+from tests.helpers import canonical_sha256, json_from_child
 
 SECRET = "telemetry-secret"
 DURATION = 1.0
@@ -183,6 +186,51 @@ class TestArtifactByteIdentity:
         )
         assert "telemetry" not in untraced
         assert normalized_artifact(payload) == normalized_artifact(untraced)
+
+
+def _tiny_column_digests() -> dict[str, object]:
+    """One tiny seeded column, traced: what :class:`TestKernelTraceGolden`
+    hashes in a child interpreter."""
+    point = SweepPoint(
+        label="tiny",
+        config=ColumnConfig(seed=7, duration=0.6, warmup=0.2),
+        workload=PerfectClusterWorkload(n_objects=60, cluster_size=5),
+    )
+    telemetry.enable()
+    try:
+        sweep = run_sweep(SweepSpec(name="tiny", points=[point]), jobs=1)
+    finally:
+        telemetry.disable()
+    body = trace_of(sweep)[1:]
+    return {
+        "records": len(body),
+        "trace": canonical_sha256(body),
+        "snapshot": canonical_sha256(sweep.results[0].telemetry),
+    }
+
+
+class TestKernelTraceGolden:
+    """Every trace byte and every ``repro.telemetry/1`` count of one column,
+    pinned against the commit that still had a second, traced kernel loop
+    (``Simulator._run_traced`` / ``Process._resume_traced``).
+
+    Recorded at ac5a554 with this same function, after the one substitution
+    the single path makes — the callback name ``Process._resume_traced``
+    reads ``Process._resume``. A child interpreter with ``PYTHONHASHSEED=0``,
+    as ``TestCommitPathOrder`` uses and for its reason.
+    """
+
+    GOLDEN = {
+        "records": 9334,
+        "trace": "2e619a68e40766a3927422da78c18cf27ae35443d99fa81b6187ac2e6587e3d0",
+        "snapshot": "179ea5b5b2b8c79e203056a0202267b8dcc56fe14fe7b87009985ef1137d8a1a",
+    }
+
+    def test_tiny_column_matches_the_recorded_bytes(self) -> None:
+        digests = json_from_child(
+            "tests.integration.test_telemetry_determinism", "_tiny_column_digests"
+        )
+        assert digests == self.GOLDEN
 
 
 class TestFleetMetricsVerb:

@@ -14,13 +14,18 @@ yield — an already-triggered event, an ``any_of`` over real ``Timeout``
 objects, a shared event another process fires, a join on a child process —
 plus scheduled ``kill()`` calls that land on sleeping processes and a
 ``run(until=...)`` cut into chunks whose ends coincide with wake-ups.
+
+The same programs pin the kernel's single path: untraced ``run()``, traced
+``run()`` and a traced ``step()`` loop execute the same thing, and the two
+traced drains leave the same records and counters.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import ProcessKilled
 from repro.sim.core import Simulator
 
@@ -131,3 +136,29 @@ def execute(program: dict, form: str):
 @given(programs())
 def test_sleep_and_timeout_forms_execute_identically(program) -> None:
     assert execute(program, "sleep") == execute(program, "timeout")
+
+
+@seed(19)
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_one_kernel_path_traced_or_not_run_or_step(program) -> None:
+    """``run()`` untraced, ``run()`` traced and a traced ``step()`` loop are one
+    dispatch path: the same execution, and the two traced drains leave the
+    same records and the same counters."""
+
+    def drained(by_step: bool):
+        whole = {**program, "chunks": [], "drain_by_step": by_step}
+        return execute(whole, "sleep")
+
+    untraced = drained(by_step=False)
+    with telemetry.capture("run") as run_tracer:
+        by_run = drained(by_step=False)
+    with telemetry.capture("step") as step_tracer:
+        by_step = drained(by_step=True)
+    assert by_run == untraced and by_step == untraced
+    assert run_tracer.records == step_tracer.records
+    counters = run_tracer.snapshot()["counters"]
+    assert counters == step_tracer.snapshot()["counters"]
+    names = [name for _, _, name, _ in run_tracer.records]
+    assert names.count("dispatch") == counters["sim.events_dispatched"] > 0
+    assert names.count("process_resume") == counters["sim.process_resumes"] > 0

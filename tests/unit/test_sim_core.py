@@ -92,6 +92,34 @@ class TestScheduling:
         sim.run()
         assert len(failures) == 1
 
+    def test_step_inside_run_rejected(self, sim: Simulator) -> None:
+        """``step()`` from a callback would dispatch a nested event."""
+        failures, seen = [], []
+
+        def reenter() -> None:
+            try:
+                sim.step()
+            except SimulationError as error:
+                failures.append(error)
+
+        sim.schedule(0.0, reenter)
+        sim.schedule(0.0, lambda: seen.append(len(failures)))
+        sim.run()
+        assert len(failures) == 1 and "already running" in str(failures[0])
+        assert seen == [1]  # dispatched by run(), after reenter returned
+        assert sim.step() is False  # and step() works again once run() is over
+
+    def test_run_until_nan_rejected(self, sim: Simulator) -> None:
+        """NaN compares false everywhere: the call drained both queues."""
+        seen = []
+        sim.schedule(0.0, lambda: seen.append("now"))
+        sim.schedule(5.0, lambda: seen.append("later"))
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert seen == [] and sim.pending_events == 2 and sim.now == 0.0
+        sim.run(until=1.0)  # the rejected call did not leave the loop "running"
+        assert seen == ["now"]
+
 
 class TestImmediateQueueOrdering:
     """The immediate FIFO merges with the heap in (time, sequence) order.
@@ -208,6 +236,34 @@ class TestEvent:
         event.fail(error)
         assert event.triggered and not event.ok
         assert event.value is error
+
+    def test_fail_after_trigger_rejected(self, sim: Simulator) -> None:
+        event = sim.event().succeed(1)
+        with pytest.raises(SimulationError, match="event triggered twice"):
+            event.fail(ValueError("late"))
+        assert event.ok and event.value == 1  # the rejected fail changed nothing
+
+    def test_fail_queues_callbacks_as_succeed_does(self) -> None:
+        """One trigger body: a failed event's callbacks take the FIFO slots and
+        sequence numbers a succeeded one's would."""
+
+        def queued(trigger):
+            sim = Simulator()
+            sim.schedule(0.0, print)  # sequence 0 is taken
+            event = sim.event()
+            callbacks = [lambda _event, tag=tag: tag for tag in "abc"]
+            for callback in callbacks:
+                event.add_callback(callback)
+            assert trigger(event) is event
+            entries = [
+                (sequence, callbacks.index(callback), arg is event)
+                for sequence, callback, arg in list(sim._immediate)[1:]
+            ]
+            return entries, sim._sequence
+
+        failed = queued(lambda event: event.fail(ValueError("boom")))
+        assert failed == ([(1, 0, True), (2, 1, True), (3, 2, True)], 4)
+        assert failed == queued(lambda event: event.succeed("fine"))
 
     def test_value_before_trigger_rejected(self, sim: Simulator) -> None:
         event = sim.event()

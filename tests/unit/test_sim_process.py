@@ -329,6 +329,29 @@ class TestJoinAndKill:
         assert not process.alive
         assert process.triggered
 
+    def test_kill_of_a_traced_sleeper_is_a_recorded_resume(self) -> None:
+        """``kill()`` throws through ``_resume``, the one place a resume is
+        recorded; the wake-up it leaves queued finds the process dead and is
+        recorded too, as every dropped resume is."""
+        with telemetry.capture("kill") as tracer:
+            sim = Simulator()
+
+            def sleeper():
+                yield 5.0
+
+            process = sim.process(sleeper())
+            sim.run(until=1.0)
+            resumes = tracer.snapshot()["counters"]["sim.process_resumes"]
+            assert resumes == 1  # the start
+            process.kill()
+            killed = (1.0, "sim", "process_resume", {"process": "sleeper"})
+            assert tracer.records[-1] == killed
+            sim.run()
+        assert isinstance(process.value, ProcessKilled)
+        times = [t for t, _, name, _ in tracer.records if name == "process_resume"]
+        assert times == [0.0, 1.0, 5.0]  # start, kill, the dropped wake-up
+        assert tracer.snapshot()["counters"]["sim.process_resumes"] == 3
+
     def test_kill_after_completion_is_noop(self, sim: Simulator) -> None:
         def body():
             yield sim.timeout(1.0)

@@ -18,6 +18,7 @@ from repro.telemetry import (
     TELEMETRY_SCHEMA,
     TRACE_SCHEMA,
     Tracer,
+    capture,
     chrome_trace,
     normalized_trace_lines,
     validate_telemetry,
@@ -138,6 +139,16 @@ class TestTracer:
         assert tracer.record_dicts() == [
             {"t": 1.0, "cat": "cache", "name": "serve", "fields": {"key": "k"}}
         ]
+
+    @pytest.mark.parametrize("categories", [{"cach"}, ["sim", "nope"], "sim"])
+    def test_unknown_categories_are_rejected(self, categories):
+        """A misspelt category used to record nothing, silently."""
+        with pytest.raises(ConfigurationError, match="unknown trace categor") as info:
+            Tracer(categories=categories)
+        assert all(name in str(info.value) for name in CATEGORIES)
+        with pytest.raises(ConfigurationError, match="unknown trace categor"):
+            with capture("p", categories=categories):
+                pass
 
     def test_default_categories_cover_every_emitter(self):
         tracer = Tracer()
