@@ -35,6 +35,8 @@ submits to a long-lived one (``fleet serve``).
   byte-identical to local ones.
 * :mod:`repro.dispatch.faults` — :class:`FaultPlan` failure drills
   (crash / stall / disconnect) for rehearsing worker loss.
+* :mod:`repro.dispatch.cli` — the ``worker`` and ``fleet`` verbs, mounted
+  into the ``repro-experiments`` command tree.
 
 Determinism contract: points travel as their portable JSON encodings
 (:meth:`SweepPoint.as_dict`), results come back keyed by point index, and

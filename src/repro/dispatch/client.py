@@ -84,14 +84,6 @@ class FleetSpec:
         if self.secret is None:
             self.secret = secret_from_env()
 
-    @classmethod
-    def parse(cls, text: str, **overrides) -> "FleetSpec":
-        """A spec from the CLI's ``--fleet HOST:PORT`` argument."""
-        from repro.dispatch.coordinator import parse_hostport
-
-        host, port = parse_hostport(text)
-        return cls(host=host, port=port, **overrides)
-
 
 class FleetClient:
     """One submitter's view of a daemon; every call is its own connection."""

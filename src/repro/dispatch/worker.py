@@ -14,10 +14,13 @@ alive through long simulations.
 Workers are expendable by design: once the ``welcome`` handshake is done,
 a dropped connection is a normal way for a run to end (the daemon's
 process may exit while this worker is mid-point), reported in
-:attr:`WorkerStats.disconnected` rather than raised.  Failures *before*
-the handshake completes — nobody listening, protocol version mismatch — are
-real errors and raise :class:`DispatchError`; a failed auth challenge
-raises its subclass :class:`AuthenticationError`.
+:attr:`WorkerStats.disconnected` rather than raised.  *Before* the
+handshake completes, nobody listening — including a listener that accepts
+and hangs up without a word, which is what a finished ``--dispatch`` run
+closing its socket looks like — is retried until ``connect_timeout`` and
+then raises :class:`CoordinatorUnreachable`; a refusal the daemon *says*
+(protocol version mismatch) raises :class:`DispatchError` at once, a failed
+auth challenge its subclass :class:`AuthenticationError`.
 
 A daemon that is stopping — a ``--dispatch`` daemon whose one sweep has
 finished — answers ``request`` with ``done`` and the worker leaves cleanly.
@@ -95,6 +98,10 @@ def _connect(host: str, port: int, timeout: float, retry_delay: float) -> socket
             time.sleep(retry_delay)
 
 
+class _ListenerGone(ProtocolError):
+    """The peer hung up before sending a single handshake frame."""
+
+
 def _handshake(
     sock: socket.socket, role: str, name: str, secret: str | None
 ) -> None:
@@ -115,7 +122,9 @@ def _handshake(
         },
     )
     reply = recv_frame(sock)
-    if reply is not None and reply.get("type") == "challenge":
+    if reply is None:
+        raise _ListenerGone("daemon closed the connection during the handshake")
+    if reply.get("type") == "challenge":
         if not secret:
             raise AuthenticationError(
                 "daemon demands authentication but no fleet secret is "
@@ -165,7 +174,33 @@ def run_worker(
         secret = secret_from_env()
     if max_idle is not None and max_idle <= 0:
         raise DispatchError(f"max_idle must be positive, got {max_idle}")
-    sock = _connect(host, port, connect_timeout, connect_retry_delay)
+    deadline = time.monotonic() + connect_timeout
+    while True:
+        sock = _connect(
+            host, port, max(0.0, deadline - time.monotonic()), connect_retry_delay
+        )
+        try:
+            _handshake(sock, "worker", stats.worker, secret)
+            break
+        except (_ListenerGone, OSError) as exc:
+            # Accepted, then closed or reset without a frame: a listener on
+            # its way out, not a refusal.  Redial inside the same budget.
+            sock.close()
+            if time.monotonic() >= deadline:
+                raise CoordinatorUnreachable(
+                    f"no daemon at {host}:{port} completed a handshake "
+                    f"within {connect_timeout:g}s: {exc}"
+                ) from exc
+            time.sleep(connect_retry_delay)
+        except AuthenticationError:
+            sock.close()
+            raise
+        except ProtocolError as exc:
+            # A refusal the daemon spelled out (or garbage): loud, at once.
+            sock.close()
+            raise DispatchError(
+                f"handshake with {host}:{port} failed: {exc}"
+            ) from exc
     lock = threading.Lock()
     stop = threading.Event()
     heartbeats_suppressed = threading.Event()
@@ -179,16 +214,6 @@ def run_worker(
         if reply.get("type") == "error":
             raise ProtocolError(f"daemon refused: {reply.get('message')}")
         return reply
-
-    # Handshake failures are genuine errors — nothing to tolerate yet.
-    try:
-        _handshake(sock, "worker", stats.worker, secret)
-    except AuthenticationError:
-        sock.close()
-        raise
-    except (ProtocolError, OSError) as exc:
-        sock.close()
-        raise DispatchError(f"handshake with {host}:{port} failed: {exc}") from exc
 
     def heartbeat_loop() -> None:
         while not stop.wait(heartbeat_interval):

@@ -18,11 +18,17 @@ from dataclasses import replace
 
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
-from repro.experiments.runner import ColumnResult, run_column
-from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed, run_sweep
+from repro.experiments.report import Experiment
+from repro.experiments.sweep import (
+    SweepPoint,
+    SweepResult,
+    SweepSpec,
+    derive_seed,
+    run_sweep,
+)
 from repro.workloads.synthetic import ParetoClusterWorkload
 
-__all__ = ["DEFAULT_ALPHAS", "run", "run_point", "spec"]
+__all__ = ["DEFAULT_ALPHAS", "EXPERIMENT", "rows", "run", "spec"]
 
 #: Powers of two from 1/32 to 4, the paper's sweep range.
 DEFAULT_ALPHAS: tuple[float, ...] = (
@@ -66,21 +72,18 @@ def spec(
     )
 
 
-def _row(alpha: float, result: ColumnResult) -> dict[str, float]:
-    return {
-        "alpha": alpha,
-        "detected_inconsistencies_pct": 100.0 * result.detection_ratio,
-        "inconsistency_ratio_pct": 100.0 * result.inconsistency_ratio,
-        "abort_ratio_pct": 100.0 * result.abort_ratio,
-        "committed": float(result.counts.committed),
-    }
-
-
-def run_point(alpha: float, config: ColumnConfig | None = None) -> dict[str, float]:
-    """One sweep point: detection ratio at a given Pareto alpha."""
-    config = config or base_config()
-    workload = ParetoClusterWorkload(n_objects=2000, cluster_size=5, alpha=alpha)
-    return _row(alpha, run_column(config, workload))
+def rows(sweep: SweepResult) -> list[dict[str, float]]:
+    """One row per alpha, in sweep order."""
+    return [
+        {
+            "alpha": point.params["alpha"],
+            "detected_inconsistencies_pct": 100.0 * result.detection_ratio,
+            "inconsistency_ratio_pct": 100.0 * result.inconsistency_ratio,
+            "abort_ratio_pct": 100.0 * result.abort_ratio,
+            "committed": float(result.counts.committed),
+        }
+        for point, result in sweep.pairs()
+    ]
 
 
 def run(
@@ -96,15 +99,14 @@ def run(
     Each point runs with an independently derived seed so the sweep is
     reproducible point-by-point and safe to fan out across ``jobs`` workers.
     """
-    sweep = run_sweep(
-        spec(alphas, seed=seed, duration=duration), jobs=jobs, dispatch=dispatch
+    return rows(
+        run_sweep(
+            spec(alphas, seed=seed, duration=duration), jobs=jobs, dispatch=dispatch
+        )
     )
-    return [
-        _row(point.params["alpha"], result) for point, result in sweep.pairs()
-    ]
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+EXPERIMENT = Experiment.single_sweep(
+    "Figure 3: detected inconsistencies vs Pareto alpha", spec, rows
+)
 
-    print_table(run(), title="Figure 3: detected inconsistencies vs Pareto alpha")

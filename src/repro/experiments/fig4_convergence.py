@@ -17,17 +17,18 @@ from __future__ import annotations
 
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
-from repro.experiments.runner import ColumnResult
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment, section
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.workloads.synthetic import (
     PerfectClusterWorkload,
     PhaseSwitchWorkload,
     UniformWorkload,
 )
 
-__all__ = ["SWITCH_TIME", "run", "run_result", "phase_summaries", "spec"]
+__all__ = ["EXPERIMENT", "SWITCH_TIME", "phase_summaries", "rows", "run", "spec"]
 
-#: The paper switches the workload at t = 58 s.
+#: The paper's timeline is 160 s long and switches the workload at t = 58 s.
+TIMELINE = 160.0
 SWITCH_TIME = 58.0
 
 
@@ -39,7 +40,7 @@ def make_workload(n_objects: int = 1000, switch_time: float = SWITCH_TIME):
     )
 
 
-def make_config(seed: int = 4, duration: float = 160.0) -> ColumnConfig:
+def make_config(seed: int = 4, duration: float = TIMELINE) -> ColumnConfig:
     return ColumnConfig(
         seed=seed,
         duration=duration,
@@ -50,7 +51,7 @@ def make_config(seed: int = 4, duration: float = 160.0) -> ColumnConfig:
 
 
 def spec(
-    *, seed: int = 4, duration: float = 160.0, switch_time: float = SWITCH_TIME
+    *, seed: int = 4, duration: float = TIMELINE, switch_time: float = SWITCH_TIME
 ) -> SweepSpec:
     """Figure 4 is a single timeline, i.e. a one-point sweep."""
     return SweepSpec(
@@ -68,38 +69,8 @@ def spec(
     )
 
 
-def run_result(
-    *,
-    seed: int = 4,
-    duration: float = 160.0,
-    switch_time: float = SWITCH_TIME,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> ColumnResult:
-    sweep = run_sweep(
-        spec(seed=seed, duration=duration, switch_time=switch_time),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
-    return sweep.results[0]
-
-
-def run(
-    *,
-    seed: int = 4,
-    duration: float = 160.0,
-    switch_time: float = SWITCH_TIME,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, float]]:
+def rows(sweep: SweepResult) -> list[dict[str, float]]:
     """Per-second rows: time, consistent, inconsistent, aborted [txn/s]."""
-    result = run_result(
-        seed=seed,
-        duration=duration,
-        switch_time=switch_time,
-        jobs=jobs,
-        dispatch=dispatch,
-    )
     return [
         {
             "time": row["time"],
@@ -107,8 +78,26 @@ def run(
             "inconsistent_tps": row["inconsistent"],
             "aborted_tps": row["aborted_necessary"] + row["aborted_unnecessary"],
         }
-        for row in result.series
+        for row in sweep.results[0].series
     ]
+
+
+def run(
+    *,
+    seed: int = 4,
+    duration: float = TIMELINE,
+    switch_time: float = SWITCH_TIME,
+    jobs: int | None = 1,
+    dispatch=None,
+) -> list[dict[str, float]]:
+    """Run the timeline; returns :func:`rows`."""
+    return rows(
+        run_sweep(
+            spec(seed=seed, duration=duration, switch_time=switch_time),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
+    )
 
 
 def phase_summaries(
@@ -132,11 +121,35 @@ def phase_summaries(
     return {"before": mean_rates(before), "after": mean_rates(after)}
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+def _cli_specs(args) -> list[SweepSpec]:
+    # --duration 30 (the CLI default) is the paper's whole timeline.
+    scale = args.duration / 30.0
+    return [spec(duration=TIMELINE * scale, switch_time=SWITCH_TIME * scale)]
 
-    rows = run()
-    print_table(rows[::10], title="Figure 4: convergence (every 10th second)")
-    summaries = phase_summaries(rows)
-    print("\nbefore switch:", summaries["before"])
-    print("after  switch:", summaries["after"])
+
+def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:
+    (sweep,) = sweeps
+    series = rows(sweep)
+    summaries = phase_summaries(
+        series, switch_time=sweep.spec.points[0].params["switch_time"]
+    )
+    return [
+        section(
+            "Figure 4: convergence (sampled windows)",
+            series,
+            stride=max(1, len(series) // 24),
+        ),
+        section(
+            "phase means [txn/s]",
+            [
+                {"phase": "before", **summaries["before"]},
+                {"phase": "after", **summaries["after"]},
+            ],
+        ),
+    ]
+
+
+EXPERIMENT = Experiment(
+    "Figure 4: convergence when clusters form", _cli_specs, _cli_sections
+)
+

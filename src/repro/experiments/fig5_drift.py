@@ -16,14 +16,21 @@ from __future__ import annotations
 
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
-from repro.experiments.runner import ColumnResult
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment, section
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.workloads.synthetic import DriftingClusterWorkload
 
-__all__ = ["run", "run_result", "shift_spike_profile", "spec"]
+__all__ = ["EXPERIMENT", "rows", "run", "shift_spike_profile", "spec"]
+
+#: The paper plots 800 s with a shift every 180 s, in 5 s windows.
+TIMELINE = 800.0
+SHIFT_INTERVAL = 180.0
+WINDOW = 5.0
 
 
-def make_config(seed: int = 5, duration: float = 800.0, window: float = 5.0) -> ColumnConfig:
+def make_config(
+    seed: int = 5, duration: float = TIMELINE, window: float = WINDOW
+) -> ColumnConfig:
     return ColumnConfig(
         seed=seed,
         duration=duration,
@@ -37,10 +44,10 @@ def make_config(seed: int = 5, duration: float = 800.0, window: float = 5.0) -> 
 def spec(
     *,
     seed: int = 5,
-    duration: float = 800.0,
-    shift_interval: float = 180.0,
+    duration: float = TIMELINE,
+    shift_interval: float = SHIFT_INTERVAL,
     n_objects: int = 2000,
-    window: float = 5.0,
+    window: float = WINDOW,
 ) -> SweepSpec:
     """Figure 5 is a single drifting timeline, i.e. a one-point sweep."""
     return SweepSpec(
@@ -62,56 +69,40 @@ def spec(
     )
 
 
-def run_result(
-    *,
-    seed: int = 5,
-    duration: float = 800.0,
-    shift_interval: float = 180.0,
-    n_objects: int = 2000,
-    window: float = 5.0,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> ColumnResult:
-    sweep = run_sweep(
-        spec(
-            seed=seed,
-            duration=duration,
-            shift_interval=shift_interval,
-            n_objects=n_objects,
-            window=window,
-        ),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
-    return sweep.results[0]
-
-
-def run(
-    *,
-    seed: int = 5,
-    duration: float = 800.0,
-    shift_interval: float = 180.0,
-    n_objects: int = 2000,
-    window: float = 5.0,
-    jobs: int | None = 1,
-) -> list[dict[str, float]]:
+def rows(sweep: SweepResult) -> list[dict[str, float]]:
     """Rows of (window start, inconsistency ratio %) — the Fig. 5 series."""
-    result = run_result(
-        seed=seed,
-        duration=duration,
-        shift_interval=shift_interval,
-        n_objects=n_objects,
-        window=window,
-        jobs=jobs,
-    )
     return [
         {
             "time": row["time"],
             "inconsistency_ratio_pct": 100.0 * row["inconsistency_ratio"],
             "aborted_tps": row["aborted_necessary"] + row["aborted_unnecessary"],
         }
-        for row in result.series
+        for row in sweep.results[0].series
     ]
+
+
+def run(
+    *,
+    seed: int = 5,
+    duration: float = TIMELINE,
+    shift_interval: float = SHIFT_INTERVAL,
+    n_objects: int = 2000,
+    window: float = WINDOW,
+    jobs: int | None = 1,
+) -> list[dict[str, float]]:
+    """Run the drifting timeline; returns :func:`rows`."""
+    return rows(
+        run_sweep(
+            spec(
+                seed=seed,
+                duration=duration,
+                shift_interval=shift_interval,
+                n_objects=n_objects,
+                window=window,
+            ),
+            jobs=jobs,
+        )
+    )
 
 
 def shift_spike_profile(
@@ -139,9 +130,31 @@ def shift_spike_profile(
     }
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+def _cli_specs(args) -> list[SweepSpec]:
+    # --duration 30 (the CLI default) is the paper's whole timeline.
+    scale = args.duration / 30.0
+    return [
+        spec(
+            duration=TIMELINE * scale,
+            shift_interval=SHIFT_INTERVAL * scale,
+            window=WINDOW * scale,
+        )
+    ]
 
-    rows = run()
-    print_table(rows, title="Figure 5: drifting clusters")
-    print(shift_spike_profile(rows, 180.0))
+
+def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:
+    (sweep,) = sweeps
+    series = rows(sweep)
+    shift_interval = sweep.spec.points[0].params["shift_interval"]
+    return [
+        section(
+            "Figure 5: drifting clusters (sampled)",
+            series,
+            stride=max(1, len(series) // 32),
+        ),
+        section("spike profile", [shift_spike_profile(series, shift_interval)]),
+    ]
+
+
+EXPERIMENT = Experiment("Figure 5: drifting clusters", _cli_specs, _cli_sections)
+

@@ -18,11 +18,11 @@ from dataclasses import replace
 
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
-from repro.experiments.runner import ColumnResult, run_column
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.workloads.synthetic import ParetoClusterWorkload
 
-__all__ = ["run", "run_strategy", "spec"]
+__all__ = ["EXPERIMENT", "rows", "run", "spec"]
 
 
 def make_config(seed: int = 6, duration: float = 30.0) -> ColumnConfig:
@@ -49,39 +49,35 @@ def spec(*, seed: int = 6, duration: float = 30.0) -> SweepSpec:
     )
 
 
-def _row(strategy: Strategy, result: ColumnResult) -> dict[str, object]:
-    shares = result.class_shares()
-    return {
-        "strategy": strategy.name,
-        "consistent_pct": 100.0 * shares["consistent"],
-        "inconsistent_pct": 100.0
-        * (shares["inconsistent"]),
-        "aborted_pct": 100.0
-        * (shares["aborted_necessary"] + shares["aborted_unnecessary"]),
-        "retries_resolved": result.retries_resolved,
-        "strategy_evictions": result.cache_stats.strategy_evictions,
-    }
-
-
-def run_strategy(
-    strategy: Strategy, config: ColumnConfig | None = None
-) -> dict[str, object]:
-    config = replace(config or make_config(), strategy=strategy)
-    workload = ParetoClusterWorkload(n_objects=2000, cluster_size=5, alpha=1.0)
-    return _row(strategy, run_column(config, workload))
+def rows(sweep: SweepResult) -> list[dict[str, object]]:
+    """One row per strategy, in sweep order."""
+    table: list[dict[str, object]] = []
+    for point, result in sweep.pairs():
+        shares = result.class_shares()
+        table.append(
+            {
+                "strategy": point.label,
+                "consistent_pct": 100.0 * shares["consistent"],
+                "inconsistent_pct": 100.0 * shares["inconsistent"],
+                "aborted_pct": 100.0
+                * (shares["aborted_necessary"] + shares["aborted_unnecessary"]),
+                "retries_resolved": result.retries_resolved,
+                "strategy_evictions": result.cache_stats.strategy_evictions,
+            }
+        )
+    return table
 
 
 def run(
     *, seed: int = 6, duration: float = 30.0, jobs: int | None = 1, dispatch=None
 ) -> list[dict[str, object]]:
     """One row per strategy, same workload and seed for comparability."""
-    sweep = run_sweep(spec(seed=seed, duration=duration), jobs=jobs, dispatch=dispatch)
-    return [
-        _row(Strategy[point.label], result) for point, result in sweep.pairs()
-    ]
+    return rows(
+        run_sweep(spec(seed=seed, duration=duration), jobs=jobs, dispatch=dispatch)
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+EXPERIMENT = Experiment.single_sweep(
+    "Figure 6: strategies (synthetic, alpha=1)", spec, rows
+)
 
-    print_table(run(), title="Figure 6: strategy comparison (synthetic, alpha=1)")

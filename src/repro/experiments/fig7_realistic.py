@@ -26,14 +26,19 @@ from dataclasses import replace
 from repro.core.strategies import Strategy
 from repro.experiments.config import CacheKind, ColumnConfig
 from repro.experiments.realistic import WORKLOAD_NAMES, realistic_workload
-from repro.experiments.sweep import SweepPoint, SweepSpec, SweepResult, run_sweep
+from repro.experiments.report import Experiment
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 
 __all__ = [
     "DEFAULT_DEPLIST_SIZES",
     "DEFAULT_TTLS",
+    "DEPLIST_EXPERIMENT",
+    "TTL_EXPERIMENT",
+    "deplist_rows",
     "deplist_spec",
     "run_deplist_sweep",
     "run_ttl_sweep",
+    "ttl_rows",
     "ttl_spec",
 ]
 
@@ -87,29 +92,39 @@ def deplist_spec(
     )
 
 
-def _deplist_rows(sweep: SweepResult) -> list[dict[str, object]]:
-    """Normalise each workload's columns against its k=0 baseline, in order."""
+def _normalised_rows(
+    sweep: SweepResult, axis: str, baseline: object
+) -> list[dict[str, object]]:
+    """Rows over ``axis``, each workload's columns normalised against the
+    column where ``axis == baseline`` (the workload's first, in spec order)."""
     rows: list[dict[str, object]] = []
-    baseline_rate: float | None = None
-    baseline_ratio: float | None = None
+    baseline_rate = baseline_ratio = None
     for point, result in sweep.pairs():
+        value = point.params[axis]
         rate = result.db_access_rate
         ratio = result.inconsistency_ratio
-        if point.params["deplist_max"] == 0:
+        if value == baseline:
             baseline_rate = rate or 1.0
             baseline_ratio = ratio or 1.0
         rows.append(
             {
                 "workload": point.params["workload"],
-                "deplist_max": point.params["deplist_max"],
+                axis: "inf" if value is None else value,
                 "inconsistency_ratio_pct": 100.0 * ratio,
                 "vs_baseline_pct": 100.0 * ratio / baseline_ratio,
                 "hit_ratio": result.hit_ratio,
                 "db_rate_normed_pct": 100.0 * rate / baseline_rate,
-                "abort_ratio_pct": 100.0 * result.abort_ratio,
             }
         )
     return rows
+
+
+def deplist_rows(sweep: SweepResult) -> list[dict[str, object]]:
+    """Panel (c): one row per (workload, dependency list size)."""
+    return [
+        {**row, "abort_ratio_pct": 100.0 * result.abort_ratio}
+        for row, result in zip(_normalised_rows(sweep, "deplist_max", 0), sweep.results)
+    ]
 
 
 def run_deplist_sweep(
@@ -122,12 +137,18 @@ def run_deplist_sweep(
     dispatch=None,
 ) -> list[dict[str, object]]:
     """Panel (c): one row per (workload, dependency list size)."""
-    sweep = run_sweep(
-        deplist_spec(sizes, seed=seed, duration=duration, workloads=workloads),
-        jobs=jobs,
-        dispatch=dispatch,
+    return deplist_rows(
+        run_sweep(
+            deplist_spec(sizes, seed=seed, duration=duration, workloads=workloads),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
     )
-    return _deplist_rows(sweep)
+
+
+DEPLIST_EXPERIMENT = Experiment.single_sweep(
+    "Figure 7c: dependency-list sweep", deplist_spec, deplist_rows
+)
 
 
 def ttl_spec(
@@ -163,28 +184,9 @@ def ttl_spec(
     )
 
 
-def _ttl_rows(sweep: SweepResult) -> list[dict[str, object]]:
-    rows: list[dict[str, object]] = []
-    baseline_rate: float | None = None
-    baseline_ratio: float | None = None
-    for point, result in sweep.pairs():
-        ttl = point.params["ttl"]
-        rate = result.db_access_rate
-        ratio = result.inconsistency_ratio
-        if ttl is None:
-            baseline_rate = rate or 1.0
-            baseline_ratio = ratio or 1.0
-        rows.append(
-            {
-                "workload": point.params["workload"],
-                "ttl": "inf" if ttl is None else ttl,
-                "inconsistency_ratio_pct": 100.0 * ratio,
-                "vs_baseline_pct": 100.0 * ratio / baseline_ratio,
-                "hit_ratio": result.hit_ratio,
-                "db_rate_normed_pct": 100.0 * rate / baseline_rate,
-            }
-        )
-    return rows
+def ttl_rows(sweep: SweepResult) -> list[dict[str, object]]:
+    """Panel (d): one row per (workload, TTL), baseline TTL=None first."""
+    return _normalised_rows(sweep, "ttl", None)
 
 
 def run_ttl_sweep(
@@ -197,19 +199,14 @@ def run_ttl_sweep(
     dispatch=None,
 ) -> list[dict[str, object]]:
     """Panel (d): one row per (workload, TTL), baseline TTL=None first."""
-    sweep = run_sweep(
-        ttl_spec(ttls, seed=seed, duration=duration, workloads=workloads),
-        jobs=jobs,
-        dispatch=dispatch,
+    return ttl_rows(
+        run_sweep(
+            ttl_spec(ttls, seed=seed, duration=duration, workloads=workloads),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
     )
-    return _ttl_rows(sweep)
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+TTL_EXPERIMENT = Experiment.single_sweep("Figure 7d: TTL sweep", ttl_spec, ttl_rows)
 
-    print_table(
-        run_deplist_sweep(), title="Figure 7c: T-Cache dependency-list sweep"
-    )
-    print()
-    print_table(run_ttl_sweep(), title="Figure 7d: TTL baseline sweep")

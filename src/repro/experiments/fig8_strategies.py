@@ -16,9 +16,10 @@ from dataclasses import replace
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import WORKLOAD_NAMES, realistic_workload
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 
-__all__ = ["run", "spec"]
+__all__ = ["EXPERIMENT", "rows", "run", "spec"]
 
 
 def make_config(seed: int = 8, duration: float = 30.0) -> ColumnConfig:
@@ -53,24 +54,12 @@ def spec(
     )
 
 
-def run(
-    *,
-    seed: int = 8,
-    duration: float = 30.0,
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
+def rows(sweep: SweepResult) -> list[dict[str, object]]:
     """One row per (workload, strategy), Fig. 8's six bars."""
-    sweep = run_sweep(
-        spec(seed=seed, duration=duration, workloads=workloads),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
-    rows: list[dict[str, object]] = []
+    table: list[dict[str, object]] = []
     for point, result in sweep.pairs():
         shares = result.class_shares()
-        rows.append(
+        table.append(
             {
                 "workload": point.params["workload"],
                 "strategy": point.params["strategy"],
@@ -81,10 +70,28 @@ def run(
                 "detection_ratio_pct": 100.0 * result.detection_ratio,
             }
         )
-    return rows
+    return table
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+def run(
+    *,
+    seed: int = 8,
+    duration: float = 30.0,
+    workloads: tuple[str, ...] = WORKLOAD_NAMES,
+    jobs: int | None = 1,
+    dispatch=None,
+) -> list[dict[str, object]]:
+    """Run the sweep; returns :func:`rows`."""
+    return rows(
+        run_sweep(
+            spec(seed=seed, duration=duration, workloads=workloads),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
+    )
 
-    print_table(run(), title="Figure 8: strategy comparison (realistic workloads)")
+
+EXPERIMENT = Experiment.single_sweep(
+    "Figure 8: strategies (realistic, k=3)", spec, rows
+)
+

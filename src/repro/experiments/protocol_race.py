@@ -34,7 +34,8 @@ from dataclasses import replace
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment, section
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.scenario.library import (
     flash_crowd_scenario,
     geo_skewed_scenario,
@@ -54,7 +55,9 @@ __all__ = [
     "ranking_rows",
     "artifact",
     "validate_artifact",
+    "report",
     "run",
+    "EXPERIMENT",
 ]
 
 #: The default field: the paper's detector as incumbent plus the three
@@ -318,23 +321,23 @@ def validate_artifact(payload: Mapping[str, object]) -> None:
                 _fail(f"telemetry[{label!r}]: {exc}")
 
 
-def run(
-    *,
-    protocols: Sequence[str] = RACE_PROTOCOLS,
-    duration: float = 30.0,
-    seed: int = 101,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> tuple[list[dict[str, object]], list[dict[str, object]], dict[str, object]]:
-    """Run the race; returns (per-point rows, ranking, schema'd artifact)."""
-    sweep = run_sweep(
-        spec(protocols=protocols, duration=duration, seed=seed),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
+Report = tuple[list[dict[str, object]], list[dict[str, object]], dict[str, object]]
+
+
+def report(sweep: SweepResult) -> Report:
+    """(per-point rows, ranking, schema'd artifact) of a finished race.
+
+    The artifact is validated before anything is returned, so whatever a
+    caller prints or writes has passed :func:`validate_artifact`.
+    """
     rows = race_rows([(point.params, result) for point, result in sweep.pairs()])
     ranking = ranking_rows(rows)
-    payload = artifact(rows, ranking, duration=duration, seed=seed)
+    payload = artifact(
+        rows,
+        ranking,
+        duration=sweep.spec.points[0].scenario.duration,
+        seed=sweep.spec.root_seed,
+    )
     telemetry_sections = {
         point.label: result.telemetry
         for point, result in sweep.pairs()
@@ -346,3 +349,40 @@ def run(
         payload["telemetry"] = telemetry_sections
     validate_artifact(payload)
     return rows, ranking, payload
+
+
+def run(
+    *,
+    protocols: Sequence[str] = RACE_PROTOCOLS,
+    duration: float = 30.0,
+    seed: int = 101,
+    jobs: int | None = 1,
+    dispatch=None,
+) -> Report:
+    """Run the race; returns :func:`report`."""
+    return report(
+        run_sweep(
+            spec(protocols=protocols, duration=duration, seed=seed),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
+    )
+
+
+def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:
+    rows, ranking, _payload = report(sweeps[0])
+    return [
+        section("Protocol race: per-scenario rows", rows),
+        section(
+            "Protocol race: ranking (fewest inconsistencies, then cheapest reads)",
+            ranking,
+        ),
+    ]
+
+
+EXPERIMENT = Experiment(
+    "race the consistency protocols (detector, causal, verified-read, locking) "
+    "across the library fleets",
+    lambda args: [spec(duration=args.duration)],
+    _cli_sections,
+)

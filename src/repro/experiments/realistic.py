@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.experiments.report import Experiment, section
 from repro.workloads.graphs import amazon_like_graph, orkut_like_graph, topology_stats
 from repro.workloads.sampling import random_walk_sample
 from repro.workloads.walker import RandomWalkWorkload
@@ -22,9 +23,9 @@ if TYPE_CHECKING:  # annotations only: importing networkx costs ~0.1 s
 
 __all__ = [
     "AMAZON",
+    "EXPERIMENT",
     "ORKUT",
     "WORKLOAD_NAMES",
-    "run",
     "sampled_topology",
     "realistic_workload",
     "topology_rows",
@@ -75,13 +76,10 @@ def topology_rows(
     return rows
 
 
-def run(
-    *, sample_nodes: int = SAMPLE_NODES, seed: int = 1, jobs: int | None = 1
-) -> list[dict[str, object]]:
-    """Uniform ``run()`` entry point matching the figure modules.
-
-    Fig. 7(a)/(b) is pure graph analysis — there are no simulation columns
-    to fan out, so ``jobs`` is accepted for CLI symmetry and ignored.
-    """
-    del jobs
-    return topology_rows(sample_nodes=sample_nodes, seed=seed)
+#: Fig. 7(a)/(b) is pure graph analysis: no simulation grid, so no sweeps
+#: to run, dispatch or trace — the sections come straight from the graphs.
+EXPERIMENT = Experiment(
+    "Figure 7ab: topology statistics",
+    lambda args: [],
+    lambda sweeps: [section(EXPERIMENT.help, topology_rows())],
+)

@@ -11,15 +11,22 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, is_dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    import argparse
+
+    from repro.experiments.sweep import SweepResult, SweepSpec
 
 __all__ = [
+    "Experiment",
     "experiment_payload",
     "format_percent",
     "format_table",
     "json_safe",
     "normalized_artifact",
     "print_table",
+    "section",
     "write_json",
 ]
 
@@ -82,9 +89,45 @@ def print_table(
     print(format_table(rows, columns, title=title))
 
 
-def merge_series(series: Iterable[Mapping[str, float]], keys: Sequence[str]):
-    """Project a time series onto selected keys (utility for examples)."""
-    return [{key: row.get(key, 0.0) for key in keys} for row in series]
+def section(
+    title: str, rows: Sequence[Mapping[str, object]], stride: int = 1
+) -> dict[str, object]:
+    """One printed/serialised unit of an experiment: a title and its rows.
+
+    ``stride`` samples the long time series on the terminal; ``--json``
+    artifacts always keep every row.
+    """
+    return {"title": title, "rows": rows, "stride": stride}
+
+
+class Experiment(NamedTuple):
+    """One row of the CLI's experiment table (``repro.experiments.__main__``).
+
+    Declared by the figure module that owns the logic.  The CLI driver
+    builds ``specs(args)`` once, runs each through ``run_sweep``, and prints
+    and serialises ``sections(results)``; the same specs, unstamped, are
+    what a ``--json`` artifact records as ``sweep_specs``.
+    """
+
+    help: str
+    #: The parsed flags of the verb -> the sweeps to run, in order.
+    specs: Callable[[argparse.Namespace], list[SweepSpec]]
+    #: Their results, in the same order -> what to report (see :func:`section`).
+    sections: Callable[[list[SweepResult]], list[dict[str, object]]]
+
+    @classmethod
+    def single_sweep(
+        cls,
+        title: str,
+        spec: Callable[..., SweepSpec],
+        rows: Callable[[SweepResult], list],
+    ) -> Experiment:
+        """The common shape: one ``spec(duration=...)`` grid, one table."""
+        return cls(
+            title,
+            lambda args: [spec(duration=args.duration)],
+            lambda sweeps: [section(title, rows(sweeps[0]))],
+        )
 
 
 def experiment_payload(

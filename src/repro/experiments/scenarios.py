@@ -8,7 +8,7 @@ scenario points, then reports three views: per-edge rows (which edge hurts
 and why), per-backend rows (which backend carries the load), and fleet
 aggregates (what the whole deployment looks like).
 
-``run_spec_file`` replays a single scenario from a JSON artifact
+``replay_spec`` rebuilds a single scenario from a JSON artifact
 (``repro-experiments scenario --spec file.json``) — the round-trip partner
 of :meth:`~repro.scenario.spec.ScenarioSpec.as_dict`.
 """
@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment, section
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.scenario.library import (
     capacity_planning_sweep,
     flash_crowd_scenario,
@@ -32,8 +33,10 @@ from repro.scenario.results import ScenarioResult
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
+    "EXPERIMENT",
     "spec",
-    "run",
+    "replay_spec",
+    "rows",
     "run_spec_file",
     "backend_rows",
     "edge_rows",
@@ -202,62 +205,35 @@ def fleet_rows(label: str, result: ScenarioResult) -> list[dict[str, object]]:
     ]
 
 
-def _views(
-    pairs: list[tuple[str, ScenarioResult]],
-) -> tuple[
-    list[dict[str, object]], list[dict[str, object]], list[dict[str, object]]
-]:
-    per_edge: list[dict[str, object]] = []
-    per_backend: list[dict[str, object]] = []
-    per_fleet: list[dict[str, object]] = []
-    for label, result in pairs:
-        per_edge.extend(edge_rows(label, result))
-        per_backend.extend(backend_rows(label, result))
-        per_fleet.extend(fleet_rows(label, result))
+Rows = list[dict[str, object]]
+
+
+def rows(sweep: SweepResult) -> tuple[Rows, Rows, Rows]:
+    """The three views of a scenario sweep: (per-edge, per-backend, fleet)."""
+    per_edge: Rows = []
+    per_backend: Rows = []
+    per_fleet: Rows = []
+    for point, result in sweep.pairs():
+        per_edge.extend(edge_rows(point.label, result))
+        per_backend.extend(backend_rows(point.label, result))
+        per_fleet.extend(fleet_rows(point.label, result))
     return per_edge, per_backend, per_fleet
 
 
-def run(
-    *,
-    edges: int = 3,
-    backends: int = 2,
-    duration: float = 30.0,
-    seed: int = 101,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> tuple[
-    list[dict[str, object]], list[dict[str, object]], list[dict[str, object]]
-]:
-    """Run the scenario sweep; returns (per-edge, per-backend, fleet rows)."""
-    sweep = run_sweep(
-        spec(edges=edges, backends=backends, duration=duration, seed=seed),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
-    return _views([(point.label, result) for point, result in sweep.pairs()])
-
-
-def run_spec_file(
-    path: str, *, duration: float | None = None, jobs: int | None = 1, dispatch=None
-) -> tuple[
-    SweepSpec,
-    list[dict[str, object]],
-    list[dict[str, object]],
-    list[dict[str, object]],
-]:
-    """Replay one scenario from a JSON spec/artifact file.
+def replay_spec(path: str, *, duration: float | None = None) -> SweepSpec:
+    """The one-point sweep replaying a scenario JSON spec/artifact file.
 
     The file holds :meth:`ScenarioSpec.as_dict` output (also embedded in
     ``--json`` artifacts under ``sweep_specs[].columns[].scenario`` and in
     scenario results). ``duration`` optionally overrides the recorded
-    duration. Returns the one-point sweep spec plus the three row views.
+    duration.
     """
     with open(path) as handle:
         payload = json.load(handle)
     if duration is not None:
         payload = {**payload, "duration": duration}
     scenario = ScenarioSpec.from_dict(payload)
-    sweep_spec = SweepSpec(
+    return SweepSpec(
         name="scenario-replay",
         description=f"replay of {scenario.name!r} from {path}",
         root_seed=scenario.seed,
@@ -269,6 +245,36 @@ def run_spec_file(
             )
         ],
     )
-    sweep = run_sweep(sweep_spec, jobs=jobs, dispatch=dispatch)
-    views = _views([(point.label, result) for point, result in sweep.pairs()])
-    return (sweep_spec, *views)
+
+
+def run_spec_file(
+    path: str, *, duration: float | None = None, jobs: int | None = 1, dispatch=None
+) -> tuple[SweepSpec, Rows, Rows, Rows]:
+    """Replay :func:`replay_spec`; returns it plus the three row views."""
+    sweep_spec = replay_spec(path, duration=duration)
+    return (sweep_spec, *rows(run_sweep(sweep_spec, jobs=jobs, dispatch=dispatch)))
+
+
+def _cli_specs(args) -> list[SweepSpec]:
+    if args.spec_path is not None:
+        # An explicit --duration overrides the recorded one; without it
+        # (None) the replay honours what the spec file says.
+        return [replay_spec(args.spec_path, duration=args.duration)]
+    return [spec(edges=args.edges, backends=args.backends, duration=args.duration)]
+
+
+def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:
+    per_edge, per_backend, per_fleet = rows(sweeps[0])
+    return [
+        section("Scenarios: per-edge view", per_edge),
+        section("Scenarios: per-backend view", per_backend),
+        section("Scenarios: fleet aggregates", per_fleet),
+    ]
+
+
+EXPERIMENT = Experiment(
+    "multi-edge library fleets (or, with --spec, one saved scenario): "
+    "per-edge, per-backend and fleet views",
+    _cli_specs,
+    _cli_sections,
+)

@@ -20,15 +20,20 @@ from dataclasses import replace
 
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
-from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.experiments.report import Experiment, section
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.workloads.synthetic import PerfectClusterWorkload
 
 __all__ = [
+    "EXPERIMENT",
+    "cluster_size_vs_k_rows",
     "cluster_size_vs_k_spec",
+    "loss_rows",
     "loss_spec",
     "run_cluster_size_vs_k",
     "run_loss_sweep",
     "run_update_pressure_sweep",
+    "update_pressure_rows",
     "update_pressure_spec",
 ]
 
@@ -71,32 +76,8 @@ def cluster_size_vs_k_spec(
     )
 
 
-def run_cluster_size_vs_k(
-    cluster_sizes: tuple[int, ...] = (3, 5, 8),
-    bounds: tuple[int, ...] = (1, 2, 4, 7, 10),
-    *,
-    seed: int = 41,
-    duration: float = 15.0,
-    n_objects: int = 1920,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Detection ratio across (cluster size, k) — the §III intuition.
-
-    ``n_objects`` must be divisible by every cluster size; 1920 covers
-    3, 5 and 8.
-    """
-    sweep = run_sweep(
-        cluster_size_vs_k_spec(
-            cluster_sizes,
-            bounds,
-            seed=seed,
-            duration=duration,
-            n_objects=n_objects,
-        ),
-        dispatch=dispatch,
-        jobs=jobs,
-    )
+def cluster_size_vs_k_rows(sweep: SweepResult) -> list[dict[str, object]]:
+    """Detection ratio across (cluster size, k) — the §III intuition."""
     return [
         {
             "cluster_size": point.params["cluster_size"],
@@ -108,6 +89,29 @@ def run_cluster_size_vs_k(
         }
         for point, result in sweep.pairs()
     ]
+
+
+def run_cluster_size_vs_k(
+    cluster_sizes: tuple[int, ...] = (3, 5, 8),
+    bounds: tuple[int, ...] = (1, 2, 4, 7, 10),
+    *,
+    seed: int = 41,
+    duration: float = 15.0,
+    n_objects: int = 1920,
+    jobs: int | None = 1,
+    dispatch=None,
+) -> list[dict[str, object]]:
+    """Run the grid; ``n_objects`` must be divisible by every cluster size
+    (1920 covers 3, 5 and 8)."""
+    return cluster_size_vs_k_rows(
+        run_sweep(
+            cluster_size_vs_k_spec(
+                cluster_sizes, bounds, seed=seed, duration=duration, n_objects=n_objects
+            ),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
+    )
 
 
 def loss_spec(
@@ -145,27 +149,15 @@ def loss_spec(
     )
 
 
-def run_loss_sweep(
-    loss_rates: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8),
-    *,
-    seed: int = 43,
-    duration: float = 15.0,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
+def loss_rows(sweep: SweepResult) -> list[dict[str, object]]:
     """Inconsistency pressure as a function of invalidation loss."""
-    sweep = run_sweep(
-        loss_spec(loss_rates, seed=seed, duration=duration),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
     rows: list[dict[str, object]] = []
-    for loss in loss_rates:
-        detected = sweep.result_for(f"loss={loss:g}:tcache")
-        blind = sweep.result_for(f"loss={loss:g}:baseline")
+    # loss_spec lays each loss rate out as a (tcache, baseline) pair.
+    pairs = list(sweep.pairs())
+    for (point, detected), (_, blind) in zip(pairs[::2], pairs[1::2]):
         rows.append(
             {
-                "loss_pct": round(100.0 * loss, 1),
+                "loss_pct": round(100.0 * point.params["loss"], 1),
                 "baseline_inconsistency_pct": round(
                     100.0 * blind.inconsistency_ratio, 2
                 ),
@@ -176,6 +168,24 @@ def run_loss_sweep(
             }
         )
     return rows
+
+
+def run_loss_sweep(
+    loss_rates: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8),
+    *,
+    seed: int = 43,
+    duration: float = 15.0,
+    jobs: int | None = 1,
+    dispatch=None,
+) -> list[dict[str, object]]:
+    """Run the loss sweep; returns :func:`loss_rows`."""
+    return loss_rows(
+        run_sweep(
+            loss_spec(loss_rates, seed=seed, duration=duration),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
+    )
 
 
 def update_pressure_spec(
@@ -203,20 +213,8 @@ def update_pressure_spec(
     )
 
 
-def run_update_pressure_sweep(
-    update_rates: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0),
-    *,
-    seed: int = 47,
-    duration: float = 15.0,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
+def update_pressure_rows(sweep: SweepResult) -> list[dict[str, object]]:
     """Inconsistency pressure as a function of update rate (reads fixed)."""
-    sweep = run_sweep(
-        update_pressure_spec(update_rates, seed=seed, duration=duration),
-        jobs=jobs,
-        dispatch=dispatch,
-    )
     return [
         {
             "update_rate": point.params["update_rate"],
@@ -229,9 +227,46 @@ def run_update_pressure_sweep(
     ]
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+def run_update_pressure_sweep(
+    update_rates: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0),
+    *,
+    seed: int = 47,
+    duration: float = 15.0,
+    jobs: int | None = 1,
+    dispatch=None,
+) -> list[dict[str, object]]:
+    """Run the update-rate sweep; returns :func:`update_pressure_rows`."""
+    return update_pressure_rows(
+        run_sweep(
+            update_pressure_spec(update_rates, seed=seed, duration=duration),
+            jobs=jobs,
+            dispatch=dispatch,
+        )
+    )
 
-    print_table(run_cluster_size_vs_k(), title="cluster size vs k")
-    print_table(run_loss_sweep(), title="invalidation loss sweep")
-    print_table(run_update_pressure_sweep(), title="update pressure sweep")
+
+def _cli_specs(args) -> list[SweepSpec]:
+    # Each of the three sweeps runs at half the figure duration.
+    half = args.duration / 2.0
+    return [
+        cluster_size_vs_k_spec(duration=half),
+        loss_spec(duration=half),
+        update_pressure_spec(duration=half),
+    ]
+
+
+def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:
+    cluster, loss, pressure = sweeps
+    return [
+        section("Sensitivity: cluster size vs k", cluster_size_vs_k_rows(cluster)),
+        section("Sensitivity: invalidation loss sweep", loss_rows(loss)),
+        section("Sensitivity: update pressure sweep", update_pressure_rows(pressure)),
+    ]
+
+
+EXPERIMENT = Experiment(
+    "Sensitivity sweeps: cluster size vs k, invalidation loss, update pressure",
+    _cli_specs,
+    _cli_sections,
+)
+

@@ -458,18 +458,13 @@ def run_sweep(
             root_seed=spec.root_seed,
             description=spec.description,
         )
-    traced = any(point.trace for point in spec.points)
     if dispatch is not None:
         from repro.dispatch.client import FleetSpec, run_fleet_sweep
         from repro.dispatch.coordinator import run_dispatched
 
         if isinstance(dispatch, FleetSpec):
-            result = run_fleet_sweep(spec, dispatch)
-        else:
-            result = run_dispatched(spec, dispatch)
-        if traced:
-            telemetry.record_sweep(result)
-        return result
+            return run_fleet_sweep(spec, dispatch)
+        return run_dispatched(spec, dispatch)
     jobs = resolve_jobs(jobs)
     payloads = [
         (point.config, point.workload, point.read_workload, point.scenario, point.trace)
@@ -490,9 +485,6 @@ def run_sweep(
                 results_by_index[index] = result
         results = ordered_results(len(payloads), results_by_index)
     elapsed = time.perf_counter() - start
-    result = SweepResult(
+    return SweepResult(
         spec=spec, results=results, jobs=jobs, wall_clock_seconds=elapsed
     )
-    if traced:
-        telemetry.record_sweep(result)
-    return result

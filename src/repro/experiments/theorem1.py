@@ -18,10 +18,17 @@ from repro.core.deplist import UNBOUNDED
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import realistic_workload
-from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed, run_sweep
+from repro.experiments.report import Experiment
+from repro.experiments.sweep import (
+    SweepPoint,
+    SweepResult,
+    SweepSpec,
+    derive_seed,
+    run_sweep,
+)
 from repro.workloads.synthetic import ParetoClusterWorkload, UniformWorkload
 
-__all__ = ["run", "spec"]
+__all__ = ["EXPERIMENT", "rows", "run", "spec"]
 
 
 def make_config(seed: int = 9, duration: float = 20.0) -> ColumnConfig:
@@ -63,11 +70,8 @@ def spec(*, seed: int = 9, duration: float = 20.0) -> SweepSpec:
     )
 
 
-def run(
-    *, seed: int = 9, duration: float = 20.0, jobs: int | None = 1, dispatch=None
-) -> list[dict[str, object]]:
-    """One row per workload; ``inconsistent`` must be zero everywhere."""
-    sweep = run_sweep(spec(seed=seed, duration=duration), jobs=jobs, dispatch=dispatch)
+def rows(sweep: SweepResult) -> list[dict[str, object]]:
+    """One row per workload; ``inconsistent_commits`` must be zero everywhere."""
     return [
         {
             "workload": point.params["workload"],
@@ -80,7 +84,14 @@ def run(
     ]
 
 
-if __name__ == "__main__":  # pragma: no cover - manual invocation
-    from repro.experiments.report import print_table
+def run(
+    *, seed: int = 9, duration: float = 20.0, jobs: int | None = 1, dispatch=None
+) -> list[dict[str, object]]:
+    """Run the sweep; returns :func:`rows`."""
+    return rows(
+        run_sweep(spec(seed=seed, duration=duration), jobs=jobs, dispatch=dispatch)
+    )
 
-    print_table(run(), title="Theorem 1: unbounded T-Cache, zero inconsistent commits")
+
+EXPERIMENT = Experiment.single_sweep("Theorem 1: unbounded T-Cache", spec, rows)
+

@@ -36,7 +36,9 @@ so remote executors trace without sharing our process. At execution time
 :func:`capture` installs a thread-local tracer that
 :class:`~repro.sim.core.Simulator` picks up at construction (thread-local,
 not global, because the fleet integration tests run daemon, workers and
-submitters as threads of one process).
+submitters as threads of one process). The records come back on the
+:class:`SweepResult` ``run_sweep`` returns; whoever called it — the CLI
+driver, for ``--trace`` — holds the results and hands them to the exporter.
 """
 
 from __future__ import annotations
@@ -64,11 +66,9 @@ __all__ = [
     "capture",
     "chrome_trace",
     "disable",
-    "drain_recorded_sweeps",
     "enable",
     "enabled",
     "normalized_trace_lines",
-    "record_sweep",
     "trace_jsonl_lines",
     "validate_telemetry",
     "write_chrome_trace",
@@ -81,12 +81,6 @@ _ENABLED = False
 
 _STATE = threading.local()
 
-#: Traced SweepResults recorded by ``run_sweep`` for the CLI exporter, in
-#: completion order. Guarded by ``_RECORDED_LOCK`` because fleet tests drive
-#: sweeps from worker threads.
-_RECORDED: list = []
-_RECORDED_LOCK = threading.Lock()
-
 
 def enable() -> None:
     """Turn tracing on for subsequently started sweeps."""
@@ -95,11 +89,9 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Turn tracing off and drop any captured-but-unexported sweeps."""
+    """Turn tracing off for subsequently started sweeps."""
     global _ENABLED
     _ENABLED = False
-    with _RECORDED_LOCK:
-        _RECORDED.clear()
 
 
 def enabled() -> bool:
@@ -124,22 +116,3 @@ def capture(point_label: str, *, categories=None):
         yield tracer
     finally:
         _STATE.tracer = previous
-
-
-def record_sweep(result) -> None:
-    """Hand a traced :class:`SweepResult` to the CLI exporter.
-
-    ``run_sweep`` calls this for every traced sweep because experiment
-    ``run()`` wrappers discard the SweepResult and return row views — the
-    exporter would otherwise never see the trace records.
-    """
-    with _RECORDED_LOCK:
-        _RECORDED.append(result)
-
-
-def drain_recorded_sweeps() -> list:
-    """Return and clear the traced sweeps recorded since the last drain."""
-    with _RECORDED_LOCK:
-        drained = list(_RECORDED)
-        _RECORDED.clear()
-    return drained
