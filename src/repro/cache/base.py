@@ -38,6 +38,8 @@ from repro.types import (
 
 __all__ = ["BackendReader", "CacheServer", "CacheStats", "CacheStorage"]
 
+_tuple_new = tuple.__new__
+
 
 class BackendReader(Protocol):
     """What a cache needs from the database: lock-free single-entry reads."""
@@ -181,9 +183,9 @@ class CacheServer:
         self.backend_namespace: str | None = getattr(backend, "namespace", None)
         self.name = name
         self.storage = CacheStorage(ttl=ttl, capacity=capacity)
-        tracer = sim._tracer
-        if tracer is not None and tracer.wants("cache"):
-            self.storage._tracer = tracer
+        #: The run's tracer if it records the "cache" category, else None —
+        #: decided here, so every per-read site tests one attribute.
+        self._tracer = self.storage._tracer = sim.tracer_for("cache")
         self.stats = self.storage.stats
         self._open_txns: dict[TxnId, ReadOnlyTransactionRecord] = {}
         self._txn_listeners: list[Callable[[ReadOnlyTransactionRecord], None]] = []
@@ -223,8 +225,8 @@ class CacheServer:
             self.stats.invalidations_applied += 1
         else:
             self.stats.invalidations_ignored += 1
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("cache"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "cache",
@@ -285,12 +287,12 @@ class CacheServer:
         open_txns = self._open_txns
         record = open_txns.get(txn_id)
         if record is None:
-            record = ReadOnlyTransactionRecord(txn_id=txn_id)
+            record = ReadOnlyTransactionRecord(txn_id)
             open_txns[txn_id] = record
 
         entry, retried = self._check_read(txn_id, record, entry)
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("cache"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "cache",
@@ -304,20 +306,16 @@ class CacheServer:
                 },
             )
             tracer.metrics.count("cache.hits" if not cache_miss else "cache.misses")
+        version = entry.version
         reads = record.reads
         previous = reads.get(key)
-        if previous is not None and previous != entry.version:
+        if previous is not None and previous != version:
             record.non_repeatable = True
-        reads[key] = entry.version
+        reads[key] = version
         if last_op:
             self._finish(txn_id, TransactionOutcome.COMMITTED)
-        return ReadResult(
-            key=key,
-            value=entry.value,
-            version=entry.version,
-            cache_miss=cache_miss,
-            retried=retried,
-        )
+        # ReadResult(...) without the generated ``__new__`` frame.
+        return _tuple_new(ReadResult, (key, entry.value, version, cache_miss, retried))
 
     def abort_transaction(self, txn_id: TxnId) -> None:
         """Client-initiated abort of an open transaction."""
@@ -353,8 +351,8 @@ class CacheServer:
         self.stats.misses += 1
         entry = self._backend.read_entry(key)
         self.storage.put(entry, self._sim.now)
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("cache"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "cache",
@@ -373,8 +371,8 @@ class CacheServer:
             self.stats.transactions_committed += 1
         else:
             self.stats.transactions_aborted += 1
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("cache"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 record.finish_time,
                 "cache",

@@ -87,16 +87,34 @@ class TCache(CacheServer):
     ) -> tuple[VersionedValue, bool]:
         context = record.context
         if context is None:
-            context = record.context = TransactionContext(
-                txn_id=txn_id, start_time=self._sim.now
-            )
+            context = record.context = TransactionContext(txn_id, self._sim.now)
 
-        deps = self._deps_of(entry)
-        report = check_read(context, entry.key, entry.version, deps)
-        if report is None:
-            context.record_read(entry.key, entry.version, deps)
-            return entry, False
-        return self._handle_violation(txn_id, record, context, entry, deps, report)
+        # One frame per hit besides ``check_read``: ``_deps_of`` and
+        # ``TransactionContext.record_read`` are inlined here (they remain
+        # the documented forms, as ``detector.py`` keeps its three checks).
+        key, _, version, deps = entry
+        limit = self.deplist_limit
+        if limit is not None:
+            deps = deps[:limit]
+        report = check_read(context, key, version, deps)
+        if report is not None:
+            return self._handle_violation(
+                txn_id, record, context, entry, deps, report
+            )
+        context.read_count += 1
+        read_versions = context.read_versions
+        prior = read_versions.get(key)
+        if prior is None or version > prior:
+            read_versions[key] = version
+        requirements = context.requirements
+        current = requirements.get(key)
+        if current is None or version > current[0]:
+            requirements[key] = (version, key)
+        for dep_key, dep_version in deps:
+            current = requirements.get(dep_key)
+            if current is None or dep_version > current[0]:
+                requirements[dep_key] = (dep_version, key)
+        return entry, False
 
     def _handle_violation(
         self,

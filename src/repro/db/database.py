@@ -80,11 +80,16 @@ class Database:
 
     def __init__(self, sim: Simulator, config: DatabaseConfig | None = None) -> None:
         self._sim = sim
+        #: The run's tracer if it records the "db" category, else None.
+        self._tracer = sim.tracer_for("db")
         self.config = config or DatabaseConfig()
         self.participants = [
             Participant(sim, f"{self.config.name}-shard{i}")
             for i in range(self.config.shards)
         ]
+        #: Placement already computed, by key (see :meth:`shard_for`: every
+        #: cache miss and every key of every transaction asks).
+        self._shard_of: dict[Key, Participant] = {}
         self._txn_counter = itertools.count(1)
         self._version_counter = itertools.count(1)
         self._latest_version: Version = 0
@@ -221,8 +226,8 @@ class Database:
     def _publish_commit(
         self, committed: CommittedTransaction, installed: tuple[VersionedValue, ...]
     ) -> None:
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("db"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "db",
@@ -256,8 +261,8 @@ class Database:
         """Lock-free read of the current committed entry (cache-miss path)."""
         self.stats.entry_reads += 1
         entry = self.shard_for(key).read_latest(key)
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("db"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "db",
@@ -288,12 +293,16 @@ class Database:
         Uses CRC-32 of the encoded key, not builtin ``hash``: the builtin
         is salted per process, which would place keys differently in every
         ``multiprocessing`` sweep worker and break the serial ≡ parallel
-        determinism guarantee for multi-shard backends.
+        determinism guarantee for multi-shard backends. The participant
+        list is fixed at construction, so an answer is computed once per key.
         """
         if len(self.participants) == 1:
             return self.participants[0]
-        index = zlib.crc32(key.encode("utf-8")) % len(self.participants)
-        return self.participants[index]
+        shard = self._shard_of.get(key)
+        if shard is None:
+            index = zlib.crc32(key.encode("utf-8")) % len(self.participants)
+            shard = self._shard_of[key] = self.participants[index]
+        return shard
 
     def _allocate_version(self) -> Version:
         version = next(self._version_counter)

@@ -27,6 +27,7 @@ from repro.monitor.stats import (
     ABORTED_UNNECESSARY,
     CONSISTENT,
     INCONSISTENT,
+    ClassCounts,
     MonitorSummary,
     TimeSeries,
 )
@@ -38,6 +39,9 @@ from repro.types import (
 )
 
 __all__ = ["ConsistencyMonitor"]
+
+#: One place a classification is counted: a summary and its series' buckets.
+_View = tuple[MonitorSummary, dict[int, ClassCounts]]
 
 
 class ConsistencyMonitor:
@@ -62,7 +66,6 @@ class ConsistencyMonitor:
     """
 
     def __init__(self, sim: Simulator, *, window: float = 1.0) -> None:
-        self._sim = sim
         #: Tester of the default namespace (legacy single-backend wiring,
         #: and the first backend bound via :meth:`bind_backend`).
         self.tester = SerializationGraphTester()
@@ -70,6 +73,8 @@ class ConsistencyMonitor:
             None: self.tester
         }
         self._default_namespace_bound = False
+        #: The run's tracer if it records the "sgt" category, else None.
+        self._tracer = sim.tracer_for("sgt")
         self.summary = MonitorSummary()
         self.series = TimeSeries(window=window)
         #: Per-source (per-edge) views, keyed by the ``source`` tag passed to
@@ -86,6 +91,12 @@ class ConsistencyMonitor:
         #: and tests (bounded to avoid unbounded growth in long runs).
         self.inconsistency_witnesses: list[ReadOnlyTransactionRecord] = []
         self._witness_limit = 100
+        #: ``(source, backend)`` -> the tester and the ``(summary, series
+        #: buckets)`` views one classification lands in; see :meth:`_bind`.
+        self._bindings: dict[
+            tuple[str | None, str | None],
+            tuple[SerializationGraphTester, tuple[_View, ...]],
+        ] = {}
 
     # ------------------------------------------------------------------
     # Namespaces
@@ -145,9 +156,8 @@ class ConsistencyMonitor:
         """Add one committed update transaction to ``backend``'s history."""
         self.tester_for(backend).record_update(txn)
         self.summary.update_commits += 1
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("sgt"):
-            tracer.metrics.count("sgt.update_commits")
+        if self._tracer is not None:
+            self._tracer.metrics.count("sgt.update_commits")
 
     def record_read_only(
         self,
@@ -165,21 +175,26 @@ class ConsistencyMonitor:
         history only, and accumulates into that backend's summary and
         series. The fleet-wide counts stay unified either way.
         """
-        consistent = (not record.non_repeatable) and self.tester_for(
-            backend
-        ).is_consistent(record.reads)
-        if record.non_repeatable:
-            self.summary.non_repeatable += 1
+        binding = self._bindings.get((source, backend))
+        if binding is None:
+            binding = self._bind(source, backend)
+        tester, views = binding
+        non_repeatable = record.non_repeatable
+        consistent = (not non_repeatable) and tester.is_consistent(record.reads)
         if record.outcome is TransactionOutcome.COMMITTED:
             label = CONSISTENT if consistent else INCONSISTENT
             if not consistent and len(self.inconsistency_witnesses) < self._witness_limit:
                 self.inconsistency_witnesses.append(record)
         else:
             label = ABORTED_UNNECESSARY if consistent else ABORTED_NECESSARY
-        self.summary.read_only.add(label)
-        self.series.record(record.finish_time, label)
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("sgt"):
+        index = int(record.finish_time / self.series.window)
+        for summary, buckets in views:
+            if non_repeatable:
+                summary.non_repeatable += 1
+            summary.read_only.add(label)
+            buckets[index].add(label)
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 record.finish_time,
                 "sgt",
@@ -193,35 +208,29 @@ class ConsistencyMonitor:
                 },
             )
             tracer.metrics.count(f"sgt.{label}")
-        if source is not None:
-            self._record_tagged(
-                self.source_summaries, self.source_series, source, record, label
-            )
-        if backend is not None:
-            self._record_tagged(
-                self.backend_summaries,
-                self.backend_series,
-                backend,
-                record,
-                label,
-            )
 
-    def _record_tagged(
-        self,
-        summaries: dict[str, MonitorSummary],
-        series: dict[str, TimeSeries],
-        tag: str,
-        record: ReadOnlyTransactionRecord,
-        label: str,
-    ) -> None:
-        summary = summaries.get(tag)
-        if summary is None:
-            summary = summaries[tag] = MonitorSummary()
-            series[tag] = TimeSeries(window=self.series.window)
-        if record.non_repeatable:
-            summary.non_repeatable += 1
-        summary.read_only.add(label)
-        series[tag].record(record.finish_time, label)
+    def _bind(
+        self, source: str | None, backend: str | None
+    ) -> tuple[SerializationGraphTester, tuple[_View, ...]]:
+        """Resolve, once per tag pair, where its classifications land.
+
+        Made when the pair records its first transaction, never before: a
+        tag's summary and series exist exactly when it classified something.
+        """
+        tester = self.tester_for(backend)  # raises before any view exists
+        views = [(self.summary, self.series._buckets)]
+        for tag, summaries, series in (
+            (source, self.source_summaries, self.source_series),
+            (backend, self.backend_summaries, self.backend_series),
+        ):
+            if tag is None:
+                continue
+            if tag not in summaries:
+                summaries[tag] = MonitorSummary()
+                series[tag] = TimeSeries(window=self.series.window)
+            views.append((summaries[tag], series[tag]._buckets))
+        binding = self._bindings[(source, backend)] = (tester, tuple(views))
+        return binding
 
     # ------------------------------------------------------------------
     # Convenience accessors used by the experiments

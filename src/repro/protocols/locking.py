@@ -88,6 +88,8 @@ class LockCoherentCache(CacheServer):
     def __init__(self, sim, backend, *, service: LockingService, capacity=None, name="lock-cache"):
         super().__init__(sim, backend, capacity=capacity, name=name)
         self._service = service
+        #: The run\'s tracer if it records the "protocol" category, else None.
+        self._protocol_tracer = sim.tracer_for("protocol")
         self._contexts: dict[TxnId, _LockContext] = {}
         #: Validation round trips that found the cached entry stale.
         self.validation_refreshes = 0
@@ -143,8 +145,8 @@ class LockCoherentCache(CacheServer):
 
     def _abort_with(self, txn_id: TxnId, reason: str) -> None:
         self.wound_aborts += 1
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("protocol"):
+        tracer = self._protocol_tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "protocol",

@@ -97,6 +97,8 @@ class VerifiedReadCache(CacheServer):
             raise ConfigurationError(f"freshness must be positive, got {freshness}")
         super().__init__(sim, backend, capacity=capacity, name=name)
         self._service = service
+        #: The run\'s tracer if it records the "protocol" category, else None.
+        self._protocol_tracer = sim.tracer_for("protocol")
         self.freshness = freshness
         #: key -> (version, signed_at, mac) for the cached entry.
         self._proofs: dict[Key, tuple[Version, float, str]] = {}
@@ -129,8 +131,8 @@ class VerifiedReadCache(CacheServer):
             # Stale or missing proof: refetch the authoritative version and
             # have the backend sign it (one round trip covers both).
             self.proof_refreshes += 1
-            tracer = self._sim._tracer
-            if tracer is not None and tracer.wants("protocol"):
+            tracer = self._protocol_tracer
+            if tracer is not None:
                 tracer.emit(
                     now,
                     "protocol",
@@ -153,8 +155,8 @@ class VerifiedReadCache(CacheServer):
         self.signatures_verified += 1
         if not self._service.verify(key, version, signed_at, mac):
             self.signature_failures += 1
-            tracer = self._sim._tracer
-            if tracer is not None and tracer.wants("protocol"):
+            tracer = self._protocol_tracer
+            if tracer is not None:
                 tracer.emit(
                     now,
                     "protocol",

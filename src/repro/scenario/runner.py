@@ -223,7 +223,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
         database.register_invalidation_channel(channel)
         cache.add_transaction_listener(
             lambda record, _source=edge_spec.name, _backend=database.namespace: (
-                monitor.record_read_only(record, source=_source, backend=_backend)
+                monitor.record_read_only(record, _source, _backend)
             )
         )
 

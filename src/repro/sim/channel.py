@@ -83,6 +83,8 @@ class Channel:
                 f"channel {name!r} uses randomness but no rng was provided"
             )
         self._sim = sim
+        #: The run's tracer if it records the "channel" category, else None.
+        self._tracer = sim.tracer_for("channel")
         self._receiver = receiver
         self._latency = latency
         self._loss_probability = loss_probability
@@ -132,8 +134,8 @@ class Channel:
             loss = self._current_loss()
         if loss >= 1.0 or (loss > 0.0 and self._rng.random() < loss):
             self.stats.dropped += 1
-            tracer = self._sim._tracer
-            if tracer is not None and tracer.wants("channel"):
+            tracer = self._tracer
+            if tracer is not None:
                 now = self._sim.now
                 in_outage = any(start <= now < end for start, end in self._outages)
                 tracer.emit(
@@ -161,8 +163,8 @@ class Channel:
             self.stats.reordered += 1
         else:
             self.stats._last_delivered_seq = sequence
-        tracer = self._sim._tracer
-        if tracer is not None and tracer.wants("channel"):
+        tracer = self._tracer
+        if tracer is not None:
             tracer.emit(
                 self._sim.now,
                 "channel",

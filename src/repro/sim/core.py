@@ -51,7 +51,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.telemetry import active_tracer as _active_tracer
+from repro.telemetry import Tracer, active_tracer as _active_tracer
 
 __all__ = ["Simulator", "Event", "Timeout", "AnyOf", "AllOf"]
 
@@ -265,14 +265,23 @@ class Simulator:
         #: events it replaces, so the count does not depend on the wait form.
         self.events_executed = 0
         #: The thread's active telemetry tracer, captured once at
-        #: construction. ``None`` on every untraced run, so instrumentation
-        #: sites across the stack pay one attribute load plus an ``is None``
-        #: test — the zero-cost-when-off contract. The kernel's own sites
-        #: (the loop, :meth:`step`, ``Process._resume``) test ``_sim_tracer``:
-        #: the same tracer if it records the "sim" category, else ``None``.
-        self._tracer = tracer = _active_tracer()
-        wanted = tracer is not None and tracer.wants("sim")
-        self._sim_tracer = tracer if wanted else None
+        #: construction; ``None`` on every untraced run. No per-event site
+        #: reads it: each component keeps what :meth:`tracer_for` answered
+        #: for its category when it was built, so an instrumentation site
+        #: pays one attribute load plus an ``is None`` test — the
+        #: zero-cost-when-off contract. The kernel's own sites (the loop,
+        #: :meth:`step`, ``Process._resume``) test ``_sim_tracer``.
+        self._tracer = _active_tracer()
+        self._sim_tracer = self.tracer_for("sim")
+
+    def tracer_for(self, category: str) -> Tracer | None:
+        """The run's tracer if it records ``category``, else ``None``.
+
+        Every component that emits asks once, at construction, and keeps the
+        answer; its per-event sites then test that one attribute.
+        """
+        tracer = self._tracer
+        return tracer if tracer is not None and tracer.wants(category) else None
 
     def schedule(
         self,

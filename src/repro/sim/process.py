@@ -72,9 +72,20 @@ class Process(Event):
     bound-method allocation from every wake-up (the kernel's hottest chain).
     ``_resume_callback`` is that bound method, allocated once per process:
     always ``self._resume``, traced or not (it tests ``sim._sim_tracer``).
+
+    It is dropped (set to ``None``) on every termination path, and that is
+    what "not alive" means. A bound method of ``self`` stored on ``self`` is a
+    reference cycle, so a finished process — one per transaction — could
+    otherwise only be freed by the cyclic collector, together with its
+    generator and callback list; without it the last outside reference frees
+    the process at once. For the same reason the exception a process ends
+    with is stored without this module's frame in its traceback (that frame
+    holds ``self``). A wake-up that is already queued for a process that
+    ended while asleep still runs: :meth:`_wake` falls back to
+    ``self._resume``, which counts and traces it and returns.
     """
 
-    __slots__ = ("_generator", "_alive", "_resume_callback")
+    __slots__ = ("_generator", "_resume_callback")
 
     def __init__(self, sim: Simulator, generator: Generator[Event | float, Any, Any]) -> None:
         if not hasattr(generator, "send"):
@@ -88,7 +99,6 @@ class Process(Event):
         self._ok = True
         self._value = None
         self._generator = generator
-        self._alive = True
         self._resume_callback = self._resume
         # First resumption happens as a scheduled event so that process
         # start order matches creation order at the current instant.
@@ -98,7 +108,7 @@ class Process(Event):
 
     @property
     def alive(self) -> bool:
-        return self._alive
+        return self._resume_callback is not None
 
     def kill(self) -> None:
         """Throw :class:`ProcessKilled` into the generator.
@@ -108,7 +118,7 @@ class Process(Event):
         traced run records the throw as the ``process_resume`` it is (the
         package itself never kills a process, so no committed trace moves).
         """
-        if not self._alive:
+        if self._resume_callback is None:
             return
         # The regular resume path, handed a synthetic failed event.
         self._resume(Event(self.sim).fail(ProcessKilled("killed")))
@@ -128,7 +138,7 @@ class Process(Event):
             name = self._generator.__name__
             tracer.emit(self.sim.now, "sim", "process_resume", {"process": name})
             tracer.metrics.count("sim.process_resumes")
-        if not self._alive:
+        if self._resume_callback is None:
             return
         generator = self._generator
         try:
@@ -142,22 +152,29 @@ class Process(Event):
                     error = SimulationError(f"event failed with {error!r}")
                 target = generator.throw(error)
         except StopIteration as stop:
-            self._alive = False
+            self._resume_callback = None
             self.succeed(stop.value)
             return
         except ProcessKilled as killed:
-            self._alive = False
+            self._resume_callback = None
+            # The value is a marker, not an error to report; its traceback
+            # holds this frame (so ``self``) and the generator's, which may
+            # hold the awaited event that still lists this process.
+            killed.__traceback__ = None
             self.succeed(killed)
             return
         except BaseException as exc:  # noqa: BLE001 - propagated via the event
-            self._alive = False
+            self._resume_callback = None
+            # Keep the generator's frames, not this one: it holds ``self``,
+            # and the stored exception would tie the process into a cycle.
+            exc.__traceback__ = exc.__traceback__.tb_next
             self.fail(exc)
             return
 
         if type(target) is float:
             # A sleep: the process itself is the heap entry.
             if not target >= 0:  # negative or NaN
-                self._alive = False
+                self._resume_callback = None
                 self.fail(
                     SimulationError(f"sleep delay must be >= 0, got {target}")
                 )
@@ -170,7 +187,7 @@ class Process(Event):
             else:
                 heappush(sim._queue, (sim.now + target, sequence, self._wake, None))
         elif not isinstance(target, Event):
-            self._alive = False
+            self._resume_callback = None
             self.fail(
                 SimulationError(
                     f"process yielded {target!r}; a process yields an Event "
@@ -201,10 +218,12 @@ class Process(Event):
         """
         sim = self.sim
         queue = sim._queue
+        # A process that ended while asleep has dropped its callback.
+        resume = self._resume_callback or self._resume
         if sim._immediate or (queue and queue[0][0] <= sim.now):
             sequence = sim._sequence
             sim._sequence = sequence + 1
-            sim._immediate.append((sequence, self._resume_callback, None))
+            sim._immediate.append((sequence, resume, None))
         else:
             sim.events_executed += 1
-            self._resume_callback(None)
+            resume(None)

@@ -21,12 +21,14 @@ Two properties shape the whole design:
 
 * **Zero cost when off.** Tracing is opt-in per sweep point. The kernel
   caches the active tracer once per :class:`~repro.sim.core.Simulator`
-  (``sim._tracer is None`` on the untraced path) and every other
-  instrumentation site guards on that same attribute, so the disabled
-  overhead is one attribute load plus an ``is None`` test per *call site*,
-  not per record. The kernel has no second, traced loop: its one dispatch
-  loop and ``Process._resume`` test ``sim._sim_tracer`` (that tracer, if it
-  records the "sim" category) once per dispatch and once per resume.
+  (``sim._tracer is None`` on the untraced path), and every component that
+  emits asks ``sim.tracer_for(category)`` once, at construction, and keeps
+  the answer — that tracer if it records the category, else ``None`` — so
+  the disabled overhead is one attribute load plus an ``is None`` test per
+  *call site*, not per record, and ``wants()`` is never called per event.
+  The kernel has no second, traced loop: its one dispatch loop and
+  ``Process._resume`` test ``sim._sim_tracer`` (``tracer_for("sim")``) once
+  per dispatch and once per resume.
 
 Enablement travels in two layers. The CLI's ``--trace`` flag flips the
 module-level flag via :func:`enable`; :func:`repro.experiments.sweep.run_sweep`

@@ -91,7 +91,12 @@ class ReadResult(NamedTuple):
     """Outcome of a single transactional cache read.
 
     Built once per cache read — the hottest allocation in a column run —
-    hence a ``NamedTuple``.
+    hence a ``NamedTuple``, and hence ``CacheServer.read`` builds it with
+    ``tuple.__new__(ReadResult, (key, value, version, cache_miss, retried))``:
+    the generated ``__new__`` is a Python-level function, and going through
+    it (by keyword most of all) costs several times the tuple itself for a
+    value the read client drops. Everywhere else, construct it normally; the
+    two forms are equal, field for field.
     """
 
     key: Key

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.deplist import UNBOUNDED
@@ -185,3 +187,41 @@ class TestTwoCaches:
         assert column.cache.stats.transactions_committed > 100
         # Both monitors observed a serializable update history.
         assert second_monitor.tester.verify_update_dag()
+
+
+class TestCollectorHasNothingToDo:
+    """A run leaves nothing only the cyclic collector can free: a process
+    per transaction, each dead by the end, none of them a reference cycle."""
+
+    @staticmethod
+    def _unreachable_after_run(**rates) -> tuple[int, int]:
+        config = quick_config(duration=1.5, warmup=0.5, **rates)
+        gc.collect()
+        gc.disable()
+        try:
+            column = build_column(config, WORKLOAD)
+            column.sim.run(until=config.total_time)
+            finished = (
+                column.cache.stats.transactions_committed
+                + column.database.stats.committed
+            )
+            # ``column`` (the result's whole object graph) is still referenced.
+            return gc.collect(), finished
+        finally:
+            gc.enable()
+
+    def test_read_heavy_column(self) -> None:
+        unreachable, finished = self._unreachable_after_run(
+            read_rate=500.0, update_rate=100.0
+        )
+        assert finished > 500
+        assert unreachable == 0
+
+    def test_write_heavy_column(self) -> None:
+        unreachable, finished = self._unreachable_after_run(
+            read_rate=100.0, update_rate=600.0
+        )
+        assert finished > 500
+        # What remains is tracebacks of wounded transactions: the exception a
+        # waiter is failed with holds the frames it passed through.
+        assert unreachable <= 100

@@ -5,9 +5,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import CacheStorage
+from repro.cache.base import CacheServer, CacheStorage
+from repro.db.invalidation import InvalidationRecord
 from repro.monitor.analysis import StalenessProbe
+from repro.sim.core import Simulator
 from repro.types import CommittedTransaction, ReadOnlyTransactionRecord, VersionedValue
+from tests.helpers import FakeBackend
 
 KEYS = ["a", "b", "c"]
 
@@ -102,6 +105,83 @@ class TestStorageInvariants:
                 assert after == before
                 if after is not None:
                     assert after >= 10
+
+
+SERVER_KEYS = [f"k{i}" for i in range(7)]
+
+server_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.4, 1.0, 2.5])),
+        st.tuples(st.just("read"), st.sampled_from(SERVER_KEYS)),
+        st.tuples(st.just("invalidate"), st.sampled_from(SERVER_KEYS)),
+        st.tuples(st.just("update"), st.sampled_from(SERVER_KEYS)),
+    ),
+    max_size=40,
+)
+
+
+COMPARED_COUNTERS = (
+    "reads",
+    "hits",
+    "misses",
+    "ttl_expirations",
+    "capacity_evictions",
+)
+
+
+def read_through_storage_get(server: CacheServer, key: str) -> bool:
+    """What ``CacheServer.read`` inlines, written with ``CacheStorage.get``;
+    returns whether the read missed."""
+    server.stats.reads += 1
+    entry = server.storage.get(key, server._sim.now)
+    if entry is None:
+        server._fetch(key)
+        return True
+    server.stats.hits += 1
+    return False
+
+
+class TestReadInlinesStorageGet:
+    """``CacheServer.read`` carries its own copy of ``CacheStorage.get`` (TTL
+    expiry, LRU touch) for speed; this ties the two copies together."""
+
+    @given(
+        server_steps,
+        st.sampled_from([None, 1.0]),
+        st.sampled_from([None, 2, 5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_read_and_storage_get_agree_step_by_step(
+        self, steps, ttl, capacity
+    ) -> None:
+        sim = Simulator()
+        backend = FakeBackend({key: f"{key}-0" for key in SERVER_KEYS})
+        server = CacheServer(sim, backend, ttl=ttl, capacity=capacity)
+        reference = CacheServer(sim, backend, ttl=ttl, capacity=capacity)
+        for txn_id, (op, argument) in enumerate(steps, start=1):
+            if op == "advance":
+                sim.run(until=sim.now + argument)
+            elif op == "read":
+                result = server.read(txn_id, argument, last_op=True)
+                assert result.cache_miss == read_through_storage_get(
+                    reference, argument
+                )
+            elif op == "update":
+                backend.commit([argument])
+            else:
+                record = InvalidationRecord(
+                    key=argument,
+                    version=backend.version_of(argument),
+                    txn_id=txn_id,
+                    commit_time=sim.now,
+                )
+                server.handle_invalidation(record)
+                reference.handle_invalidation(record)
+            for counter in COMPARED_COUNTERS:
+                assert getattr(server.stats, counter) == getattr(
+                    reference.stats, counter
+                ), counter
+            assert list(server.storage._entries) == list(reference.storage._entries)
 
 
 versions_chain = st.lists(st.booleans(), min_size=1, max_size=15)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.errors import SimulationError
 from repro.monitor.monitor import ConsistencyMonitor
-from repro.monitor.stats import ClassCounts, TimeSeries
+from repro.monitor.stats import ClassCounts, MonitorSummary, TimeSeries
 from repro.sim.core import Simulator
 from repro.types import (
     CommittedTransaction,
@@ -161,6 +164,136 @@ class TestBackendNamespaces:
         )
         assert monitor.source_summaries["edge0"].read_only.consistent == 1
         assert monitor.backend_summaries["eu"].read_only.consistent == 1
+
+
+class SeedMonitor(ConsistencyMonitor):
+    """``record_read_only`` as it was before the views were bound once per
+    tag pair (tracing left out): the reference the bound form must match."""
+
+    def record_read_only(self, record, source=None, backend=None) -> None:
+        consistent = (not record.non_repeatable) and self.tester_for(
+            backend
+        ).is_consistent(record.reads)
+        if record.non_repeatable:
+            self.summary.non_repeatable += 1
+        if record.outcome is TransactionOutcome.COMMITTED:
+            label = "consistent" if consistent else "inconsistent"
+            witnesses = self.inconsistency_witnesses
+            if not consistent and len(witnesses) < self._witness_limit:
+                witnesses.append(record)
+        else:
+            label = "aborted_unnecessary" if consistent else "aborted_necessary"
+        self.summary.read_only.add(label)
+        self.series.record(record.finish_time, label)
+        if source is not None:
+            self._record_tagged(
+                self.source_summaries, self.source_series, source, record, label
+            )
+        if backend is not None:
+            self._record_tagged(
+                self.backend_summaries, self.backend_series, backend, record, label
+            )
+
+    def _record_tagged(self, summaries, series, tag, record, label) -> None:
+        summary = summaries.get(tag)
+        if summary is None:
+            summary = summaries[tag] = MonitorSummary()
+            series[tag] = TimeSeries(window=self.series.window)
+        if record.non_repeatable:
+            summary.non_repeatable += 1
+        summary.read_only.add(label)
+        series[tag].record(record.finish_time, label)
+
+
+def views_of(monitor: ConsistencyMonitor) -> dict:
+    def series(one: TimeSeries):
+        return one.window, one.buckets()
+
+    return {
+        "summary": monitor.summary,
+        "series": series(monitor.series),
+        "source_summaries": monitor.source_summaries,
+        "source_series": {k: series(v) for k, v in monitor.source_series.items()},
+        "backend_summaries": monitor.backend_summaries,
+        "backend_series": {k: series(v) for k, v in monitor.backend_series.items()},
+        "witnesses": [record.txn_id for record in monitor.inconsistency_witnesses],
+    }
+
+
+class TestTaggedViewsMatchTheSeedImplementation:
+    SOURCES = (None, "edge0", "edge1", "never-finishes-anything")
+    BACKENDS = (None, "eu", "us")
+
+    def _pair(self, window: float):
+        monitors = []
+        for cls in (ConsistencyMonitor, SeedMonitor):
+            monitor = cls(Simulator(), window=window)
+            for backend in ("eu", "us"):
+                monitor.bind_backend(backend)
+                monitor.record_update(update(1, ["a", "b"], {"a": 0, "b": 0}), backend)
+            monitors.append(monitor)
+        return monitors
+
+    @pytest.mark.parametrize("window", [1.0, 0.25, 3.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mix_of_outcomes_flags_and_times(self, seed, window) -> None:
+        rng = random.Random(seed)
+        bound, seed_monitor = self._pair(window)
+        recorded_sources, recorded_backends = set(), set()
+        for txn_id in range(1, 301):
+            record = dict(
+                reads={"a": rng.choice((0, 1)), "b": rng.choice((0, 1))},
+                outcome=rng.choice(list(TransactionOutcome)),
+                time=rng.uniform(0.0, 20.0),
+                non_repeatable=rng.random() < 0.1,
+            )
+            source = rng.choice(self.SOURCES[:3])
+            backend = rng.choice(self.BACKENDS)
+            recorded_sources.add(source)
+            recorded_backends.add(backend)
+            for monitor in (bound, seed_monitor):
+                monitor.record_read_only(
+                    read_only(txn_id, **record), source=source, backend=backend
+                )
+            assert views_of(bound) == views_of(seed_monitor)
+        # A tag has a summary and a series exactly when it classified something.
+        assert set(bound.source_summaries) == recorded_sources - {None}
+        assert set(bound.source_series) == recorded_sources - {None}
+        assert set(bound.backend_summaries) == recorded_backends - {None}
+        assert "never-finishes-anything" not in bound.source_summaries
+        assert bound.summary.read_only.total == 300
+
+    def test_window_other_than_one_buckets_by_window(self, sim) -> None:
+        monitor = ConsistencyMonitor(sim, window=0.25)
+        monitor.bind_backend("eu")
+        for txn_id, time in enumerate((0.1, 0.26, 0.49, 0.5, 7.3), start=1):
+            monitor.record_read_only(
+                read_only(txn_id, {}, time=time), source="edge0", backend="eu"
+            )
+        expected = [(0.0, 1), (0.25, 2), (0.5, 1), (7.25, 1)]
+        for series in (
+            monitor.series,
+            monitor.source_series["edge0"],
+            monitor.backend_series["eu"],
+        ):
+            assert series.window == 0.25
+            assert [(start, c.consistent) for start, c in series.buckets()] == expected
+
+    def test_unknown_backend_raises_and_leaves_no_view(self, sim) -> None:
+        monitor = ConsistencyMonitor(sim)
+        monitor.bind_backend("eu")
+        for _ in range(2):  # not cached either: it raises every time
+            with pytest.raises(SimulationError, match="unknown backend namespace"):
+                monitor.record_read_only(
+                    read_only(1, {}), source="edge0", backend="typo"
+                )
+        assert monitor.summary.read_only.total == 0
+        assert monitor.source_summaries == {} and monitor.backend_summaries == {}
+        assert monitor.source_series == {} and monitor.backend_series == {}
+        # Binding the name later makes the same tag pair valid.
+        monitor.bind_backend("typo")
+        monitor.record_read_only(read_only(1, {}), source="edge0", backend="typo")
+        assert monitor.backend_summaries["typo"].read_only.consistent == 1
 
 
 class TestSeries:

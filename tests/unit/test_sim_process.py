@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.errors import ProcessKilled, SimulationError
 from repro.sim.core import Simulator
+from repro.sim.process import Process
 
 
 class TestBasicExecution:
@@ -370,3 +374,121 @@ class TestJoinAndKill:
         assert process.alive
         sim.run()
         assert not process.alive
+
+
+class _Tracked(Process):
+    """A ``Process`` a test can hold weakly (the real one has no slot for it)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def collector_off():
+    """Only reference counts may free anything while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestFreedByReferenceCount:
+    """A finished process is not a reference cycle: one is created per
+    transaction, and the cyclic collector is the only thing that could free
+    a cycle. Each case drops the last outside reference and looks at once."""
+
+    def test_a_process_that_returned(self, sim: Simulator) -> None:
+        def body():
+            yield 1.0
+            return "done"
+
+        process = _Tracked(sim, body())
+        sim.run()
+        assert process.value == "done"
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+
+    def test_a_process_that_raised(self, sim: Simulator) -> None:
+        def body():
+            yield 1.0
+            raise ValueError("boom")
+
+        process = _Tracked(sim, body())
+        sim.run()
+        assert not process.ok
+        error = process.value
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+        # The traceback still says where the generator raised.
+        assert error.__traceback__.tb_frame.f_code.co_name == "body"
+
+    def test_a_process_killed_while_waiting_on_an_event(self, sim: Simulator) -> None:
+        def body(gate):
+            yield gate
+
+        process = _Tracked(sim, body(sim.event()))
+        sim.run()
+        process.kill()
+        assert isinstance(process.value, ProcessKilled)
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+
+    def test_a_process_killed_while_asleep(self, sim: Simulator) -> None:
+        def sleeper():
+            yield 5.0
+
+        process = _Tracked(sim, sleeper())
+        sim.run(until=1.0)
+        process.kill()
+        before = sim.events_executed
+        sim.run()  # the wake-up it left on the heap
+        assert sim.now == 5.0
+        assert sim.events_executed == before + 2  # as the Timeout form counts
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+
+    def test_the_dropped_wake_up_is_traced_as_before(self) -> None:
+        with telemetry.capture("kill") as tracer:
+            sim = Simulator()
+
+            def sleeper():
+                yield 5.0
+
+            process = _Tracked(sim, sleeper())
+            sim.run(until=1.0)
+            process.kill()
+            seen = len(tracer.records)
+            sim.run()
+        assert tracer.records[seen:] == [
+            (5.0, "sim", "dispatch", {"callback": "Process._wake"}),
+            (5.0, "sim", "process_resume", {"process": "sleeper"}),
+        ]
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None
+
+    def test_a_wake_up_queued_behind_other_work_still_runs(
+        self, sim: Simulator
+    ) -> None:
+        """The other branch of ``_wake``: something else is due at the same
+        instant, so the dead sleeper's resume takes a FIFO slot."""
+
+        def sleeper():
+            yield 5.0
+
+        process = _Tracked(sim, sleeper())
+        sim.schedule(5.0, lambda: None)  # due at the wake-up's instant, after it
+        sim.run(until=1.0)
+        process.kill()
+        before = sim.events_executed
+        sim.run()
+        assert sim.events_executed == before + 3  # wake, callback, dropped resume
+        ref = weakref.ref(process)
+        del process
+        assert ref() is None

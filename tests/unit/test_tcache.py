@@ -3,13 +3,21 @@ strategies (§III-B)."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.core import tcache as tcache_module
 from repro.core.strategies import Strategy
 from repro.core.tcache import TCache
 from repro.db.invalidation import InvalidationRecord
 from repro.errors import InconsistencyDetected
-from repro.types import TransactionOutcome
+from repro.types import (
+    ReadResult,
+    TransactionOutcome,
+    VersionedValue,
+    entries_from_pairs,
+)
 from tests.helpers import FakeBackend
 
 
@@ -198,3 +206,84 @@ class TestDetectionLimits:
         assert result.version == 0
         assert cache.detections == 0
         assert cache.stats.transactions_committed == 2  # setup txn + this one
+
+
+def python_frames_entered(function, *args):
+    """``function(*args)`` and the qualified name of every Python function
+    it entered (C calls are ``c_call`` events and do not count)."""
+    entered: list[str] = []
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            entered.append(frame.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, entered
+
+
+class TestHitFrameBudget:
+    """What one cache hit costs, counted in Python frames: the tier-1
+    stand-in for allocation counters the benchmark does not have yet."""
+
+    DEPS = entries_from_pairs([(f"d{i}", 3) for i in range(5)])
+
+    def _cache_with_open_transaction(self, sim, backend, **options) -> TCache:
+        cache = TCache(sim, backend, **options)
+        cache.storage.put(VersionedValue("x", "x7", 7, self.DEPS), sim.now)
+        cache.read(1, "a")  # opens transaction 1 (no TTL, no capacity, untraced)
+        return cache
+
+    def test_a_hit_enters_three_python_functions(self, sim, backend) -> None:
+        cache = self._cache_with_open_transaction(sim, backend)
+        result, entered = python_frames_entered(cache.read, 1, "x")
+        assert entered == ["CacheServer.read", "TCache._check_read", "check_read"]
+        assert result == ReadResult("x", "x7", 7)
+        assert cache.stats.hits == 1 and cache.detections == 0
+
+    def test_deplist_limit_consults_that_many_entries(
+        self, sim, backend, monkeypatch
+    ) -> None:
+        cache = self._cache_with_open_transaction(sim, backend, deplist_limit=2)
+        consulted = []
+        check_read = tcache_module.check_read
+
+        def spy(context, key, version, deps):
+            consulted.append(deps)
+            return check_read(context, key, version, deps)
+
+        monkeypatch.setattr(tcache_module, "check_read", spy)
+        context = cache._open_txns[1].context
+        cache.read(1, "x")
+        assert consulted == [self.DEPS[:2]]
+        # Only what was consulted is folded into the transaction's record.
+        assert context.requirements == {
+            "a": (0, "a"),
+            "x": (7, "x"),
+            "d0": (3, "x"),
+            "d1": (3, "x"),
+        }
+        assert context.read_versions == {"a": 0, "x": 7}
+        assert context.read_count == 2
+
+    def test_read_result_is_the_same_named_tuple(self, sim, backend) -> None:
+        cache = self._cache_with_open_transaction(sim, backend)
+        hit = cache.read(1, "x")
+        miss = cache.read(1, "b", last_op=True)
+        assert type(hit) is ReadResult
+        assert hit == ReadResult(
+            key="x", value="x7", version=7, cache_miss=False, retried=False
+        )
+        assert miss == ReadResult(key="b", value="b0", version=0, cache_miss=True)
+        assert (hit.key, hit.value, hit.version, hit.cache_miss, hit.retried) == (
+            "x", "x7", 7, False, False,
+        )
+        assert hit._asdict() == {
+            "key": "x", "value": "x7", "version": 7,
+            "cache_miss": False, "retried": False,
+        }
+        assert hit._replace(retried=True) == ReadResult("x", "x7", 7, False, True)
