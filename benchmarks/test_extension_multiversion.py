@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.strategies import Strategy
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import realistic_workload
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_column
@@ -32,7 +32,7 @@ def run_comparison(duration: float) -> list[dict[str, object]]:
         workload = realistic_workload(name)
         retry = run_column(replace(base, strategy=Strategy.RETRY), workload)
         multi = run_column(
-            replace(base, cache_kind=CacheKind.MULTIVERSION), workload
+            replace(base, protocol="multiversion"), workload
         )
         for label, result in (("RETRY", retry), ("MULTIVERSION", multi)):
             shares = result.class_shares()

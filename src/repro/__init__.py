@@ -8,9 +8,7 @@ and every workload and experiment from the paper's evaluation.
 
 Quickstart::
 
-    from repro import (
-        CacheKind, ColumnConfig, PerfectClusterWorkload, Strategy, run_column,
-    )
+    from repro import ColumnConfig, PerfectClusterWorkload, Strategy, run_column
 
     workload = PerfectClusterWorkload(n_objects=1000, cluster_size=5)
     config = ColumnConfig(seed=7, duration=20.0, strategy=Strategy.EVICT)
@@ -46,7 +44,7 @@ from repro.errors import (
     ReproError,
     TransactionAborted,
 )
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import ColumnResult, build_column, run_column
 from repro.monitor.monitor import ConsistencyMonitor
 from repro.protocols import (
@@ -88,13 +86,12 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.walker import RandomWalkWorkload
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "BackendAggregates",
     "BackendSpec",
     "BoundedPareto",
-    "CacheKind",
     "CacheServer",
     "CacheStats",
     "CacheStorage",

@@ -2,7 +2,7 @@
 per evaluation figure.
 
 * :mod:`repro.experiments.config` — the experiment knobs (rates, loss,
-  dependency-list bound, strategy, cache kind).
+  dependency-list bound, strategy, cache protocol).
 * :mod:`repro.experiments.runner` — builds simulator + database +
   invalidation channel + cache + clients + monitor, runs, collects results.
 * :mod:`repro.experiments.fig3_alpha` … :mod:`repro.experiments.fig8_strategies`
@@ -18,7 +18,7 @@ per evaluation figure.
   artifact output shared by the CLI, benches and examples.
 """
 
-from repro.experiments.config import ColumnConfig, CacheKind
+from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import ColumnResult, run_column
 from repro.experiments.sweep import (
     SweepPoint,
@@ -29,7 +29,6 @@ from repro.experiments.sweep import (
 )
 
 __all__ = [
-    "CacheKind",
     "ColumnConfig",
     "ColumnResult",
     "SweepPoint",

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# CacheKind moved to the cache layer with the scenario redesign so that
-# scenario specs can name cache variants without importing the experiment
-# harness; it is re-exported here under its historical path.
-from repro.cache.kinds import CacheKind
 from repro.core.deplist import UNBOUNDED, validate_pruning_policy
 from repro.core.strategies import Strategy
 from repro.db.database import TimingConfig
 from repro.errors import ConfigurationError
+from repro.protocols.registry import DEFAULT_PROTOCOL, check_protocol_options
 
-__all__ = ["CacheKind", "ColumnConfig"]
+__all__ = ["ColumnConfig"]
 
 
 @dataclass(slots=True)
@@ -45,8 +42,10 @@ class ColumnConfig:
     #: alternatives "newest-version" / "random".
     pruning_policy: str = "lru"
     strategy: Strategy = Strategy.ABORT
-    cache_kind: CacheKind = CacheKind.TCACHE
-    #: Entry lifetime for CacheKind.TTL.
+    #: The cache the column runs, by protocol registry name
+    #: (:mod:`repro.protocols`) — the same selector an edge spec carries.
+    protocol: str = DEFAULT_PROTOCOL
+    #: Entry lifetime, for protocols that expire entries.
     ttl: float | None = None
     #: Optional cache capacity (None: everything fits, as in the paper).
     cache_capacity: int | None = None
@@ -77,8 +76,7 @@ class ColumnConfig:
                 f"deplist_max must be >= 0 or UNBOUNDED, got {self.deplist_max}"
             )
         validate_pruning_policy(self.pruning_policy)
-        if self.cache_kind is CacheKind.TTL and (self.ttl is None or self.ttl <= 0):
-            raise ConfigurationError("CacheKind.TTL requires a positive ttl")
+        check_protocol_options(self.protocol, ttl=self.ttl)
 
     @property
     def total_time(self) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.strategies import Strategy
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import WORKLOAD_NAMES, realistic_workload
 from repro.experiments.report import Experiment
 from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
@@ -165,9 +165,9 @@ def ttl_spec(
         workload = realistic_workload(name, seed=seed)
         for ttl in ttls:
             if ttl is None:
-                point = replace(config, cache_kind=CacheKind.PLAIN)
+                point = replace(config, protocol="plain")
             else:
-                point = replace(config, cache_kind=CacheKind.TTL, ttl=ttl)
+                point = replace(config, protocol="ttl", ttl=ttl)
             points.append(
                 SweepPoint(
                     label=f"{name}:ttl={'inf' if ttl is None else ttl}",

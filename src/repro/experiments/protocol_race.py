@@ -36,6 +36,7 @@ from typing import Mapping, Sequence
 from repro.errors import ConfigurationError
 from repro.experiments.report import Experiment, section
 from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.protocols.registry import get_protocol
 from repro.scenario.library import (
     flash_crowd_scenario,
     geo_skewed_scenario,
@@ -104,9 +105,11 @@ def _base_scenarios(duration: float, seed: int) -> list[tuple[str, ScenarioSpec]
 
 
 def _with_protocol(scenario: ScenarioSpec, protocol: str) -> ScenarioSpec:
+    needs_ttl = get_protocol(protocol).requires_ttl  # loud on an unknown name
+
     def _adapt(edge):
         ttl = edge.ttl
-        if protocol == "ttl" and ttl is None:
+        if needs_ttl and ttl is None:
             ttl = TTL_SECONDS
         return replace(edge, protocol=protocol, ttl=ttl)
 
@@ -132,10 +135,6 @@ def spec(
     """
     if not protocols:
         raise ConfigurationError("protocol race needs at least one protocol")
-    from repro.protocols import get_protocol
-
-    for name in protocols:
-        get_protocol(name)  # fail loudly before any simulation runs
     points = [
         SweepPoint(
             label=f"{scenario_label}/{protocol}",

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro import telemetry
 
-from repro.cache.kinds import CacheKind
 from repro.core.strategies import Strategy
 from repro.db.database import TimingConfig
 from repro.errors import ConfigurationError, DispatchError
@@ -55,7 +54,7 @@ from repro.experiments.report import json_safe
 from repro.experiments.runner import ColumnResult, run_column
 from repro.scenario.results import ScenarioResult
 from repro.scenario.runner import run_scenario
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, protocol_from_wire, protocol_to_wire
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -332,8 +331,21 @@ def spec_artifact(spec: SweepSpec) -> dict[str, object]:
 
 
 def config_as_dict(config: ColumnConfig) -> dict[str, object]:
-    """A :class:`ColumnConfig` as a JSON-serialisable dict (enums by name)."""
-    return json_safe(asdict(config))
+    """A :class:`ColumnConfig` as a JSON-serialisable dict (enums by name).
+
+    The cache selector goes out in its v1 spelling
+    (:func:`~repro.scenario.spec.protocol_to_wire`): a ``protocol`` key
+    appears only for a name the ``cache_kind`` key cannot carry, which keeps
+    the payloads — and fingerprints — of recorded sweeps byte-identical.
+    """
+    data: dict[str, object] = {}
+    for name, value in asdict(config).items():
+        if name == "protocol":
+            data["cache_kind"], value = protocol_to_wire(value)
+            if value is None:
+                continue
+        data[name] = value
+    return json_safe(data)
 
 
 def config_from_dict(payload: Mapping[str, object]) -> ColumnConfig:
@@ -343,9 +355,11 @@ def config_from_dict(payload: Mapping[str, object]) -> ColumnConfig:
     data["timing"] = TimingConfig() if timing is None else TimingConfig(**timing)
     try:
         data["strategy"] = Strategy[data.get("strategy", "ABORT")]
-        data["cache_kind"] = CacheKind[data.get("cache_kind", "TCACHE")]
     except KeyError as exc:
         raise ConfigurationError(f"unknown enum name in config payload: {exc}")
+    data["protocol"] = protocol_from_wire(
+        data.pop("cache_kind", None), data.get("protocol"), owner="column config"
+    )
     try:
         return ColumnConfig(**data)
     except TypeError as exc:

@@ -1,10 +1,9 @@
 """Built-in protocol registrations.
 
-Imported (once) by :mod:`repro.protocols`; every constructor here matches
-the historical ``_make_cache`` dispatch in :mod:`repro.scenario.runner`
-argument-for-argument, which is what keeps the ``tcache-detector`` /
-``multiversion`` / ``ttl`` / ``plain`` paths bit-identical to the
-pre-registry behaviour (golden-tested).
+Imported (once) by :mod:`repro.protocols`. The ``tcache-detector`` /
+``multiversion`` / ``ttl`` / ``plain`` constructors pass exactly the
+arguments the paper's evaluation gives those caches; the golden digests of
+the integration suite hold them to that.
 """
 
 from __future__ import annotations
@@ -103,6 +102,7 @@ def register_builtins() -> None:
             family="best-effort",
             description="Plain TTL cache: bounded staleness, no detection.",
             build_cache=_build_ttl,
+            requires_ttl=True,
         )
     )
     register_protocol(

@@ -7,19 +7,22 @@ database per backend, invalidation channels and clients, and aggregates
 whatever the caches report. This module makes that seam explicit. A
 :class:`ProtocolSpec` packages an edge-side cache constructor plus optional
 backend-side cooperation (a per-backend service such as a lock manager or a
-version signer), registered under a stable name that :class:`~repro.scenario.spec.EdgeSpec`
-can reference the same way it references a :class:`~repro.cache.kinds.CacheKind`
-today.
+version signer), registered under a stable name. That name is the one way
+to pick a cache: the ``protocol`` field of :class:`~repro.scenario.spec.EdgeSpec`
+and :class:`~repro.experiments.config.ColumnConfig`. What a protocol needs of
+the spec that names it (a positive ``ttl``; whether a ``deplist_limit``
+means anything to it) is declared here too and enforced by
+:func:`check_protocol_options`, so no spec module knows a protocol by name.
 
 Built-in protocols (registered by :mod:`repro.protocols.builtin` on package
 import):
 
 ``tcache-detector``
-    The paper's detector (incumbent; bit-identical to the historical
-    ``CacheKind.TCACHE`` path).
-``multiversion`` / ``ttl`` / ``plain``
-    The other historical cache kinds, exposed under protocol names so the
-    registry is the single construction seam.
+    The paper's detector — the incumbent, and :data:`DEFAULT_PROTOCOL`.
+``multiversion``
+    The §VI extension: the detector over a short per-key version history.
+``ttl`` / ``plain``
+    The paper's consistency-unaware baselines (Fig. 7d).
 ``causal``
     Per-session causal floors with client migration between edges
     (CausalMesh-style); see :mod:`repro.protocols.causal`.
@@ -46,22 +49,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.core import Simulator
 
 __all__ = [
+    "DEFAULT_PROTOCOL",
     "ProtocolSpec",
+    "check_protocol_options",
     "register_protocol",
     "get_protocol",
     "protocol_names",
     "protocol_for_edge",
 ]
 
-#: Maps the historical ``CacheKind`` values to their registry names, so the
-#: scenario runner can resolve every edge — with or without an explicit
-#: ``protocol`` — through one code path.
-_KIND_TO_PROTOCOL = {
-    "tcache": "tcache-detector",
-    "multiversion": "multiversion",
-    "ttl": "ttl",
-    "plain": "plain",
-}
+#: What an edge runs unless it says otherwise: the paper's detector.
+DEFAULT_PROTOCOL = "tcache-detector"
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +83,14 @@ class ProtocolSpec:
     #: Protocols that guarantee serializable read-only transactions by
     #: construction (the pessimistic bound); asserted by the property suite.
     zero_inconsistency: bool = field(default=False)
+    #: The cache expires entries, so the spec must carry a positive ``ttl``.
+    requires_ttl: bool = False
+
+    @property
+    def consults_deplists(self) -> bool:
+        """Whether the cache checks reads against dependency lists — the
+        ``detector`` family — and so may carry a per-edge ``deplist_limit``."""
+        return self.family == "detector"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -123,7 +129,30 @@ def protocol_names() -> tuple[str, ...]:
 
 
 def protocol_for_edge(edge: "EdgeSpec") -> ProtocolSpec:
-    """The protocol an edge runs: explicit ``protocol`` or its cache kind."""
-    if edge.protocol is not None:
-        return get_protocol(edge.protocol)
-    return get_protocol(_KIND_TO_PROTOCOL[edge.cache_kind.value])
+    """The protocol an edge runs."""
+    return get_protocol(edge.protocol)
+
+
+def check_protocol_options(
+    name: str,
+    *,
+    ttl: float | None,
+    deplist_limit: int | None = None,
+    owner: str = "",
+) -> None:
+    """Reject a spec whose options its protocol cannot honour.
+
+    Called by every spec that names a protocol, at construction, so a bad
+    name (the registered ones are listed) or a missing ``ttl`` fails there
+    and on JSON replay, not at build time deep inside the runner.
+    """
+    protocol = get_protocol(name)
+    if protocol.requires_ttl and (ttl is None or ttl <= 0):
+        raise ConfigurationError(
+            f"{owner}protocol {name!r} requires a positive ttl, got {ttl}"
+        )
+    if deplist_limit is not None and not protocol.consults_deplists:
+        raise ConfigurationError(
+            f"{owner}deplist_limit only applies to protocols that consult "
+            f"dependency lists, not {name!r}"
+        )

@@ -138,30 +138,25 @@ def _make_cache(
     sim: Simulator,
     database: Database,
     edge: EdgeSpec,
-    services: dict[tuple[str, str | None], object] | None = None,
+    services: dict[tuple[str, str], object],
 ) -> CacheServer:
     """Build the edge's cache through the protocol registry.
 
-    Every cache — including the historical ``cache_kind`` families, which
-    the registry exposes under their protocol names — is constructed here,
-    so the registry is the single seam for adding consistency protocols.
-    ``services`` memoises one backend-side service per ``(protocol,
-    backend namespace)`` pair: edges sharing a backend share its lock
-    manager / signer / session registry, which is what gives cross-edge
-    protocols their semantics.
+    Every cache is constructed here, so the registry is the single seam for
+    adding consistency protocols. ``services`` memoises one backend-side
+    service per ``(protocol, backend namespace)`` pair: edges sharing a
+    backend share its lock manager / signer / session registry, which is
+    what gives cross-edge protocols their semantics.
     """
     protocol = protocol_for_edge(edge)
     service = None
     if protocol.backend_service is not None:
-        if services is None:
-            service = protocol.backend_service(sim, database)
-        else:
-            service_key = (protocol.name, getattr(database, "namespace", None))
-            service = services.get(service_key)
-            if service is None:
-                service = services[service_key] = protocol.backend_service(
-                    sim, database
-                )
+        service_key = (protocol.name, database.namespace)
+        service = services.get(service_key)
+        if service is None:
+            service = services[service_key] = protocol.backend_service(
+                sim, database
+            )
     return protocol.build_cache(sim, database, edge, service)
 
 
@@ -202,7 +197,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
             )
 
     edges: list[ScenarioEdge] = []
-    protocol_services: dict[tuple[str, str | None], object] = {}
+    protocol_services: dict[tuple[str, str], object] = {}
     for index, edge_spec in enumerate(spec.edges):
         database = by_name[spec.placement[edge_spec.name]]
         cache = _make_cache(sim, database, edge_spec, protocol_services)

@@ -19,29 +19,83 @@ results bit for bit (see the RNG naming notes in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.cache.kinds import CacheKind
 from repro.core.deplist import UNBOUNDED, validate_pruning_policy
 from repro.core.strategies import Strategy
 from repro.db.database import TimingConfig
 from repro.errors import ConfigurationError
+from repro.protocols.registry import DEFAULT_PROTOCOL, check_protocol_options
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.experiments.config import ColumnConfig
 
-__all__ = ["BackendSpec", "DEFAULT_BACKEND_NAME", "EdgeSpec", "ScenarioSpec"]
+__all__ = [
+    "BackendSpec",
+    "DEFAULT_BACKEND_NAME",
+    "EdgeSpec",
+    "ScenarioSpec",
+    "protocol_from_wire",
+    "protocol_to_wire",
+]
 
 #: Name of the implicit backend of single-backend scenarios. Matches the
 #: historical :class:`~repro.db.database.DatabaseConfig` default so that a
 #: spec with no ``backends`` reproduces the pre-backend-tier wiring exactly.
 DEFAULT_BACKEND_NAME = "db"
 
-#: Cache kinds that run the T-Cache consistency checks (and may therefore
-#: carry a per-edge ``deplist_limit``).
-_CHECKING_KINDS = (CacheKind.TCACHE, CacheKind.MULTIVERSION)
+#: The fields an edge shares, name for name, with a single-column
+#: :class:`~repro.experiments.config.ColumnConfig` (``deplist_limit`` and the
+#: outage windows have no single-column equivalent): what
+#: :meth:`ScenarioSpec.from_column` and :meth:`ScenarioSpec.edge_config`
+#: copy, in either direction.
+_COLUMN_FIELDS = (
+    "protocol", "strategy", "ttl", "cache_capacity", "update_rate", "read_rate",
+    "read_gap", "retry_aborted_reads", "invalidation_loss",
+    "invalidation_latency_mean",
+)  # fmt: skip
+
+#: The wire format predates ``protocol`` being the one cache selector: a v1
+#: payload spells the four original caches as ``"cache_kind": KIND,
+#: "protocol": null`` and every later protocol as ``"cache_kind": "TCACHE",
+#: "protocol": name``. Each KIND but the detector's is its protocol's name
+#: upper-cased. The two functions below are the only code that knows this;
+#: recorded artifacts, sweep fingerprints and journal headers depend on it.
+_V1_KINDS = {
+    "TCACHE": DEFAULT_PROTOCOL,
+    **{kind: kind.lower() for kind in ("PLAIN", "TTL", "MULTIVERSION")},
+}
+
+
+def protocol_to_wire(protocol: str) -> tuple[str, str | None]:
+    """The v1 ``(cache_kind, protocol)`` pair that spells ``protocol``."""
+    for kind, name in _V1_KINDS.items():
+        if name == protocol:
+            return kind, None
+    return "TCACHE", protocol
+
+
+def protocol_from_wire(
+    kind: str | None, protocol: str | None, *, owner: str
+) -> str:
+    """The protocol a v1 key pair names. When both keys are set the
+    ``protocol`` wins, as it did at run time; a payload with neither names
+    the default."""
+    if kind is not None and kind not in _V1_KINDS:
+        raise ConfigurationError(
+            f"{owner}: unknown cache_kind {kind!r}; registered kinds: "
+            f"{', '.join(_V1_KINDS)}"
+        )
+    return _V1_KINDS[kind or "TCACHE"] if protocol is None else protocol
+
+
+def _present(cls: type, payload: Mapping[str, object]) -> dict[str, object]:
+    """Constructor arguments for the fields of dataclass ``cls`` that
+    ``payload`` carries. Absent fields take the dataclass default — stated
+    once, on the field — and keys that are not fields are ignored."""
+    return {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
 
 
 @dataclass(slots=True)
@@ -106,14 +160,11 @@ class BackendSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "BackendSpec":
         """Rebuild a backend spec from :meth:`as_dict` output."""
-        timing = payload.get("timing")
-        return cls(
-            name=payload["name"],
-            shards=payload.get("shards", 1),
-            deplist_max=payload.get("deplist_max"),
-            timing=None if timing is None else TimingConfig(**timing),
-            pruning_policy=payload.get("pruning_policy"),
-        )
+        given = _present(cls, payload)
+        timing = given.pop("timing", None)
+        if timing is not None:
+            given["timing"] = TimingConfig(**timing)
+        return cls(**given)
 
 
 @dataclass(slots=True)
@@ -134,9 +185,12 @@ class EdgeSpec:
     #: Separate access distribution for the read-only clients.
     read_workload: Workload | None = None
 
-    cache_kind: CacheKind = CacheKind.TCACHE
+    #: The one cache selector: the consistency protocol this edge runs, by
+    #: registry name (:mod:`repro.protocols`). The runner builds the
+    #: protocol's cache and wires its backend-side service, if it has one.
+    protocol: str = DEFAULT_PROTOCOL
     strategy: Strategy = Strategy.ABORT
-    #: Entry lifetime for :attr:`CacheKind.TTL`.
+    #: Entry lifetime, for protocols that expire entries.
     ttl: float | None = None
     #: Optional cache capacity (None: everything fits, as in the paper).
     cache_capacity: int | None = None
@@ -146,12 +200,6 @@ class EdgeSpec:
     #: smaller limit checks only the freshest ``deplist_limit`` entries.
     #: ``None`` consults the full shipped list.
     deplist_limit: int | None = None
-    #: Consistency protocol run by this edge, by registry name
-    #: (:mod:`repro.protocols`). ``None`` keeps the historical behaviour of
-    #: building straight from ``cache_kind``/``strategy``; a name overrides
-    #: the cache kind entirely (the runner builds the protocol's cache and
-    #: wires its backend-side service).
-    protocol: str | None = None
 
     #: Aggregate update-transaction rate; 0 models a read-only region.
     update_rate: float = 100.0
@@ -194,22 +242,12 @@ class EdgeSpec:
                 f"edge {self.name!r}: invalidation_latency_mean must be >= 0, "
                 f"got {self.invalidation_latency_mean}"
             )
-        if self.protocol is not None:
-            # Resolve eagerly so a bad name fails at spec construction (and
-            # JSON replay) with the registered names in the message, not at
-            # build time deep inside the runner.
-            from repro.protocols import get_protocol
-
-            get_protocol(self.protocol)
-        ttl_required = (
-            self.protocol == "ttl"
-            if self.protocol is not None
-            else self.cache_kind is CacheKind.TTL
+        check_protocol_options(
+            self.protocol,
+            ttl=self.ttl,
+            deplist_limit=self.deplist_limit,
+            owner=f"edge {self.name!r}: ",
         )
-        if ttl_required and (self.ttl is None or self.ttl <= 0):
-            raise ConfigurationError(
-                f"edge {self.name!r}: a TTL cache requires a positive ttl"
-            )
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ConfigurationError(
                 f"edge {self.name!r}: cache_capacity must be >= 1 or None, "
@@ -225,17 +263,11 @@ class EdgeSpec:
                     f"edge {self.name!r}: outage window [{start}, {end}) must "
                     "satisfy 0 <= start < end"
                 )
-        if self.deplist_limit is not None:
-            if self.protocol is None and self.cache_kind not in _CHECKING_KINDS:
-                raise ConfigurationError(
-                    f"edge {self.name!r}: deplist_limit only applies to "
-                    f"consistency-checking caches, not {self.cache_kind.name}"
-                )
-            if self.deplist_limit < 0:
-                raise ConfigurationError(
-                    f"edge {self.name!r}: deplist_limit must be >= 0 or None, "
-                    f"got {self.deplist_limit}"
-                )
+        if self.deplist_limit is not None and self.deplist_limit < 0:
+            raise ConfigurationError(
+                f"edge {self.name!r}: deplist_limit must be >= 0 or None, "
+                f"got {self.deplist_limit}"
+            )
 
     def as_dict(self) -> dict[str, object]:
         """JSON-safe description (workloads by class name, enums by name).
@@ -255,6 +287,7 @@ class EdgeSpec:
             except ConfigurationError:
                 return None
 
+        kind, protocol = protocol_to_wire(self.protocol)
         return {
             "name": self.name,
             "workload": type(self.workload).__name__,
@@ -265,9 +298,9 @@ class EdgeSpec:
             ),
             "workload_spec": _portable(self.workload),
             "read_workload_spec": _portable(self.read_workload),
-            "cache_kind": self.cache_kind.name,
+            "cache_kind": kind,
             "strategy": self.strategy.name,
-            "protocol": self.protocol,
+            "protocol": protocol,
             "ttl": self.ttl,
             "cache_capacity": self.cache_capacity,
             "deplist_limit": self.deplist_limit,
@@ -306,49 +339,26 @@ class EdgeSpec:
                 "read_workload_spec; only synthetic-family workloads replay "
                 "from JSON"
             )
-        kind_name = payload.get("cache_kind", "TCACHE")
-        try:
-            cache_kind = CacheKind[kind_name]
-        except KeyError:
-            raise ConfigurationError(
-                f"edge {payload.get('name')!r}: unknown cache_kind "
-                f"{kind_name!r}; registered kinds: "
-                f"{', '.join(kind.name for kind in CacheKind)}"
-            ) from None
-        strategy_name = payload.get("strategy", "ABORT")
-        try:
-            strategy = Strategy[strategy_name]
-        except KeyError:
-            raise ConfigurationError(
-                f"edge {payload.get('name')!r}: unknown strategy "
-                f"{strategy_name!r}; registered strategies: "
-                f"{', '.join(s.name for s in Strategy)}"
-            ) from None
-        return cls(
-            name=payload["name"],
-            workload=workload_from_dict(workload_spec),
-            read_workload=(
-                None if read_spec is None else workload_from_dict(read_spec)
-            ),
-            cache_kind=cache_kind,
-            strategy=strategy,
-            protocol=payload.get("protocol"),
-            ttl=payload.get("ttl"),
-            cache_capacity=payload.get("cache_capacity"),
-            deplist_limit=payload.get("deplist_limit"),
-            update_rate=payload.get("update_rate", 100.0),
-            read_rate=payload.get("read_rate", 500.0),
-            read_gap=payload.get("read_gap", 0.001),
-            retry_aborted_reads=payload.get("retry_aborted_reads", False),
-            invalidation_loss=payload.get("invalidation_loss", 0.2),
-            invalidation_latency_mean=payload.get(
-                "invalidation_latency_mean", 0.05
-            ),
-            invalidation_outages=tuple(
-                tuple(window)
-                for window in payload.get("invalidation_outages", ())
-            ),
+        given = _present(cls, payload)
+        given["workload"] = workload_from_dict(workload_spec)
+        given["read_workload"] = (
+            None if read_spec is None else workload_from_dict(read_spec)
         )
+        given["protocol"] = protocol_from_wire(
+            payload.get("cache_kind"),
+            payload.get("protocol"),
+            owner=f"edge {payload.get('name')!r}",
+        )
+        if "strategy" in given:
+            try:
+                given["strategy"] = Strategy[given["strategy"]]
+            except KeyError:
+                raise ConfigurationError(
+                    f"edge {payload.get('name')!r}: unknown strategy "
+                    f"{given['strategy']!r}; registered strategies: "
+                    f"{', '.join(s.name for s in Strategy)}"
+                ) from None
+        return cls(**given)
 
 
 @dataclass(slots=True)
@@ -540,16 +550,7 @@ class ScenarioSpec:
             name="edge0",
             workload=workload,
             read_workload=read_workload,
-            cache_kind=config.cache_kind,
-            strategy=config.strategy,
-            ttl=config.ttl,
-            cache_capacity=config.cache_capacity,
-            update_rate=config.update_rate,
-            read_rate=config.read_rate,
-            read_gap=config.read_gap,
-            retry_aborted_reads=config.retry_aborted_reads,
-            invalidation_loss=config.invalidation_loss,
-            invalidation_latency_mean=config.invalidation_latency_mean,
+            **{name: getattr(config, name) for name in _COLUMN_FIELDS},
         )
         return cls(
             name=name,
@@ -579,20 +580,11 @@ class ScenarioSpec:
             seed=self.seed,
             duration=self.duration,
             warmup=self.warmup,
-            update_rate=edge.update_rate,
-            read_rate=edge.read_rate,
-            read_gap=edge.read_gap,
             deplist_max=self.backend_deplist_max(backend),
             pruning_policy=self.backend_pruning_policy(backend),
-            strategy=edge.strategy,
-            cache_kind=edge.cache_kind,
-            ttl=edge.ttl,
-            cache_capacity=edge.cache_capacity,
-            invalidation_loss=edge.invalidation_loss,
-            invalidation_latency_mean=edge.invalidation_latency_mean,
             timing=self.backend_timing(backend),
             monitor_window=self.monitor_window,
-            retry_aborted_reads=edge.retry_aborted_reads,
+            **{name: getattr(edge, name) for name in _COLUMN_FIELDS},
         )
 
     def as_dict(self) -> dict[str, object]:
@@ -625,21 +617,13 @@ class ScenarioSpec:
         Payloads from before the backend tier (no ``backends`` key) load
         onto the default single backend.
         """
-        timing = payload.get("timing")
-        return cls(
-            name=payload.get("scenario") or payload.get("name") or "scenario",
-            description=payload.get("description", ""),
-            seed=payload.get("seed", 1),
-            duration=payload.get("duration", 30.0),
-            warmup=payload.get("warmup", 5.0),
-            deplist_max=payload.get("deplist_max", 5),
-            pruning_policy=payload.get("pruning_policy", "lru"),
-            timing=TimingConfig() if timing is None else TimingConfig(**timing),
-            monitor_window=payload.get("monitor_window", 1.0),
-            edges=[EdgeSpec.from_dict(edge) for edge in payload["edges"]],
-            backends=[
-                BackendSpec.from_dict(backend)
-                for backend in payload.get("backends", [])
-            ],
-            placement=payload.get("placement"),
-        )
+        given = _present(cls, payload)
+        given["name"] = payload.get("scenario") or given.get("name") or "scenario"
+        timing = given.pop("timing", None)
+        if timing is not None:
+            given["timing"] = TimingConfig(**timing)
+        given["edges"] = [EdgeSpec.from_dict(edge) for edge in payload["edges"]]
+        given["backends"] = [
+            BackendSpec.from_dict(backend) for backend in given.get("backends", ())
+        ]
+        return cls(**given)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.deplist import UNBOUNDED
 from repro.core.strategies import Strategy
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import run_column
 from repro.workloads.synthetic import ParetoClusterWorkload, PerfectClusterWorkload
 
@@ -70,7 +70,7 @@ class TestMultiversionColumn:
         )
         multi = run_column(
             ColumnConfig(seed=9, duration=6.0, warmup=2.0, deplist_max=3,
-                         cache_kind=CacheKind.MULTIVERSION),
+                         protocol="multiversion"),
             workload,
         )
         assert multi.counts.abort_ratio < retry.counts.abort_ratio

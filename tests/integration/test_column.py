@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.deplist import UNBOUNDED
 from repro.core.strategies import Strategy
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import build_column, run_column
 from repro.workloads.synthetic import PerfectClusterWorkload, UniformWorkload
 
@@ -95,14 +95,14 @@ class TestEndToEnd:
 
 class TestCacheKinds:
     def test_plain_cache_never_aborts(self) -> None:
-        result = run_column(quick_config(cache_kind=CacheKind.PLAIN), WORKLOAD)
+        result = run_column(quick_config(protocol="plain"), WORKLOAD)
         assert result.counts.aborted == 0
         assert result.counts.inconsistent > 0
 
     def test_ttl_cache_reduces_staleness_at_db_cost(self) -> None:
-        plain = run_column(quick_config(cache_kind=CacheKind.PLAIN), WORKLOAD)
+        plain = run_column(quick_config(protocol="plain"), WORKLOAD)
         ttl = run_column(
-            quick_config(cache_kind=CacheKind.TTL, ttl=0.5), WORKLOAD
+            quick_config(protocol="ttl", ttl=0.5), WORKLOAD
         )
         assert ttl.counts.inconsistency_ratio < plain.counts.inconsistency_ratio
         assert ttl.cache_stats.db_accesses > plain.cache_stats.db_accesses
@@ -114,7 +114,7 @@ class TestCacheKinds:
         tcache = run_column(
             quick_config(deplist_max=5, strategy=Strategy.RETRY), WORKLOAD
         )
-        ttl = run_column(quick_config(cache_kind=CacheKind.TTL, ttl=0.5), WORKLOAD)
+        ttl = run_column(quick_config(protocol="ttl", ttl=0.5), WORKLOAD)
         assert tcache.counts.inconsistency_ratio < ttl.counts.inconsistency_ratio
         assert tcache.cache_stats.db_accesses < ttl.cache_stats.db_accesses
 

@@ -121,8 +121,6 @@ class TestRoutedTierAggregation:
 class TestMixedCacheKindsAcrossBackends:
     def test_checking_and_plain_edges_coexist_on_split_backends(self) -> None:
         """A tier where each backend serves a different cache variant."""
-        from repro.cache.kinds import CacheKind
-
         workload_a = PerfectClusterWorkload(n_objects=100, cluster_size=5)
         spec = ScenarioSpec(
             name="mixed-kinds",
@@ -131,7 +129,7 @@ class TestMixedCacheKindsAcrossBackends:
                 EdgeSpec(
                     name="plain",
                     workload=workload_a,
-                    cache_kind=CacheKind.PLAIN,
+                    protocol="plain",
                 ),
             ],
             backends=[BackendSpec(name="eu"), BackendSpec(name="us")],

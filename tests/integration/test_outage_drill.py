@@ -16,7 +16,7 @@ window mid-run and checks the emergent dynamics:
 from __future__ import annotations
 
 from repro.core.strategies import Strategy
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import build_column
 from repro.monitor.stats import ClassCounts
 from repro.workloads.synthetic import ParetoClusterWorkload
@@ -57,7 +57,7 @@ def window_counts(column, window: tuple[float, float]) -> ClassCounts:
 
 class TestOutageDrill:
     def test_baseline_peak_lands_after_recovery(self) -> None:
-        column = run_with_outage(cache_kind=CacheKind.PLAIN)
+        column = run_with_outage(protocol="plain")
         before = window_counts(column, BEFORE)
         during = window_counts(column, DURING)
         after = window_counts(column, AFTER)
@@ -69,7 +69,7 @@ class TestOutageDrill:
         assert after.inconsistency_ratio > during.inconsistency_ratio
 
     def test_tcache_caps_the_peak_the_baseline_serves(self) -> None:
-        plain = run_with_outage(cache_kind=CacheKind.PLAIN)
+        plain = run_with_outage(protocol="plain")
         tcache = run_with_outage(strategy=Strategy.ABORT, deplist_max=5)
         for window in (BEFORE, DURING, AFTER, TAIL):
             assert (
@@ -96,7 +96,7 @@ class TestOutageDrill:
         assert abort_peak > 0  # the drill actually stressed both runs
 
     def test_channel_accounting_matches_outage(self) -> None:
-        column = run_with_outage(cache_kind=CacheKind.PLAIN)
+        column = run_with_outage(protocol="plain")
         stats = column.channel.stats
         # ~20% base loss outside the window plus the 4 s total-loss window
         # (~1/6 of the run): drop ratio clearly above the base rate.

@@ -15,9 +15,15 @@ import threading
 from repro.dispatch.client import FleetSpec
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.worker import run_worker
+from dataclasses import asdict
+
 from repro.experiments import protocol_race
+from repro.experiments.config import ColumnConfig
+from repro.experiments.runner import run_column
 from repro.experiments.sweep import run_sweep
 from repro.protocols import protocol_names
+from repro.scenario import EdgeSpec, ScenarioSpec, run_scenario
+from repro.workloads.synthetic import PerfectClusterWorkload
 
 SECRET = "integration-secret"
 DURATION = 2.0
@@ -105,3 +111,44 @@ class TestRaceDeterminism:
             protocols=protocol_names(), duration=DURATION, seed=SEED, jobs=1
         )
         assert json.dumps(payload, sort_keys=True) == expected
+
+
+class TestOneSelectorEndToEnd:
+    """An edge's result says which protocol it ran, and a column can run
+    any of them — both were false while ``cache_kind`` sat beside
+    ``protocol``."""
+
+    def test_edge_results_name_the_protocol_they_ran(self) -> None:
+        spec = protocol_race.spec(
+            protocols=("locking", "tcache-detector"), duration=0.5, seed=SEED
+        )
+        for point, result in run_sweep(spec, jobs=1).pairs():
+            assert [edge.config.protocol for edge in result.edges] == [
+                edge.protocol for edge in point.scenario.edges
+            ]
+            assert {edge.protocol for edge in point.scenario.edges} == {
+                point.params["protocol"]
+            }
+
+    def test_locking_column_equals_the_one_edge_scenario(self) -> None:
+        workload = PerfectClusterWorkload(n_objects=100, cluster_size=5)
+        column = run_column(
+            ColumnConfig(seed=SEED, duration=1.0, warmup=0.5, protocol="locking"),
+            workload,
+        )
+        scenario = run_scenario(
+            ScenarioSpec(
+                name="one-edge",
+                seed=SEED,
+                duration=1.0,
+                warmup=0.5,
+                edges=[EdgeSpec(name="edge0", workload=workload, protocol="locking")],
+            )
+        )
+        edge = scenario.edges[0]
+        assert column.counts == edge.counts
+        assert column.series == edge.series
+        assert asdict(column.cache_stats) == asdict(edge.cache_stats)
+        assert column.config == edge.config
+        assert column.counts.total > 0
+        assert column.counts.inconsistent == 0  # the pessimistic bound

@@ -12,13 +12,20 @@ must hold on every draw:
 * ``verified-read`` — every serve carries a MAC that verifies against the
   backend service's secret (``signature_failures`` stays zero, and every
   serve was checked).
+
+Plus one property of the selector itself: over every registered protocol,
+an edge spec constructs exactly when the registry says its options fit, and
+what constructs round-trips through the v1 wire format.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
+from repro.protocols import get_protocol, protocol_names
 from repro.scenario.runner import build_scenario, run_scenario
 from repro.scenario.spec import EdgeSpec, ScenarioSpec
 from repro.workloads.synthetic import PerfectClusterWorkload
@@ -91,3 +98,37 @@ class TestVerifiedReadProperty:
         for edge in scenario.edges:
             assert edge.cache.signature_failures == 0
             assert edge.cache.signatures_verified >= edge.cache.stats.hits
+
+
+class TestSelectorProperty:
+    @given(
+        st.sampled_from(protocol_names()),
+        st.one_of(st.none(), st.floats(min_value=-1.0, max_value=5.0)),
+        st.one_of(st.none(), st.integers(min_value=-2, max_value=8)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_construction_follows_the_registry_and_round_trips(
+        self, name, ttl, deplist_limit
+    ) -> None:
+        protocol = get_protocol(name)
+        fits = not (protocol.requires_ttl and (ttl is None or ttl <= 0)) and (
+            deplist_limit is None
+            or (protocol.consults_deplists and deplist_limit >= 0)
+        )
+        options = dict(
+            name="edge0",
+            workload=WORKLOAD,
+            protocol=name,
+            ttl=ttl,
+            deplist_limit=deplist_limit,
+        )
+        if not fits:
+            with pytest.raises(ConfigurationError):
+                EdgeSpec(**options)
+            return
+        edge = EdgeSpec(**options)
+        payload = edge.as_dict()
+        assert payload["cache_kind"] == "TCACHE" or payload["protocol"] is None
+        rebuilt = EdgeSpec.from_dict(payload)
+        assert rebuilt.protocol == name
+        assert rebuilt.as_dict() == payload

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.deplist import UNBOUNDED
 from repro.errors import ConfigurationError
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.report import format_percent, format_table
 
 
@@ -30,8 +30,8 @@ class TestColumnConfig:
             {"read_rate": 0.0},
             {"invalidation_loss": 1.5},
             {"deplist_max": -2},
-            {"cache_kind": CacheKind.TTL},          # missing ttl
-            {"cache_kind": CacheKind.TTL, "ttl": 0.0},
+            {"protocol": "ttl"},                    # missing ttl
+            {"protocol": "ttl", "ttl": 0.0},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs) -> None:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.strategies import Strategy
 from repro.experiments import fig4_convergence, fig5_drift
-from repro.experiments.config import CacheKind, ColumnConfig
+from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import realistic_workload, sampled_topology
 from repro.experiments.runner import build_column
 from repro.workloads.synthetic import PerfectClusterWorkload
@@ -102,18 +102,18 @@ class TestRunnerWiring:
         assert column.database.read_entry(workload.all_keys()[0]).version == 0
 
     @pytest.mark.parametrize(
-        "kind,expected",
+        "protocol,expected",
         [
-            (CacheKind.TCACHE, "TCache"),
-            (CacheKind.PLAIN, "CacheServer"),
-            (CacheKind.TTL, "TTLCache"),
+            pytest.param("tcache-detector", "TCache", id="CacheKind.TCACHE-TCache"),
+            pytest.param("plain", "CacheServer", id="CacheKind.PLAIN-CacheServer"),
+            pytest.param("ttl", "TTLCache", id="CacheKind.TTL-TTLCache"),
         ],
     )
-    def test_cache_kind_selection(self, kind, expected) -> None:
+    def test_cache_kind_selection(self, protocol, expected) -> None:
         workload = PerfectClusterWorkload(n_objects=50, cluster_size=5)
         config = ColumnConfig(
-            seed=1, duration=1.0, warmup=0.0, cache_kind=kind,
-            ttl=10.0 if kind is CacheKind.TTL else None,
+            seed=1, duration=1.0, warmup=0.0, protocol=protocol,
+            ttl=10.0 if protocol == "ttl" else None,
         )
         column = build_column(config, workload)
         assert type(column.cache).__name__ == expected

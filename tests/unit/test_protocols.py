@@ -7,7 +7,10 @@ import pytest
 from repro.cache.base import CacheServer
 from repro.core.tcache import TCache
 from repro.db.invalidation import InvalidationRecord
+from repro.dispatch.journal import sweep_fingerprint
 from repro.errors import ConfigurationError, TransactionAborted
+from repro.experiments.config import ColumnConfig
+from repro.experiments.sweep import SweepPoint, SweepSpec
 from repro.protocols import (
     CausalCache,
     CausalService,
@@ -22,9 +25,8 @@ from repro.protocols import (
     register_protocol,
 )
 from repro.protocols import registry as registry_module
-from repro.scenario.spec import EdgeSpec
+from repro.scenario.spec import EdgeSpec, ScenarioSpec
 from repro.sim.core import Simulator
-from repro.cache.kinds import CacheKind
 from repro.workloads.synthetic import PerfectClusterWorkload
 from tests.helpers import FakeBackend
 
@@ -95,17 +97,24 @@ class TestRegistry:
             registry_module._REGISTRY.pop("unit-test-protocol")
 
     def test_protocol_for_edge_defaults_to_cache_kind(self) -> None:
+        """A v1 payload that names no protocol runs its ``cache_kind``'s."""
+
+        def loaded(kind: str, **overrides) -> EdgeSpec:
+            payload = edge(**overrides).as_dict()
+            payload.update(cache_kind=kind, protocol=None)
+            return EdgeSpec.from_dict(payload)
+
         assert protocol_for_edge(edge()).name == "tcache-detector"
-        assert (
-            protocol_for_edge(edge(cache_kind=CacheKind.PLAIN)).name == "plain"
-        )
-        assert (
-            protocol_for_edge(edge(cache_kind=CacheKind.TTL, ttl=1.0)).name
-            == "ttl"
-        )
+        assert protocol_for_edge(loaded("TCACHE")).name == "tcache-detector"
+        assert protocol_for_edge(loaded("PLAIN")).name == "plain"
+        assert protocol_for_edge(loaded("TTL", ttl=1.0)).name == "ttl"
+        assert protocol_for_edge(loaded("MULTIVERSION")).name == "multiversion"
 
     def test_explicit_protocol_overrides_cache_kind(self) -> None:
-        spec = protocol_for_edge(edge(protocol="locking"))
+        """...and one that names both runs the protocol, as the runtime did."""
+        payload = edge().as_dict()
+        payload.update(cache_kind="PLAIN", protocol="locking")
+        spec = protocol_for_edge(EdgeSpec.from_dict(payload))
         assert spec.name == "locking"
         assert spec.zero_inconsistency is True
 
@@ -135,7 +144,7 @@ class TestEdgeSpecIntegration:
     def test_legacy_payload_without_protocol_key(self) -> None:
         payload = edge().as_dict()
         payload.pop("protocol")
-        assert EdgeSpec.from_dict(payload).protocol is None
+        assert EdgeSpec.from_dict(payload).protocol == "tcache-detector"
 
     def test_unknown_cache_kind_lists_valid_names(self) -> None:
         payload = edge().as_dict()
@@ -174,6 +183,51 @@ class TestEdgeSpecIntegration:
         assert isinstance(built, TCache)
         assert built.deplist_limit == 3
         assert built.name == "edge0"
+
+
+class TestOneSelector:
+    """``protocol`` is the only cache selector, and the registry — not the
+    spec modules — says what each protocol needs of the spec naming it."""
+
+    def test_deplist_limit_needs_a_protocol_that_consults_deplists(self) -> None:
+        with pytest.raises(ConfigurationError, match="deplist_limit.*'plain'"):
+            edge(protocol="plain", deplist_limit=2)
+        for name in protocol_names():
+            if get_protocol(name).consults_deplists:
+                assert edge(protocol=name, deplist_limit=2).deplist_limit == 2
+            else:
+                with pytest.raises(ConfigurationError, match=repr(name)):
+                    edge(protocol=name, ttl=1.0, deplist_limit=2)
+
+    def test_ttl_requirement_names_the_protocol(self) -> None:
+        with pytest.raises(ConfigurationError, match="'ttl' requires a positive ttl"):
+            edge(protocol="ttl")
+        with pytest.raises(ConfigurationError, match="'ttl' requires a positive ttl"):
+            ColumnConfig(protocol="ttl")
+        assert ColumnConfig(protocol="ttl", ttl=0.5).ttl == 0.5
+
+    def test_column_config_names_any_registered_protocol(self) -> None:
+        assert ColumnConfig(protocol="locking").protocol == "locking"
+        with pytest.raises(ConfigurationError, match="registered protocols"):
+            ColumnConfig(protocol="made-up")
+
+    def test_naming_the_default_changes_nothing(self) -> None:
+        implicit, explicit = edge(), edge(protocol="tcache-detector")
+        assert implicit.as_dict() == explicit.as_dict()
+
+        def one_point(only: EdgeSpec) -> SweepSpec:
+            scenario = ScenarioSpec(name="s", edges=[only], duration=1.0)
+            return SweepSpec(name="x", points=[SweepPoint(label="p", scenario=scenario)])
+
+        assert sweep_fingerprint(one_point(implicit)) == sweep_fingerprint(
+            one_point(explicit)
+        )
+
+    def test_no_constructor_accepts_cache_kind(self) -> None:
+        with pytest.raises(TypeError, match="cache_kind"):
+            edge(cache_kind="PLAIN")
+        with pytest.raises(TypeError, match="cache_kind"):
+            ColumnConfig(cache_kind="PLAIN")
 
 
 class TestCausalProtocol:

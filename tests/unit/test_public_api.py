@@ -34,14 +34,23 @@ class TestPublicAPI:
     def test_historical_paths_still_canonical_after_moves(self) -> None:
         """The scenario redesign moved these; old import paths must keep
         resolving to the same objects."""
-        from repro.cache.kinds import CacheKind
-        from repro.experiments.config import CacheKind as LegacyCacheKind
         from repro.experiments.runner import ColumnResult as LegacyColumnResult
         from repro.scenario.results import ColumnResult
 
-        assert LegacyCacheKind is CacheKind
         assert LegacyColumnResult is ColumnResult
         assert repro.ColumnResult is ColumnResult
+
+    def test_cache_kind_is_gone(self) -> None:
+        """1.6.0 removed the second cache selector outright: no enum, no
+        module, no re-export — ``protocol`` is the one way to pick a cache."""
+        import repro.experiments
+
+        assert "CacheKind" not in repro.__all__
+        assert "CacheKind" not in repro.experiments.__all__
+        assert not hasattr(repro, "CacheKind")
+        assert not hasattr(repro.experiments, "CacheKind")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.cache.kinds")
 
     @pytest.mark.parametrize(
         "module_name",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.kinds import CacheKind
 from repro.core.strategies import Strategy
 from repro.errors import ConfigurationError
 from repro.experiments.config import ColumnConfig
@@ -71,13 +70,13 @@ class TestSpecValidation:
 
     def test_ttl_kind_requires_ttl(self) -> None:
         with pytest.raises(ConfigurationError):
-            edge(cache_kind=CacheKind.TTL)
-        assert edge(cache_kind=CacheKind.TTL, ttl=0.5).ttl == 0.5
+            edge(protocol="ttl")
+        assert edge(protocol="ttl", ttl=0.5).ttl == 0.5
 
     def test_deplist_limit_only_for_checking_caches(self) -> None:
         assert edge(deplist_limit=3).deplist_limit == 3
         with pytest.raises(ConfigurationError):
-            edge(cache_kind=CacheKind.PLAIN, deplist_limit=3)
+            edge(protocol="plain", deplist_limit=3)
         with pytest.raises(ConfigurationError):
             edge(deplist_limit=-1)
 
@@ -123,7 +122,7 @@ class TestSpecValidation:
     def test_as_dict_is_json_shaped(self) -> None:
         import json
 
-        payload = tiny_scenario(edge("a"), edge("b", cache_kind=CacheKind.PLAIN)).as_dict()
+        payload = tiny_scenario(edge("a"), edge("b", protocol="plain")).as_dict()
         text = json.loads(json.dumps(payload))
         assert [e["name"] for e in text["edges"]] == ["a", "b"]
         assert text["edges"][1]["cache_kind"] == "PLAIN"
@@ -272,7 +271,7 @@ class TestSpecRoundTrip:
         import json
 
         spec = tiny_scenario(
-            edge("a"), edge("b", cache_kind=CacheKind.PLAIN),
+            edge("a"), edge("b", protocol="plain"),
             backends=[BackendSpec(name="eu"), BackendSpec(name="us", shards=2)],
             placement={"b": "us"},
             duration=1.0,
