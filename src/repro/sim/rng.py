@@ -5,6 +5,23 @@ seeded :class:`numpy.random.Generator` streams, one per concern (workload
 choice, invalidation drops, client jitter, ...). Adding a new consumer of
 randomness therefore never perturbs the draws seen by existing consumers,
 which keeps figures stable across code changes.
+
+Bounded integers: every index the workloads draw comes from
+:func:`integers_below`, which pulls 32-bit words through the bit generator's
+``ctypes.next_uint32`` — numpy's documented extension interface, the same C
+function and the same buffered half-word ``Generator.integers`` uses — and
+applies numpy's 32-bit Lemire rule in Python ints. It therefore equals
+``rng.integers(0, bound, size=count).tolist()`` value for value and leaves the
+generator in the identical state under any interleaving with ``random``,
+``exponential`` or numpy's own ``integers`` on the same stream; what it skips
+is ``Generator.integers``' per-call shape arithmetic and ``np.int64`` boxing,
+which cost several times the draws. ``tests/property/test_rng_props.py`` pins
+the equivalence on twin generators (it is what fails, and says why, if a
+future numpy changes its algorithm) and ``tests/unit/test_workload_streams.py``
+pins the draws themselves. The helper caches nothing: numpy already keeps the
+ctypes interface on the bit generator after first access, a ``Generator``
+cannot be weakly referenced, and an ``id``-keyed dict would leak one entry per
+stream per sweep point in a long-lived fleet worker.
 """
 
 from __future__ import annotations
@@ -15,7 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["RngStreams", "BoundedPareto"]
+__all__ = ["RngStreams", "BoundedPareto", "integers_below"]
 
 
 class RngStreams:
@@ -54,6 +71,36 @@ class RngStreams:
     def fork(self, salt: int) -> "RngStreams":
         """A fresh family for a sub-experiment (e.g. one sweep point)."""
         return RngStreams(self._seed * 1_000_003 + salt)
+
+
+def integers_below(rng: np.random.Generator, bound: int, count: int) -> list[int]:
+    """``count`` uniform draws from ``[0, bound)``, as ``rng.integers`` draws them.
+
+    Stream-identical to ``rng.integers(0, bound, size=count).tolist()`` (and,
+    for ``count == 1``, to the scalar ``int(rng.integers(0, bound))``): numpy's
+    Lemire-32 rule over the bit generator's own ``next_uint32``. ``bound == 1``
+    consumes nothing, exactly as numpy. ``bound`` stops at ``2**32 - 1``
+    because numpy switches algorithm at ``2**32``.
+    """
+    if not 1 <= bound <= 0xFFFFFFFF:
+        raise ConfigurationError(f"bound must be in [1, 2**32 - 1], got {bound}")
+    if count < 0:
+        raise ConfigurationError(f"count must be >= 0, got {count}")
+    if bound == 1:
+        return [0] * count
+    interface = rng.bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state
+    draws = []
+    for _ in range(count):
+        scaled = next_uint32(state) * bound
+        if scaled & 0xFFFFFFFF < bound:
+            # Rejection removes the bias; ``bound`` is a cheap upper bound
+            # for the threshold, so the modulo is rarely computed.
+            threshold = (0x100000000 - bound) % bound
+            while scaled & 0xFFFFFFFF < threshold:
+                scaled = next_uint32(state) * bound
+        draws.append(scaled >> 32)
+    return draws
 
 
 class BoundedPareto:

@@ -10,6 +10,10 @@ repeated until the target number of nodes have been visited."
 The standard escape hatch from Leskovec & Faloutsos applies: if the walk
 stagnates inside a small region (no new node for a long stretch), it restarts
 from a fresh uniformly chosen node, so the sampler terminates on any graph.
+
+Anchors and steps are drawn through :func:`repro.sim.rng.integers_below`,
+stream-identical to the scalar ``Generator.integers`` form it replaces, so a
+seed samples the same nodes it always did.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import integers_below
 
 if TYPE_CHECKING:  # annotations only: importing networkx costs ~0.1 s
     import networkx as nx
@@ -53,14 +58,14 @@ def random_walk_sample(
         )
 
     nodes = list(graph.nodes())
-    anchor = nodes[int(rng.integers(0, len(nodes)))]
+    anchor = nodes[integers_below(rng, len(nodes), 1)[0]]
     current = anchor
     visited: set = {anchor}
     stalled = 0
 
     while len(visited) < target_nodes:
         if stalled >= stall_limit:
-            anchor = nodes[int(rng.integers(0, len(nodes)))]
+            anchor = nodes[integers_below(rng, len(nodes), 1)[0]]
             current = anchor
             stalled = 0
             if anchor not in visited:
@@ -74,7 +79,7 @@ def random_walk_sample(
             # Isolated node: re-anchor immediately.
             stalled = stall_limit
             continue
-        current = neighbors[int(rng.integers(0, len(neighbors)))]
+        current = neighbors[integers_below(rng, len(neighbors), 1)[0]]
         if current in visited:
             stalled += 1
         else:

@@ -17,6 +17,13 @@ Two dynamic wrappers reproduce the convergence experiments:
 * :class:`DriftingClusterWorkload` — perfectly clustered, but the cluster
   boundaries shift by one object every ``shift_interval`` seconds, wrapping
   at the end of the range (Fig. 5, shift every 3 minutes).
+
+Every index is drawn through :func:`repro.sim.rng.integers_below`, which is
+stream-identical to the ``Generator.integers`` form these classes used to
+spell (one scalar draw for the cluster head, one ``size=k`` draw for the
+offsets): same values, same generator state afterwards, so every seeded result
+downstream is unchanged (``tests/unit/test_workload_streams.py`` keeps the
+numpy form as the reference and holds the draws against a recording).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import BoundedPareto
+from repro.sim.rng import BoundedPareto, integers_below
 from repro.types import Key
 from repro.workloads.base import index_of, key_for
 
@@ -64,8 +71,8 @@ class UniformWorkload(_SyntheticBase):
         super().__init__(n_objects, txn_size)
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
-        indices = rng.integers(0, self.n_objects, size=self.txn_size)
-        return [self._keys[i] for i in indices]
+        keys = self._keys
+        return [keys[i] for i in integers_below(rng, self.n_objects, self.txn_size)]
 
 
 class PerfectClusterWorkload(_SyntheticBase):
@@ -87,9 +94,13 @@ class PerfectClusterWorkload(_SyntheticBase):
         self.n_clusters = n_objects // cluster_size
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
-        head = int(rng.integers(0, self.n_clusters)) * self.cluster_size
-        offsets = rng.integers(0, self.cluster_size, size=self.txn_size)
-        return [self._keys[head + int(o)] for o in offsets]
+        cluster_size = self.cluster_size
+        head = integers_below(rng, self.n_clusters, 1)[0] * cluster_size
+        keys = self._keys
+        return [
+            keys[head + offset]
+            for offset in integers_below(rng, cluster_size, self.txn_size)
+        ]
 
 
 class ParetoClusterWorkload(_SyntheticBase):
@@ -119,7 +130,7 @@ class ParetoClusterWorkload(_SyntheticBase):
         self._pareto = BoundedPareto(alpha, low=1.0, high=float(n_objects))
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
-        head = int(rng.integers(0, self.n_clusters)) * self.cluster_size
+        head = integers_below(rng, self.n_clusters, 1)[0] * self.cluster_size
         keys, n_objects = self._keys, self.n_objects
         return [
             keys[(head + offset) % n_objects]
@@ -154,12 +165,32 @@ class PhaseSwitchWorkload:
         return self.before.all_keys()
 
 
+def _synthetic_index(key: Key) -> int:
+    """``index_of(key)`` for a key :func:`key_for` wrote, else an error.
+
+    ``index_of`` only strips a character, so a graph node key ``n5`` would
+    read as index 5 and be renamed ``o000005`` — straight into the synthetic
+    key space of a neighbouring slice.
+    """
+    try:
+        index = index_of(key)
+    except ValueError:
+        index = None
+    if index is None or key_for(index) != key:
+        raise ConfigurationError(
+            f"OffsetWorkload shifts synthetic keys such as {key_for(0)!r}; "
+            f"inner key {key!r} is not one"
+        )
+    return index
+
+
 class OffsetWorkload:
     """Shifts every key of an inner workload by a fixed object offset.
 
     The multi-edge scenarios use this to give each edge region its own
     disjoint slice of the key space: ``OffsetWorkload(inner, offset=2000)``
     maps the inner workload's ``o000000..`` universe onto ``o002000..``.
+    An inner key outside that synthetic family is rejected at construction.
     """
 
     def __init__(self, inner, offset: int) -> None:
@@ -167,7 +198,9 @@ class OffsetWorkload:
             raise ConfigurationError(f"offset must be >= 0, got {offset}")
         self.inner = inner
         self.offset = offset
-        self._keys = [key_for(index_of(key) + offset) for key in inner.all_keys()]
+        self._keys = [
+            key_for(_synthetic_index(key) + offset) for key in inner.all_keys()
+        ]
         self._mapping = dict(zip(inner.all_keys(), self._keys))
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
@@ -254,6 +287,10 @@ class DriftingClusterWorkload(_SyntheticBase):
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
         shift = self.shift_at(now)
-        head = int(rng.integers(0, self.n_clusters)) * self.cluster_size + shift
-        offsets = rng.integers(0, self.cluster_size, size=self.txn_size)
-        return [self._keys[(head + int(o)) % self.n_objects] for o in offsets]
+        cluster_size = self.cluster_size
+        head = integers_below(rng, self.n_clusters, 1)[0] * cluster_size + shift
+        keys, n_objects = self._keys, self.n_objects
+        return [
+            keys[(head + offset) % n_objects]
+            for offset in integers_below(rng, cluster_size, self.txn_size)
+        ]

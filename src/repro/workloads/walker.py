@@ -11,6 +11,11 @@ means the distinct access set is often smaller than ``txn_size`` — exactly as
 in the paper, where a 5-object transaction is the trace of a 5-node walk,
 not 5 independent draws. This keeps the access sets tight around the start
 node's neighbourhood, which is what makes short dependency lists effective.
+
+The start node and every step are drawn through
+:func:`repro.sim.rng.integers_below`, stream-identical to the
+scalar ``Generator.integers`` form it replaces; a step out of a node of degree 1
+consumes nothing from the stream, exactly as numpy's draw below 1 does.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.rng import integers_below
 from repro.types import Key
 
 if TYPE_CHECKING:  # annotations only: importing networkx costs ~0.1 s
@@ -48,14 +54,14 @@ class RandomWalkWorkload:
         self._keys = [node_key(node) for node in self._nodes]
 
     def access_set(self, rng: np.random.Generator, now: float) -> list[Key]:
-        start = self._nodes[int(rng.integers(0, len(self._nodes)))]
+        start = self._nodes[integers_below(rng, len(self._nodes), 1)[0]]
         visited: dict[object, None] = {start: None}
         current = start
         for _ in range(self.txn_size - 1):
             neighbors = self._neighbors[current]
             if not neighbors:
                 break
-            current = neighbors[int(rng.integers(0, len(neighbors)))]
+            current = neighbors[integers_below(rng, len(neighbors), 1)[0]]
             visited.setdefault(current, None)
         return [node_key(node) for node in visited]
 

@@ -228,3 +228,41 @@ class TestReadOnlyClient:
         sim.run(until=1.2)
         seen = [record.txn_id for record in records]
         assert len(seen) == len(set(seen))
+
+
+class TestAccessSetIsLookedUpPerCall:
+    def test_class_patch_after_construction_reaches_both_clients(
+        self, sim, db, monkeypatch
+    ) -> None:
+        """``perf/spans.py`` swaps ``access_set`` on the class per unit, after
+        the clients exist: a bound method hoisted at construction would make
+        the traced run miss every call."""
+        workload = PerfectClusterWorkload(n_objects=50, cluster_size=5)
+        reader = ReadOnlyClient(
+            sim,
+            TCache(sim, db, strategy=Strategy.ABORT),
+            workload,
+            rate=100.0,
+            rng=np.random.default_rng(5),
+            txn_ids=itertools.count(1),
+            poisson=False,
+        )
+        updater = UpdateClient(
+            sim, db, workload, rate=100.0, rng=np.random.default_rng(6), poisson=False
+        )
+        original = PerfectClusterWorkload.access_set
+        seen = []
+
+        def spanned(self, rng, now):
+            seen.append(rng)
+            return original(self, rng, now)
+
+        monkeypatch.setattr(PerfectClusterWorkload, "access_set", spanned)
+        sim.run(until=0.1)
+        by_reader = sum(rng is reader._rng for rng in seen)
+        by_updater = sum(rng is updater._rng for rng in seen)
+        assert by_reader == reader.stats.launched > 0
+        # An update client counts every retry as a launch; access sets are
+        # drawn once per logical transaction.
+        assert by_updater == updater.stats.launched - updater.stats.retries > 0
+        assert by_reader + by_updater == len(seen)

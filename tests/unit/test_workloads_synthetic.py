@@ -10,6 +10,7 @@ from repro.sim.rng import BoundedPareto
 from repro.workloads.base import index_of, key_for
 from repro.workloads.synthetic import (
     DriftingClusterWorkload,
+    OffsetWorkload,
     ParetoClusterWorkload,
     PerfectClusterWorkload,
     PhaseSwitchWorkload,
@@ -183,6 +184,46 @@ class TestDrift:
     def test_invalid_interval_rejected(self) -> None:
         with pytest.raises(ConfigurationError):
             DriftingClusterWorkload(shift_interval=0.0)
+
+
+class TestOffset:
+    def test_synthetic_families_shift_unchanged(self) -> None:
+        for inner in (
+            UniformWorkload(n_objects=10),
+            PerfectClusterWorkload(n_objects=10, cluster_size=5),
+        ):
+            shifted = OffsetWorkload(inner, offset=200)
+            assert list(shifted.all_keys()) == [key_for(200 + i) for i in range(10)]
+            left, right = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(50):
+                inner_keys = inner.access_set(left, 0.0)
+                expected = [key_for(index_of(key) + 200) for key in inner_keys]
+                assert shifted.access_set(right, 0.0) == expected
+
+    def test_offsets_nest(self) -> None:
+        nested = OffsetWorkload(OffsetWorkload(UniformWorkload(n_objects=3), 10), 5)
+        assert list(nested.all_keys()) == ["o000015", "o000016", "o000017"]
+
+    def test_keys_that_do_not_round_trip_are_rejected(self) -> None:
+        """``index_of`` strips one character: ``n5`` must not become ``o000005``."""
+        import networkx as nx
+
+        from repro.workloads.walker import RandomWalkWorkload
+
+        walk = RandomWalkWorkload(nx.path_graph(4))
+        with pytest.raises(ConfigurationError, match="'n0'"):
+            OffsetWorkload(walk, offset=5)
+
+        class Named:
+            def all_keys(self):
+                return ["o000000", "user:alice"]
+
+        with pytest.raises(ConfigurationError, match="'user:alice'"):
+            OffsetWorkload(Named(), offset=5)
+
+    def test_negative_offset_rejected(self) -> None:
+        with pytest.raises(ConfigurationError):
+            OffsetWorkload(UniformWorkload(n_objects=3), offset=-1)
 
 
 class TestCodec:
