@@ -16,11 +16,12 @@ submits to a long-lived one (``fleet serve``).
   each a ``WorkQueue``, served by priority; resubmit-attach by
   fingerprint, cancel and revive.
 * :mod:`repro.dispatch.daemon` — :class:`FleetDaemon`: the queue service
-  over those frames, with an optional append-only JSONL journal
-  (:mod:`repro.dispatch.journal`) that makes restarts resume instead of
-  recompute, shared-secret HMAC authentication
-  (:mod:`repro.dispatch.auth`), and per-worker throughput tracking
-  (:mod:`repro.dispatch.health`) feeding adaptive chunk sizing.
+  over those frames — one verb table says which role may send what — with
+  an optional append-only JSONL journal (:mod:`repro.dispatch.journal`;
+  the files are the only durable state, replayed once per restart) that
+  makes restarts resume instead of recompute, shared-secret HMAC
+  authentication (:mod:`repro.dispatch.auth`), and per-worker throughput
+  tracking (:mod:`repro.dispatch.health`) feeding adaptive chunk sizing.
 * :mod:`repro.dispatch.coordinator` — :class:`DispatchSpec` and
   :func:`run_dispatched`, the ``run_sweep(spec, dispatch=DispatchSpec(...))``
   backend: an ephemeral daemon holding one entry.
@@ -60,13 +61,7 @@ from repro.dispatch.daemon import FleetConfig, FleetDaemon, run_daemon
 from repro.dispatch.faults import FaultPlan
 from repro.dispatch.fleet import FleetQueue
 from repro.dispatch.health import HealthTracker, WorkerHealth
-from repro.dispatch.journal import (
-    JournalIndexEntry,
-    SweepJournal,
-    compact_finished,
-    journal_index,
-    sweep_fingerprint,
-)
+from repro.dispatch.journal import SweepJournal, sweep_fingerprint
 from repro.dispatch.queue import Lease, WorkQueue
 from repro.dispatch.worker import WorkerStats, run_worker
 from repro.errors import (
@@ -90,7 +85,6 @@ __all__ = [
     "FleetSpec",
     "HealthTracker",
     "JournalError",
-    "JournalIndexEntry",
     "Lease",
     "ProtocolError",
     "SECRET_ENV_VAR",
@@ -98,9 +92,7 @@ __all__ = [
     "WorkQueue",
     "WorkerHealth",
     "WorkerStats",
-    "compact_finished",
     "compute_mac",
-    "journal_index",
     "parse_hostport",
     "run_daemon",
     "run_dispatched",

@@ -24,7 +24,7 @@ from repro.dispatch.client import (
 from repro.dispatch.coordinator import parse_hostport
 from repro.dispatch.daemon import FleetConfig, run_daemon
 from repro.dispatch.faults import FaultPlan
-from repro.dispatch.journal import journal_index
+from repro.dispatch.journal import SweepJournal, list_journals
 from repro.dispatch.worker import run_worker
 from repro.errors import ConfigurationError, CoordinatorUnreachable, DispatchError
 from repro.experiments.report import print_table, write_json
@@ -227,9 +227,8 @@ def mount(
         "--journal-dir",
         metavar="DIR",
         default=None,
-        help="offline mode: summarise this journal directory instead of "
-        "asking a live daemon — backed by the stat-cached index, so a "
-        "directory full of finished sweeps costs one stat per file",
+        help="offline mode: replay and validate each journal in this "
+        "directory instead of asking a live daemon",
     )
 
     cancel = fleet_verbs.add_parser(
@@ -401,23 +400,24 @@ def _fleet_status(args) -> int:
                 "--metrics needs a live daemon (--connect); journals record "
                 "results, not rates"
             )
-        entries = journal_index(args.journal_dir)
-        if args.sweep is not None:
-            entries = [e for e in entries if e.name == args.sweep]
-        print_table(
-            [
+        rows = []
+        for path in list_journals(args.journal_dir):
+            replayed = SweepJournal.replay(path)
+            replayed.rebuild_spec()  # the same checks a restart applies
+            completed = len(replayed.results)
+            rows.append(
                 {
-                    "sweep": entry.name,
-                    "state": "done" if entry.finished else "partial",
-                    "completed": entry.completed,
-                    "total": entry.total,
-                    "priority": entry.priority,
-                    "fingerprint": entry.fingerprint.removeprefix("sha256:")[:12],
+                    "sweep": replayed.name,
+                    "state": "done" if completed >= replayed.total else "partial",
+                    "completed": completed,
+                    "total": replayed.total,
+                    "priority": replayed.priority,
+                    "fingerprint": replayed.fingerprint.removeprefix("sha256:")[:12],
                 }
-                for entry in entries
-            ],
-            title=f"Journalled sweeps in {args.journal_dir}",
-        )
+            )
+        if args.sweep is not None:
+            rows = [row for row in rows if row["sweep"] == args.sweep]
+        print_table(rows, title=f"Journalled sweeps in {args.journal_dir}")
         return 0
     if args.connect is None:
         args.error("status needs --connect (live daemon) or --journal-dir (offline)")

@@ -38,18 +38,17 @@ from __future__ import annotations
 import logging
 import os
 import socketserver
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.dispatch.auth import issue_nonce, secret_from_env, verify_mac
 from repro.dispatch.fleet import FleetEntry, FleetQueue
 from repro.dispatch.health import HealthTracker
 from repro.dispatch.journal import (
+    ReplayedJournal,
     SweepJournal,
-    compact_finished,
     journal_path,
     list_journals,
     sweep_fingerprint,
@@ -71,8 +70,6 @@ from repro.experiments.sweep import SweepSpec, spec_artifact
 from repro.telemetry import MetricsRegistry
 
 __all__ = ["FleetConfig", "FleetDaemon", "run_daemon"]
-
-_ROLES = ("worker", "submitter")
 
 #: Daemon diagnostics go through stdlib logging (the CLI configures the
 #: root handler and ``--log-level``); user-facing tables stay on stdout.
@@ -102,11 +99,12 @@ class FleetConfig:
     max_chunk_points: int = 64
     #: fsync journal appends (survive machine crash, not just SIGKILL).
     fsync: bool = False
-    #: Archive finished journals idle for this many seconds at startup
-    #: (``fleet serve --journal-expiry``); ``None`` keeps every journal
-    #: forever.  ``0.0`` archives every finished journal immediately, so a
-    #: long-lived daemon's restore (and ``fleet status``) stays O(active
-    #: sweeps) however many sweeps it has ever served.
+    #: At startup, move finished journals idle for this many seconds to
+    #: ``<journal_dir>/archive/`` instead of restoring them (``fleet serve
+    #: --journal-expiry``); ``None`` keeps every journal forever.  ``0.0``
+    #: archives every finished journal, so a long-lived daemon's restore
+    #: (and ``fleet status``) stays O(active sweeps) however many sweeps it
+    #: has ever served.
     journal_expiry: float | None = None
 
     def __post_init__(self) -> None:
@@ -168,6 +166,21 @@ class FleetDaemon:
             alive_after=self.config.lease_timeout,
         )
         self.stats = _DaemonStats()
+        #: Every reply after ``welcome``: ``(role, message type)`` →
+        #: ``handler(frame, owner)``.  The roles a ``hello`` may claim are
+        #: the ones named here; any other pair is a protocol error.
+        self._verbs: dict[tuple[str, str], Callable[..., dict]] = {
+            ("worker", "request"): self._handle_request,
+            ("worker", "result"): self._handle_result,
+            ("worker", "heartbeat"): self._handle_heartbeat,
+            ("worker", "goodbye"): _handle_goodbye,
+            ("submitter", "submit"): self._handle_submit,
+            ("submitter", "status"): self._handle_status,
+            ("submitter", "metrics"): self._handle_metrics,
+            ("submitter", "cancel"): self._handle_cancel,
+            ("submitter", "fetch"): self._handle_fetch,
+            ("submitter", "goodbye"): _handle_goodbye,
+        }
         self._journals: dict[str, SweepJournal] = {}
         self._submit_lock = threading.Lock()
         self._owner_counter = 0
@@ -226,34 +239,101 @@ class FleetDaemon:
     # ------------------------------------------------------------------
 
     def _restore_from_journals(self) -> None:
-        if self.config.journal_expiry is not None:
-            archived = compact_finished(
-                self.config.journal_dir, older_than=self.config.journal_expiry
-            )
-            for target in archived:
-                self._log(f"archived finished journal to {target}")
         for path in list_journals(self.config.journal_dir):
-            journal, replayed = SweepJournal.attach(path, fsync=self.config.fsync)
-            for warning in replayed.warnings:
-                self._log(f"journal warning: {warning}")
-            entry, created = self.queue.submit(
-                replayed.name,
-                spec_artifact(replayed.rebuild_spec())["columns"],
-                replayed.fingerprint,
-                priority=replayed.priority,
-                resumed_results=replayed.results,
-            )
-            if not created:  # pragma: no cover - two files, one safe name
-                journal.close()
-                raise JournalError(
-                    f"{path}: sweep {replayed.name!r} restored twice — two "
-                    "journal files map to the same sweep name"
+            self._submit(restore=path)
+
+    def _submit(
+        self,
+        spec: SweepSpec | None = None,
+        name: str = "",
+        priority: int = 0,
+        *,
+        restore: str | None = None,
+    ) -> tuple[FleetEntry, bool] | None:
+        """Create-or-attach a sweep's journal, then queue the sweep.
+
+        A submission passes ``spec``, ``name`` and ``priority``; a journal
+        already on disk under that name must hash to the same grid.  A
+        restart passes only the journal path as ``restore`` and reads all
+        three from its header — unless the sweep is finished and idle past
+        ``journal_expiry``: then the file moves to ``<journal_dir>/archive/``
+        and nothing is queued (``None``).  Either way each file is replayed
+        once; only submissions count in ``stats.submissions``.
+        """
+        with self._submit_lock:
+            path = restore
+            if (
+                path is None
+                and self.config.journal_dir is not None
+                and self.queue.entry(name) is None
+            ):
+                path = journal_path(self.config.journal_dir, name)
+            fingerprint = None if spec is None else sweep_fingerprint(spec)
+            journal = replayed = None
+            if path is not None and (restore or os.path.exists(path)):
+                journal, replayed = SweepJournal.attach(
+                    path, expected_fingerprint=fingerprint, fsync=self.config.fsync
                 )
-            self._journals[replayed.name] = journal
+                for warning in replayed.warnings:
+                    self._log(f"journal warning: {warning}")
+            elif path is not None:
+                journal = SweepJournal.create(
+                    self.config.journal_dir,
+                    spec,
+                    name=name,
+                    priority=priority,
+                    fsync=self.config.fsync,
+                )
+            try:
+                if restore is not None:
+                    if self._archive_if_expired(replayed):
+                        journal.close()
+                        return None
+                    spec, name = replayed.rebuild_spec(), replayed.name
+                    priority, fingerprint = replayed.priority, replayed.fingerprint
+                if journal is not None and name in self._journals:  # pragma: no cover
+                    raise JournalError(f"{path}: a second journal for sweep {name!r}")
+                entry, created = self.queue.submit(
+                    name,
+                    spec_artifact(spec)["columns"],
+                    fingerprint,
+                    priority=priority,
+                    resumed_results=replayed.results if replayed else None,
+                )
+            except Exception:
+                if journal is not None:
+                    journal.close()
+                raise
+            if journal is not None:
+                self._journals[name] = journal
+        if restore is not None:
             self._log(
-                f"restored sweep {replayed.name!r} from journal: "
+                f"restored sweep {name!r} from journal: "
                 f"{entry.completed}/{entry.total} points already done"
             )
+        else:
+            self.stats.submissions += 1
+            self._log(
+                f"sweep {name!r} {'submitted' if created else 'attached'}: "
+                f"{entry.completed}/{entry.total} done, priority {entry.priority}"
+            )
+        return entry, created
+
+    def _archive_if_expired(self, replayed: ReplayedJournal) -> bool:
+        """Move a finished journal idle ``journal_expiry`` seconds aside."""
+        expiry = self.config.journal_expiry
+        if (
+            expiry is None
+            or len(replayed.results) < replayed.total
+            or time.time() - os.path.getmtime(replayed.path) < expiry
+        ):
+            return False
+        archive = os.path.join(self.config.journal_dir, "archive")
+        os.makedirs(archive, exist_ok=True)
+        target = os.path.join(archive, os.path.basename(replayed.path))
+        os.replace(replayed.path, target)
+        self._log(f"archived finished journal to {target}")
+        return True
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -288,8 +368,10 @@ class FleetDaemon:
                     f"{PROTOCOL_VERSION}, peer {hello.get('protocol')!r}"
                 )
             role = hello.get("role", "worker")
-            if role not in _ROLES:
-                raise ProtocolError(f"unknown role {role!r}; one of {_ROLES}")
+            # A tuple, not a set: the peer's role may be any JSON value.
+            roles = tuple(dict.fromkeys(verb_role for verb_role, _ in self._verbs))
+            if role not in roles:
+                raise ProtocolError(f"unknown role {role!r}; one of {roles}")
             name = str(hello.get("worker") or hello.get("client") or role)
             if self.config.secret is not None:
                 # Challenge/response *before* the peer is registered
@@ -306,23 +388,24 @@ class FleetDaemon:
                 frame = recv_frame(sock)
                 if frame is None:
                     return
-                if self._stop.is_set() and frame.get("type") != "goodbye":
+                kind = frame.get("type")
+                if self._stop.is_set() and kind != "goodbye":
                     # shutdown() ran while we blocked on recv.  A worker
                     # asking for more is told to leave; anything else
                     # closes the connection rather than keep serving a
                     # dead daemon's queue (workers reconnect to whatever
                     # replaces it).
-                    if owner is None or frame.get("type") != "request":
+                    if owner is None or kind != "request":
                         return
                     send_frame(sock, {"type": "done"})
                     continue
                 if owner is not None:
                     self.health.on_frame(owner)
-                    reply = self._reply_to_worker(frame, owner)
-                else:
-                    reply = self._reply_to_submitter(frame)
-                send_frame(sock, reply)
-                if frame.get("type") == "goodbye":
+                handler = isinstance(kind, str) and self._verbs.get((role, kind))
+                if not handler:
+                    raise ProtocolError(f"unknown {role} message type {kind!r}")
+                send_frame(sock, handler(frame, owner))
+                if kind == "goodbye":
                     return
         except AuthenticationError as exc:
             self.stats.rejected_auth += 1
@@ -365,64 +448,54 @@ class FleetDaemon:
             pass
 
     # ------------------------------------------------------------------
-    # Worker frames
+    # Worker verbs
     # ------------------------------------------------------------------
 
-    def _reply_to_worker(self, frame: Mapping[str, object], owner: str) -> dict:
-        kind = frame.get("type")
-        if kind == "request":
-            lease = self.queue.acquire(
-                owner, self.health.chunk_points_for(owner)
+    def _handle_request(self, frame: Mapping[str, object], owner: str) -> dict:
+        lease = self.queue.acquire(owner, self.health.chunk_points_for(owner))
+        if lease is None:
+            return {"type": "wait", "delay": self.config.poll_interval}
+        payloads = self.queue.entry(lease.sweep).point_payloads
+        return {
+            "type": "chunk",
+            "sweep": lease.sweep,
+            "chunk_id": lease.lease_id,
+            "points": [
+                {"index": index, "point": payloads[index]} for index in lease.indices
+            ],
+        }
+
+    def _handle_result(self, frame: Mapping[str, object], owner: str) -> dict:
+        sweep = frame.get("sweep")
+        index = frame.get("index")
+        payload = frame.get("result")
+        if not isinstance(sweep, str):
+            raise ProtocolError(f"result frame without a sweep name: {sweep!r}")
+        if not is_index(index):
+            raise ProtocolError(f"result with bad index {index!r}")
+        if not isinstance(payload, Mapping):
+            raise ProtocolError(
+                f"result for {sweep!r}[{index}] carries no payload object"
             )
-            if lease is None:
-                return {"type": "wait", "delay": self.config.poll_interval}
-            payloads = self.queue.entry(lease.sweep).point_payloads
-            return {
-                "type": "chunk",
-                "sweep": lease.sweep,
-                "chunk_id": lease.lease_id,
-                "points": [
-                    {"index": index, "point": payloads[index]}
-                    for index in lease.indices
-                ],
-            }
-        if kind == "result":
-            sweep = frame.get("sweep")
-            index = frame.get("index")
-            payload = frame.get("result")
-            if not isinstance(sweep, str):
-                raise ProtocolError(
-                    f"result frame without a sweep name: {sweep!r}"
+        try:
+            accepted = self.queue.complete(sweep, index, payload, owner)
+        except DispatchError as exc:  # unknown sweep / index off the grid
+            raise ProtocolError(str(exc)) from exc
+        if accepted:
+            self.stats.results_accepted += 1
+            self.health.on_result(owner)
+            self._journal_point(sweep, index, payload)
+            entry = self.queue.entry(sweep)
+            if entry is not None and entry.state == "done":
+                self._log(
+                    f"sweep {sweep!r} complete "
+                    f"({entry.executed} executed, {len(entry.resumed)} resumed)"
                 )
-            if not is_index(index):
-                raise ProtocolError(f"result with bad index {index!r}")
-            if not isinstance(payload, Mapping):
-                raise ProtocolError(
-                    f"result for {sweep!r}[{index}] carries no payload object"
-                )
-            try:
-                accepted = self.queue.complete(sweep, index, payload, owner)
-            except DispatchError as exc:  # unknown sweep / index off the grid
-                raise ProtocolError(str(exc)) from exc
-            if accepted:
-                self.stats.results_accepted += 1
-                self.health.on_result(owner)
-                self._journal_point(sweep, index, payload)
-                entry = self.queue.entry(sweep)
-                if entry is not None and entry.state == "done":
-                    self._log(
-                        f"sweep {sweep!r} complete "
-                        f"({entry.executed} executed, "
-                        f"{len(entry.resumed)} resumed)"
-                    )
-            return {"type": "ok", "accepted": accepted}
-        if kind == "heartbeat":
-            self.health.on_heartbeat(owner)
-            extended = self.queue.heartbeat(owner)
-            return {"type": "ok", "extended": extended}
-        if kind == "goodbye":
-            return {"type": "ok"}
-        raise ProtocolError(f"unknown worker message type {kind!r}")
+        return {"type": "ok", "accepted": accepted}
+
+    def _handle_heartbeat(self, frame: Mapping[str, object], owner: str) -> dict:
+        self.health.on_heartbeat(owner)
+        return {"type": "ok", "extended": self.queue.heartbeat(owner)}
 
     def _journal_point(
         self, sweep: str, index: int, payload: Mapping[str, object]
@@ -440,32 +513,19 @@ class FleetDaemon:
                 raise
 
     # ------------------------------------------------------------------
-    # Submitter frames
+    # Submitter verbs
     # ------------------------------------------------------------------
 
-    def _reply_to_submitter(self, frame: Mapping[str, object]) -> dict:
-        kind = frame.get("type")
-        if kind == "submit":
-            return self._handle_submit(frame)
-        if kind == "status":
-            return self._handle_status(frame)
-        if kind == "metrics":
-            return self._handle_metrics()
-        if kind == "cancel":
-            sweep = frame.get("sweep")
-            if not isinstance(sweep, str):
-                raise ProtocolError(f"cancel without a sweep name: {sweep!r}")
-            existed = self.queue.cancel(sweep)
-            if existed:
-                self._log(f"sweep {sweep!r} cancelled")
-            return {"type": "cancelled", "sweep": sweep, "existed": existed}
-        if kind == "fetch":
-            return self._handle_fetch(frame)
-        if kind == "goodbye":
-            return {"type": "ok"}
-        raise ProtocolError(f"unknown submitter message type {kind!r}")
+    def _handle_cancel(self, frame: Mapping[str, object], owner: None) -> dict:
+        sweep = frame.get("sweep")
+        if not isinstance(sweep, str):
+            raise ProtocolError(f"cancel without a sweep name: {sweep!r}")
+        existed = self.queue.cancel(sweep)
+        if existed:
+            self._log(f"sweep {sweep!r} cancelled")
+        return {"type": "cancelled", "sweep": sweep, "existed": existed}
 
-    def _handle_submit(self, frame: Mapping[str, object]) -> dict:
+    def _handle_submit(self, frame: Mapping[str, object], owner: None) -> dict:
         spec_payload = frame.get("spec")
         if not isinstance(spec_payload, Mapping):
             raise ProtocolError("submit frame carries no spec object")
@@ -511,57 +571,7 @@ class FleetDaemon:
         entry, _ = self._submit(spec, name or spec.name, priority)
         return entry
 
-    def _submit(
-        self, spec: SweepSpec, name: str, priority: int
-    ) -> tuple[FleetEntry, bool]:
-        fingerprint = sweep_fingerprint(spec)
-        with self._submit_lock:
-            resumed: dict[int, dict] = {}
-            journal: SweepJournal | None = None
-            if (
-                self.config.journal_dir is not None
-                and self.queue.entry(name) is None
-            ):
-                path = journal_path(self.config.journal_dir, name)
-                if os.path.exists(path):
-                    journal, replayed = SweepJournal.attach(
-                        path,
-                        expected_fingerprint=fingerprint,
-                        fsync=self.config.fsync,
-                    )
-                    for warning in replayed.warnings:
-                        self._log(f"journal warning: {warning}")
-                    resumed = replayed.results
-                else:
-                    journal = SweepJournal.create(
-                        self.config.journal_dir,
-                        spec,
-                        name=name,
-                        priority=priority,
-                        fsync=self.config.fsync,
-                    )
-            try:
-                entry, created = self.queue.submit(
-                    name,
-                    spec_artifact(spec)["columns"],
-                    fingerprint,
-                    priority=priority,
-                    resumed_results=resumed,
-                )
-            except Exception:
-                if journal is not None:
-                    journal.close()
-                raise
-            if journal is not None:
-                self._journals[name] = journal
-        self.stats.submissions += 1
-        self._log(
-            f"sweep {name!r} {'submitted' if created else 'attached'}: "
-            f"{entry.completed}/{entry.total} done, priority {entry.priority}"
-        )
-        return entry, created
-
-    def _handle_status(self, frame: Mapping[str, object]) -> dict:
+    def _handle_status(self, frame: Mapping[str, object], owner: None) -> dict:
         sweep = frame.get("sweep")
         rows = self.queue.status_rows()
         if isinstance(sweep, str):
@@ -582,7 +592,7 @@ class FleetDaemon:
             },
         }
 
-    def _handle_metrics(self) -> dict:
+    def _handle_metrics(self, frame: Mapping[str, object], owner: None) -> dict:
         """Live ``repro.telemetry/1`` snapshot of the daemon's own state.
 
         Built on demand from the same counters ``status`` reads — the
@@ -629,7 +639,7 @@ class FleetDaemon:
                 )
         return {"type": "metrics_report", "telemetry": registry.snapshot()}
 
-    def _handle_fetch(self, frame: Mapping[str, object]) -> dict:
+    def _handle_fetch(self, frame: Mapping[str, object], owner: None) -> dict:
         sweep = frame.get("sweep")
         if not isinstance(sweep, str):
             raise ProtocolError(f"fetch without a sweep name: {sweep!r}")
@@ -658,6 +668,10 @@ class FleetDaemon:
 
     def _log(self, message: str) -> None:
         _LOGGER.info(message)
+
+
+def _handle_goodbye(frame: Mapping[str, object], owner: str | None) -> dict:
+    return {"type": "ok"}
 
 
 def run_daemon(config: FleetConfig) -> int:
@@ -692,11 +706,3 @@ def run_daemon(config: FleetConfig) -> int:
         daemon.shutdown()
         daemon._log("stopped")
     return 0
-
-
-def _main() -> int:  # pragma: no cover - exercised via the CLI module
-    return run_daemon(FleetConfig())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(_main())

@@ -9,7 +9,10 @@ replays each file, rebuilds the sweep spec recorded in the header line
 layer already validates points with), and resumes serving only the
 indices that have no journaled result.  Resubmitting an *identical* sweep
 to a live daemon hits the same path: matching fingerprints attach to the
-journaled state instead of recomputing.
+journaled state instead of recomputing.  The files are the only state:
+``fleet status --journal-dir`` replays them too, and a daemon started with
+``--journal-expiry`` moves finished ones to ``<journal_dir>/archive/``
+during that same replay.
 
 File layout (``<journal_dir>/<sweep>.jsonl``)::
 
@@ -32,6 +35,11 @@ Trust model — what replay does with a damaged file:
 * **Fingerprint mismatch** against the sweep being resumed:
   :class:`~repro.errors.JournalError`.  A journal written by a different
   grid must never seed this one's results.
+* **Header ``total`` disagreeing with its spec's column count**:
+  :class:`~repro.errors.JournalError`.  The fingerprint hashes the spec,
+  not ``total``, and :meth:`SweepJournal.create` always writes the two
+  equal — a mismatch means an edited header, which would otherwise queue
+  points the journal then refuses to record.
 * **Garbage anywhere else** (unreadable header, non-final corrupt line,
   out-of-range index): :class:`~repro.errors.JournalError` — loud, never
   silently recomputed.
@@ -45,7 +53,6 @@ import json
 import logging
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -56,14 +63,9 @@ from repro.experiments.sweep import SweepSpec, spec_artifact
 _LOGGER = logging.getLogger("repro.dispatch.journal")
 
 __all__ = [
-    "ARCHIVE_DIRNAME",
-    "INDEX_FILENAME",
     "JOURNAL_SCHEMA",
-    "JournalIndexEntry",
     "ReplayedJournal",
     "SweepJournal",
-    "compact_finished",
-    "journal_index",
     "journal_path",
     "list_journals",
     "sweep_fingerprint",
@@ -293,8 +295,14 @@ class SweepJournal:
             or total < 0
             or not is_index(priority)
             or not isinstance(spec_payload, Mapping)
+            or not isinstance(spec_payload.get("columns"), list)
         ):
             raise JournalError(f"{path}:1: malformed sweep header")
+        if total != len(spec_payload["columns"]):
+            raise JournalError(
+                f"{path}:1: header total {total} does not match the "
+                f"{len(spec_payload['columns'])} columns of its spec"
+            )
         if (
             expected_fingerprint is not None
             and fingerprint != expected_fingerprint
@@ -405,143 +413,3 @@ def _parse_line(path: str, lineno: int, line: str) -> dict:
         )
     return payload
 
-
-# ----------------------------------------------------------------------
-# Index + compaction: keeping ``fleet status`` O(active sweeps)
-# ----------------------------------------------------------------------
-
-#: Sidecar cache of per-journal summaries, keyed by (mtime_ns, size) so a
-#: journal that has not been appended to since the last scan is summarised
-#: without re-reading it.
-INDEX_FILENAME = ".index.json"
-
-#: Where :func:`compact_finished` moves finished journals, relative to the
-#: journal directory.
-ARCHIVE_DIRNAME = "archive"
-
-
-@dataclass(slots=True)
-class JournalIndexEntry:
-    """One journal's summary as recorded in the directory index."""
-
-    path: str
-    name: str
-    fingerprint: str
-    total: int
-    completed: int
-    priority: int
-    mtime_ns: int
-    size: int
-
-    @property
-    def finished(self) -> bool:
-        """Every point journaled (an empty grid is trivially finished)."""
-        return self.completed >= self.total
-
-
-def journal_index(
-    journal_dir: str, *, use_cache: bool = True
-) -> list[JournalIndexEntry]:
-    """Summaries of every journal in ``journal_dir``, sorted by path.
-
-    Backed by a sidecar cache (:data:`INDEX_FILENAME`): a journal whose
-    ``(mtime_ns, size)`` matches its cached entry is summarised without
-    replaying the file, so repeated scans of a directory full of finished
-    sweeps cost one ``stat`` each instead of a full replay.  Changed or new
-    files are replayed (loud on corruption, like any replay) and the cache
-    is rewritten.  The cache itself is derived data: an unreadable or
-    stale-schema cache is discarded and rebuilt, never trusted.
-    """
-    cache_path = os.path.join(journal_dir, INDEX_FILENAME)
-    cached: dict[str, dict] = {}
-    if use_cache:
-        try:
-            with open(cache_path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if isinstance(payload, dict):
-                entries = payload.get("journals")
-                if isinstance(entries, dict):
-                    cached = entries
-        except (OSError, ValueError):
-            cached = {}
-    index: list[JournalIndexEntry] = []
-    fresh: dict[str, dict] = {}
-    dirty = False
-    for path in list_journals(journal_dir):
-        stat = os.stat(path)
-        basename = os.path.basename(path)
-        entry = cached.get(basename)
-        if (
-            isinstance(entry, dict)
-            and entry.get("mtime_ns") == stat.st_mtime_ns
-            and entry.get("size") == stat.st_size
-        ):
-            try:
-                index.append(JournalIndexEntry(path=path, **entry))
-                fresh[basename] = entry
-                continue
-            except TypeError:
-                pass  # stale cache schema: rebuild this entry
-        replayed = SweepJournal.replay(path)
-        summary = {
-            "name": replayed.name,
-            "fingerprint": replayed.fingerprint,
-            "total": replayed.total,
-            "completed": len(replayed.results),
-            "priority": replayed.priority,
-            "mtime_ns": stat.st_mtime_ns,
-            "size": stat.st_size,
-        }
-        index.append(JournalIndexEntry(path=path, **summary))
-        fresh[basename] = summary
-        dirty = True
-    if use_cache and (dirty or set(fresh) != set(cached)):
-        try:
-            tmp_path = cache_path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump({"schema": JOURNAL_SCHEMA, "journals": fresh}, handle)
-            os.replace(tmp_path, cache_path)
-        except OSError:
-            pass  # the cache is an optimisation; the index above is correct
-    return index
-
-
-def compact_finished(
-    journal_dir: str,
-    *,
-    older_than: float = 0.0,
-    archive_dir: str | None = None,
-    now: float | None = None,
-) -> list[str]:
-    """Archive every finished journal idle for ``older_than`` seconds.
-
-    A journal is finished when all its points are journaled; "idle" is
-    measured from its mtime (a finished journal is never appended to
-    again). Files move into ``archive_dir`` (default
-    ``<journal_dir>/archive/``) rather than being deleted — the results
-    remain replayable by hand, but daemon restarts and ``fleet status``
-    stop paying for them.  Returns the archived journals' new paths.
-
-    Trade-off made explicit: resubmitting a sweep whose journal was
-    archived recomputes it (the fingerprint match happens against live
-    journals only).
-    """
-    if older_than < 0:
-        raise ConfigurationError(
-            f"older_than must be >= 0, got {older_than}"
-        )
-    destination = archive_dir or os.path.join(journal_dir, ARCHIVE_DIRNAME)
-    reference = time.time() if now is None else now
-    archived: list[str] = []
-    for entry in journal_index(journal_dir):
-        if not entry.finished:
-            continue
-        if reference - entry.mtime_ns / 1e9 < older_than:
-            continue
-        os.makedirs(destination, exist_ok=True)
-        target = os.path.join(destination, os.path.basename(entry.path))
-        os.replace(entry.path, target)
-        archived.append(target)
-    if archived:
-        journal_index(journal_dir)  # refresh the sidecar cache
-    return archived

@@ -19,7 +19,11 @@ Message types (protocol version 2)
 
 There is one server — the :class:`~repro.dispatch.daemon.FleetDaemon`,
 whether it lives for one ``--dispatch`` sweep or for months — and two
-peer roles: workers (``wrk``) and submitters (``sub``).
+peer roles: workers (``wrk``) and submitters (``sub``).  After
+``welcome`` the daemon answers from one verb table keyed by ``(role,
+type)`` (:class:`~repro.dispatch.daemon.FleetDaemon`): a ``wrk → srv`` or
+``sub → srv`` type sent by the other role, or any type not listed, gets
+``error`` with ``code`` ``"protocol"``.
 
 =============== ============ ===============================================
 type            direction    payload

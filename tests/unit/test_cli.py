@@ -360,15 +360,30 @@ class TestCli:
                 for i in range(2)
             ],
         )
-        journal = SweepJournal.create(
-            str(tmp_path), spec, name="offline-sweep", priority=1
-        )
-        with journal:
-            journal.record(0, {"kind": "column", "payload": {}})
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["fleet", "status", "--journal-dir", str(empty)]) == 0
+        assert "offline-sweep" not in capsys.readouterr().out
+
+        for name, points in (("offline-sweep", 1), ("offline-done", 2)):
+            with SweepJournal.create(
+                str(tmp_path), spec, name=name, priority=1
+            ) as journal:
+                for index in range(points):
+                    journal.record(index, {"kind": "column", "payload": {}})
         assert main(["fleet", "status", "--journal-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "offline-sweep" in out
-        assert "partial" in out
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("offline-")
+        ]
+        # One row per journal, sorted by file name: sweep, state, completed,
+        # total, priority, fingerprint.
+        assert [row[:5] for row in rows] == [
+            ["offline-done", "done", "2", "2", "1"],
+            ["offline-sweep", "partial", "1", "2", "1"],
+        ]
+        assert not (tmp_path / ".index.json").exists()
 
     def test_json_artifact_embeds_sweep_configs(self, tmp_path) -> None:
         path = tmp_path / "fig3.json"

@@ -11,10 +11,13 @@ than silently seeding wrong results.
 from __future__ import annotations
 
 import json
+import os
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.journal import (
     JOURNAL_SCHEMA,
     SweepJournal,
@@ -230,6 +233,19 @@ class TestCorruptionPolicy:
         with pytest.raises(JournalError, match="malformed sweep header"):
             SweepJournal.replay(path)
 
+    def test_header_total_must_match_its_spec(self, tmp_path) -> None:
+        # The fingerprint hashes the spec, not ``total``: a header claiming
+        # fewer points than its grid would let the queue accept a result
+        # the journal then refuses to record.
+        path = self.make_journal(tmp_path, points=())
+        header = json.loads(open(path, encoding="utf-8").readline())
+        assert header["total"] == len(header["spec"]["columns"]) == 3
+        header["total"] = 1
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header) + "\n")
+        with pytest.raises(JournalError, match=r"total 1 .* 3 columns"):
+            SweepJournal.replay(path)
+
     def test_unknown_schema_is_loud(self, tmp_path) -> None:
         path = self.make_journal(tmp_path, points=())
         lines = open(path, encoding="utf-8").read().splitlines()
@@ -247,3 +263,73 @@ class TestCorruptionPolicy:
             handle.write("[1, 2, 3]\n")
         with pytest.raises(JournalError, match="must be JSON objects"):
             SweepJournal.replay(path)
+
+
+class TestRestartArchiving:
+    """``journal_expiry`` is decided inside a restart's one replay per file:
+    a finished journal idle that long moves to ``archive/`` instead of being
+    restored; a partial one is always restored."""
+
+    @pytest.fixture()
+    def journal_dir(self, tmp_path):
+        for name, points in (("done", (0, 1, 2)), ("half", (0,))):
+            with SweepJournal.create(str(tmp_path), tiny_spec(), name=name) as j:
+                for index in points:
+                    j.record(index, wire_result(index))
+        return tmp_path
+
+    @pytest.fixture()
+    def replays(self, monkeypatch):
+        replayed: list[str] = []
+        original = SweepJournal.replay
+
+        def counting(path, **kwargs):
+            replayed.append(os.path.basename(path))
+            return original(path, **kwargs)
+
+        monkeypatch.setattr(SweepJournal, "replay", staticmethod(counting))
+        return replayed
+
+    @staticmethod
+    def restart(journal_dir, expiry) -> FleetDaemon:
+        daemon = FleetDaemon(
+            FleetConfig(journal_dir=str(journal_dir), journal_expiry=expiry)
+        )
+        daemon.shutdown()
+        return daemon
+
+    def test_zero_expiry_archives_every_finished_journal(
+        self, journal_dir, replays
+    ) -> None:
+        daemon = self.restart(journal_dir, 0.0)
+        assert replays == ["done.jsonl", "half.jsonl"]
+        assert [row["sweep"] for row in daemon.queue.status_rows()] == ["half"]
+        assert sorted(p.name for p in journal_dir.glob("*.jsonl")) == ["half.jsonl"]
+        # Archived, not deleted: the results remain replayable by hand.
+        archived = SweepJournal.replay(str(journal_dir / "archive" / "done.jsonl"))
+        assert sorted(archived.results) == [0, 1, 2]
+
+    @pytest.mark.parametrize("age, archived", [(120.0, True), (10.0, False)])
+    def test_expiry_spares_recently_finished_journals(
+        self, journal_dir, replays, age, archived
+    ) -> None:
+        stamp = time.time() - age
+        os.utime(journal_dir / "done.jsonl", (stamp, stamp))
+        daemon = self.restart(journal_dir, 60.0)
+        assert replays == ["done.jsonl", "half.jsonl"]
+        assert (journal_dir / "archive" / "done.jsonl").exists() is archived
+        assert daemon.queue.names() == (["half"] if archived else ["done", "half"])
+
+    def test_no_expiry_restores_everything(self, journal_dir, replays) -> None:
+        # A sidecar cache left by an older daemon is neither read nor renewed.
+        stale = journal_dir / ".index.json"
+        stale.write_text("{stale", encoding="utf-8")
+        daemon = self.restart(journal_dir, None)
+        assert replays == ["done.jsonl", "half.jsonl"]
+        assert daemon.queue.names() == ["done", "half"]
+        assert not (journal_dir / "archive").exists()
+        assert stale.read_text(encoding="utf-8") == "{stale"
+
+    def test_negative_expiry_rejected(self) -> None:
+        with pytest.raises(ConfigurationError, match="journal_expiry"):
+            FleetConfig(journal_expiry=-1)

@@ -85,6 +85,19 @@ class TestPublicAPI:
         )
         assert "chunk_size" not in dispatch.DispatchSpec.__dataclass_fields__
 
+    def test_journal_index_is_gone(self) -> None:
+        """1.7.0 removed the derived journal cache: journals are the only
+        state, replayed by restarts and ``fleet status --journal-dir`` alike,
+        and ``--journal-expiry`` archives inside the restart's replay."""
+        import repro.dispatch as dispatch
+        import repro.dispatch.journal as journal
+
+        gone = {"JournalIndexEntry", "compact_finished", "journal_index"}
+        assert not gone & set(dispatch.__all__)
+        for name in gone | {"INDEX_FILENAME", "ARCHIVE_DIRNAME"}:
+            assert not hasattr(dispatch, name)
+            assert not hasattr(journal, name)
+
     def test_importing_the_package_leaves_networkx_out(self) -> None:
         """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
         CLI start, pool worker and fleet worker would otherwise pay for it."""
