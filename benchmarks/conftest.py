@@ -13,29 +13,42 @@ sanity-level sweeps with the same shapes.
 their columns across (default 1, i.e. serial — wall-clock numbers stay
 comparable run to run).  Column results are deterministic per seed, so any
 job count reproduces the same series.
+
+A set variable that does not parse as a finite, positive number fails the
+session with a usage error before anything runs: a typo must not silently
+run every figure at full scale.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
 
 
-def _scale() -> float:
+def _positive(name: str, default: str, parse) -> float:
+    raw = os.environ.get(name, default)
     try:
-        value = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+        value = parse(raw)
     except ValueError:
-        return 1.0
-    return min(max(value, 0.05), 4.0)
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise pytest.UsageError(f"{name}={raw!r} is not a finite, positive number")
+    return value
+
+
+def _scale() -> float:
+    return min(max(_positive("REPRO_BENCH_SCALE", "1.0", float), 0.05), 4.0)
 
 
 def _jobs() -> int:
-    try:
-        value = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    except ValueError:
-        return 1
-    return min(max(value, 1), 64)
+    return min(max(_positive("REPRO_BENCH_JOBS", "1", int), 1), 64)
+
+
+def pytest_configure(config) -> None:
+    _scale()
+    _jobs()
 
 
 @pytest.fixture(scope="session")

@@ -6,18 +6,109 @@ is limited to 5 in our experiments". These benchmarks measure the two hot
 paths — the commit-time dependency-list merge and the per-read consistency
 check — at the paper's parameters, and verify the O(1)-in-database-size
 claim by timing the same operation against histories of different sizes.
+
+Two layer probes ride along, each on a bare simulator with a seeded
+workload so two runs do the same work: the 2PC commit path those merges run
+inside, and the kernel's sleep path every process waits on. Each asserts its
+determinism witnesses; ``--benchmark-json`` records their timings.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import random
 import time
 
-from repro.bench.suite import sgt_history, sgt_read_sets
+import pytest
+
 from repro.core.deplist import DependencyList
 from repro.core.detector import check_read
 from repro.core.records import TransactionContext
+from repro.db.database import Database, DatabaseConfig
 from repro.monitor.sgt import SerializationGraphTester
+from repro.sim.core import Simulator
+from repro.types import CommittedTransaction
+from repro.workloads.base import key_for
+
+
+def sgt_history(
+    n_updates: int, n_keys: int = 2000, seed: int = 1234
+) -> tuple[list[CommittedTransaction], dict[str, int], dict[str, int]]:
+    """A seeded 2PL-style history: reads see the current version.
+
+    Returns ``(transactions, current version per key, previous version per
+    key)`` — the previous-version map feeds bounded-staleness read sets.
+    """
+    rng = random.Random(seed)
+    current: dict[str, int] = {}
+    previous: dict[str, int] = {}
+    txns: list[CommittedTransaction] = []
+    for version in range(1, n_updates + 1):
+        picks = rng.sample(range(n_keys), 3)
+        keys = [f"k{index}" for index in picks]
+        reads = {key: current.get(key, 0) for key in keys}
+        writes = {key: version for key in keys[:2]}
+        txns.append(
+            CommittedTransaction(txn_id=version, reads=reads, writes=writes)
+        )
+        for key in writes:
+            previous[key] = current.get(key, 0)
+            current[key] = version
+    return txns, current, previous
+
+
+def sgt_read_sets(
+    current: dict[str, int],
+    previous: dict[str, int],
+    n_checks: int,
+    k: int = 5,
+    seed: int = 99,
+) -> list[dict[str, int]]:
+    """Read sets with *bounded staleness*: current or previous versions.
+
+    Mirrors what a cache-fed monitor classifies — entries are near-current,
+    never the initial load — so the BFS neighbourhood is governed by the
+    conflict structure, not by how long the history is. That is the §V-B2
+    shape under test: per-check cost O(1) in history size.
+    """
+    rng = random.Random(seed)
+    keys = list(current)
+    read_sets = []
+    for _ in range(n_checks):
+        chosen = rng.sample(keys, min(k, len(keys)))
+        read_sets.append(
+            {
+                key: current[key]
+                if rng.random() < 0.7
+                else previous.get(key, 0)
+                for key in chosen
+            }
+        )
+    return read_sets
+
+
+class TestHistoryBuilders:
+    def test_history_reads_see_current_versions(self) -> None:
+        txns, current, previous = sgt_history(200)
+        assert len(txns) == 200
+        state: dict[str, int] = {}
+        for txn in txns:
+            for key, version in txn.reads.items():
+                assert version == state.get(key, 0)
+            for key, version in txn.writes.items():
+                state[key] = version
+        assert state == current
+        for key, version in previous.items():
+            assert version < current[key]
+
+    def test_read_sets_are_bounded_staleness(self) -> None:
+        _, current, previous = sgt_history(500)
+        read_sets = sgt_read_sets(current, previous, 50)
+        assert len(read_sets) == 50
+        for reads in read_sets:
+            for key, version in reads.items():
+                assert version in (current[key], previous.get(key, 0))
 
 
 def make_inherited(txn_size: int, k: int) -> list[DependencyList]:
@@ -157,3 +248,117 @@ def test_sgt_record_allocates_one_container_per_transaction():
         f"{created} GC-tracked containers for {n_updates} transactions over "
         f"{len(current)} keys ({created / n_updates:.2f} per transaction)"
     )
+
+
+def commit_path(shards: int, transactions: int) -> dict[str, int]:
+    """Three-key update transactions straight through the 2PC commit path.
+
+    A launcher submits read-all-write-all transactions over three objects of
+    one five-object cluster (so the k = 5 lists fill up) 600 times a
+    simulated second, the ``column_write`` rate, to a database with default
+    phase timing and nothing attached: no cache, channel, client or monitor.
+    """
+    keys = [key_for(index) for index in range(2000)]
+    sim = Simulator()
+    database = Database(sim, DatabaseConfig(shards=shards, deplist_max=5))
+    database.load({key: 0 for key in keys})
+    rng = random.Random(15)
+
+    def launcher():
+        for index in range(transactions):
+            cluster = 5 * rng.randrange(len(keys) // 5)
+            group = [keys[cluster + offset] for offset in rng.sample(range(5), 3)]
+            database.execute_update(
+                read_keys=group, writes={key: index for key in group}
+            )
+            yield 1.0 / 600.0
+
+    sim.process(launcher())
+    sim.run()
+    return {
+        "commits": database.stats.committed,
+        "aborts": database.stats.aborted,
+        "events": sim.events_executed,
+    }
+
+
+def test_commit_path_on_one_and_two_shards(benchmark, scale):
+    """The same transactions on one participant, then spread over two
+    shards, where most prepare and commit at two participants. Every
+    transaction commits or aborts, and the second prepare round adds
+    events."""
+    transactions = max(200, int(20_000 * scale))
+    runs = benchmark.pedantic(
+        lambda: {
+            "one_participant": commit_path(1, transactions),
+            "two_shards": commit_path(2, transactions),
+        },
+        rounds=1,
+    )
+    benchmark.extra_info.update(runs)
+    for run in runs.values():
+        assert run["commits"] + run["aborts"] == transactions
+    assert runs["two_shards"]["events"] > runs["one_participant"]["events"]
+
+
+def kernel_sleep(delays: list[float], rounds: int) -> dict[str, int]:
+    """One process per delay, each doing nothing but ``yield delay``."""
+
+    def sleeper(delay: float):
+        for _ in range(rounds):
+            yield delay
+
+    sim = Simulator()
+    for delay in delays:
+        sim.process(sleeper(delay))
+    sim.run()
+    return {"wakeups": rounds * len(delays), "events": sim.events_executed}
+
+
+def test_kernel_sleep_tie_free_and_tie_heavy(benchmark, scale):
+    """Both ends of ``Process._wake``: on the tie-free schedule (an
+    irrational multiple of a millisecond each) no two wake-ups share an
+    instant and each resumes in the dispatch that popped it; on the
+    tie-heavy one (one delay for all) every wake-up finds a peer due at the
+    same instant and queues in the immediate FIFO. Either way a wake-up is
+    two events, plus one start per sleeper."""
+    rounds = max(50, int(12_500 * scale))
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    runs = benchmark.pedantic(
+        lambda: {
+            "tie_free": kernel_sleep([0.001 * math.sqrt(p) for p in primes], rounds),
+            "tie_heavy": kernel_sleep([0.001] * len(primes), rounds),
+        },
+        rounds=1,
+    )
+    benchmark.extra_info.update(runs)
+    for run in runs.values():
+        assert run["events"] == len(primes) + 2 * run["wakeups"]
+
+
+class TestProbeWitnesses:
+    """The probes' witnesses at a fixed small size, on shapes the timed
+    runs do not cover, and rerun: two runs of a probe do the same work."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_commit_path_resolves_every_transaction(self, shards) -> None:
+        run = commit_path(shards, 200)
+        assert run["commits"] > 0
+        assert run["commits"] + run["aborts"] == 200
+        assert commit_path(shards, 200) == run
+
+    @pytest.mark.parametrize(
+        "delays",
+        [
+            [0.001],
+            [0.001 * math.sqrt(p) for p in (2, 3, 5, 7)],
+            [0.001] * 4,
+            [0.001, 0.001, 0.001 * math.sqrt(2), 0.001 * math.sqrt(3)],
+            [0.0] * 4,
+        ],
+        ids=["one-sleeper", "tie-free", "tie-heavy", "mixed", "zero-delay"],
+    )
+    def test_kernel_sleep_wake_is_two_events(self, delays) -> None:
+        run = kernel_sleep(delays, 50)
+        assert run["events"] == len(delays) + 2 * run["wakeups"]
+        assert kernel_sleep(delays, 50) == run

@@ -3,9 +3,8 @@
 Verbs: the twelve experiments (``fig3 fig4 fig5 fig6 fig7ab fig7c fig7d
 fig8 theorem1 sensitivity scenario protocol-race``), ``all`` (every
 experiment, in that order), ``worker`` (pull points from a ``--dispatch``
-run or a fleet daemon), ``fleet serve|submit|status|cancel`` (the
-long-lived sweep-queue daemon and its submitter verbs) and ``bench`` (the
-tracked performance suite).
+run or a fleet daemon) and ``fleet serve|submit|status|cancel`` (the
+long-lived sweep-queue daemon and its submitter verbs).
 
 Flags follow the verb and every verb accepts only the flags it uses:
 ``VERB --help`` lists them.
@@ -20,7 +19,6 @@ import sys
 import time
 
 from repro import telemetry
-from repro.bench import cli as bench_cli
 from repro.dispatch import DispatchSpec, FleetSpec
 from repro.dispatch import cli as dispatch_cli
 from repro.errors import ConfigurationError
@@ -131,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the machine-readable artifact here (experiments: the "
-        "full, unsampled rows plus run metadata; bench: the repro.bench "
-        "payload; fleet submit --wait: the completed SweepResult)",
+        "full, unsampled rows plus run metadata; fleet submit --wait: the "
+        "completed SweepResult)",
     )
 
     run = argparse.ArgumentParser(add_help=False)
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "overrides --edges/--backends",
     )
     dispatch_cli.mount(verbs, common, output)
-    bench_cli.mount(verbs, common, output)
     return parser
 
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
+import pstats
 
 import pytest
 
 from repro.experiments.__main__ import EXPERIMENTS, main
+
+UNREACHABLE = ["--connect", "127.0.0.1:1", "--connect-timeout", "0.2"]
 
 
 class TestCli:
@@ -284,10 +287,24 @@ class TestCli:
             main(["worker", "--connect", "localhost:1", "--max-idle", "0"])
         assert excinfo.value.code == 2
 
-    def test_bench_rejects_fleet(self, capsys) -> None:
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--fleet", "localhost:7650"])
-        assert excinfo.value.code == 2
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["fig7ab"], 0),
+            (["fleet", "status", "--journal-dir", "."], 0),
+            # Port 1 is never listening: the verb fails, the dump still lands.
+            (["fleet", "status", *UNREACHABLE], 1),
+            (["fleet", "cancel", "some-sweep", *UNREACHABLE], 1),
+        ],
+        ids=["fig7ab", "status-offline", "status-unreachable", "cancel-unreachable"],
+    )
+    def test_profile_writes_stats_file(
+        self, argv, code, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        assert main([*argv, "--profile", "verb.prof"]) == code
+        assert pstats.Stats("verb.prof").total_calls > 0
 
     def test_fleet_requires_a_subcommand(self, capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:

@@ -37,7 +37,6 @@ GOLDEN = {
     "scenario": sorted(RUN + ["--backends", "--edges", "--spec"]),
     "all": sorted(RUN + ["--backends", "--edges"]),
     "worker": sorted(COMMON + CONNECT + ["--fault", "--max-idle", "--worker-name"]),
-    "bench": sorted(COMMON + ["--baseline", "--bench-scale", "--json"]),
     "fleet serve": sorted(
         COMMON
         + ["--fsync", "--host", "--journal-dir", "--journal-expiry"]
@@ -64,8 +63,7 @@ REQUIRED = {
 #: A *valid* value for every flag that takes one, so a misplaced flag can
 #: only fail for being misplaced.
 VALUES = {
-    "--backends": "2", "--baseline": ".", "--bench-scale": "0.1",
-    "--chrome-trace": "t.json", "--connect": "127.0.0.1:1",
+    "--backends": "2", "--chrome-trace": "t.json", "--connect": "127.0.0.1:1",
     "--connect-timeout": "1", "--dispatch": "127.0.0.1:7643", "--duration": "3",
     "--edges": "4", "--fault": "crash:1", "--fleet": "127.0.0.1:7650",
     "--fleet-priority": "1", "--fleet-wait-timeout": "5", "--host": "127.0.0.1",
@@ -77,6 +75,16 @@ VALUES = {
 }  # fmt: skip
 SWITCHES = {"--fsync", "--metrics", "--wait"}
 ALL_FLAGS = sorted(set(VALUES) | SWITCHES)
+
+#: The ``bench`` verb retired in 1.8.0, and ``--baseline``, the flag only it
+#: owned. Neither may come back as an alias or a hidden verb: the flag stays
+#: in the misplaced-flag matrix, and the verb is refused whatever follows it.
+RETIRED_VERB = "bench"
+RETIRED = {"--baseline": "."}
+
+
+def with_value(flag: str) -> list[str]:
+    return [flag] if flag in SWITCHES else [flag, {**VALUES, **RETIRED}[flag]]
 
 
 def leaf_verbs(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
@@ -105,17 +113,18 @@ class TestPlacementIsStructural:
         } == GOLDEN
 
     def test_no_option_added_or_removed(self) -> None:
-        # 21 on the old flat parser + 12 that only the fleet parser had.
+        # 21 on the old flat parser + 12 that only the fleet parser had,
+        # less the two flags of the retired bench verb.
         options = {flag for flags in GOLDEN.values() for flag in flags}
         assert options - {"<spec_path>", "<sweep>"} == set(ALL_FLAGS)
-        assert len(ALL_FLAGS) == 33
+        assert len(ALL_FLAGS) == 31
 
     @pytest.mark.parametrize(
         "verb, flag",
         [
             (verb, flag)
             for verb, owned in GOLDEN.items()
-            for flag in ALL_FLAGS
+            for flag in [*ALL_FLAGS, *RETIRED]
             if flag not in owned
         ],
     )
@@ -124,12 +133,22 @@ class TestPlacementIsStructural:
     ) -> None:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "spec.json").write_text("{}")
-        value = [] if flag in SWITCHES else [VALUES[flag]]
-        argv = [*verb.split(), *REQUIRED.get(verb, []), flag, *value]
+        argv = [*verb.split(), *REQUIRED.get(verb, []), *with_value(flag)]
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)  # parse only: nothing may run
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tail",
+        [[], ["--help"], *(with_value(flag) for flag in [*ALL_FLAGS, *RETIRED])],
+        ids=lambda tail: " ".join(tail) or "bare",
+    )
+    def test_retired_verb_is_an_invalid_choice(self, tail, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([RETIRED_VERB, *tail])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{RETIRED_VERB}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--jobs", "2", "fig3"], ["--duration", "1"]])
     def test_flags_before_the_verb_are_usage_errors(self, argv, capsys) -> None:
@@ -142,7 +161,7 @@ class TestPlacementIsStructural:
         root, is an ``add_help=False`` parent (subparsers come from
         ``add_parser``), and ``main`` never looks at ``argv`` itself."""
         constructed = []
-        for module in ("experiments/__main__", "dispatch/cli", "bench/cli"):
+        for module in ("experiments/__main__", "dispatch/cli"):
             path = os.path.join(REPO_ROOT, "src", "repro", f"{module}.py")
             source = open(path, encoding="utf-8").read()
             constructed += re.findall(r"ArgumentParser\(([^\n]*)", source)
@@ -261,8 +280,7 @@ class TestDocumentedInvocationsParse:
     def test_parses(self, source, argv, tmp_path, monkeypatch) -> None:
         # Parse only, in a scratch cwd holding the files the line names.
         monkeypatch.chdir(tmp_path)
-        for flag in ("--spec", "--baseline"):
-            if flag in argv:
-                (tmp_path / argv[argv.index(flag) + 1]).touch()
+        if "--spec" in argv:
+            (tmp_path / argv[argv.index("--spec") + 1]).touch()
         args = build_parser().parse_args(argv)
         assert args.verb == argv[0]

@@ -98,6 +98,18 @@ class TestPublicAPI:
             assert not hasattr(dispatch, name)
             assert not hasattr(journal, name)
 
+    def test_bench_is_gone(self, capsys) -> None:
+        """1.8.0 removed the in-package perf suite and its ``bench`` verb:
+        ``perf/`` is the one speed harness, and the two layer probes it
+        lacks live in ``benchmarks/test_micro_overhead.py``."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(".bench", package="repro")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+
     def test_importing_the_package_leaves_networkx_out(self) -> None:
         """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
         CLI start, pool worker and fleet worker would otherwise pay for it."""
