@@ -403,7 +403,7 @@ def _fleet_status(args) -> int:
         rows = []
         for path in list_journals(args.journal_dir):
             replayed = SweepJournal.replay(path)
-            replayed.rebuild_spec()  # the same checks a restart applies
+            replayed.rebuild_artifact()  # the same checks a restart applies
             completed = len(replayed.results)
             rows.append(
                 {

@@ -1,7 +1,7 @@
 """Submitter-side client for the fleet daemon.
 
 Everything a process needs to *use* a :class:`~repro.dispatch.daemon.FleetDaemon`
-without being a worker: submit named sweeps with priorities, poll status,
+without being a worker: submit named sweeps with priorities, read status,
 cancel, and fetch finished results.  The crown piece is
 :func:`run_fleet_sweep` — the ``run_sweep(spec, dispatch=FleetSpec(...))``
 execution backend: it submits the sweep (named by content fingerprint, so
@@ -12,10 +12,13 @@ its *own* spec objects (:mod:`repro.dispatch.codec`), so a fleet-served
 
 Every operation opens a fresh authenticated connection.  That costs a
 handshake per call but buys the property the failure drills rely on: a
-daemon restart between two polls is invisible — the next call simply
+daemon restart between two calls is invisible — the next call simply
 dials the new process, which has already restored the sweep from its
-journal.  :meth:`FleetClient.wait_for` leans into this by retrying
-connection failures until its deadline.
+journal.  :meth:`FleetClient.wait_for` leans into this: each of its
+fetches is held by the daemon until the sweep is done or a poll interval
+passes, and a transport failure — including a held fetch cut off by the
+daemon's death — is retried until its deadline.  An ``error`` reply is
+final.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from typing import Mapping
 
 from repro.dispatch.auth import secret_from_env
 from repro.dispatch.codec import decode_results
-from repro.dispatch.journal import sweep_fingerprint
+from repro.dispatch.journal import artifact_fingerprint
 from repro.dispatch.protocol import recv_frame, send_frame
-from repro.dispatch.worker import _connect, _handshake
+from repro.dispatch.worker import _connect, _handshake, _Refused
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -58,7 +61,8 @@ class FleetSpec:
     secret: str | None = None
     #: Override the content-derived sweep name (rarely needed).
     name: str | None = None
-    #: Seconds between status polls while waiting.
+    #: Longest the daemon is asked to hold each fetch while waiting (and the
+    #: fetch period against a daemon that answers at once).
     poll_interval: float = 0.5
     #: How long to keep retrying an unreachable daemon per operation.
     connect_timeout: float = 30.0
@@ -143,11 +147,16 @@ class FleetClient:
             {"type": "cancel", "sweep": name}, expect="cancelled"
         )
 
-    def fetch(self, name: str) -> dict:
-        """``results`` once done, ``pending`` with progress before that."""
-        return self._roundtrip(
-            {"type": "fetch", "sweep": name}, expect=("results", "pending")
-        )
+    def fetch(self, name: str, *, wait: float | None = None) -> dict:
+        """``results`` once done, ``pending`` with progress before that.
+
+        With ``wait``, the daemon holds the reply of a running sweep until
+        it is done, for up to ``wait`` seconds.
+        """
+        frame: dict = {"type": "fetch", "sweep": name}
+        if wait is not None:
+            frame["wait"] = wait
+        return self._roundtrip(frame, expect=("results", "pending"))
 
     def wait_for(
         self,
@@ -156,27 +165,32 @@ class FleetClient:
         poll_interval: float = 0.5,
         timeout: float | None = None,
     ) -> dict:
-        """Poll until ``name`` is done; returns the ``results`` reply.
+        """Fetch until ``name`` is done; returns the ``results`` reply.
 
-        Connection failures are retried until ``timeout`` — a daemon
-        bouncing through a restart mid-wait is expected, not fatal.
+        Each fetch asks the daemon to hold it for ``poll_interval``, and the
+        client sleeps only through what the daemon did not hold — all of it
+        against a daemon that ignores ``wait``.  Transport failures (a
+        refused connect, a reset, a connection closed mid-call) are retried
+        until ``timeout``: a daemon bouncing through a restart mid-wait is
+        expected, not fatal.  An ``error`` reply is final.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            asked = time.monotonic()
             try:
-                reply = self.fetch(name)
+                reply = self.fetch(name, wait=poll_interval)
                 if reply["type"] == "results":
                     return reply
-            except (DispatchError, OSError) as exc:
-                if isinstance(exc, AuthenticationError):
-                    raise  # a wrong secret will not get righter by waiting
+            except (_Refused, AuthenticationError):
+                raise  # the daemon said no; asking again will not change that
+            except (DispatchError, OSError):
                 if deadline is not None and time.monotonic() >= deadline:
                     raise
             if deadline is not None and time.monotonic() >= deadline:
                 raise DispatchError(
                     f"sweep {name!r} did not finish within {timeout:g}s"
                 )
-            time.sleep(poll_interval)
+            time.sleep(max(0.0, poll_interval - (time.monotonic() - asked)))
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -196,7 +210,7 @@ class FleetClient:
             if reply is None:
                 raise ProtocolError("daemon closed the connection mid-call")
             if reply.get("type") == "error":
-                raise ProtocolError(f"daemon refused: {reply.get('message')}")
+                raise _Refused(f"daemon refused: {reply.get('message')}")
             if reply.get("type") not in expected:
                 raise ProtocolError(
                     f"expected {' or '.join(expected)}, got {reply.get('type')!r}"
@@ -214,14 +228,19 @@ class FleetClient:
                 pass
 
 
-def fleet_sweep_name(spec: SweepSpec) -> str:
+def fleet_sweep_name(
+    spec: SweepSpec, artifact: Mapping[str, object] | None = None
+) -> str:
     """The content-derived name :func:`run_fleet_sweep` submits under.
 
     Built from the spec's name plus a fingerprint prefix, so submitting
     the same grid twice resumes it while two different grids that happen
     to share a human name never collide in the daemon or its journal.
+    Pass ``artifact`` if ``spec_artifact(spec)`` is already built.
     """
-    digest = sweep_fingerprint(spec).split(":", 1)[1]
+    if artifact is None:
+        artifact = spec_artifact(spec)
+    digest = artifact_fingerprint(artifact).split(":", 1)[1]
     return f"{spec.name}-{digest[:12]}"
 
 
@@ -241,8 +260,9 @@ def run_fleet_sweep(spec: SweepSpec, fleet: FleetSpec) -> SweepResult:
         secret=fleet.secret,
         connect_timeout=fleet.connect_timeout,
     )
-    name = fleet.name or fleet_sweep_name(spec)
-    submitted = client.submit(spec, name=name, priority=fleet.priority)
+    artifact = spec_artifact(spec)
+    name = fleet.name or fleet_sweep_name(spec, artifact)
+    submitted = client.submit(artifact, name=name, priority=fleet.priority)
     if submitted.get("total") != len(spec.points):
         raise ProtocolError(
             f"daemon acknowledged {submitted.get('total')!r} points for "

@@ -68,8 +68,8 @@ class DispatchSpec:
     #: Seconds of worker silence (no heartbeat, no result) before its
     #: leases are presumed lost and re-queued.
     lease_timeout: float = 30.0
-    #: Stale-lease sweep tick and the delay quoted to workers in ``wait``
-    #: replies.
+    #: Stale-lease sweep tick, and the longest a worker's ``request`` is
+    #: held while there is nothing to lease.
     poll_interval: float = 0.5
 
     def __post_init__(self) -> None:

@@ -22,6 +22,15 @@ points are provably never re-executed (the ``executed`` counter in
 Resubmitting an identical sweep — same fingerprint — attaches to the live
 entry (or the journal on disk) instead of recomputing.
 
+A submission is serialised once: the daemon rebuilds the peer's spec
+payload through :meth:`SweepSpec.from_dict` and hashes, journals and queues
+that one canonical ``spec_artifact``.  Nobody waits on a poll either: a
+worker's ``request`` that finds nothing to lease is held until a
+submission, a released or expired lease, or :meth:`FleetDaemon.shutdown`
+moves the queue (for at most ``poll_interval``), and a submitter's
+``fetch`` with ``wait`` is held until its sweep is done, every result
+journaled, or the wait runs out.
+
 Worker scheduling is health-aware: every connection's frames feed a
 :class:`~repro.dispatch.health.HealthTracker`, and chunk sizes adapt to
 each worker's observed points/sec so heterogeneous hosts drain a sweep's
@@ -49,13 +58,14 @@ from repro.dispatch.health import HealthTracker
 from repro.dispatch.journal import (
     ReplayedJournal,
     SweepJournal,
+    artifact_fingerprint,
     journal_path,
     list_journals,
-    sweep_fingerprint,
 )
 from repro.dispatch.protocol import (
     PROTOCOL_VERSION,
     is_index,
+    is_seconds,
     recv_frame,
     send_frame,
 )
@@ -92,6 +102,8 @@ class FleetConfig:
     journal_dir: str | None = None
     secret: str | None = None
     lease_timeout: float = 30.0
+    #: Longest a worker's ``request`` is held with nothing to lease; also
+    #: the stale-lease sweep tick of :meth:`FleetDaemon.serve_forever`.
     poll_interval: float = 0.5
     #: Adaptive chunk sizing (see :mod:`repro.dispatch.health`).
     target_chunk_seconds: float = 5.0
@@ -183,6 +195,7 @@ class FleetDaemon:
         }
         self._journals: dict[str, SweepJournal] = {}
         self._submit_lock = threading.Lock()
+        self._result_lock = threading.Lock()
         self._owner_counter = 0
         self._owner_lock = threading.Lock()
         self._stop = threading.Event()
@@ -224,10 +237,12 @@ class FleetDaemon:
         """Stop accepting connections, close journals, release the port.
 
         Connections already open stay up just long enough to tell each
-        worker ``done`` at its next ``request``, so it leaves cleanly
-        instead of seeing a dropped link.
+        worker ``done`` at its next ``request`` — or at once, if the daemon
+        is holding that request — so it leaves cleanly instead of seeing a
+        dropped link.
         """
         self._stop.set()
+        self.queue.wake()
         if self._server_thread is not None:
             self._server.shutdown()
         self._server.server_close()
@@ -244,7 +259,7 @@ class FleetDaemon:
 
     def _submit(
         self,
-        spec: SweepSpec | None = None,
+        artifact: dict | None = None,
         name: str = "",
         priority: int = 0,
         *,
@@ -252,13 +267,15 @@ class FleetDaemon:
     ) -> tuple[FleetEntry, bool] | None:
         """Create-or-attach a sweep's journal, then queue the sweep.
 
-        A submission passes ``spec``, ``name`` and ``priority``; a journal
-        already on disk under that name must hash to the same grid.  A
-        restart passes only the journal path as ``restore`` and reads all
-        three from its header — unless the sweep is finished and idle past
-        ``journal_expiry``: then the file moves to ``<journal_dir>/archive/``
-        and nothing is queued (``None``).  Either way each file is replayed
-        once; only submissions count in ``stats.submissions``.
+        A submission passes the sweep's canonical ``spec_artifact``, its
+        ``name`` and ``priority``; that one artifact is hashed, journaled and
+        queued, and a journal already on disk under that name must hash to
+        the same grid.  A restart passes only the journal path as
+        ``restore`` and reads all three from its header — unless the sweep
+        is finished and idle past ``journal_expiry``: then the file moves to
+        ``<journal_dir>/archive/`` and nothing is queued (``None``).  Either
+        way each file is replayed once; only submissions count in
+        ``stats.submissions``.
         """
         with self._submit_lock:
             path = restore
@@ -268,7 +285,7 @@ class FleetDaemon:
                 and self.queue.entry(name) is None
             ):
                 path = journal_path(self.config.journal_dir, name)
-            fingerprint = None if spec is None else sweep_fingerprint(spec)
+            fingerprint = None if artifact is None else artifact_fingerprint(artifact)
             journal = replayed = None
             if path is not None and (restore or os.path.exists(path)):
                 journal, replayed = SweepJournal.attach(
@@ -279,8 +296,9 @@ class FleetDaemon:
             elif path is not None:
                 journal = SweepJournal.create(
                     self.config.journal_dir,
-                    spec,
+                    artifact,
                     name=name,
+                    fingerprint=fingerprint,
                     priority=priority,
                     fsync=self.config.fsync,
                 )
@@ -289,13 +307,13 @@ class FleetDaemon:
                     if self._archive_if_expired(replayed):
                         journal.close()
                         return None
-                    spec, name = replayed.rebuild_spec(), replayed.name
+                    artifact, name = replayed.rebuild_artifact(), replayed.name
                     priority, fingerprint = replayed.priority, replayed.fingerprint
                 if journal is not None and name in self._journals:  # pragma: no cover
                     raise JournalError(f"{path}: a second journal for sweep {name!r}")
                 entry, created = self.queue.submit(
                     name,
-                    spec_artifact(spec)["columns"],
+                    artifact["columns"],
                     fingerprint,
                     priority=priority,
                     resumed_results=replayed.results if replayed else None,
@@ -452,9 +470,21 @@ class FleetDaemon:
     # ------------------------------------------------------------------
 
     def _handle_request(self, frame: Mapping[str, object], owner: str) -> dict:
+        seen = self.queue.changes()
         lease = self.queue.acquire(owner, self.health.chunk_points_for(owner))
         if lease is None:
-            return {"type": "wait", "delay": self.config.poll_interval}
+            # Hold the reply until work may have arrived, for at most the
+            # poll interval.  Every other answer is ``wait`` with no delay:
+            # the worker asks again at once, and that request's acquire
+            # reaps any lease that expired meanwhile, or holds again.
+            poll = self.config.poll_interval
+            woken = not self._stop.is_set() and self.queue.wait_for_change(seen, poll)
+            if self._stop.is_set():
+                return {"type": "done"}
+            if woken:
+                lease = self.queue.acquire(owner, self.health.chunk_points_for(owner))
+            if lease is None:  # a full hold, or another worker got there first
+                return {"type": "wait", "delay": 0.0}
         payloads = self.queue.entry(lease.sweep).point_payloads
         return {
             "type": "chunk",
@@ -477,14 +507,19 @@ class FleetDaemon:
             raise ProtocolError(
                 f"result for {sweep!r}[{index}] carries no payload object"
             )
-        try:
-            accepted = self.queue.complete(sweep, index, payload, owner)
-        except DispatchError as exc:  # unknown sweep / index off the grid
-            raise ProtocolError(str(exc)) from exc
+        # Accepting, counting and journaling a result is one step under
+        # this lock, so a fetch that finds the sweep done while holding it
+        # never answers before the last journal line is written.
+        with self._result_lock:
+            try:
+                accepted = self.queue.complete(sweep, index, payload, owner)
+            except DispatchError as exc:  # unknown sweep / index off the grid
+                raise ProtocolError(str(exc)) from exc
+            if accepted:
+                self.stats.results_accepted += 1
+                self.health.on_result(owner)
+                self._journal_point(sweep, index, payload)
         if accepted:
-            self.stats.results_accepted += 1
-            self.health.on_result(owner)
-            self._journal_point(sweep, index, payload)
             entry = self.queue.entry(sweep)
             if entry is not None and entry.state == "done":
                 self._log(
@@ -533,6 +568,9 @@ class FleetDaemon:
         if not is_index(priority):
             raise ProtocolError(f"submit priority must be an int, got {priority!r}")
         try:
+            # The peer's bytes are never hashed or journaled as sent: a
+            # restart recomputes the fingerprint from the rebuilt spec, so
+            # only the canonical re-serialisation is safe to record.
             spec = SweepSpec.from_dict(spec_payload)
         except ConfigurationError as exc:
             # Non-portable or malformed grids are refused before anything
@@ -542,7 +580,7 @@ class FleetDaemon:
         if not isinstance(name, str) or not name:
             raise ProtocolError(f"submit without a usable sweep name: {name!r}")
         try:
-            entry, created = self._submit(spec, name, priority)
+            entry, created = self._submit(spec_artifact(spec), name, priority)
         except (ConfigurationError, DispatchError, OSError) as exc:
             # Name collision, unsafe name, unreadable or foreign journal.
             raise ProtocolError(str(exc)) from exc
@@ -561,14 +599,14 @@ class FleetDaemon:
     ) -> FleetEntry:
         """Queue ``spec`` from inside the daemon's own process.
 
-        What a ``submit`` frame does, minus the wire: the spec is pushed
-        through the same ``spec_artifact`` → :meth:`SweepSpec.from_dict`
-        round trip, so a point that cannot travel to a worker raises
-        :class:`ConfigurationError` here, before any worker connects.
-        ``name`` defaults to ``spec.name``.
+        What a ``submit`` frame does, minus the wire: the spec's artifact is
+        pushed through :meth:`SweepSpec.from_dict`, so a point that cannot
+        travel to a worker raises :class:`ConfigurationError` here, before
+        any worker connects.  ``name`` defaults to ``spec.name``.
         """
-        SweepSpec.from_dict(spec_artifact(spec))
-        entry, _ = self._submit(spec, name or spec.name, priority)
+        artifact = spec_artifact(spec)
+        SweepSpec.from_dict(artifact)
+        entry, _ = self._submit(artifact, name or spec.name, priority)
         return entry
 
     def _handle_status(self, frame: Mapping[str, object], owner: None) -> dict:
@@ -643,10 +681,19 @@ class FleetDaemon:
         sweep = frame.get("sweep")
         if not isinstance(sweep, str):
             raise ProtocolError(f"fetch without a sweep name: {sweep!r}")
+        wait = frame.get("wait", 0)
+        if not is_seconds(wait):
+            raise ProtocolError(
+                f"fetch wait must be a finite number of seconds >= 0, got {wait!r}"
+            )
         entry = self.queue.entry(sweep)
         if entry is None:
             raise ProtocolError(f"fetch for unknown sweep {sweep!r}")
-        if entry.state != "done":
+        if wait and entry.state == "running":
+            entry.finished.wait(min(wait, self.config.lease_timeout))
+        with self._result_lock:  # let the last result's journal line land
+            done = entry.state == "done"
+        if not done:
             return {
                 "type": "pending",
                 "sweep": sweep,

@@ -116,6 +116,13 @@ class FleetQueue:
     leases and results are tiny bookkeeping operations next to the
     simulations they schedule, so a single lock keeps the invariants easy
     to believe.  ``clock`` is injectable for tests.
+
+    A change counter under the same lock moves whenever work may have
+    become acquirable — a submission, a revived sweep, released or
+    expired leases — and on :meth:`wake`.  A caller that found nothing
+    reads it with :meth:`changes` *before* its :meth:`acquire` and then
+    blocks in :meth:`wait_for_change`; whatever lands in between moves the
+    counter, so no wake-up is lost.  :meth:`acquire` itself never blocks.
     """
 
     def __init__(
@@ -131,7 +138,34 @@ class FleetQueue:
         self.lease_timeout = lease_timeout
         self._clock = clock
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._changes = 0
         self._entries: dict[str, FleetEntry] = {}
+
+    # ------------------------------------------------------------------
+    # Waiting for work
+    # ------------------------------------------------------------------
+
+    def changes(self) -> int:
+        """The change counter, to hand to :meth:`wait_for_change`."""
+        with self._lock:
+            return self._changes
+
+    def wait_for_change(self, seen: int, timeout: float) -> bool:
+        """Block until the counter moves past ``seen``, for at most
+        ``timeout`` seconds; ``True`` if it moved."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self._changes != seen, timeout)
+
+    def wake(self) -> None:
+        """Move the counter, waking every waiter (the daemon is stopping)."""
+        with self._lock:
+            self._bump()
+
+    def _bump(self) -> None:
+        # Caller holds the lock.
+        self._changes += 1
+        self._changed.notify_all()
 
     # ------------------------------------------------------------------
     # Submissions
@@ -169,6 +203,7 @@ class FleetQueue:
                 if existing.cancelled:
                     existing.cancelled = False
                     existing.work.requeue_missing()
+                    self._bump()
                 return existing, False
             resumed = {
                 index: dict(result)
@@ -191,6 +226,7 @@ class FleetQueue:
             if entry.work.done:  # empty, or fully resumed from a journal
                 entry.finished.set()
             self._entries[name] = entry
+            self._bump()
             return entry, True
 
     def cancel(self, name: str) -> bool:
@@ -257,17 +293,23 @@ class FleetQueue:
     def release(self, owner: str) -> int:
         """Re-queue the unfinished work of every lease held by ``owner``."""
         with self._lock:
-            return sum(
+            requeued = sum(
                 entry.work.release(owner) for entry in self._entries.values()
             )
+            if requeued:
+                self._bump()
+            return requeued
 
     def expire_stale_leases(self) -> int:
         """Reap every sweep's leases past their deadline."""
         with self._lock:
-            return sum(
+            requeued = sum(
                 entry.work.expire_stale_leases()
                 for entry in self._entries.values()
             )
+            if requeued:
+                self._bump()
+            return requeued
 
     # ------------------------------------------------------------------
     # Introspection

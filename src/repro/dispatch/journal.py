@@ -66,6 +66,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "ReplayedJournal",
     "SweepJournal",
+    "artifact_fingerprint",
     "journal_path",
     "list_journals",
     "sweep_fingerprint",
@@ -77,6 +78,16 @@ JOURNAL_SCHEMA = "repro.fleet-journal/1"
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
 
 
+def artifact_fingerprint(artifact: Mapping[str, object]) -> str:
+    """Content hash of a :func:`spec_artifact` payload.
+
+    For callers that already hold the artifact — the daemon builds one per
+    submission and hashes, journals and queues that same object.
+    """
+    canonical = json.dumps(artifact, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def sweep_fingerprint(spec: SweepSpec) -> str:
     """Content hash of a sweep's full grid (spec, points, seeds).
 
@@ -84,10 +95,7 @@ def sweep_fingerprint(spec: SweepSpec) -> str:
     the fingerprint is what makes "resubmitting an identical sweep resumes
     it" safe: the daemon compares fingerprints, never just names.
     """
-    canonical = json.dumps(
-        spec_artifact(spec), sort_keys=True, separators=(",", ":")
-    )
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return artifact_fingerprint(spec_artifact(spec))
 
 
 def journal_path(journal_dir: str, name: str) -> str:
@@ -119,29 +127,31 @@ class ReplayedJournal:
     total: int
     #: Priority the sweep was submitted with (restored across restarts).
     priority: int
-    #: The header's recorded grid, rebuildable via ``SweepSpec.from_dict``.
+    #: The header's recorded grid, as read; :meth:`rebuild_artifact` is the
+    #: checked, canonical form.
     spec_payload: dict
     #: Journaled wire results keyed by point index.
     results: dict[int, dict] = field(default_factory=dict)
     #: Human-readable notes for tolerated damage (truncated final line).
     warnings: list[str] = field(default_factory=list)
 
-    def rebuild_spec(self) -> SweepSpec:
-        """The journaled sweep as a live :class:`SweepSpec`.
+    def rebuild_artifact(self) -> dict:
+        """The journaled grid rebuilt and serialised again: the
+        ``spec_artifact`` of ``SweepSpec.from_dict(spec_payload)``.
 
         The round-trip is validated twice over: ``from_dict`` itself fails
-        loudly for non-portable points, and the rebuilt spec must hash back
-        to the journal's recorded fingerprint — a journal whose spec payload
-        was edited cannot masquerade as the sweep it claims to be.
+        loudly for non-portable points, and the rebuilt artifact must hash
+        back to the journal's recorded fingerprint — a journal whose spec
+        payload was edited cannot masquerade as the sweep it claims to be.
         """
-        spec = SweepSpec.from_dict(self.spec_payload)
-        rebuilt = sweep_fingerprint(spec)
+        artifact = spec_artifact(SweepSpec.from_dict(self.spec_payload))
+        rebuilt = artifact_fingerprint(artifact)
         if rebuilt != self.fingerprint:
             raise JournalError(
                 f"{self.path}: journaled spec rebuilds to fingerprint "
                 f"{rebuilt}, header claims {self.fingerprint}"
             )
-        return spec
+        return artifact
 
 
 class SweepJournal:
@@ -181,29 +191,35 @@ class SweepJournal:
     def create(
         cls,
         journal_dir: str,
-        spec: SweepSpec,
+        artifact: Mapping[str, object],
         *,
         name: str,
+        fingerprint: str,
         priority: int = 0,
         fsync: bool = False,
     ) -> "SweepJournal":
-        """Start a fresh journal for ``spec``; the file must not exist."""
+        """Start a fresh journal for a sweep; the file must not exist.
+
+        ``artifact`` is the sweep's :func:`spec_artifact` and
+        ``fingerprint`` its :func:`artifact_fingerprint`: the caller built
+        both once, and the header records them as given.
+        """
         os.makedirs(journal_dir, exist_ok=True)
         path = journal_path(journal_dir, name)
         if os.path.exists(path):
             raise JournalError(
                 f"journal {path} already exists; attach to it instead"
             )
-        fingerprint = sweep_fingerprint(spec)
+        total = len(artifact["columns"])
         handle = open(path, "x", encoding="utf-8")
         header = {
             "kind": "sweep",
             "schema": JOURNAL_SCHEMA,
             "name": name,
             "fingerprint": fingerprint,
-            "total": len(spec.points),
+            "total": total,
             "priority": priority,
-            "spec": spec_artifact(spec),
+            "spec": artifact,
         }
         handle.write(json.dumps(header, separators=(",", ":")) + "\n")
         handle.flush()
@@ -213,7 +229,7 @@ class SweepJournal:
             path,
             name=name,
             fingerprint=fingerprint,
-            total=len(spec.points),
+            total=total,
             handle=handle,
             journaled=set(),
             fsync=fsync,

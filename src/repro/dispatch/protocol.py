@@ -35,10 +35,16 @@ challenge       srv → peer   ``nonce`` (only when the daemon has a secret;
                              see :mod:`repro.dispatch.auth`)
 auth            peer → srv   ``mac`` (HMAC-SHA256 over the nonce)
 welcome         srv → peer   ``service`` = ``"fleet"``, ``role``
-request         wrk → srv    —
+request         wrk → srv    — (with nothing to lease, the daemon holds the
+                             reply up to its poll interval and answers
+                             the moment work arrives or it stops)
 chunk           srv → wrk    ``sweep``, ``chunk_id``, ``points``:
                              [{``index``, ``point``}]
-wait            srv → wrk    ``delay`` (seconds; nothing to lease right now)
+wait            srv → wrk    ``delay``: seconds to sleep before asking
+                             again — always 0 from a daemon that held the
+                             request (an older one quotes its poll
+                             interval); a number in ``[0, MAX_SECONDS]``,
+                             else the worker disconnects
 done            srv → wrk    the daemon is stopping: leave cleanly (a
                              running daemon only ever says ``wait`` — new
                              sweeps may arrive at any time)
@@ -63,7 +69,10 @@ metrics_report  srv → sub    ``telemetry``: a ``repro.telemetry/1``
                              throughput/journal-lag gauges, worker EWMAs)
 cancel          sub → srv    ``sweep``
 cancelled       srv → sub    ``sweep``, ``existed``
-fetch           sub → srv    ``sweep``
+fetch           sub → srv    ``sweep``, optional ``wait`` (seconds in
+                             ``[0, MAX_SECONDS]``): the daemon holds a
+                             running sweep's reply until it is done and
+                             journaled, up to ``min(wait, lease_timeout)``
 results         srv → sub    ``sweep``, ``total``, ``results``:
                              [[index, payload], …] (only once done)
 pending         srv → sub    ``sweep``, ``state``, ``completed``, ``total``
@@ -73,6 +82,7 @@ pending         srv → sub    ``sweep``, ``state``, ``completed``, ``total``
 Integer fields (``index``, ``priority``) must be JSON integers: JSON
 ``true``/``false`` decode to Python ``bool``, an ``int`` subclass, so every
 reader checks them with :func:`is_index` rather than ``isinstance(x, int)``.
+Durations (``delay``, ``wait``) are checked with :func:`is_seconds`.
 """
 
 from __future__ import annotations
@@ -85,8 +95,10 @@ from repro.errors import ProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "MAX_SECONDS",
     "PROTOCOL_VERSION",
     "is_index",
+    "is_seconds",
     "recv_frame",
     "send_frame",
 ]
@@ -102,12 +114,27 @@ PROTOCOL_VERSION = 2
 #: unbounded: a corrupt length prefix must not turn into a giant allocation.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
+#: Upper bound on a ``delay`` or ``wait``: a year, far past any poll
+#: interval and well inside what ``time.sleep`` and lock timeouts accept.
+MAX_SECONDS = 365 * 24 * 3600.0
+
 _LENGTH = struct.Struct(">I")
 
 
 def is_index(value: object) -> bool:
     """A JSON integer — ``bool`` is an ``int`` subclass and is not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_seconds(value: object) -> bool:
+    """A JSON number in ``[0, MAX_SECONDS]`` (and not ``true``/``false``)."""
+    # int/float comparisons are exact, so no JSON integer is too large to
+    # check, and NaN fails both bounds.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value <= MAX_SECONDS
+    )
 
 
 def send_frame(sock: socket.socket, payload: dict) -> None:

@@ -24,8 +24,10 @@ auth challenge its subclass :class:`AuthenticationError`.
 
 A daemon that is stopping — a ``--dispatch`` daemon whose one sweep has
 finished — answers ``request`` with ``done`` and the worker leaves cleanly.
-A long-lived daemon only ever says ``wait``, so ``max_idle`` decides when a
-quiet queue means "go home" rather than "wait for more".
+A long-lived daemon holds a ``request`` it has no work for until work
+arrives or its poll interval ends, and then only ever says ``wait``, so
+``max_idle`` decides when a quiet queue means "go home" rather than "wait
+for more".
 
 :class:`~repro.dispatch.faults.FaultPlan` hooks the failure drills in:
 ``run_worker(..., faults=FaultPlan.parse("crash:3"))`` dies hard after
@@ -43,7 +45,12 @@ from dataclasses import dataclass
 from repro.dispatch.auth import compute_mac, secret_from_env
 from repro.dispatch.codec import encode_result
 from repro.dispatch.faults import FaultPlan
-from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.dispatch.protocol import (
+    PROTOCOL_VERSION,
+    is_seconds,
+    recv_frame,
+    send_frame,
+)
 from repro.errors import (
     AuthenticationError,
     CoordinatorUnreachable,
@@ -102,6 +109,10 @@ class _ListenerGone(ProtocolError):
     """The peer hung up before sending a single handshake frame."""
 
 
+class _Refused(ProtocolError):
+    """The daemon answered with an ``error`` frame: final, not transient."""
+
+
 def _handshake(
     sock: socket.socket, role: str, name: str, secret: str | None
 ) -> None:
@@ -136,9 +147,7 @@ def _handshake(
     if reply is None:
         raise ProtocolError("daemon closed the connection during the handshake")
     if reply.get("type") == "error":
-        refusal = (
-            AuthenticationError if reply.get("code") == "auth" else ProtocolError
-        )
+        refusal = AuthenticationError if reply.get("code") == "auth" else _Refused
         raise refusal(f"daemon refused: {reply.get('message')}")
     if reply.get("type") != "welcome":
         raise ProtocolError(f"expected welcome, got {reply.get('type')!r}")
@@ -284,7 +293,10 @@ def run_worker(
                     except (ProtocolError, OSError):
                         pass
                     return stats
-                time.sleep(float(reply.get("delay", 0.2)))
+                delay = reply.get("delay", 0.2)
+                if not is_seconds(delay):
+                    raise ProtocolError(f"wait with a bad delay {delay!r}")
+                time.sleep(delay)
                 continue
             if kind != "chunk":
                 raise ProtocolError(f"unexpected reply {kind!r} to request")
@@ -294,12 +306,13 @@ def run_worker(
             if isinstance(sweep, str) and sweep not in seen_sweeps:
                 seen_sweeps.add(sweep)
                 stats.sweeps_served = len(seen_sweeps)
+            workloads: dict = {}  # one decoded workload per distinct spec
             for entry in reply.get("points", ()):
                 # Checked before execution as well as after each result, so
                 # after_points=0 drills die holding an untouched chunk.
                 if maybe_inject_fault():
                     return stats
-                point = SweepPoint.from_dict(entry["point"])
+                point = SweepPoint.from_dict(entry["point"], workloads)
                 result = _execute_point(
                     (
                         point.config,

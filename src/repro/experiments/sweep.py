@@ -38,10 +38,11 @@ fan-out safe.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro import telemetry
@@ -173,16 +174,24 @@ class SweepPoint:
         return column
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SweepPoint":
+    def from_dict(
+        cls,
+        payload: Mapping[str, object],
+        workloads: dict[str, Workload] | None = None,
+    ) -> "SweepPoint":
         """Rebuild a point from :meth:`as_dict` output.
 
         Fails loudly for column points whose workload was not portable
         (``workload_spec: null``), mirroring the ``scenario --spec`` replay
         behaviour — an artifact must never replay with a *different*
         workload than the one it recorded.
-        """
-        from repro.workloads.codec import workload_from_dict
 
+        A caller decoding many points passes one ``workloads`` dict, and
+        points whose workload specs are equal then share one decoded
+        workload, as the points of a spec built in Python usually do.  That
+        is safe because a synthetic workload sets its state only in
+        ``__init__``.
+        """
         label = payload.get("label")
         if not label:
             raise ConfigurationError(f"sweep point payload has no label: {payload!r}")
@@ -215,16 +224,30 @@ class SweepPoint:
                 "has no portable read_workload_spec; only synthetic-family "
                 "workloads replay from JSON"
             )
+        workloads = {} if workloads is None else workloads
         return cls(
             label=label,
             config=config_from_dict(config),
-            workload=workload_from_dict(workload_spec),
+            workload=_decode_workload(workload_spec, workloads),
             read_workload=(
-                None if read_spec is None else workload_from_dict(read_spec)
+                None if read_spec is None else _decode_workload(read_spec, workloads)
             ),
             params=params,
             trace=trace,
         )
+
+
+def _decode_workload(
+    payload: Mapping[str, object], workloads: dict[str, Workload]
+) -> Workload:
+    """``workload_from_dict``, once per distinct payload in ``workloads``."""
+    from repro.workloads.codec import workload_from_dict
+
+    key = json.dumps(payload, sort_keys=True)
+    workload = workloads.get(key)
+    if workload is None:
+        workload = workloads[key] = workload_from_dict(payload)
+    return workload
 
 
 @dataclass(slots=True)
@@ -266,11 +289,12 @@ class SweepSpec:
             raise ConfigurationError(
                 f"sweep payload has no 'columns' list: {sorted(payload)!r}"
             )
+        workloads: dict[str, Workload] = {}
         return cls(
             name=payload.get("spec") or payload.get("name") or "sweep",
             description=payload.get("description", ""),
             root_seed=payload.get("root_seed", 0),
-            points=[SweepPoint.from_dict(column) for column in columns],
+            points=[SweepPoint.from_dict(column, workloads) for column in columns],
         )
 
 
@@ -330,6 +354,10 @@ def spec_artifact(spec: SweepSpec) -> dict[str, object]:
     }
 
 
+_CONFIG_FIELDS = tuple(config_field.name for config_field in fields(ColumnConfig))
+_JSON_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
 def config_as_dict(config: ColumnConfig) -> dict[str, object]:
     """A :class:`ColumnConfig` as a JSON-serialisable dict (enums by name).
 
@@ -339,13 +367,22 @@ def config_as_dict(config: ColumnConfig) -> dict[str, object]:
     the payloads — and fingerprints — of recorded sweeps byte-identical.
     """
     data: dict[str, object] = {}
-    for name, value in asdict(config).items():
+    # Field by field, and ``json_safe`` only for what is not already a JSON
+    # scalar (the strategy enum, the timing dataclass): ``asdict``'s deep
+    # copy and a recursive walk of every scalar were most of what
+    # serialising a sweep cost.  The bytes are the same.
+    for name in _CONFIG_FIELDS:
+        value = getattr(config, name)
         if name == "protocol":
             data["cache_kind"], value = protocol_to_wire(value)
             if value is None:
                 continue
+        if type(value) not in _JSON_SCALARS:
+            if is_dataclass(value):
+                value = {f.name: getattr(value, f.name) for f in fields(value)}
+            value = json_safe(value)
         data[name] = value
-    return json_safe(data)
+    return data
 
 
 def config_from_dict(payload: Mapping[str, object]) -> ColumnConfig:

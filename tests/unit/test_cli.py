@@ -357,9 +357,14 @@ class TestCli:
     ) -> None:
         from dataclasses import replace
 
-        from repro.dispatch.journal import SweepJournal
+        from repro.dispatch.journal import SweepJournal, sweep_fingerprint
         from repro.experiments.config import ColumnConfig
-        from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed
+        from repro.experiments.sweep import (
+            SweepPoint,
+            SweepSpec,
+            derive_seed,
+            spec_artifact,
+        )
         from repro.workloads.synthetic import PerfectClusterWorkload
 
         workload = PerfectClusterWorkload(n_objects=40, cluster_size=4)
@@ -384,7 +389,11 @@ class TestCli:
 
         for name, points in (("offline-sweep", 1), ("offline-done", 2)):
             with SweepJournal.create(
-                str(tmp_path), spec, name=name, priority=1
+                str(tmp_path),
+                spec_artifact(spec),
+                name=name,
+                fingerprint=sweep_fingerprint(spec),
+                priority=1,
             ) as journal:
                 for index in range(points):
                     journal.record(index, {"kind": "column", "payload": {}})

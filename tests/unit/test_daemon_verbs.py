@@ -107,6 +107,23 @@ class TestVerbTable:
         reply = exchange(daemon, role, frame)
         assert reply["type"] == "error" and reply["code"] == "protocol"
 
+    def test_fetch_with_wait_on_a_running_sweep(self, daemon) -> None:
+        daemon.submit(tiny_spec())
+        frame = {"type": "fetch", "sweep": "verbs", "wait": 0.05}
+        reply = exchange(daemon, "submitter", frame)
+        assert reply["type"] == "pending" and reply["state"] == "running"
+
+    @pytest.mark.parametrize(
+        "wait",
+        [True, "1", -1, 10**400, 1e300],
+        ids=["bool", "string", "negative", "huge-int", "huge-float"],
+    )
+    def test_bad_fetch_wait_is_a_protocol_error(self, daemon, wait) -> None:
+        daemon.submit(tiny_spec())
+        frame = {"type": "fetch", "sweep": "verbs", "wait": wait}
+        reply = exchange(daemon, "submitter", frame)
+        assert reply["type"] == "error" and reply["code"] == "protocol"
+
 
 def _wrong_role_cases():
     spec = tiny_spec()

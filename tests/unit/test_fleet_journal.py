@@ -21,6 +21,7 @@ from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.journal import (
     JOURNAL_SCHEMA,
     SweepJournal,
+    artifact_fingerprint,
     journal_path,
     list_journals,
     sweep_fingerprint,
@@ -51,6 +52,16 @@ def tiny_spec(n_points: int = 3, *, root_seed: int = 1) -> SweepSpec:
             )
             for index in range(n_points)
         ],
+    )
+
+
+def create(journal_dir, spec: SweepSpec, **kwargs) -> SweepJournal:
+    """A fresh journal for ``spec``, from its one artifact and fingerprint."""
+    return SweepJournal.create(
+        str(journal_dir),
+        spec_artifact(spec),
+        fingerprint=sweep_fingerprint(spec),
+        **kwargs,
     )
 
 
@@ -87,7 +98,7 @@ class TestJournalPath:
     def test_list_journals_sorted_and_missing_dir_empty(self, tmp_path) -> None:
         assert list_journals(str(tmp_path / "nope")) == []
         for name in ("b", "a"):
-            SweepJournal.create(str(tmp_path), tiny_spec(), name=name).close()
+            create(tmp_path, tiny_spec(), name=name).close()
         (tmp_path / "not-a-journal.txt").write_text("ignored")
         assert [p.rsplit("/", 1)[-1] for p in list_journals(str(tmp_path))] == [
             "a.jsonl",
@@ -98,9 +109,7 @@ class TestJournalPath:
 class TestRoundTrip:
     def test_create_record_replay(self, tmp_path) -> None:
         spec = tiny_spec()
-        with SweepJournal.create(
-            str(tmp_path), spec, name="rt", priority=7
-        ) as journal:
+        with create(tmp_path, spec, name="rt", priority=7) as journal:
             assert journal.record(1, wire_result(1))
             assert journal.record(0, wire_result(0))
         replayed = SweepJournal.replay(journal.path)
@@ -112,17 +121,17 @@ class TestRoundTrip:
 
     def test_rebuild_spec_round_trips_through_from_dict(self, tmp_path) -> None:
         spec = tiny_spec()
-        SweepJournal.create(str(tmp_path), spec, name="rt").close()
+        create(tmp_path, spec, name="rt").close()
         replayed = SweepJournal.replay(journal_path(str(tmp_path), "rt"))
-        rebuilt = replayed.rebuild_spec()
+        rebuilt = replayed.rebuild_artifact()
         # The journaled grid rebuilds to the same portable artifact, so
         # every SweepPoint survived its from_dict round-trip.
-        assert spec_artifact(rebuilt) == spec_artifact(spec)
-        assert sweep_fingerprint(rebuilt) == replayed.fingerprint
+        assert rebuilt == spec_artifact(spec)
+        assert artifact_fingerprint(rebuilt) == replayed.fingerprint
 
     def test_attach_resumes_and_keeps_appending(self, tmp_path) -> None:
         spec = tiny_spec()
-        with SweepJournal.create(str(tmp_path), spec, name="rt") as journal:
+        with create(tmp_path, spec, name="rt") as journal:
             journal.record(0, wire_result(0))
         attached, replayed = SweepJournal.attach(
             journal.path, expected_fingerprint=sweep_fingerprint(spec)
@@ -136,12 +145,12 @@ class TestRoundTrip:
         assert sorted(final.results) == [0, 2]
 
     def test_duplicate_create_refused(self, tmp_path) -> None:
-        SweepJournal.create(str(tmp_path), tiny_spec(), name="dup").close()
+        create(tmp_path, tiny_spec(), name="dup").close()
         with pytest.raises(JournalError, match="already exists"):
-            SweepJournal.create(str(tmp_path), tiny_spec(), name="dup")
+            create(tmp_path, tiny_spec(), name="dup")
 
     def test_record_out_of_range_refused(self, tmp_path) -> None:
-        with SweepJournal.create(str(tmp_path), tiny_spec(3), name="rt") as j:
+        with create(tmp_path, tiny_spec(3), name="rt") as j:
             with pytest.raises(JournalError, match="outside"):
                 j.record(3, wire_result(3))
 
@@ -149,7 +158,7 @@ class TestRoundTrip:
 class TestCorruptionPolicy:
     def make_journal(self, tmp_path, *, points=(0, 1)) -> str:
         spec = tiny_spec()
-        with SweepJournal.create(str(tmp_path), spec, name="c") as journal:
+        with create(tmp_path, spec, name="c") as journal:
             for index in points:
                 journal.record(index, wire_result(index))
         return journal.path
@@ -201,7 +210,7 @@ class TestCorruptionPolicy:
             handle.write("\n".join(lines) + "\n")
         replayed = SweepJournal.replay(path)
         with pytest.raises(JournalError, match="rebuilds to fingerprint"):
-            replayed.rebuild_spec()
+            replayed.rebuild_artifact()
 
     def test_garbage_middle_line_is_loud(self, tmp_path) -> None:
         path = self.make_journal(tmp_path, points=(0,))
@@ -273,7 +282,7 @@ class TestRestartArchiving:
     @pytest.fixture()
     def journal_dir(self, tmp_path):
         for name, points in (("done", (0, 1, 2)), ("half", (0,))):
-            with SweepJournal.create(str(tmp_path), tiny_spec(), name=name) as j:
+            with create(tmp_path, tiny_spec(), name=name) as j:
                 for index in points:
                     j.record(index, wire_result(index))
         return tmp_path

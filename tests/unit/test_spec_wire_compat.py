@@ -77,8 +77,8 @@ class TestRecordedSweeps:
     def test_journal_header_rebuilds(self, recorded, name, tmp_path) -> None:
         replayed = replay_header(tmp_path, recorded[name])
         assert replayed.fingerprint == recorded[name]["fingerprint"]
-        rebuilt = replayed.rebuild_spec()  # raises unless it hashes back
-        assert ordered(spec_artifact(rebuilt)) == ordered(recorded[name]["payload"])
+        rebuilt = replayed.rebuild_artifact()  # raises unless it hashes back
+        assert ordered(rebuilt) == ordered(recorded[name]["payload"])
 
     def test_fig7d_builder_matches_the_recording(self, recorded, tmp_path) -> None:
         record = recorded["fig7d"]

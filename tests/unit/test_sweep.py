@@ -260,6 +260,32 @@ class TestSpecRoundTrip:
         with pytest.raises(ConfigurationError, match="read_workload_spec"):
             SweepPoint.from_dict(payload)
 
+    def test_rebuilt_points_share_one_workload_per_distinct_spec(self) -> None:
+        config = ColumnConfig(seed=1, duration=0.5, warmup=0.2)
+        clustered = PerfectClusterWorkload(n_objects=100, cluster_size=5)
+        uniform = UniformWorkload(n_objects=100)
+        spec = SweepSpec(
+            name="shared",
+            points=[
+                SweepPoint(
+                    label=f"col{index}",
+                    config=replace(config, seed=derive_seed(1, index)),
+                    workload=clustered if index < 3 else uniform,
+                    read_workload=uniform if index == 0 else None,
+                )
+                for index in range(5)
+            ],
+        )
+        back = SweepSpec.from_dict(spec_artifact(spec))
+        workloads = [point.workload for point in back.points]
+        assert workloads[0] is workloads[1] is workloads[2]
+        assert workloads[3] is workloads[4] is back.points[0].read_workload
+        assert workloads[0] is not workloads[3]
+        original = run_sweep(spec, jobs=1).to_artifact()
+        replayed = run_sweep(back, jobs=1).to_artifact()
+        del original["wall_clock_seconds"], replayed["wall_clock_seconds"]
+        assert json.dumps(replayed) == json.dumps(original)
+
     def test_payload_without_columns_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="columns"):
             SweepSpec.from_dict({"spec": "x"})

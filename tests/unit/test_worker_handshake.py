@@ -1,6 +1,8 @@
 """``run_worker`` before the ``welcome``: a listener that hangs up without a
 word is a daemon going away (redial, then ``CoordinatorUnreachable``); a
-refusal the daemon spells out stays loud and immediate."""
+refusal the daemon spells out stays loud and immediate.  After it, a
+``wait`` whose ``delay`` is not a number of seconds in ``[0, MAX_SECONDS]``
+ends the worker as ``disconnected``, like any other protocol violation."""
 
 from __future__ import annotations
 
@@ -69,6 +71,45 @@ class TestListenerGoingAway:
         assert 0.8 <= time.monotonic() - start < 4.0
         assert listener.accepted > 1, "the hang-up was not retried"
         listener.close()
+
+
+def wait_with(delay, after_wait: list):
+    """Welcome the worker, answer its request with ``wait``/``delay``, then
+    record whatever the worker sends next (``None`` once it hangs up)."""
+
+    def answer(conn: socket.socket) -> None:
+        assert recv_frame(conn)["type"] == "hello"
+        send_frame(conn, {"type": "welcome", "service": "fleet", "role": "worker"})
+        assert recv_frame(conn)["type"] == "request"
+        send_frame(conn, {"type": "wait", "delay": delay})
+        after_wait.append(recv_frame(conn))
+
+    return answer
+
+
+class TestMalformedWait:
+    @pytest.mark.parametrize(
+        "delay",
+        ["abc", None, -1, float("nan"), float("inf"), True, 10**400, 1e300],
+        ids=[
+            "string",
+            "null",
+            "negative",
+            "nan",
+            "infinity",
+            "bool",
+            "huge-int",
+            "huge-float",
+        ],
+    )
+    def test_bad_delay_is_a_protocol_violation(self, delay) -> None:
+        after_wait: list = []
+        listener = Listener(wait_with(delay, after_wait), 5.0)
+        host, port = listener.address
+        stats = run_worker(host, port, connect_timeout=5.0, heartbeat_interval=60.0)
+        listener.close()
+        assert stats.disconnected and stats.waits == 1
+        assert after_wait == [None], "the worker asked again after a bad delay"
 
 
 class TestSpokenRefusal:
