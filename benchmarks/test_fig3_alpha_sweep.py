@@ -6,7 +6,7 @@ steeply through alpha ~ 1, reaching ~100 % at alpha = 4.
 
 from __future__ import annotations
 
-from repro.experiments import fig3_alpha
+from repro.experiments import fig3_alpha, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -17,7 +17,11 @@ PAPER_NOTES = (
 
 def test_fig3_alpha_sweep(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: fig3_alpha.run(duration=duration, jobs=jobs), rounds=1, iterations=1
+        lambda: fig3_alpha.rows(
+            run_sweep(fig3_alpha.spec(duration=duration), jobs=jobs)
+        ),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(format_table(rows, title="Figure 3: detection ratio vs Pareto alpha"))

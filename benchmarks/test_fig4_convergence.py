@@ -9,7 +9,7 @@ frequent).
 
 from __future__ import annotations
 
-from repro.experiments import fig4_convergence
+from repro.experiments import fig4_convergence, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -22,7 +22,11 @@ def test_fig4_convergence(benchmark, scale, jobs):
     duration = 160.0 * scale
     switch = 58.0 * scale
     rows = benchmark.pedantic(
-        lambda: fig4_convergence.run(duration=duration, switch_time=switch, jobs=jobs),
+        lambda: fig4_convergence.rows(
+            run_sweep(
+                fig4_convergence.spec(duration=duration, switch_time=switch), jobs=jobs
+            )
+        ),
         rounds=1,
         iterations=1,
     )

@@ -12,7 +12,7 @@ then reconvergence — are rate-driven and survive compression).
 
 from __future__ import annotations
 
-from repro.experiments import fig5_drift
+from repro.experiments import fig5_drift, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -26,11 +26,13 @@ def test_fig5_drift(benchmark, scale, jobs):
     shift_interval = 180.0 * scale
     window = 5.0 * scale
     rows = benchmark.pedantic(
-        lambda: fig5_drift.run(
-            duration=duration,
-            shift_interval=shift_interval,
-            window=window,
-            jobs=jobs,
+        lambda: fig5_drift.rows(
+            run_sweep(
+                fig5_drift.spec(
+                    duration=duration, shift_interval=shift_interval, window=window
+                ),
+                jobs=jobs,
+            )
         ),
         rounds=1,
         iterations=1,

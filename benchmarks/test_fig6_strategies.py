@@ -9,7 +9,7 @@ back into commits.
 
 from __future__ import annotations
 
-from repro.experiments import fig6_strategies
+from repro.experiments import fig6_strategies, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -20,7 +20,11 @@ PAPER_NOTES = (
 
 def test_fig6_strategies(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: fig6_strategies.run(duration=duration, jobs=jobs), rounds=1, iterations=1
+        lambda: fig6_strategies.rows(
+            run_sweep(fig6_strategies.spec(duration=duration), jobs=jobs)
+        ),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(format_table(rows, title="Figure 6: strategy comparison (synthetic)"))

@@ -11,7 +11,7 @@ strategy to RETRY — see `repro.experiments.fig7_realistic`.)
 
 from __future__ import annotations
 
-from repro.experiments import fig7_realistic
+from repro.experiments import fig7_realistic, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -22,7 +22,9 @@ PAPER_NOTES = (
 
 def test_fig7c_deplist_sweep(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: fig7_realistic.run_deplist_sweep(duration=duration, jobs=jobs),
+        lambda: fig7_realistic.deplist_rows(
+            run_sweep(fig7_realistic.deplist_spec(duration=duration), jobs=jobs)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -14,7 +14,7 @@ no effect, mild effect, and >=2x database load.
 
 from __future__ import annotations
 
-from repro.experiments import fig7_realistic
+from repro.experiments import fig7_realistic, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -26,7 +26,9 @@ PAPER_NOTES = (
 
 def test_fig7d_ttl_sweep(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: fig7_realistic.run_ttl_sweep(duration=duration, jobs=jobs),
+        lambda: fig7_realistic.ttl_rows(
+            run_sweep(fig7_realistic.ttl_spec(duration=duration), jobs=jobs)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -8,7 +8,7 @@ and 36 % (Orkut) of their ABORT values; RETRY reaches 11 % on Amazon.
 
 from __future__ import annotations
 
-from repro.experiments import fig8_strategies
+from repro.experiments import fig8_strategies, run_sweep
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -19,7 +19,11 @@ PAPER_NOTES = (
 
 def test_fig8_strategies(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: fig8_strategies.run(duration=duration, jobs=jobs), rounds=1, iterations=1
+        lambda: fig8_strategies.rows(
+            run_sweep(fig8_strategies.spec(duration=duration), jobs=jobs)
+        ),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(format_table(rows, title="Figure 8: strategy comparison (realistic)"))

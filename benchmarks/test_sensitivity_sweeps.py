@@ -12,13 +12,17 @@
 
 from __future__ import annotations
 
-from repro.experiments import sensitivity
+from repro.experiments import run_sweep, sensitivity
 from repro.experiments.report import format_table
 
 
 def test_cluster_size_vs_deplist_bound(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: sensitivity.run_cluster_size_vs_k(duration=duration / 2, jobs=jobs),
+        lambda: sensitivity.cluster_size_vs_k_rows(
+            run_sweep(
+                sensitivity.cluster_size_vs_k_spec(duration=duration / 2), jobs=jobs
+            )
+        ),
         rounds=1,
         iterations=1,
     )
@@ -45,7 +49,9 @@ def test_cluster_size_vs_deplist_bound(benchmark, duration, jobs):
 
 def test_invalidation_loss_sweep(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: sensitivity.run_loss_sweep(duration=duration / 2, jobs=jobs),
+        lambda: sensitivity.loss_rows(
+            run_sweep(sensitivity.loss_spec(duration=duration / 2), jobs=jobs)
+        ),
         rounds=1,
         iterations=1,
     )
@@ -63,7 +69,11 @@ def test_invalidation_loss_sweep(benchmark, duration, jobs):
 
 def test_update_pressure_sweep(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: sensitivity.run_update_pressure_sweep(duration=duration / 2, jobs=jobs),
+        lambda: sensitivity.update_pressure_rows(
+            run_sweep(
+                sensitivity.update_pressure_spec(duration=duration / 2), jobs=jobs
+            )
+        ),
         rounds=1,
         iterations=1,
     )

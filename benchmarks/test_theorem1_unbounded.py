@@ -9,7 +9,7 @@ and graph workloads alike.
 
 from __future__ import annotations
 
-from repro.experiments import theorem1
+from repro.experiments import run_sweep, theorem1
 from repro.experiments.report import format_table
 
 PAPER_NOTES = (
@@ -20,7 +20,9 @@ PAPER_NOTES = (
 
 def test_theorem1_unbounded(benchmark, duration, jobs):
     rows = benchmark.pedantic(
-        lambda: theorem1.run(duration=max(duration * 0.67, 10.0), jobs=jobs),
+        lambda: theorem1.rows(
+            run_sweep(theorem1.spec(duration=max(duration * 0.67, 10.0)), jobs=jobs)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -27,13 +27,15 @@ from repro import (
     run_scenario,
 )
 from repro.cache.base import CacheServer
-from repro.experiments import protocol_race
+from repro.experiments import protocol_race, run_sweep
 from repro.experiments.report import print_table
 
 
 def run_the_race() -> None:
     print(f"registered protocols: {', '.join(protocol_names())}\n")
-    rows, ranking, _payload = protocol_race.run(duration=6.0, jobs=2)
+    rows, ranking, _payload = protocol_race.report(
+        run_sweep(protocol_race.spec(duration=6.0), jobs=2)
+    )
     print_table(
         rows,
         title="per (scenario, protocol) point",

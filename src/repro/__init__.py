@@ -86,7 +86,7 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.walker import RandomWalkWorkload
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "BackendAggregates",

@@ -183,9 +183,9 @@ class CacheServer:
         self.backend_namespace: str | None = getattr(backend, "namespace", None)
         self.name = name
         self.storage = CacheStorage(ttl=ttl, capacity=capacity)
-        #: The run's tracer if it records the "cache" category, else None —
-        #: decided here, so every per-read site tests one attribute.
-        self._tracer = self.storage._tracer = sim.tracer_for("cache")
+        #: The run's tracer, or None untraced — read once here, so every
+        #: per-read site (this class's and each protocol's) tests one attribute.
+        self._tracer = self.storage._tracer = sim.tracer
         self.stats = self.storage.stats
         self._open_txns: dict[TxnId, ReadOnlyTransactionRecord] = {}
         self._txn_listeners: list[Callable[[ReadOnlyTransactionRecord], None]] = []

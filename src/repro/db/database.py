@@ -80,8 +80,8 @@ class Database:
 
     def __init__(self, sim: Simulator, config: DatabaseConfig | None = None) -> None:
         self._sim = sim
-        #: The run's tracer if it records the "db" category, else None.
-        self._tracer = sim.tracer_for("db")
+        #: The run's tracer (None untraced), read once at construction.
+        self._tracer = sim.tracer
         self.config = config or DatabaseConfig()
         self.participants = [
             Participant(sim, f"{self.config.name}-shard{i}")

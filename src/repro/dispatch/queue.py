@@ -200,8 +200,12 @@ class WorkQueue:
 
     @property
     def pending(self) -> int:
-        """Indices waiting in the queue (neither leased nor completed)."""
-        return len(self._pending)
+        """Indices waiting in the queue (neither leased nor completed).
+
+        A late result can finish an index while it waits; it stays queued
+        until :meth:`acquire` skips it, but is no longer pending.
+        """
+        return sum(1 for index in self._pending if index not in self.results)
 
     @property
     def leased(self) -> int:

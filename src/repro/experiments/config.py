@@ -81,21 +81,3 @@ class ColumnConfig:
     @property
     def total_time(self) -> float:
         return self.warmup + self.duration
-
-    def as_scenario(
-        self, workload, *, read_workload=None, name: str = "column", backends=None
-    ):
-        """This config as a one-edge :class:`~repro.scenario.spec.ScenarioSpec`.
-
-        With the default backend tier the scenario executes bit-identically
-        to ``run_column`` with the same arguments; use it as the starting
-        point for growing a single-column experiment into a fleet, or pass
-        ``backends=[BackendSpec(...)]`` to re-run the column against a
-        custom (e.g. sharded) backend.
-        """
-        from repro.scenario.spec import ScenarioSpec
-
-        return ScenarioSpec.from_column(
-            self, workload, read_workload=read_workload, name=name,
-            backends=backends,
-        )

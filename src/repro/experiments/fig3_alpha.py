@@ -19,16 +19,10 @@ from dataclasses import replace
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.report import Experiment
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepResult,
-    SweepSpec,
-    derive_seed,
-    run_sweep,
-)
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, derive_seed
 from repro.workloads.synthetic import ParetoClusterWorkload
 
-__all__ = ["DEFAULT_ALPHAS", "EXPERIMENT", "rows", "run", "spec"]
+__all__ = ["DEFAULT_ALPHAS", "EXPERIMENT", "rows", "spec"]
 
 #: Powers of two from 1/32 to 4, the paper's sweep range.
 DEFAULT_ALPHAS: tuple[float, ...] = (
@@ -84,26 +78,6 @@ def rows(sweep: SweepResult) -> list[dict[str, float]]:
         }
         for point, result in sweep.pairs()
     ]
-
-
-def run(
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-    *,
-    seed: int = 11,
-    duration: float = 30.0,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, float]]:
-    """The full Figure 3 sweep; one row per alpha.
-
-    Each point runs with an independently derived seed so the sweep is
-    reproducible point-by-point and safe to fan out across ``jobs`` workers.
-    """
-    return rows(
-        run_sweep(
-            spec(alphas, seed=seed, duration=duration), jobs=jobs, dispatch=dispatch
-        )
-    )
 
 
 EXPERIMENT = Experiment.single_sweep(

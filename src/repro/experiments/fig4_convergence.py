@@ -18,14 +18,14 @@ from __future__ import annotations
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.report import Experiment, section
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.workloads.synthetic import (
     PerfectClusterWorkload,
     PhaseSwitchWorkload,
     UniformWorkload,
 )
 
-__all__ = ["EXPERIMENT", "SWITCH_TIME", "phase_summaries", "rows", "run", "spec"]
+__all__ = ["EXPERIMENT", "SWITCH_TIME", "phase_summaries", "rows", "spec"]
 
 #: The paper's timeline is 160 s long and switches the workload at t = 58 s.
 TIMELINE = 160.0
@@ -80,24 +80,6 @@ def rows(sweep: SweepResult) -> list[dict[str, float]]:
         }
         for row in sweep.results[0].series
     ]
-
-
-def run(
-    *,
-    seed: int = 4,
-    duration: float = TIMELINE,
-    switch_time: float = SWITCH_TIME,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, float]]:
-    """Run the timeline; returns :func:`rows`."""
-    return rows(
-        run_sweep(
-            spec(seed=seed, duration=duration, switch_time=switch_time),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
 
 
 def phase_summaries(

@@ -17,10 +17,10 @@ from __future__ import annotations
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.report import Experiment, section
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.workloads.synthetic import DriftingClusterWorkload
 
-__all__ = ["EXPERIMENT", "rows", "run", "shift_spike_profile", "spec"]
+__all__ = ["EXPERIMENT", "rows", "shift_spike_profile", "spec"]
 
 #: The paper plots 800 s with a shift every 180 s, in 5 s windows.
 TIMELINE = 800.0
@@ -79,30 +79,6 @@ def rows(sweep: SweepResult) -> list[dict[str, float]]:
         }
         for row in sweep.results[0].series
     ]
-
-
-def run(
-    *,
-    seed: int = 5,
-    duration: float = TIMELINE,
-    shift_interval: float = SHIFT_INTERVAL,
-    n_objects: int = 2000,
-    window: float = WINDOW,
-    jobs: int | None = 1,
-) -> list[dict[str, float]]:
-    """Run the drifting timeline; returns :func:`rows`."""
-    return rows(
-        run_sweep(
-            spec(
-                seed=seed,
-                duration=duration,
-                shift_interval=shift_interval,
-                n_objects=n_objects,
-                window=window,
-            ),
-            jobs=jobs,
-        )
-    )
 
 
 def shift_spike_profile(

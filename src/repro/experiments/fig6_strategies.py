@@ -19,10 +19,10 @@ from dataclasses import replace
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.report import Experiment
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.workloads.synthetic import ParetoClusterWorkload
 
-__all__ = ["EXPERIMENT", "rows", "run", "spec"]
+__all__ = ["EXPERIMENT", "rows", "spec"]
 
 
 def make_config(seed: int = 6, duration: float = 30.0) -> ColumnConfig:
@@ -66,15 +66,6 @@ def rows(sweep: SweepResult) -> list[dict[str, object]]:
             }
         )
     return table
-
-
-def run(
-    *, seed: int = 6, duration: float = 30.0, jobs: int | None = 1, dispatch=None
-) -> list[dict[str, object]]:
-    """One row per strategy, same workload and seed for comparability."""
-    return rows(
-        run_sweep(spec(seed=seed, duration=duration), jobs=jobs, dispatch=dispatch)
-    )
 
 
 EXPERIMENT = Experiment.single_sweep(

@@ -27,7 +27,7 @@ from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import WORKLOAD_NAMES, realistic_workload
 from repro.experiments.report import Experiment
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 
 __all__ = [
     "DEFAULT_DEPLIST_SIZES",
@@ -36,8 +36,6 @@ __all__ = [
     "TTL_EXPERIMENT",
     "deplist_rows",
     "deplist_spec",
-    "run_deplist_sweep",
-    "run_ttl_sweep",
     "ttl_rows",
     "ttl_spec",
 ]
@@ -127,25 +125,6 @@ def deplist_rows(sweep: SweepResult) -> list[dict[str, object]]:
     ]
 
 
-def run_deplist_sweep(
-    sizes: tuple[int, ...] = DEFAULT_DEPLIST_SIZES,
-    *,
-    seed: int = 7,
-    duration: float = 30.0,
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Panel (c): one row per (workload, dependency list size)."""
-    return deplist_rows(
-        run_sweep(
-            deplist_spec(sizes, seed=seed, duration=duration, workloads=workloads),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
-
-
 DEPLIST_EXPERIMENT = Experiment.single_sweep(
     "Figure 7c: dependency-list sweep", deplist_spec, deplist_rows
 )
@@ -187,25 +166,6 @@ def ttl_spec(
 def ttl_rows(sweep: SweepResult) -> list[dict[str, object]]:
     """Panel (d): one row per (workload, TTL), baseline TTL=None first."""
     return _normalised_rows(sweep, "ttl", None)
-
-
-def run_ttl_sweep(
-    ttls: tuple[float | None, ...] = DEFAULT_TTLS,
-    *,
-    seed: int = 7,
-    duration: float = 30.0,
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Panel (d): one row per (workload, TTL), baseline TTL=None first."""
-    return ttl_rows(
-        run_sweep(
-            ttl_spec(ttls, seed=seed, duration=duration, workloads=workloads),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
 
 
 TTL_EXPERIMENT = Experiment.single_sweep("Figure 7d: TTL sweep", ttl_spec, ttl_rows)

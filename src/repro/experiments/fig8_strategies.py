@@ -17,9 +17,9 @@ from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import WORKLOAD_NAMES, realistic_workload
 from repro.experiments.report import Experiment
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 
-__all__ = ["EXPERIMENT", "rows", "run", "spec"]
+__all__ = ["EXPERIMENT", "rows", "spec"]
 
 
 def make_config(seed: int = 8, duration: float = 30.0) -> ColumnConfig:
@@ -71,24 +71,6 @@ def rows(sweep: SweepResult) -> list[dict[str, object]]:
             }
         )
     return table
-
-
-def run(
-    *,
-    seed: int = 8,
-    duration: float = 30.0,
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Run the sweep; returns :func:`rows`."""
-    return rows(
-        run_sweep(
-            spec(seed=seed, duration=duration, workloads=workloads),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
 
 
 EXPERIMENT = Experiment.single_sweep(

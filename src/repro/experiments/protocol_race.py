@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import Experiment, section
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.protocols.registry import get_protocol
 from repro.scenario.library import (
     flash_crowd_scenario,
@@ -57,7 +57,6 @@ __all__ = [
     "artifact",
     "validate_artifact",
     "report",
-    "run",
     "EXPERIMENT",
 ]
 
@@ -348,24 +347,6 @@ def report(sweep: SweepResult) -> Report:
         payload["telemetry"] = telemetry_sections
     validate_artifact(payload)
     return rows, ranking, payload
-
-
-def run(
-    *,
-    protocols: Sequence[str] = RACE_PROTOCOLS,
-    duration: float = 30.0,
-    seed: int = 101,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> Report:
-    """Run the race; returns :func:`report`."""
-    return report(
-        run_sweep(
-            spec(protocols=protocols, duration=duration, seed=seed),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
 
 
 def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:

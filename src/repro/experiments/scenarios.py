@@ -19,7 +19,7 @@ import json
 from dataclasses import replace
 
 from repro.experiments.report import Experiment, section
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.scenario.library import (
     capacity_planning_sweep,
     flash_crowd_scenario,
@@ -37,7 +37,6 @@ __all__ = [
     "spec",
     "replay_spec",
     "rows",
-    "run_spec_file",
     "backend_rows",
     "edge_rows",
     "fleet_rows",
@@ -245,14 +244,6 @@ def replay_spec(path: str, *, duration: float | None = None) -> SweepSpec:
             )
         ],
     )
-
-
-def run_spec_file(
-    path: str, *, duration: float | None = None, jobs: int | None = 1, dispatch=None
-) -> tuple[SweepSpec, Rows, Rows, Rows]:
-    """Replay :func:`replay_spec`; returns it plus the three row views."""
-    sweep_spec = replay_spec(path, duration=duration)
-    return (sweep_spec, *rows(run_sweep(sweep_spec, jobs=jobs, dispatch=dispatch)))
 
 
 def _cli_specs(args) -> list[SweepSpec]:

@@ -21,7 +21,7 @@ from dataclasses import replace
 from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.report import Experiment, section
-from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.workloads.synthetic import PerfectClusterWorkload
 
 __all__ = [
@@ -30,9 +30,6 @@ __all__ = [
     "cluster_size_vs_k_spec",
     "loss_rows",
     "loss_spec",
-    "run_cluster_size_vs_k",
-    "run_loss_sweep",
-    "run_update_pressure_sweep",
     "update_pressure_rows",
     "update_pressure_spec",
 ]
@@ -52,7 +49,8 @@ def cluster_size_vs_k_spec(
     duration: float = 15.0,
     n_objects: int = 1920,
 ) -> SweepSpec:
-    """Grid over (cluster size, dependency-list bound)."""
+    """Grid over (cluster size, dependency-list bound); ``n_objects`` must be
+    divisible by every cluster size (1920 covers 3, 5 and 8)."""
     config = base_config(seed=seed, duration=duration)
     points = []
     for cluster_size in cluster_sizes:
@@ -89,29 +87,6 @@ def cluster_size_vs_k_rows(sweep: SweepResult) -> list[dict[str, object]]:
         }
         for point, result in sweep.pairs()
     ]
-
-
-def run_cluster_size_vs_k(
-    cluster_sizes: tuple[int, ...] = (3, 5, 8),
-    bounds: tuple[int, ...] = (1, 2, 4, 7, 10),
-    *,
-    seed: int = 41,
-    duration: float = 15.0,
-    n_objects: int = 1920,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Run the grid; ``n_objects`` must be divisible by every cluster size
-    (1920 covers 3, 5 and 8)."""
-    return cluster_size_vs_k_rows(
-        run_sweep(
-            cluster_size_vs_k_spec(
-                cluster_sizes, bounds, seed=seed, duration=duration, n_objects=n_objects
-            ),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
 
 
 def loss_spec(
@@ -170,24 +145,6 @@ def loss_rows(sweep: SweepResult) -> list[dict[str, object]]:
     return rows
 
 
-def run_loss_sweep(
-    loss_rates: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8),
-    *,
-    seed: int = 43,
-    duration: float = 15.0,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Run the loss sweep; returns :func:`loss_rows`."""
-    return loss_rows(
-        run_sweep(
-            loss_spec(loss_rates, seed=seed, duration=duration),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
-
-
 def update_pressure_spec(
     update_rates: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0),
     *,
@@ -225,24 +182,6 @@ def update_pressure_rows(sweep: SweepResult) -> list[dict[str, object]]:
         }
         for point, result in sweep.pairs()
     ]
-
-
-def run_update_pressure_sweep(
-    update_rates: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0, 400.0),
-    *,
-    seed: int = 47,
-    duration: float = 15.0,
-    jobs: int | None = 1,
-    dispatch=None,
-) -> list[dict[str, object]]:
-    """Run the update-rate sweep; returns :func:`update_pressure_rows`."""
-    return update_pressure_rows(
-        run_sweep(
-            update_pressure_spec(update_rates, seed=seed, duration=duration),
-            jobs=jobs,
-            dispatch=dispatch,
-        )
-    )
 
 
 def _cli_specs(args) -> list[SweepSpec]:

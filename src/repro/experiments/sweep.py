@@ -57,6 +57,11 @@ from repro.scenario.results import ScenarioResult
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import ScenarioSpec, protocol_from_wire, protocol_to_wire
 from repro.workloads.base import Workload
+from repro.workloads.codec import (
+    portable_workload,
+    portable_workload_specs,
+    workload_from_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.dispatch.client import FleetSpec
@@ -145,16 +150,6 @@ class SweepPoint:
         still *describes* the point, but :meth:`from_dict` refuses to rebuild
         it rather than silently re-running a different distribution.
         """
-        from repro.workloads.codec import workload_to_dict
-
-        def _portable(workload: Workload | None) -> dict[str, object] | None:
-            if workload is None:
-                return None
-            try:
-                return workload_to_dict(workload)
-            except ConfigurationError:
-                return None
-
         column: dict[str, object] = {
             "label": self.label,
             "params": json_safe(dict(self.params)),
@@ -166,11 +161,11 @@ class SweepPoint:
             return column
         column["config"] = config_as_dict(self.config)
         column["workload"] = type(self.workload).__name__
-        column["workload_spec"] = _portable(self.workload)
+        column["workload_spec"] = portable_workload(self.workload)
         column["read_workload"] = (
             None if self.read_workload is None else type(self.read_workload).__name__
         )
-        column["read_workload_spec"] = _portable(self.read_workload)
+        column["read_workload_spec"] = portable_workload(self.read_workload)
         return column
 
     @classmethod
@@ -210,20 +205,7 @@ class SweepPoint:
             raise ConfigurationError(
                 f"point {label!r}: payload carries neither a scenario nor a config"
             )
-        workload_spec = payload.get("workload_spec")
-        if workload_spec is None:
-            raise ConfigurationError(
-                f"point {label!r}: workload {payload.get('workload')!r} has no "
-                "portable workload_spec; only synthetic-family workloads "
-                "replay from JSON"
-            )
-        read_spec = payload.get("read_workload_spec")
-        if read_spec is None and payload.get("read_workload") is not None:
-            raise ConfigurationError(
-                f"point {label!r}: read workload {payload['read_workload']!r} "
-                "has no portable read_workload_spec; only synthetic-family "
-                "workloads replay from JSON"
-            )
+        workload_spec, read_spec = portable_workload_specs(payload, f"point {label!r}")
         workloads = {} if workloads is None else workloads
         return cls(
             label=label,
@@ -241,8 +223,6 @@ def _decode_workload(
     payload: Mapping[str, object], workloads: dict[str, Workload]
 ) -> Workload:
     """``workload_from_dict``, once per distinct payload in ``workloads``."""
-    from repro.workloads.codec import workload_from_dict
-
     key = json.dumps(payload, sort_keys=True)
     workload = workloads.get(key)
     if workload is None:

@@ -19,16 +19,10 @@ from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import realistic_workload
 from repro.experiments.report import Experiment
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepResult,
-    SweepSpec,
-    derive_seed,
-    run_sweep,
-)
+from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec, derive_seed
 from repro.workloads.synthetic import ParetoClusterWorkload, UniformWorkload
 
-__all__ = ["EXPERIMENT", "rows", "run", "spec"]
+__all__ = ["EXPERIMENT", "rows", "spec"]
 
 
 def make_config(seed: int = 9, duration: float = 20.0) -> ColumnConfig:
@@ -82,15 +76,6 @@ def rows(sweep: SweepResult) -> list[dict[str, object]]:
         }
         for point, result in sweep.pairs()
     ]
-
-
-def run(
-    *, seed: int = 9, duration: float = 20.0, jobs: int | None = 1, dispatch=None
-) -> list[dict[str, object]]:
-    """Run the sweep; returns :func:`rows`."""
-    return rows(
-        run_sweep(spec(seed=seed, duration=duration), jobs=jobs, dispatch=dispatch)
-    )
 
 
 EXPERIMENT = Experiment.single_sweep("Theorem 1: unbounded T-Cache", spec, rows)

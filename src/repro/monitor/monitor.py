@@ -73,8 +73,8 @@ class ConsistencyMonitor:
             None: self.tester
         }
         self._default_namespace_bound = False
-        #: The run's tracer if it records the "sgt" category, else None.
-        self._tracer = sim.tracer_for("sgt")
+        #: The run's tracer (None untraced), read once at construction.
+        self._tracer = sim.tracer
         self.summary = MonitorSummary()
         self.series = TimeSeries(window=window)
         #: Per-source (per-edge) views, keyed by the ``source`` tag passed to

@@ -76,8 +76,6 @@ class CausalCache(CacheServer):
     def __init__(self, sim, backend, *, service: CausalService, capacity=None, name="causal-cache"):
         super().__init__(sim, backend, capacity=capacity, name=name)
         self._service = service
-        #: The run\'s tracer if it records the "protocol" category, else None.
-        self._protocol_tracer = sim.tracer_for("protocol")
         #: Cached entries refused because they sat below the causal floor.
         self.causal_rejections = 0
         #: Serves that would still have violated the floor after refresh;
@@ -103,7 +101,7 @@ class CausalCache(CacheServer):
         retried = False
         if entry.version < required:
             self.causal_rejections += 1
-            tracer = self._protocol_tracer
+            tracer = self._tracer
             if tracer is not None:
                 tracer.emit(
                     self._sim.now,

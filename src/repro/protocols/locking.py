@@ -88,8 +88,6 @@ class LockCoherentCache(CacheServer):
     def __init__(self, sim, backend, *, service: LockingService, capacity=None, name="lock-cache"):
         super().__init__(sim, backend, capacity=capacity, name=name)
         self._service = service
-        #: The run\'s tracer if it records the "protocol" category, else None.
-        self._protocol_tracer = sim.tracer_for("protocol")
         self._contexts: dict[TxnId, _LockContext] = {}
         #: Validation round trips that found the cached entry stale.
         self.validation_refreshes = 0
@@ -145,7 +143,7 @@ class LockCoherentCache(CacheServer):
 
     def _abort_with(self, txn_id: TxnId, reason: str) -> None:
         self.wound_aborts += 1
-        tracer = self._protocol_tracer
+        tracer = self._tracer
         if tracer is not None:
             tracer.emit(
                 self._sim.now,

@@ -97,8 +97,6 @@ class VerifiedReadCache(CacheServer):
             raise ConfigurationError(f"freshness must be positive, got {freshness}")
         super().__init__(sim, backend, capacity=capacity, name=name)
         self._service = service
-        #: The run\'s tracer if it records the "protocol" category, else None.
-        self._protocol_tracer = sim.tracer_for("protocol")
         self.freshness = freshness
         #: key -> (version, signed_at, mac) for the cached entry.
         self._proofs: dict[Key, tuple[Version, float, str]] = {}
@@ -131,7 +129,7 @@ class VerifiedReadCache(CacheServer):
             # Stale or missing proof: refetch the authoritative version and
             # have the backend sign it (one round trip covers both).
             self.proof_refreshes += 1
-            tracer = self._protocol_tracer
+            tracer = self._tracer
             if tracer is not None:
                 tracer.emit(
                     now,
@@ -155,7 +153,7 @@ class VerifiedReadCache(CacheServer):
         self.signatures_verified += 1
         if not self._service.verify(key, version, signed_at, mac):
             self.signature_failures += 1
-            tracer = self._protocol_tracer
+            tracer = self._tracer
             if tracer is not None:
                 tracer.emit(
                     now,

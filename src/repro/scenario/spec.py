@@ -28,6 +28,11 @@ from repro.db.database import TimingConfig
 from repro.errors import ConfigurationError
 from repro.protocols.registry import DEFAULT_PROTOCOL, check_protocol_options
 from repro.workloads.base import Workload
+from repro.workloads.codec import (
+    portable_workload,
+    portable_workload_specs,
+    workload_from_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.experiments.config import ColumnConfig
@@ -277,16 +282,6 @@ class EdgeSpec:
         graph/trace workloads, which hold external state) — the inputs
         :meth:`from_dict` rebuilds edges from.
         """
-        from repro.workloads.codec import workload_to_dict
-
-        def _portable(workload) -> dict[str, object] | None:
-            if workload is None:
-                return None
-            try:
-                return workload_to_dict(workload)
-            except ConfigurationError:
-                return None
-
         kind, protocol = protocol_to_wire(self.protocol)
         return {
             "name": self.name,
@@ -296,8 +291,8 @@ class EdgeSpec:
                 if self.read_workload is None
                 else type(self.read_workload).__name__
             ),
-            "workload_spec": _portable(self.workload),
-            "read_workload_spec": _portable(self.read_workload),
+            "workload_spec": portable_workload(self.workload),
+            "read_workload_spec": portable_workload(self.read_workload),
             "cache_kind": kind,
             "strategy": self.strategy.name,
             "protocol": protocol,
@@ -320,25 +315,9 @@ class EdgeSpec:
         Requires a portable ``workload_spec`` — an edge whose workload was
         graph- or trace-backed cannot be replayed from JSON.
         """
-        from repro.workloads.codec import workload_from_dict
-
-        workload_spec = payload.get("workload_spec")
-        if workload_spec is None:
-            raise ConfigurationError(
-                f"edge {payload.get('name')!r}: no portable workload_spec in "
-                "payload; only synthetic-family workloads replay from JSON"
-            )
-        read_spec = payload.get("read_workload_spec")
-        if read_spec is None and payload.get("read_workload") is not None:
-            # The edge *had* a read workload but it wasn't portable —
-            # replaying without it would silently drive reads from the
-            # update workload instead of the recorded distribution.
-            raise ConfigurationError(
-                f"edge {payload.get('name')!r}: read workload "
-                f"{payload['read_workload']!r} has no portable "
-                "read_workload_spec; only synthetic-family workloads replay "
-                "from JSON"
-            )
+        workload_spec, read_spec = portable_workload_specs(
+            payload, f"edge {payload.get('name')!r}"
+        )
         given = _present(cls, payload)
         given["workload"] = workload_from_dict(workload_spec)
         given["read_workload"] = (

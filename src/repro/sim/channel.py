@@ -83,8 +83,8 @@ class Channel:
                 f"channel {name!r} uses randomness but no rng was provided"
             )
         self._sim = sim
-        #: The run's tracer if it records the "channel" category, else None.
-        self._tracer = sim.tracer_for("channel")
+        #: The run's tracer (None untraced), read once at construction.
+        self._tracer = sim.tracer
         self._receiver = receiver
         self._latency = latency
         self._loss_probability = loss_probability

@@ -28,7 +28,7 @@ a NaN time in the heap would silently break its ordering.
 
 Tracing is not a second path: :meth:`Simulator.run` is the only dispatch
 loop, ``Process._resume`` the only resume (and :meth:`Event.succeed` the only
-trigger body). Both test ``Simulator._sim_tracer``, resolved at construction,
+trigger body). Both test ``Simulator.tracer``, resolved at construction,
 against ``None`` before they emit; that costs an untraced run 5–10 ns per
 dispatch and 20–30 ns per resume, under 1 % of a figure point's ~5 µs event.
 
@@ -265,23 +265,12 @@ class Simulator:
         #: events it replaces, so the count does not depend on the wait form.
         self.events_executed = 0
         #: The thread's active telemetry tracer, captured once at
-        #: construction; ``None`` on every untraced run. No per-event site
-        #: reads it: each component keeps what :meth:`tracer_for` answered
-        #: for its category when it was built, so an instrumentation site
-        #: pays one attribute load plus an ``is None`` test — the
+        #: construction; ``None`` on every untraced run. Each component that
+        #: emits keeps it from its own construction, so an instrumentation
+        #: site pays one attribute load plus an ``is None`` test — the
         #: zero-cost-when-off contract. The kernel's own sites (the loop,
-        #: :meth:`step`, ``Process._resume``) test ``_sim_tracer``.
-        self._tracer = _active_tracer()
-        self._sim_tracer = self.tracer_for("sim")
-
-    def tracer_for(self, category: str) -> Tracer | None:
-        """The run's tracer if it records ``category``, else ``None``.
-
-        Every component that emits asks once, at construction, and keeps the
-        answer; its per-event sites then test that one attribute.
-        """
-        tracer = self._tracer
-        return tracer if tracer is not None and tracer.wants(category) else None
+        #: :meth:`step`, ``Process._resume``) test it directly.
+        self.tracer: Tracer | None = _active_tracer()
 
     def schedule(
         self,
@@ -345,7 +334,7 @@ class Simulator:
         immediate = self._immediate
         queue = self._queue
         no_arg = _NO_ARG
-        tracer = self._sim_tracer
+        tracer = self.tracer
         try:
             if until is not None and self.now > until:
                 # Nothing may fire: even immediates sit beyond the horizon.
@@ -412,7 +401,7 @@ class Simulator:
         else:
             return False
         self.events_executed += 1
-        tracer = self._sim_tracer
+        tracer = self.tracer
         if tracer is not None:
             name = getattr(callback, "__qualname__", type(callback).__name__)
             tracer.emit(self.now, "sim", "dispatch", {"callback": name})

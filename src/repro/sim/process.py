@@ -71,7 +71,7 @@ class Process(Event):
     event is handed to it directly, which removes one function call and one
     bound-method allocation from every wake-up (the kernel's hottest chain).
     ``_resume_callback`` is that bound method, allocated once per process:
-    always ``self._resume``, traced or not (it tests ``sim._sim_tracer``).
+    always ``self._resume``, traced or not (it tests ``sim.tracer``).
 
     It is dropped (set to ``None``) on every termination path, and that is
     what "not alive" means. A bound method of ``self`` stored on ``self`` is a
@@ -133,7 +133,7 @@ class Process(Event):
         A traced run records every call, a dead process's dropped wake-up
         included, under the generator function's ``__name__`` (no id in it).
         """
-        tracer = self.sim._sim_tracer
+        tracer = self.sim.tracer
         if tracer is not None:
             name = self._generator.__name__
             tracer.emit(self.sim.now, "sim", "process_resume", {"process": name})

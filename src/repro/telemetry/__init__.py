@@ -21,14 +21,12 @@ Two properties shape the whole design:
 
 * **Zero cost when off.** Tracing is opt-in per sweep point. The kernel
   caches the active tracer once per :class:`~repro.sim.core.Simulator`
-  (``sim._tracer is None`` on the untraced path), and every component that
-  emits asks ``sim.tracer_for(category)`` once, at construction, and keeps
-  the answer — that tracer if it records the category, else ``None`` — so
-  the disabled overhead is one attribute load plus an ``is None`` test per
-  *call site*, not per record, and ``wants()`` is never called per event.
+  (``sim.tracer is None`` on the untraced path), and every component that
+  emits keeps ``sim.tracer`` from its construction, so the disabled
+  overhead is one attribute load plus an ``is None`` test per *call site*.
   The kernel has no second, traced loop: its one dispatch loop and
-  ``Process._resume`` test ``sim._sim_tracer`` (``tracer_for("sim")``) once
-  per dispatch and once per resume.
+  ``Process._resume`` test ``sim.tracer`` once per dispatch and once per
+  resume.
 
 Enablement travels in two layers. The CLI's ``--trace`` flag flips the
 module-level flag via :func:`enable`; :func:`repro.experiments.sweep.run_sweep`
@@ -106,12 +104,12 @@ def active_tracer() -> Tracer | None:
 
 
 @contextlib.contextmanager
-def capture(point_label: str, *, categories=None):
+def capture(point_label: str):
     """Install a fresh thread-local :class:`Tracer` for one sweep point.
 
     Yields the tracer; simulators constructed inside the block adopt it.
     """
-    tracer = Tracer(point=point_label, categories=categories)
+    tracer = Tracer(point=point_label)
     previous = getattr(_STATE, "tracer", None)
     _STATE.tracer = tracer
     try:

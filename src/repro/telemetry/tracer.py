@@ -2,9 +2,11 @@
 
 A record is a compact tuple ``(sim_time, category, name, fields)`` — dict
 conversion is deferred to export so the per-record cost during a run is one
-tuple allocation and one list append. Categories let callers trace a slice
-of the stack (``--trace`` enables everything; the kernel category is the
-only one with meaningful volume, roughly one record per event executed).
+tuple allocation and one list append. The category names the emitting layer
+(``sim``, ``cache``, ``channel``, ``db``, ``sgt`` or ``protocol``) and is
+exported as the record's ``cat`` field; a tracer records every category
+(the kernel's ``sim`` is the only one with meaningful volume, roughly one
+record per event executed).
 
 Determinism rules every emitter must follow:
 
@@ -17,43 +19,22 @@ Determinism rules every emitter must follow:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-from repro.errors import ConfigurationError
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["Tracer", "CATEGORIES"]
-
-#: Every category an instrumentation site may emit under.
-CATEGORIES = frozenset(
-    {"sim", "cache", "channel", "db", "sgt", "protocol"}
-)
+__all__ = ["Tracer"]
 
 
 class Tracer:
     """Collects trace records and aggregates metrics for one sweep point."""
 
-    __slots__ = ("point", "records", "metrics", "_categories")
+    __slots__ = ("point", "records", "metrics")
 
-    def __init__(
-        self,
-        *,
-        point: str = "",
-        categories: Iterable[str] | None = None,
-    ) -> None:
+    def __init__(self, *, point: str = "") -> None:
         self.point = point
         self.records: list[tuple[float, str, str, dict[str, Any] | None]] = []
         self.metrics = MetricsRegistry()
-        self._categories = CATEGORIES if categories is None else frozenset(categories)
-        unknown = self._categories - CATEGORIES
-        if unknown:
-            raise ConfigurationError(
-                f"unknown trace categories {sorted(unknown)}; "
-                f"valid: {sorted(CATEGORIES)}"
-            )
-
-    def wants(self, category: str) -> bool:
-        return category in self._categories
 
     def emit(
         self,
@@ -62,10 +43,8 @@ class Tracer:
         name: str,
         fields: dict[str, Any] | None = None,
     ) -> None:
-        """Append one record. Callers guard on ``wants`` when fields are
-        expensive to build; plain sites just call through."""
-        if category in self._categories:
-            self.records.append((sim_time, category, name, fields))
+        """Append one record."""
+        self.records.append((sim_time, category, name, fields))
 
     # Metrics forwarding — one handle serves both concerns at every site.
 

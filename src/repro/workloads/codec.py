@@ -6,12 +6,14 @@ the CLI (``repro-experiments scenario --spec file.json``). The codec covers
 every synthetic family and the compositional wrappers (offset, mixture,
 phase switch); graph- and trace-backed workloads carry external state and
 are not portable — serialising one raises :class:`ConfigurationError`, and
-:meth:`EdgeSpec.as_dict` records ``None`` for them instead.
+:func:`portable_workload` records ``None`` for them instead.
+:func:`portable_workload_specs` is the matching refusal on the way back, for
+both the sweep point and the scenario edge wire formats.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.workloads.synthetic import (
@@ -24,7 +26,12 @@ from repro.workloads.synthetic import (
     UniformWorkload,
 )
 
-__all__ = ["workload_from_dict", "workload_to_dict"]
+__all__ = [
+    "portable_workload",
+    "portable_workload_specs",
+    "workload_from_dict",
+    "workload_to_dict",
+]
 
 
 def _encode_uniform(w: UniformWorkload) -> dict[str, object]:
@@ -145,3 +152,41 @@ def workload_from_dict(payload: dict) -> object:
         raise ConfigurationError(
             f"bad {name} payload {sorted(kwargs)}: {exc}"
         ) from exc
+
+
+def portable_workload(workload) -> dict[str, object] | None:
+    """:func:`workload_to_dict`, or ``None`` for no workload or a workload
+    outside the portable families: what a payload records as its
+    ``workload_spec`` / ``read_workload_spec``."""
+    if workload is None:
+        return None
+    try:
+        return workload_to_dict(workload)
+    except ConfigurationError:
+        return None
+
+
+def portable_workload_specs(
+    payload: Mapping[str, object], owner: str
+) -> tuple[dict, dict | None]:
+    """The ``(workload_spec, read_workload_spec)`` of a point or edge payload.
+
+    Refuses a payload whose workload, or whose read workload, was recorded
+    without a portable spec: replaying it would run a different distribution
+    (without the read workload, reads would silently come from the update
+    workload).  ``owner`` names the payload in the error.
+    """
+    workload_spec = payload.get("workload_spec")
+    if workload_spec is None:
+        raise ConfigurationError(
+            f"{owner}: workload {payload.get('workload')!r} has no portable "
+            "workload_spec; only synthetic-family workloads replay from JSON"
+        )
+    read_spec = payload.get("read_workload_spec")
+    if read_spec is None and payload.get("read_workload") is not None:
+        raise ConfigurationError(
+            f"{owner}: read workload {payload['read_workload']!r} has no "
+            "portable read_workload_spec; only synthetic-family workloads "
+            "replay from JSON"
+        )
+    return workload_spec, read_spec

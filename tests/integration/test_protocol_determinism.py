@@ -103,14 +103,10 @@ class TestRaceDeterminism:
         assert point_artifacts(fleet) == point_artifacts(serial)
         assert race_payload(fleet) == race_payload(serial)
 
-    def test_run_helper_matches_manual_pipeline(self) -> None:
-        spec = race_spec()
-        sweep = run_sweep(spec, jobs=1)
-        expected = race_payload(sweep)
-        _, _, payload = protocol_race.run(
-            protocols=protocol_names(), duration=DURATION, seed=SEED, jobs=1
-        )
-        assert json.dumps(payload, sort_keys=True) == expected
+    def test_report_matches_manual_pipeline(self) -> None:
+        sweep = run_sweep(race_spec(), jobs=1)
+        _, _, payload = protocol_race.report(sweep)
+        assert json.dumps(payload, sort_keys=True) == race_payload(sweep)
 
 
 class TestOneSelectorEndToEnd:

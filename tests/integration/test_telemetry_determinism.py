@@ -168,22 +168,14 @@ class TestArtifactByteIdentity:
         ) == normalized_artifact(untraced_run())
 
     def test_race_payload_merges_telemetry(self):
-        telemetry.enable()
-        try:
-            _rows, _ranking, payload = protocol_race.run(
-                protocols=PROTOCOLS, duration=DURATION, seed=11, jobs=1
-            )
-        finally:
-            telemetry.disable()
+        _rows, _ranking, payload = protocol_race.report(traced_run("serial", jobs=1))
         assert set(payload["telemetry"]) == {
             point.label for point in race_spec().points
         }
         for section in payload["telemetry"].values():
             validate_telemetry(section)
         protocol_race.validate_artifact(payload)
-        _rows, _ranking, untraced = protocol_race.run(
-            protocols=PROTOCOLS, duration=DURATION, seed=11, jobs=1
-        )
+        _rows, _ranking, untraced = protocol_race.report(untraced_run())
         assert "telemetry" not in untraced
         assert normalized_artifact(payload) == normalized_artifact(untraced)
 

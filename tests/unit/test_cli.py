@@ -220,7 +220,7 @@ class TestCli:
     def test_spec_replay_honours_explicit_duration(self, tmp_path) -> None:
         """--duration overrides the recorded duration; omitting it keeps
         the spec file's value."""
-        from repro.experiments.scenarios import run_spec_file
+        from repro.experiments.scenarios import replay_spec
         from repro.scenario import heterogeneous_loss_fleet
 
         spec = heterogeneous_loss_fleet(
@@ -228,9 +228,9 @@ class TestCli:
         )
         path = tmp_path / "saved.json"
         path.write_text(json.dumps(spec.as_dict()))
-        recorded, *_ = run_spec_file(str(path))
+        recorded = replay_spec(str(path))
         assert recorded.points[0].scenario.duration == 2.0
-        overridden, *_ = run_spec_file(str(path), duration=1.0)
+        overridden = replay_spec(str(path), duration=1.0)
         assert overridden.points[0].scenario.duration == 1.0
         assert main(
             ["scenario", "--spec", str(path), "--duration", "1", "--jobs", "1"]

@@ -18,7 +18,14 @@ import shlex
 import pytest
 
 from repro import telemetry
-from repro.experiments import fig4_convergence, fig6_strategies
+from repro.experiments import (
+    fig3_alpha,
+    fig4_convergence,
+    fig6_strategies,
+    fig7_realistic,
+    fig8_strategies,
+    theorem1,
+)
 from repro.experiments.__main__ import EXPERIMENTS, build_parser, main
 from repro.experiments.sweep import run_sweep, spec_artifact
 
@@ -30,6 +37,16 @@ RUN = COMMON + [
     "--fleet-wait-timeout", "--jobs", "--json", "--trace",
 ]  # fmt: skip
 CONNECT = ["--connect", "--connect-timeout"]
+
+#: Every ``Experiment.single_sweep`` verb -> its module's (spec, rows).
+SINGLE_SWEEP = {
+    "fig3": (fig3_alpha.spec, fig3_alpha.rows),
+    "fig6": (fig6_strategies.spec, fig6_strategies.rows),
+    "fig7c": (fig7_realistic.deplist_spec, fig7_realistic.deplist_rows),
+    "fig7d": (fig7_realistic.ttl_spec, fig7_realistic.ttl_rows),
+    "fig8": (fig8_strategies.spec, fig8_strategies.rows),
+    "theorem1": (theorem1.spec, theorem1.rows),
+}
 
 #: verb -> every option string it accepts (plus <positionals>), sorted.
 GOLDEN = {
@@ -183,7 +200,9 @@ class TestExperimentTable:
         assert main(["fig4", "--duration", "3", "--jobs", "1", "--json", str(path)]) == 0
         scale = 3.0 / 30.0
         timeline = {"duration": 160.0 * scale, "switch_time": 58.0 * scale}
-        rows = fig4_convergence.run(**timeline, jobs=1)
+        rows = fig4_convergence.rows(
+            run_sweep(fig4_convergence.spec(**timeline), jobs=1)
+        )
         means = fig4_convergence.phase_summaries(rows, switch_time=58.0 * scale)
         (experiment,) = json.loads(path.read_text())["experiments"]
         assert experiment["sections"] == [
@@ -199,6 +218,23 @@ class TestExperimentTable:
         assert experiment["sweep_specs"] == [
             spec_artifact(fig4_convergence.spec(**timeline))
         ]
+
+    @pytest.mark.parametrize("verb", sorted(SINGLE_SWEEP))
+    def test_single_sweep_row_is_the_module_api(self, verb, tmp_path, capsys) -> None:
+        """A one-table verb prints exactly ``rows(run_sweep(spec(...)))``:
+        the composition any Python caller writes."""
+        spec, rows = SINGLE_SWEEP[verb]
+        path = tmp_path / f"{verb}.json"
+        run = [verb, "--duration", "0.1", "--jobs", "1", "--json", str(path)]
+        assert main(run) == 0
+        (experiment,) = json.loads(path.read_text())["experiments"]
+        assert experiment["sections"] == [
+            {
+                "title": EXPERIMENTS[verb].help,
+                "rows": rows(run_sweep(spec(duration=0.1), jobs=1)),
+            }
+        ]
+        assert experiment["sweep_specs"] == [spec_artifact(spec(duration=0.1))]
 
 
 class TestTraceThroughMain:

@@ -283,6 +283,21 @@ class TestLeaseRecovery:
         again = queue.acquire("w2", 4)
         assert lease.indices[0] not in again.indices
 
+    def test_late_results_after_expiry_leave_nothing_pending(self) -> None:
+        """The expired lease's owner delivers every result after its points
+        went back to the queue: the sweep is done and nothing is pending,
+        in the status rows and in the daemon's ``pending`` gauge alike."""
+        queue, clock = make_queue(lease_timeout=10.0)
+        submit(queue, "a", tiny_spec(3, name="a"))
+        lease = queue.acquire("slow", 3)
+        clock.advance(11.0)
+        assert queue.expire_stale_leases() == 1
+        for index in lease.indices:
+            assert queue.complete("a", index, wire(index), "slow")
+        (row,) = queue.status_rows()
+        assert (row["state"], row["completed"], row["pending"]) == ("done", 3, 0)
+        assert row["leased"] == 0
+
 
 class TestCompletionSignal:
     def test_finished_set_by_the_last_result_only(self) -> None:

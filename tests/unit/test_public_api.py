@@ -110,6 +110,26 @@ class TestPublicAPI:
             main(["bench"])
         assert excinfo.value.code == 2
 
+    def test_one_way_to_run_an_experiment(self) -> None:
+        """1.10.0 removed the per-figure ``run*`` wrappers: a figure module
+        exposes its grid, its table and its CLI row, and every caller writes
+        ``rows(run_sweep(spec(...)))``.  The only ``run`` functions left in
+        ``repro.experiments`` are the engine's two."""
+        import pkgutil
+
+        import repro.experiments
+        from repro.experiments.config import ColumnConfig
+
+        runners = []
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            for name, member in inspect.getmembers(module, inspect.isfunction):
+                own = member.__module__ == module.__name__
+                if own and (name == "run" or name.startswith("run_")):
+                    runners.append(f"{info.name}.{name}")
+        assert sorted(runners) == ["runner.run_column", "sweep.run_sweep"]
+        assert not hasattr(ColumnConfig, "as_scenario")
+
     def test_importing_the_package_leaves_networkx_out(self) -> None:
         """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
         CLI start, pool worker and fleet worker would otherwise pay for it."""

@@ -113,12 +113,6 @@ class TestSpecValidation:
         assert only.update_rate == 42.0
         assert spec.edge_config(only) == config
 
-    def test_as_scenario_convenience(self) -> None:
-        config = ColumnConfig(seed=4, duration=1.0)
-        spec = config.as_scenario(WORKLOAD)
-        assert isinstance(spec, ScenarioSpec)
-        assert spec.seed == 4
-
     def test_as_dict_is_json_shaped(self) -> None:
         import json
 

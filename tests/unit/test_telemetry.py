@@ -24,7 +24,6 @@ from repro.telemetry import (
     validate_telemetry,
 )
 from repro.telemetry.metrics import HISTOGRAM_BOUNDS
-from repro.telemetry.tracer import CATEGORIES
 from repro.experiments.report import normalized_artifact
 
 
@@ -131,28 +130,26 @@ class TestValidateTelemetry:
 
 
 class TestTracer:
-    def test_records_are_category_filtered(self):
-        tracer = Tracer(point="p", categories={"cache"})
-        assert tracer.wants("cache") and not tracer.wants("sim")
+    def test_records_every_category_in_emission_order(self):
+        """A tracer has no category filter: the category is each record's
+        ``cat`` field, and nothing emitted is dropped."""
+        tracer = Tracer(point="p")
         tracer.emit(1.0, "cache", "serve", {"key": "k"})
         tracer.emit(2.0, "sim", "dispatch")
         assert tracer.record_dicts() == [
-            {"t": 1.0, "cat": "cache", "name": "serve", "fields": {"key": "k"}}
+            {"t": 1.0, "cat": "cache", "name": "serve", "fields": {"key": "k"}},
+            {"t": 2.0, "cat": "sim", "name": "dispatch"},
         ]
 
-    @pytest.mark.parametrize("categories", [{"cach"}, ["sim", "nope"], "sim"])
-    def test_unknown_categories_are_rejected(self, categories):
-        """A misspelt category used to record nothing, silently."""
-        with pytest.raises(ConfigurationError, match="unknown trace categor") as info:
-            Tracer(categories=categories)
-        assert all(name in str(info.value) for name in CATEGORIES)
-        with pytest.raises(ConfigurationError, match="unknown trace categor"):
-            with capture("p", categories=categories):
-                pass
+    def test_simulator_and_components_hold_the_captured_tracer(self):
+        from repro.sim.channel import Channel
+        from repro.sim.core import Simulator
 
-    def test_default_categories_cover_every_emitter(self):
-        tracer = Tracer()
-        assert all(tracer.wants(category) for category in CATEGORIES)
+        assert Simulator().tracer is None
+        with capture("p") as tracer:
+            sim = Simulator()
+        assert sim.tracer is tracer
+        assert Channel(sim, print)._tracer is tracer
 
     def test_metrics_forwarding(self):
         tracer = Tracer(point="p")
