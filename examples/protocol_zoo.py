@@ -33,7 +33,7 @@ from repro.experiments.report import print_table
 
 def run_the_race() -> None:
     print(f"registered protocols: {', '.join(protocol_names())}\n")
-    rows, ranking, _payload = protocol_race.report(
+    rows, ranking = protocol_race.report(
         run_sweep(protocol_race.spec(duration=6.0), jobs=2)
     )
     print_table(
@@ -58,13 +58,13 @@ class BoundedStalenessCache(CacheServer):
 
     def _fetch(self, key):
         entry = super()._fetch(key)
-        self._fetched_at[key] = self.sim.now
+        self._fetched_at[key] = self._sim.now
         return entry
 
     def _check_read(self, txn_id, record, entry):
-        if self.sim.now - self._fetched_at.get(record.key, 0.0) > self.bound:
+        if self._sim.now - self._fetched_at.get(entry.key, 0.0) > self.bound:
             self.stats.retries += 1
-            entry = self._fetch(record.key)
+            entry = self._fetch(entry.key)
         return entry, False
 
 

@@ -107,7 +107,6 @@ class CacheStorage:
             self.stats.ttl_expirations += 1
             if self._tracer is not None:
                 self._tracer.emit(now, "cache", "evict_ttl", {"key": key})
-                self._tracer.metrics.count("cache.ttl_expirations")
             return None
         if self.capacity is not None:
             # Recency order only drives capacity eviction; unbounded caches
@@ -131,7 +130,6 @@ class CacheStorage:
                     self._tracer.emit(
                         now, "cache", "evict_capacity", {"key": evicted_key}
                     )
-                    self._tracer.metrics.count("cache.capacity_evictions")
 
     def invalidate(self, key: Key, version: int) -> bool:
         """Drop the entry if the cached copy is older than ``version``."""
@@ -238,11 +236,6 @@ class CacheServer:
                     "applied": applied,
                 },
             )
-            tracer.metrics.count(
-                "cache.invalidations_applied"
-                if applied
-                else "cache.invalidations_ignored"
-            )
 
     # ------------------------------------------------------------------
     # The read path
@@ -272,7 +265,6 @@ class CacheServer:
                     storage._tracer.emit(
                         self._sim.now, "cache", "evict_ttl", {"key": key}
                     )
-                    storage._tracer.metrics.count("cache.ttl_expirations")
             else:
                 if storage.capacity is not None:
                     storage._entries.move_to_end(key)
@@ -305,7 +297,6 @@ class CacheServer:
                     "retried": retried,
                 },
             )
-            tracer.metrics.count("cache.hits" if not cache_miss else "cache.misses")
         version = entry.version
         reads = record.reads
         previous = reads.get(key)
@@ -359,7 +350,6 @@ class CacheServer:
                 "fetch",
                 {"cache": self.name, "key": key, "version": entry.version},
             )
-            tracer.metrics.count("cache.fetches")
         return entry
 
     def _finish(self, txn_id: TxnId, outcome: TransactionOutcome) -> None:
@@ -384,6 +374,5 @@ class CacheServer:
                     "reads": len(record.reads),
                 },
             )
-            tracer.metrics.count(f"cache.txn_{outcome.name.lower()}")
         for listener in self._txn_listeners:
             listener(record)

@@ -238,7 +238,6 @@ class Database:
                     "writes": len(installed),
                 },
             )
-            tracer.metrics.count("db.commits")
         for listener in self._commit_listeners:
             listener(committed)
         for entry in installed:
@@ -269,7 +268,6 @@ class Database:
                 "entry_read",
                 {"backend": self.namespace, "key": key, "version": entry.version},
             )
-            tracer.metrics.count("db.entry_reads")
         return entry
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.dispatch.coordinator import parse_hostport
 from repro.dispatch.daemon import FleetConfig, run_daemon
 from repro.dispatch.faults import FaultPlan
 from repro.dispatch.journal import SweepJournal, list_journals
+from repro.dispatch.protocol import MAX_SECONDS, is_seconds
 from repro.dispatch.worker import run_worker
 from repro.errors import ConfigurationError, CoordinatorUnreachable, DispatchError
 from repro.experiments.report import print_table, write_json
@@ -50,8 +51,17 @@ hostport_arg = _usage_type(parse_hostport)
 _fault_arg = _usage_type(FaultPlan.parse)
 
 
-def _positive_seconds(text: str) -> float:
+def seconds_arg(text: str) -> float:
     value = float(text)
+    if not is_seconds(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a number of seconds in [0, {MAX_SECONDS:g}], got {text}"
+        )
+    return value
+
+
+def positive_seconds_arg(text: str) -> float:
+    value = seconds_arg(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value:g}")
     return value
@@ -77,7 +87,7 @@ def mount(
         )
         flags.add_argument(
             "--connect-timeout",
-            type=float,
+            type=positive_seconds_arg,
             metavar="SECONDS",
             default=30.0,
             help="keep retrying an unreachable daemon this long before giving "
@@ -109,7 +119,7 @@ def mount(
     )
     worker.add_argument(
         "--max-idle",
-        type=_positive_seconds,
+        type=positive_seconds_arg,
         metavar="SECONDS",
         default=None,
         help="exit once the fleet queue stays empty this long — a daemon "
@@ -149,7 +159,7 @@ def mount(
     )
     serve.add_argument(
         "--lease-timeout",
-        type=float,
+        type=positive_seconds_arg,
         metavar="SECONDS",
         default=30.0,
         help="reassign a worker's chunk this long after its last sign of "
@@ -163,7 +173,7 @@ def mount(
     )
     serve.add_argument(
         "--journal-expiry",
-        type=float,
+        type=seconds_arg,
         metavar="SECONDS",
         default=None,
         help="at startup, archive finished journals idle for this long to "
@@ -203,7 +213,7 @@ def mount(
     )
     submit.add_argument(
         "--timeout",
-        type=float,
+        type=positive_seconds_arg,
         metavar="SECONDS",
         default=None,
         help="with --wait: give up after this long (default: wait forever, "

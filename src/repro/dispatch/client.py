@@ -30,7 +30,7 @@ from typing import Mapping
 from repro.dispatch.auth import secret_from_env
 from repro.dispatch.codec import decode_results
 from repro.dispatch.journal import artifact_fingerprint
-from repro.dispatch.protocol import recv_frame, send_frame
+from repro.dispatch.protocol import is_seconds, recv_frame, send_frame
 from repro.dispatch.worker import _connect, _handshake, _Refused
 from repro.errors import (
     AuthenticationError,
@@ -77,14 +77,14 @@ class FleetSpec:
             raise ConfigurationError(
                 f"fleet port must be in [1, 65535], got {self.port}"
             )
-        if self.poll_interval <= 0:
-            raise ConfigurationError(
-                f"poll_interval must be positive, got {self.poll_interval}"
-            )
-        if self.connect_timeout <= 0:
-            raise ConfigurationError(
-                f"connect_timeout must be positive, got {self.connect_timeout}"
-            )
+        for field in ("poll_interval", "connect_timeout", "wait_timeout"):
+            value = getattr(self, field)
+            if value is None and field == "wait_timeout":
+                continue  # wait forever
+            if not (is_seconds(value) and value > 0):
+                raise ConfigurationError(
+                    f"{field} must be a positive number of seconds, got {value}"
+                )
         if self.secret is None:
             self.secret = secret_from_env()
 

@@ -126,17 +126,16 @@ class FleetConfig:
             raise ConfigurationError(
                 f"daemon port must be in [0, 65535], got {self.port}"
             )
-        if self.lease_timeout <= 0:
+        for field in ("lease_timeout", "poll_interval"):
+            value = getattr(self, field)
+            if not (is_seconds(value) and value > 0):
+                raise ConfigurationError(
+                    f"{field} must be a positive number of seconds, got {value}"
+                )
+        if self.journal_expiry is not None and not is_seconds(self.journal_expiry):
             raise ConfigurationError(
-                f"lease_timeout must be positive, got {self.lease_timeout}"
-            )
-        if self.poll_interval <= 0:
-            raise ConfigurationError(
-                f"poll_interval must be positive, got {self.poll_interval}"
-            )
-        if self.journal_expiry is not None and self.journal_expiry < 0:
-            raise ConfigurationError(
-                f"journal_expiry must be >= 0 or None, got {self.journal_expiry}"
+                "journal_expiry must be None or a number of seconds >= 0, "
+                f"got {self.journal_expiry}"
             )
 
 

@@ -181,8 +181,10 @@ def run_worker(
     stats = WorkerStats(worker=name or f"worker-{os.getpid()}")
     if secret is None:
         secret = secret_from_env()
-    if max_idle is not None and max_idle <= 0:
-        raise DispatchError(f"max_idle must be positive, got {max_idle}")
+    if max_idle is not None and not (is_seconds(max_idle) and max_idle > 0):
+        raise DispatchError(
+            f"max_idle must be None or a positive number of seconds, got {max_idle}"
+        )
     deadline = time.monotonic() + connect_timeout
     while True:
         sock = _connect(

@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--fleet-wait-timeout",
-        type=float,
+        type=dispatch_cli.positive_seconds_arg,
         metavar="SECONDS",
         default=None,
         help="with --fleet: give up if a sweep has not drained in time "

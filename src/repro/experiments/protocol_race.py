@@ -4,8 +4,9 @@ The paper evaluates one protocol. The protocol zoo (:mod:`repro.protocols`)
 makes alternatives first-class, and this experiment races them: each racing
 protocol runs the same three library fleets (heterogeneous loss, geo skew,
 flash crowd) under identical seeds and workloads — only the per-edge
-``protocol`` differs — and the artifact ranks them on the three axes the
-designs actually trade against each other:
+``protocol`` differs — and :func:`report` ranks them on the three axes the
+designs actually trade against each other (the CLI writes its rows and
+ranking as the verb's two ``repro.experiments/v1`` sections):
 
 * **inconsistency rate** — committed read-only transactions the omniscient
   monitor classifies as inconsistent;
@@ -47,15 +48,12 @@ from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "RACE_PROTOCOLS",
-    "RACE_SCHEMA",
     "EDGE_RTT_MS",
     "BACKEND_RTT_MS",
     "TTL_SECONDS",
     "spec",
     "race_rows",
     "ranking_rows",
-    "artifact",
-    "validate_artifact",
     "report",
     "EXPERIMENT",
 ]
@@ -68,8 +66,6 @@ RACE_PROTOCOLS: tuple[str, ...] = (
     "verified-read",
     "locking",
 )
-
-RACE_SCHEMA = "repro.protocol-race/1"
 
 #: Nominal client-to-edge round trip charged to every cache read, ms.
 EDGE_RTT_MS = 1.0
@@ -218,139 +214,17 @@ def ranking_rows(rows: Sequence[Mapping[str, object]]) -> list[dict[str, object]
     return aggregated
 
 
-def artifact(
-    rows: Sequence[Mapping[str, object]],
-    ranking: Sequence[Mapping[str, object]],
-    *,
-    duration: float,
-    seed: int,
-) -> dict[str, object]:
-    """The schema'd race artifact (deterministic for fixed inputs)."""
-    return {
-        "schema": RACE_SCHEMA,
-        "duration": duration,
-        "seed": seed,
-        "protocols": sorted({str(row["protocol"]) for row in rows}),
-        "scenarios": sorted({str(row["scenario"]) for row in rows}),
-        "rows": [dict(row) for row in rows],
-        "ranking": [dict(row) for row in ranking],
-    }
+Rows = list[dict[str, object]]
 
 
-_ROW_FIELDS = {
-    "scenario": str,
-    "protocol": str,
-    "inconsistency_pct": (int, float),
-    "abort_pct": (int, float),
-    "read_latency_ms": (int, float),
-    "backend_reads_per_s": (int, float),
-    "hit_pct": (int, float),
-    "update_commits": int,
-}
-
-_RANKING_FIELDS = {
-    "rank": int,
-    "protocol": str,
-    "scenarios": int,
-    "inconsistency_pct": (int, float),
-    "abort_pct": (int, float),
-    "read_latency_ms": (int, float),
-    "backend_reads_per_s": (int, float),
-    "hit_pct": (int, float),
-}
-
-
-def validate_artifact(payload: Mapping[str, object]) -> None:
-    """Assert ``payload`` matches :data:`RACE_SCHEMA` (hand-rolled — the
-    container has no jsonschema); raises :class:`ConfigurationError`."""
-
-    def _fail(message: str) -> None:
-        raise ConfigurationError(f"protocol-race artifact invalid: {message}")
-
-    if not isinstance(payload, Mapping):
-        _fail(f"payload must be a mapping, got {type(payload).__name__}")
-    if payload.get("schema") != RACE_SCHEMA:
-        _fail(f"schema must be {RACE_SCHEMA!r}, got {payload.get('schema')!r}")
-    for field in ("protocols", "scenarios", "rows", "ranking"):
-        if not isinstance(payload.get(field), list):
-            _fail(f"{field!r} must be a list")
-    for field, expected in (("duration", (int, float)), ("seed", int)):
-        if not isinstance(payload.get(field), expected):
-            _fail(f"{field!r} must be {expected}")
-    if not payload["protocols"]:
-        _fail("at least one protocol required")
-    for section, schema in (("rows", _ROW_FIELDS), ("ranking", _RANKING_FIELDS)):
-        for i, row in enumerate(payload[section]):
-            if not isinstance(row, Mapping):
-                _fail(f"{section}[{i}] must be a mapping")
-            for field, types in schema.items():
-                value = row.get(field)
-                if not isinstance(value, types) or isinstance(value, bool):
-                    _fail(
-                        f"{section}[{i}].{field} must be {types}, "
-                        f"got {value!r}"
-                    )
-    expected = len(payload["protocols"]) * len(payload["scenarios"])
-    if len(payload["rows"]) != expected:
-        _fail(
-            f"expected {expected} rows (protocols x scenarios), "
-            f"got {len(payload['rows'])}"
-        )
-    if len(payload["ranking"]) != len(payload["protocols"]):
-        _fail(
-            f"expected {len(payload['protocols'])} ranking rows, "
-            f"got {len(payload['ranking'])}"
-        )
-    ranks = [row["rank"] for row in payload["ranking"]]
-    if ranks != list(range(1, len(ranks) + 1)):
-        _fail(f"ranking must be 1..{len(ranks)} in order, got {ranks}")
-    if "telemetry" in payload:
-        # Present only on traced runs: one repro.telemetry/1 section per
-        # race point, keyed by its point label.
-        from repro.telemetry import validate_telemetry
-
-        sections = payload["telemetry"]
-        if not isinstance(sections, Mapping):
-            _fail("'telemetry' must be a mapping of point label -> section")
-        for label, section in sections.items():
-            try:
-                validate_telemetry(section)
-            except ConfigurationError as exc:
-                _fail(f"telemetry[{label!r}]: {exc}")
-
-
-Report = tuple[list[dict[str, object]], list[dict[str, object]], dict[str, object]]
-
-
-def report(sweep: SweepResult) -> Report:
-    """(per-point rows, ranking, schema'd artifact) of a finished race.
-
-    The artifact is validated before anything is returned, so whatever a
-    caller prints or writes has passed :func:`validate_artifact`.
-    """
+def report(sweep: SweepResult) -> tuple[Rows, Rows]:
+    """(per-point rows, ranking) of a finished race."""
     rows = race_rows([(point.params, result) for point, result in sweep.pairs()])
-    ranking = ranking_rows(rows)
-    payload = artifact(
-        rows,
-        ranking,
-        duration=sweep.spec.points[0].scenario.duration,
-        seed=sweep.spec.root_seed,
-    )
-    telemetry_sections = {
-        point.label: result.telemetry
-        for point, result in sweep.pairs()
-        if result.telemetry is not None
-    }
-    if telemetry_sections:
-        # Traced runs only: normalized_artifact strips this key, so a
-        # traced race still normalizes to its untraced twin.
-        payload["telemetry"] = telemetry_sections
-    validate_artifact(payload)
-    return rows, ranking, payload
+    return rows, ranking_rows(rows)
 
 
 def _cli_sections(sweeps: list[SweepResult]) -> list[dict[str, object]]:
-    rows, ranking, _payload = report(sweeps[0])
+    rows, ranking = report(sweeps[0])
     return [
         section("Protocol race: per-scenario rows", rows),
         section(

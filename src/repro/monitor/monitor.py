@@ -156,8 +156,6 @@ class ConsistencyMonitor:
         """Add one committed update transaction to ``backend``'s history."""
         self.tester_for(backend).record_update(txn)
         self.summary.update_commits += 1
-        if self._tracer is not None:
-            self._tracer.metrics.count("sgt.update_commits")
 
     def record_read_only(
         self,
@@ -207,7 +205,6 @@ class ConsistencyMonitor:
                     "reads": len(record.reads),
                 },
             )
-            tracer.metrics.count(f"sgt.{label}")
 
     def _bind(
         self, source: str | None, backend: str | None

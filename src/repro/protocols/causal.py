@@ -115,7 +115,6 @@ class CausalCache(CacheServer):
                         "floor": required,
                     },
                 )
-                tracer.metrics.count("protocol.floor_refusals")
             entry = self._read_through(key)
             retried = True
         if entry.version < required:  # self-check; must be unreachable

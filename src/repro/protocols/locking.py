@@ -151,7 +151,6 @@ class LockCoherentCache(CacheServer):
                 "wound_abort",
                 {"cache": self.name, "txn": txn_id, "reason": reason},
             )
-            tracer.metrics.count("protocol.wound_aborts")
         self._finish(txn_id, TransactionOutcome.ABORTED)
         raise TransactionAborted(txn_id, reason)
 

@@ -143,7 +143,6 @@ class VerifiedReadCache(CacheServer):
                         else ("version" if proof[0] != entry.version else "expired"),
                     },
                 )
-                tracer.metrics.count("protocol.proof_refreshes")
             self.stats.retries += 1
             entry = self._backend.read_entry(key)
             self.storage.put(entry, now)
@@ -161,7 +160,6 @@ class VerifiedReadCache(CacheServer):
                     "proof_verify_fail",
                     {"cache": self.name, "key": key, "version": version},
                 )
-                tracer.metrics.count("protocol.proof_verify_failures")
         return entry, retried
 
     # ------------------------------------------------------------------

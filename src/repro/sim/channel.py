@@ -144,9 +144,6 @@ class Channel:
                     "drop",
                     {"channel": self.name, "seq": sequence, "outage": in_outage},
                 )
-                tracer.metrics.count(
-                    "channel.outage_drops" if in_outage else "channel.drops"
-                )
             return False
         delay = self._latency(self._rng) if callable(self._latency) else self._latency
         if delay < 0:
@@ -176,6 +173,4 @@ class Channel:
                     "reordered": reordered,
                 },
             )
-            tracer.metrics.count("channel.delivered")
-            tracer.metrics.observe("channel.latency_ms", delay * 1000.0)
         self._receiver(message)

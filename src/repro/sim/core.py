@@ -375,8 +375,6 @@ class Simulator:
                 self.now = until
         finally:
             self.events_executed += executed
-            if tracer is not None:
-                tracer.metrics.count("sim.events_dispatched", executed)
             self._running = False
 
     def step(self) -> bool:
@@ -405,7 +403,6 @@ class Simulator:
         if tracer is not None:
             name = getattr(callback, "__qualname__", type(callback).__name__)
             tracer.emit(self.now, "sim", "dispatch", {"callback": name})
-            tracer.metrics.count("sim.events_dispatched")
         if arg is _NO_ARG:
             callback()
         else:

@@ -54,7 +54,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Generator
 
-from repro.errors import ProcessKilled, SimulationError
+from repro.errors import ProcessKilled, SimulationError, TransactionAborted
 from repro.sim.core import Event, Simulator
 
 __all__ = ["Process"]
@@ -65,7 +65,8 @@ class Process(Event):
 
     A ``Process`` is itself an :class:`Event`: it triggers when the generator
     returns (successfully, with the ``return`` value) or raises (failure).
-    That makes ``yield other_process`` a natural join operation.
+    That makes ``yield other_process`` a natural join operation. A failure
+    with no joiner is raised out of the run instead (see :meth:`_die`).
 
     :meth:`_resume` doubles as the wait-completion callback — the triggered
     event is handed to it directly, which removes one function call and one
@@ -137,7 +138,6 @@ class Process(Event):
         if tracer is not None:
             name = self._generator.__name__
             tracer.emit(self.sim.now, "sim", "process_resume", {"process": name})
-            tracer.metrics.count("sim.process_resumes")
         if self._resume_callback is None:
             return
         generator = self._generator
@@ -164,20 +164,16 @@ class Process(Event):
             self.succeed(killed)
             return
         except BaseException as exc:  # noqa: BLE001 - propagated via the event
-            self._resume_callback = None
             # Keep the generator's frames, not this one: it holds ``self``,
             # and the stored exception would tie the process into a cycle.
             exc.__traceback__ = exc.__traceback__.tb_next
-            self.fail(exc)
+            self._die(exc)
             return
 
         if type(target) is float:
             # A sleep: the process itself is the heap entry.
             if not target >= 0:  # negative or NaN
-                self._resume_callback = None
-                self.fail(
-                    SimulationError(f"sleep delay must be >= 0, got {target}")
-                )
+                self._die(SimulationError(f"sleep delay must be >= 0, got {target}"))
                 return
             sim = self.sim
             sequence = sim._sequence
@@ -187,8 +183,7 @@ class Process(Event):
             else:
                 heappush(sim._queue, (sim.now + target, sequence, self._wake, None))
         elif not isinstance(target, Event):
-            self._resume_callback = None
-            self.fail(
+            self._die(
                 SimulationError(
                     f"process yielded {target!r}; a process yields an Event "
                     "to wait on or a float delay to sleep (exactly float: "
@@ -203,6 +198,22 @@ class Process(Event):
             sim._immediate.append((sequence, self._resume_callback, target))
         else:
             target._callbacks.append(self._resume_callback)
+
+    def _die(self, error: BaseException) -> None:
+        """End the process failed with ``error``.
+
+        A failure nobody waits on would vanish with the event, so it is
+        raised out of the dispatch that caused it — out of
+        :meth:`~repro.sim.core.Simulator.run` or ``step`` — unless it is a
+        :class:`~repro.errors.TransactionAborted`: an aborted update reports
+        that outcome on its process (``Database.execute_update``), and a
+        caller may read it there after the run.
+        """
+        self._resume_callback = None
+        unobserved = not self._callbacks
+        self.fail(error)
+        if unobserved and not isinstance(error, TransactionAborted):
+            raise error
 
     def _wake(self, _arg: None) -> None:
         """A sleep ended: resume now if nothing else is due at this instant.

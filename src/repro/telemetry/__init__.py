@@ -4,9 +4,10 @@ The telemetry layer threads one :class:`Tracer` through every layer of a
 simulated run — kernel event dispatch, process resumption, cache
 serve/refetch/evict, channel delivery and outage drops, backend reads, SGT
 verdicts, and per-protocol decisions (wound aborts, causal floor refusals,
-proof verification) — and aggregates the same instrumentation points into a
-:class:`MetricsRegistry` of counters, gauges and exponential-bucket latency
-histograms.
+proof verification). Each event is recorded once, as a trace record; the
+``repro.telemetry/1`` counters and latency histogram are derived from those
+records by :meth:`Tracer.snapshot` through one table
+(:data:`repro.telemetry.tracer.METRICS`) into a :class:`MetricsRegistry`.
 
 Two properties shape the whole design:
 

@@ -6,10 +6,13 @@ at most :data:`_BUCKET_COUNT` floats. Snapshots are sorted by name at every
 level so the serialized section is canonical — two registries fed the same
 observations in any order produce byte-identical JSON.
 
-The ``repro.telemetry/1`` section embedded in artifacts holds only the
-snapshot (aggregates); raw trace records never enter artifacts, which keeps
-traced and untraced artifacts byte-identical once the telemetry key is
-stripped (see :func:`repro.experiments.report.normalized_artifact`).
+Two things fill a registry: :meth:`repro.telemetry.Tracer.snapshot`, from
+a point's trace records, and the fleet daemon, from its own lifetime
+counters and sweep gauges (the ``metrics`` verb). A traced result's
+``repro.telemetry/1`` section holds only the snapshot (aggregates); raw
+trace records never enter artifacts, which keeps traced and untraced
+artifacts byte-identical once the telemetry key is stripped (see
+:func:`repro.experiments.report.normalized_artifact`).
 """
 
 from __future__ import annotations
@@ -121,8 +124,10 @@ def _fail(message: str) -> None:
 def validate_telemetry(payload: object) -> dict:
     """Validate a ``repro.telemetry/1`` section, returning it on success.
 
-    Hand-rolled (the container has no jsonschema); mirrors the shape checks
-    of :func:`repro.experiments.protocol_race.validate_artifact`.
+    The package's one hand-rolled validator (there is no jsonschema
+    dependency): it guards the daemon's network ``metrics`` reply, which
+    ``fleet status --metrics`` prints, and the tests run it on every traced
+    section.
     """
     if not isinstance(payload, dict):
         _fail(f"section must be an object, got {type(payload).__name__}")

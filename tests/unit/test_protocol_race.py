@@ -1,8 +1,6 @@
-"""Unit tests for the protocol-race experiment (spec, rows, artifact)."""
+"""Unit tests for the protocol-race experiment (spec, rows, ranking)."""
 
 from __future__ import annotations
-
-import copy
 
 import pytest
 
@@ -98,56 +96,3 @@ class TestRanking:
         rows[1]["read_latency_ms"] = 20.0
         ranking = protocol_race.ranking_rows(rows)
         assert ranking[0]["read_latency_ms"] == 15.0
-
-
-class TestArtifact:
-    def payload(self) -> dict[str, object]:
-        rows = make_rows()
-        ranking = protocol_race.ranking_rows(rows)
-        return protocol_race.artifact(rows, ranking, duration=10.0, seed=7)
-
-    def test_valid_artifact_passes(self) -> None:
-        payload = self.payload()
-        assert payload["schema"] == protocol_race.RACE_SCHEMA
-        assert payload["protocols"] == ["alpha", "beta"]
-        assert payload["scenarios"] == ["s1", "s2", "s3"]
-        protocol_race.validate_artifact(payload)
-
-    def test_wrong_schema_tag_rejected(self) -> None:
-        payload = self.payload()
-        payload["schema"] = "repro.protocol-race/0"
-        with pytest.raises(ConfigurationError, match="schema"):
-            protocol_race.validate_artifact(payload)
-
-    def test_missing_row_field_rejected(self) -> None:
-        payload = self.payload()
-        del payload["rows"][2]["read_latency_ms"]
-        with pytest.raises(ConfigurationError, match="read_latency_ms"):
-            protocol_race.validate_artifact(payload)
-
-    def test_bool_is_not_a_number(self) -> None:
-        payload = self.payload()
-        payload["rows"][0]["inconsistency_pct"] = True
-        with pytest.raises(ConfigurationError, match="inconsistency_pct"):
-            protocol_race.validate_artifact(payload)
-
-    def test_incomplete_grid_rejected(self) -> None:
-        payload = self.payload()
-        payload["rows"].pop()
-        with pytest.raises(ConfigurationError, match="rows"):
-            protocol_race.validate_artifact(payload)
-
-    def test_out_of_order_ranks_rejected(self) -> None:
-        payload = self.payload()
-        payload["ranking"][0]["rank"], payload["ranking"][1]["rank"] = 2, 1
-        with pytest.raises(ConfigurationError, match="ranking must be"):
-            protocol_race.validate_artifact(payload)
-
-    def test_artifact_does_not_alias_inputs(self) -> None:
-        rows = make_rows()
-        ranking = protocol_race.ranking_rows(rows)
-        payload = protocol_race.artifact(rows, ranking, duration=10.0, seed=7)
-        snapshot = copy.deepcopy(payload)
-        rows[0]["scenario"] = "mutated"
-        ranking[0]["rank"] = 99
-        assert payload == snapshot

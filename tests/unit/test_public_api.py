@@ -130,6 +130,31 @@ class TestPublicAPI:
         assert sorted(runners) == ["runner.run_column", "sweep.run_sweep"]
         assert not hasattr(ColumnConfig, "as_scenario")
 
+    def test_counters_are_a_view_of_the_records(self) -> None:
+        """1.11.0 removed the second book of counters: a ``Tracer`` records
+        and derives its snapshot from the records; it counts nothing itself."""
+        from repro.telemetry import Tracer
+
+        tracer = Tracer()
+        assert set(Tracer.__slots__) == {"point", "records"}
+        for name in ("metrics", "count", "observe", "gauge"):
+            assert not hasattr(tracer, name)
+        for name in ("emit", "records", "record_dicts", "snapshot"):
+            assert hasattr(tracer, name)
+
+    def test_the_race_writes_one_artifact(self) -> None:
+        """1.11.0 removed the never-written ``repro.protocol-race/1``
+        payload: the race's artifact is its ``repro.experiments/v1``
+        sections, and ``report`` returns their rows and ranking."""
+        from repro.experiments import protocol_race
+
+        for name in ("artifact", "validate_artifact", "RACE_SCHEMA"):
+            assert not hasattr(protocol_race, name)
+            assert name not in protocol_race.__all__
+        assert inspect.signature(protocol_race.report).return_annotation == (
+            "tuple[Rows, Rows]"
+        )
+
     def test_importing_the_package_leaves_networkx_out(self) -> None:
         """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
         CLI start, pool worker and fleet worker would otherwise pay for it."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.errors import ProcessKilled, SimulationError
+from repro.errors import ProcessKilled, SimulationError, TransactionAborted
 from repro.sim.core import Simulator
 from repro.sim.process import Process
 
@@ -71,7 +71,8 @@ class TestBasicExecution:
             yield 42  # type: ignore[misc]
 
         process = sim.process(body())
-        sim.run()
+        with pytest.raises(SimulationError):
+            sim.run()  # nobody joined it: the failure leaves the run
         assert process.triggered and not process.ok
         assert isinstance(process.value, SimulationError)
 
@@ -197,7 +198,8 @@ class TestSleep:
             yield delay
 
         process = sim.process(body())
-        sim.run()
+        with pytest.raises(SimulationError, match="sleep delay"):
+            sim.run()
         assert process.triggered and not process.ok
         assert isinstance(process.value, SimulationError)
         assert sim.pending_events == 0
@@ -208,7 +210,8 @@ class TestSleep:
             yield value
 
         process = sim.process(body())
-        sim.run()
+        with pytest.raises(SimulationError):
+            sim.run()
         assert process.triggered and not process.ok
         assert isinstance(process.value, SimulationError)
         message = str(process.value)
@@ -266,9 +269,55 @@ class TestErrorPropagation:
             raise RuntimeError("inner failure")
 
         process = sim.process(body())
-        sim.run()
+        with pytest.raises(RuntimeError, match="inner failure"):
+            sim.run()
         assert process.triggered and not process.ok
         assert isinstance(process.value, RuntimeError)
+
+    def test_unjoined_failure_leaves_the_run(self, sim: Simulator) -> None:
+        """A fire-and-forget process that raises does not vanish: nobody
+        waits on its event, so ``run()`` raises what it raised."""
+        def body():
+            yield 1.0
+            raise ValueError("unobserved")
+
+        process = sim.process(body())
+        with pytest.raises(ValueError, match="unobserved"):
+            sim.run()
+        assert sim.now == 1.0
+        assert process.triggered and not process.ok
+
+    def test_unjoined_failure_leaves_step(self, sim: Simulator) -> None:
+        def body():
+            raise ValueError("unobserved")
+            yield 1.0
+
+        sim.process(body())
+        with pytest.raises(ValueError, match="unobserved"):
+            sim.step()
+
+    def test_joined_failure_goes_to_its_joiner(self, sim: Simulator) -> None:
+        """The child's failure is thrown into the parent waiting on it, not
+        out of the run; the parent re-raises, and as nobody waits on the
+        parent, that leaves the run."""
+        caught = []
+
+        def child():
+            yield 1.0
+            raise ValueError("for the parent")
+
+        def parent():
+            try:
+                yield sim.process(child())
+            except ValueError as error:
+                caught.append(str(error))
+                raise
+
+        joiner = sim.process(parent())
+        with pytest.raises(ValueError, match="for the parent"):
+            sim.run()
+        assert caught == ["for the parent"]
+        assert isinstance(joiner.value, ValueError)
 
     def test_failed_event_raises_inside_generator(self, sim: Simulator) -> None:
         caught = []
@@ -294,7 +343,8 @@ class TestErrorPropagation:
 
         process = sim.process(body())
         failing.fail(KeyError("kaboom"))
-        sim.run()
+        with pytest.raises(KeyError):
+            sim.run()
         assert process.triggered and not process.ok
         assert isinstance(process.value, KeyError)
 
@@ -412,9 +462,11 @@ class TestFreedByReferenceCount:
         assert ref() is None
 
     def test_a_process_that_raised(self, sim: Simulator) -> None:
+        # An aborted transaction: the one failure a process may end with
+        # while nobody waits on it (any other leaves sim.run()).
         def body():
             yield 1.0
-            raise ValueError("boom")
+            raise TransactionAborted(1, "boom")
 
         process = _Tracked(sim, body())
         sim.run()

@@ -24,6 +24,7 @@ from repro.telemetry import (
     validate_telemetry,
 )
 from repro.telemetry.metrics import HISTOGRAM_BOUNDS
+from repro.telemetry.tracer import METRICS
 from repro.experiments.report import normalized_artifact
 
 
@@ -151,15 +152,38 @@ class TestTracer:
         assert sim.tracer is tracer
         assert Channel(sim, print)._tracer is tracer
 
-    def test_metrics_forwarding(self):
+    def test_snapshot_is_derived_from_the_records(self):
+        """Hand-built records, including the one counter no seeded run
+        reaches (``protocol.proof_verify_failures``; the per-protocol golden
+        in ``test_telemetry_counters.py`` pins the rest)."""
         tracer = Tracer(point="p")
-        tracer.count("c", 3)
-        tracer.observe("h", 2.0)
-        tracer.gauge("g", 1.0)
-        section = tracer.snapshot()
-        assert section["counters"]["c"] == 3
-        assert section["histograms"]["h"]["count"] == 1
-        validate_telemetry(section)
+        for _ in range(3):
+            fields = {"key": "k", "version": 1}
+            tracer.emit(0.5, "protocol", "proof_verify_fail", fields)
+        tracer.emit(0.5, "cache", "serve", {"key": "k", "hit": False})
+        tracer.emit(0.6, "channel", "deliver", {"seq": 0, "latency_ms": 2.0})
+        tracer.emit(0.7, "db", "commit", {"txn": 1, "writes": 2})
+        tracer.emit(0.8, "test", "unlisted", {"x": 1})
+        section = validate_telemetry(tracer.snapshot())
+        assert section["counters"] == {
+            "cache.misses": 1,
+            "channel.delivered": 1,
+            "db.commits": 1,
+            "protocol.proof_verify_failures": 3,
+            "sgt.update_commits": 1,
+        }
+        assert section["gauges"] == {}
+        assert list(section["histograms"]) == ["channel.latency_ms"]
+        assert section["histograms"]["channel.latency_ms"]["sum"] == 2.0
+
+    def test_every_metric_is_named_once(self):
+        names = [
+            name
+            for rules in METRICS.values()
+            for _field, target in rules
+            for name in (target.values() if isinstance(target, dict) else (target,))
+        ]
+        assert len(names) == len(set(names)) == 26  # 25 counters, 1 histogram
 
 
 class FakePoint:
