@@ -63,14 +63,8 @@ def main() -> None:
     # --- the distributed run: one-sweep daemon + 3 loopback workers -----
     # run_sweep(spec, dispatch=DispatchSpec(port=...)) builds exactly this
     # daemon; building it here lets the example bind port 0 and read the
-    # address back before the workers start.  Two-point leases (instead of
-    # sizes measured per worker) guarantee the flaky worker below drops
-    # while still holding unfinished work.
-    daemon = FleetDaemon(
-        FleetConfig(
-            port=0, lease_timeout=15.0, probe_chunk_points=2, max_chunk_points=2
-        )
-    )
+    # address back before the workers start.
+    daemon = FleetDaemon(FleetConfig(port=0, lease_timeout=15.0))
     host, port = daemon.address
     workers = [
         threading.Thread(
@@ -86,14 +80,14 @@ def main() -> None:
             daemon=True,
         ),
         threading.Thread(
-            # This one is rigged: it drops its connection after one point,
-            # like a spot instance being reclaimed.  The daemon re-leases
-            # whatever it was holding.
+            # This one is rigged: it drops its connection as soon as it
+            # holds its first lease, like a spot instance being reclaimed.
+            # The daemon re-leases whatever it was holding.
             target=run_worker,
             args=(host, port),
             kwargs={
                 "name": "flaky",
-                "faults": FaultPlan(kind="disconnect", after_points=1),
+                "faults": FaultPlan(kind="disconnect", after_points=0),
             },
             daemon=True,
         ),

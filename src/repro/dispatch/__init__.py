@@ -20,8 +20,9 @@ submits to a long-lived one (``fleet serve``).
   an optional append-only JSONL journal (:mod:`repro.dispatch.journal`;
   the files are the only durable state, replayed once per restart) that
   makes restarts resume instead of recompute, shared-secret HMAC
-  authentication (:mod:`repro.dispatch.auth`), and per-worker throughput
-  tracking (:mod:`repro.dispatch.health`) feeding adaptive chunk sizing.
+  authentication (:mod:`repro.dispatch.auth`), and one record per worker
+  connection — liveness, progress, and the throughput that sizes its
+  next lease.
 * :mod:`repro.dispatch.coordinator` — :class:`DispatchSpec` and
   :func:`run_dispatched`, the ``run_sweep(spec, dispatch=DispatchSpec(...))``
   backend: an ephemeral daemon holding one entry.
@@ -60,7 +61,6 @@ from repro.dispatch.coordinator import (
 from repro.dispatch.daemon import FleetConfig, FleetDaemon, run_daemon
 from repro.dispatch.faults import FaultPlan
 from repro.dispatch.fleet import FleetQueue
-from repro.dispatch.health import HealthTracker, WorkerHealth
 from repro.dispatch.journal import SweepJournal, sweep_fingerprint
 from repro.dispatch.queue import Lease, WorkQueue
 from repro.dispatch.worker import WorkerStats, run_worker
@@ -83,14 +83,12 @@ __all__ = [
     "FleetDaemon",
     "FleetQueue",
     "FleetSpec",
-    "HealthTracker",
     "JournalError",
     "Lease",
     "ProtocolError",
     "SECRET_ENV_VAR",
     "SweepJournal",
     "WorkQueue",
-    "WorkerHealth",
     "WorkerStats",
     "compute_mac",
     "parse_hostport",

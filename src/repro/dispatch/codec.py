@@ -12,7 +12,9 @@ local run would use, so any byte difference against ``jobs=1`` can only
 come from the simulation itself — which is deterministic.
 
 JSON round-tripping is exact for every field involved: series values are
-Python floats (``repr`` round-trip), counters are ints.
+Python floats (``repr`` round-trip), counters are ints.  A payload with a
+missing or mistyped field decodes to a :class:`ProtocolError` naming its
+point, never a bare ``KeyError`` or ``TypeError``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def _decode_stats(cls: type, payload: Mapping[str, object]):
 
 
 def _encode_column(result: ColumnResult) -> dict[str, object]:
-    # The config is deliberately omitted: the decoder reattaches the
-    # submitter's local config/spec objects (see module docstring).
+    # ``total_time`` is deliberately omitted: the decoder takes it from the
+    # submitter's own config/spec objects (see module docstring).
     return {
         "counts": asdict(result.counts),
         "cache_stats": asdict(result.cache_stats),
@@ -68,9 +70,9 @@ def _encode_column(result: ColumnResult) -> dict[str, object]:
     }
 
 
-def _decode_column(payload: Mapping[str, object], config) -> ColumnResult:
+def _decode_column(payload: Mapping[str, object], total_time: float) -> ColumnResult:
     return ColumnResult(
-        config=config,
+        total_time=total_time,
         counts=_decode_stats(ClassCounts, payload["counts"]),
         cache_stats=_decode_stats(CacheStats, payload["cache_stats"]),
         db_stats=_decode_stats(DatabaseStats, payload["db_stats"]),
@@ -124,10 +126,7 @@ def _decode_scenario(
     fleet_payload["counts"] = _decode_stats(ClassCounts, fleet_payload["counts"])
     return ScenarioResult(
         spec=spec,
-        edges=[
-            _decode_column(edge_payload, spec.edge_config(edge_spec))
-            for edge_spec, edge_payload in zip(spec.edges, edge_payloads)
-        ],
+        edges=[_decode_column(edge, spec.total_time) for edge in edge_payloads],
         fleet=_decode_stats(FleetAggregates, fleet_payload),
         db_stats=_decode_stats(DatabaseStats, payload["db_stats"]),
         backends=[
@@ -169,18 +168,20 @@ def decode_result(
         kind = payload["kind"]
     except (TypeError, KeyError):
         raise ProtocolError(f"result payload has no 'kind': {payload!r}")
-    if kind == "scenario":
-        if point.scenario is None:
-            raise ProtocolError(
-                f"scenario result for column point {point.label!r}"
-            )
-        return _decode_scenario(payload, point.scenario)
-    if kind == "column":
-        if point.config is None:
-            raise ProtocolError(
-                f"column result for scenario point {point.label!r}"
-            )
-        return _decode_column(payload, point.config)
+    if kind == "scenario" and point.scenario is None:
+        raise ProtocolError(f"scenario result for column point {point.label!r}")
+    if kind == "column" and point.config is None:
+        raise ProtocolError(f"column result for scenario point {point.label!r}")
+    try:
+        if kind == "scenario":
+            return _decode_scenario(payload, point.scenario)
+        if kind == "column":
+            return _decode_column(payload, point.config.total_time)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"malformed {kind} result for point {point.label!r}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     raise ProtocolError(f"unknown result kind {kind!r}")
 
 
@@ -198,5 +199,8 @@ def decode_results(
     for index, payload in wire_results:
         if not is_index(index) or not 0 <= index < len(points):
             raise ProtocolError(f"results carry index {index!r} outside the sweep")
-        results_by_index[index] = decode_result(payload, points[index])
+        try:
+            results_by_index[index] = decode_result(payload, points[index])
+        except ProtocolError as exc:
+            raise ProtocolError(f"result {index}: {exc}") from exc
     return ordered_results(len(points), results_by_index)

@@ -106,9 +106,7 @@ def serve_sweep(daemon: FleetDaemon, spec: SweepSpec) -> SweepResult:
     results = decode_results(
         spec.points, daemon.queue.results_for(entry.name).items()
     )
-    workers = sum(
-        1 for row in daemon.health.snapshot() if row["points_completed"] > 0
-    )
+    workers = sum(1 for row in daemon.worker_rows() if row["points_completed"] > 0)
     return SweepResult(
         spec=spec,
         results=results,

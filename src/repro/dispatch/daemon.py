@@ -31,10 +31,11 @@ moves the queue (for at most ``poll_interval``), and a submitter's
 ``fetch`` with ``wait`` is held until its sweep is done, every result
 journaled, or the wait runs out.
 
-Worker scheduling is health-aware: every connection's frames feed a
-:class:`~repro.dispatch.health.HealthTracker`, and chunk sizes adapt to
-each worker's observed points/sec so heterogeneous hosts drain a sweep's
-tail together instead of parking it on the slowest machine.
+Each worker connection is booked once, in one small record the daemon
+keeps per connection: liveness (the last frame of any kind), progress, and
+an EWMA of observed points/sec that sizes its next lease, so heterogeneous
+hosts drain a sweep's tail together instead of parking it on the slowest
+machine.  Sizing changes wall-clock shape only, never result bytes.
 
 The daemon stores and serves *wire payloads* only; decoding results
 against live spec objects is the submitter's job
@@ -54,7 +55,6 @@ from typing import Callable, Mapping
 
 from repro.dispatch.auth import issue_nonce, secret_from_env, verify_mac
 from repro.dispatch.fleet import FleetEntry, FleetQueue
-from repro.dispatch.health import HealthTracker
 from repro.dispatch.journal import (
     ReplayedJournal,
     SweepJournal,
@@ -85,6 +85,17 @@ __all__ = ["FleetConfig", "FleetDaemon", "run_daemon"]
 #: root handler and ``--log-level``); user-facing tables stay on stdout.
 _LOGGER = logging.getLogger("repro.dispatch.daemon")
 
+#: Adaptive chunk sizing: a worker's lease targets this many seconds of its
+#: observed throughput, clamped to ``[1, MAX_CHUNK_POINTS]``.  A worker with
+#: no estimate yet (before its second accepted result) gets
+#: ``PROBE_CHUNK_POINTS``: underestimating a fast host for one lease costs
+#: far less than parking a sweep's tail on a slow one.  Read at call time.
+TARGET_CHUNK_SECONDS = 5.0
+PROBE_CHUNK_POINTS = 1
+MAX_CHUNK_POINTS = 64
+#: Weight of the newest inter-result interval in the throughput EWMA.
+_EWMA_ALPHA = 0.3
+
 
 @dataclass(slots=True)
 class FleetConfig:
@@ -105,10 +116,6 @@ class FleetConfig:
     #: Longest a worker's ``request`` is held with nothing to lease; also
     #: the stale-lease sweep tick of :meth:`FleetDaemon.serve_forever`.
     poll_interval: float = 0.5
-    #: Adaptive chunk sizing (see :mod:`repro.dispatch.health`).
-    target_chunk_seconds: float = 5.0
-    probe_chunk_points: int = 1
-    max_chunk_points: int = 64
     #: fsync journal appends (survive machine crash, not just SIGKILL).
     fsync: bool = False
     #: At startup, move finished journals idle for this many seconds to
@@ -137,6 +144,67 @@ class FleetConfig:
                 "journal_expiry must be None or a number of seconds >= 0, "
                 f"got {self.journal_expiry}"
             )
+
+
+@dataclass(slots=True)
+class _Worker:
+    """One worker connection's ledger: liveness, progress, throughput.
+
+    Created by :meth:`FleetDaemon._register_worker` and written only under
+    the daemon's ``_owner_lock``, which status snapshots take too.  Methods
+    take ``now`` (``time.monotonic()`` in the daemon) instead of reading a
+    clock.
+    """
+
+    owner: str
+    #: When the last frame of any kind arrived.
+    last_seen: float
+    connected: bool = True
+    points_completed: int = 0
+    heartbeats: int = 0
+    #: EWMA of completed points per second; ``None`` until a second result.
+    points_per_sec: float | None = None
+    last_result_at: float | None = None
+
+    def record_result(self, now: float) -> None:
+        """An accepted result: count it and update the throughput EWMA."""
+        self.last_seen = now
+        self.points_completed += 1
+        previous, self.last_result_at = self.last_result_at, now
+        if previous is None or now <= previous:
+            return
+        rate = 1.0 / (now - previous)
+        if self.points_per_sec is None:
+            self.points_per_sec = rate
+        else:
+            self.points_per_sec += _EWMA_ALPHA * (rate - self.points_per_sec)
+
+    def disconnect(self) -> None:
+        """The connection is gone: no rate is ever measured across the gap."""
+        self.connected = False
+        self.last_result_at = None
+
+    def chunk_points(self) -> int:
+        """How many points to lease this worker next."""
+        if self.points_per_sec is None:
+            return PROBE_CHUNK_POINTS
+        sized = round(self.points_per_sec * TARGET_CHUNK_SECONDS)
+        return max(1, min(MAX_CHUNK_POINTS, sized))
+
+    def row(self, now: float, alive_after: float) -> dict[str, object]:
+        """A JSON-safe ``fleet status`` row."""
+        silence = max(0.0, now - self.last_seen)
+        return {
+            "worker": self.owner,
+            "connected": self.connected,
+            "alive": self.connected and silence <= alive_after,
+            "silence_seconds": round(silence, 3),
+            "points_completed": self.points_completed,
+            "heartbeats": self.heartbeats,
+            "points_per_sec": (
+                None if self.points_per_sec is None else round(self.points_per_sec, 4)
+            ),
+        }
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
@@ -170,15 +238,10 @@ class FleetDaemon:
         if self.config.secret is None:
             self.config.secret = secret_from_env()
         self.queue = FleetQueue(lease_timeout=self.config.lease_timeout)
-        self.health = HealthTracker(
-            target_chunk_seconds=self.config.target_chunk_seconds,
-            probe_chunk_points=self.config.probe_chunk_points,
-            max_chunk_points=self.config.max_chunk_points,
-            alive_after=self.config.lease_timeout,
-        )
         self.stats = _DaemonStats()
         #: Every reply after ``welcome``: ``(role, message type)`` →
-        #: ``handler(frame, owner)``.  The roles a ``hello`` may claim are
+        #: ``handler(frame, worker)`` (the connection's :class:`_Worker`,
+        #: ``None`` for submitters).  The roles a ``hello`` may claim are
         #: the ones named here; any other pair is a protocol error.
         self._verbs: dict[tuple[str, str], Callable[..., dict]] = {
             ("worker", "request"): self._handle_request,
@@ -195,7 +258,8 @@ class FleetDaemon:
         self._journals: dict[str, SweepJournal] = {}
         self._submit_lock = threading.Lock()
         self._result_lock = threading.Lock()
-        self._owner_counter = 0
+        #: Every worker connection this daemon has served, by owner name.
+        self._workers: dict[str, _Worker] = {}
         self._owner_lock = threading.Lock()
         self._stop = threading.Event()
         self._server = _ThreadingTCPServer(
@@ -365,13 +429,23 @@ class FleetDaemon:
 
         return Handler
 
-    def _register_worker(self, name: object) -> str:
+    def _register_worker(self, name: object) -> _Worker:
         with self._owner_lock:
-            self._owner_counter += 1
-            return f"{name or 'worker'}#{self._owner_counter}"
+            owner = f"{name or 'worker'}#{len(self._workers) + 1}"
+            worker = self._workers[owner] = _Worker(owner, time.monotonic())
+            return worker
+
+    def worker_rows(self) -> list[dict[str, object]]:
+        """``fleet status`` rows for every worker connection, by owner name."""
+        now = time.monotonic()
+        with self._owner_lock:
+            return [
+                self._workers[owner].row(now, self.config.lease_timeout)
+                for owner in sorted(self._workers)
+            ]
 
     def _handle_connection(self, sock) -> None:
-        owner = None
+        worker = None
         self.stats.connections += 1
         try:
             hello = recv_frame(sock)
@@ -395,8 +469,7 @@ class FleetDaemon:
                 # anywhere: a failed MAC never touches the queue.
                 self._authenticate(sock, role, name)
             if role == "worker":
-                owner = self._register_worker(name)
-                self.health.on_connect(owner)
+                worker = self._register_worker(name)
             send_frame(
                 sock,
                 {"type": "welcome", "service": "fleet", "role": role},
@@ -412,16 +485,17 @@ class FleetDaemon:
                     # closes the connection rather than keep serving a
                     # dead daemon's queue (workers reconnect to whatever
                     # replaces it).
-                    if owner is None or kind != "request":
+                    if worker is None or kind != "request":
                         return
                     send_frame(sock, {"type": "done"})
                     continue
-                if owner is not None:
-                    self.health.on_frame(owner)
+                if worker is not None:
+                    with self._owner_lock:
+                        worker.last_seen = time.monotonic()
                 handler = isinstance(kind, str) and self._verbs.get((role, kind))
                 if not handler:
                     raise ProtocolError(f"unknown {role} message type {kind!r}")
-                send_frame(sock, handler(frame, owner))
+                send_frame(sock, handler(frame, worker))
                 if kind == "goodbye":
                     return
         except AuthenticationError as exc:
@@ -433,9 +507,10 @@ class FleetDaemon:
         except OSError:
             pass  # connection died; leases are released below
         finally:
-            if owner is not None:
-                self.queue.release(owner)
-                self.health.on_disconnect(owner)
+            if worker is not None:
+                self.queue.release(worker.owner)
+                with self._owner_lock:
+                    worker.disconnect()
 
     def _authenticate(self, sock, role: str, name: str) -> None:
         nonce = issue_nonce()
@@ -468,9 +543,9 @@ class FleetDaemon:
     # Worker verbs
     # ------------------------------------------------------------------
 
-    def _handle_request(self, frame: Mapping[str, object], owner: str) -> dict:
+    def _handle_request(self, frame: Mapping[str, object], worker: _Worker) -> dict:
         seen = self.queue.changes()
-        lease = self.queue.acquire(owner, self.health.chunk_points_for(owner))
+        lease = self.queue.acquire(worker.owner, worker.chunk_points())
         if lease is None:
             # Hold the reply until work may have arrived, for at most the
             # poll interval.  Every other answer is ``wait`` with no delay:
@@ -481,7 +556,7 @@ class FleetDaemon:
             if self._stop.is_set():
                 return {"type": "done"}
             if woken:
-                lease = self.queue.acquire(owner, self.health.chunk_points_for(owner))
+                lease = self.queue.acquire(worker.owner, worker.chunk_points())
             if lease is None:  # a full hold, or another worker got there first
                 return {"type": "wait", "delay": 0.0}
         payloads = self.queue.entry(lease.sweep).point_payloads
@@ -494,7 +569,7 @@ class FleetDaemon:
             ],
         }
 
-    def _handle_result(self, frame: Mapping[str, object], owner: str) -> dict:
+    def _handle_result(self, frame: Mapping[str, object], worker: _Worker) -> dict:
         sweep = frame.get("sweep")
         index = frame.get("index")
         payload = frame.get("result")
@@ -511,12 +586,13 @@ class FleetDaemon:
         # never answers before the last journal line is written.
         with self._result_lock:
             try:
-                accepted = self.queue.complete(sweep, index, payload, owner)
+                accepted = self.queue.complete(sweep, index, payload, worker.owner)
             except DispatchError as exc:  # unknown sweep / index off the grid
                 raise ProtocolError(str(exc)) from exc
             if accepted:
                 self.stats.results_accepted += 1
-                self.health.on_result(owner)
+                with self._owner_lock:
+                    worker.record_result(time.monotonic())
                 self._journal_point(sweep, index, payload)
         if accepted:
             entry = self.queue.entry(sweep)
@@ -527,9 +603,10 @@ class FleetDaemon:
                 )
         return {"type": "ok", "accepted": accepted}
 
-    def _handle_heartbeat(self, frame: Mapping[str, object], owner: str) -> dict:
-        self.health.on_heartbeat(owner)
-        return {"type": "ok", "extended": self.queue.heartbeat(owner)}
+    def _handle_heartbeat(self, frame: Mapping[str, object], worker: _Worker) -> dict:
+        with self._owner_lock:
+            worker.heartbeats += 1
+        return {"type": "ok", "extended": self.queue.heartbeat(worker.owner)}
 
     def _journal_point(
         self, sweep: str, index: int, payload: Mapping[str, object]
@@ -550,7 +627,7 @@ class FleetDaemon:
     # Submitter verbs
     # ------------------------------------------------------------------
 
-    def _handle_cancel(self, frame: Mapping[str, object], owner: None) -> dict:
+    def _handle_cancel(self, frame: Mapping[str, object], worker: None) -> dict:
         sweep = frame.get("sweep")
         if not isinstance(sweep, str):
             raise ProtocolError(f"cancel without a sweep name: {sweep!r}")
@@ -559,7 +636,7 @@ class FleetDaemon:
             self._log(f"sweep {sweep!r} cancelled")
         return {"type": "cancelled", "sweep": sweep, "existed": existed}
 
-    def _handle_submit(self, frame: Mapping[str, object], owner: None) -> dict:
+    def _handle_submit(self, frame: Mapping[str, object], worker: None) -> dict:
         spec_payload = frame.get("spec")
         if not isinstance(spec_payload, Mapping):
             raise ProtocolError("submit frame carries no spec object")
@@ -608,7 +685,7 @@ class FleetDaemon:
         entry, _ = self._submit(artifact, name or spec.name, priority)
         return entry
 
-    def _handle_status(self, frame: Mapping[str, object], owner: None) -> dict:
+    def _handle_status(self, frame: Mapping[str, object], worker: None) -> dict:
         sweep = frame.get("sweep")
         rows = self.queue.status_rows()
         if isinstance(sweep, str):
@@ -616,7 +693,7 @@ class FleetDaemon:
         return {
             "type": "status_report",
             "sweeps": rows,
-            "workers": self.health.snapshot(),
+            "workers": self.worker_rows(),
             "daemon": {
                 "protocol": PROTOCOL_VERSION,
                 "uptime_seconds": round(
@@ -629,7 +706,7 @@ class FleetDaemon:
             },
         }
 
-    def _handle_metrics(self, frame: Mapping[str, object], owner: None) -> dict:
+    def _handle_metrics(self, frame: Mapping[str, object], worker: None) -> dict:
         """Live ``repro.telemetry/1`` snapshot of the daemon's own state.
 
         Built on demand from the same counters ``status`` reads — the
@@ -665,7 +742,7 @@ class FleetDaemon:
                     f"sweep.{name}.journal_lag",
                     row["completed"] - len(journal.journaled_indices),
                 )
-        for row in self.health.snapshot():
+        for row in self.worker_rows():
             worker = row["worker"]
             registry.gauge(
                 f"worker.{worker}.points_completed", row["points_completed"]
@@ -676,7 +753,7 @@ class FleetDaemon:
                 )
         return {"type": "metrics_report", "telemetry": registry.snapshot()}
 
-    def _handle_fetch(self, frame: Mapping[str, object], owner: None) -> dict:
+    def _handle_fetch(self, frame: Mapping[str, object], worker: None) -> dict:
         sweep = frame.get("sweep")
         if not isinstance(sweep, str):
             raise ProtocolError(f"fetch without a sweep name: {sweep!r}")
@@ -716,7 +793,7 @@ class FleetDaemon:
         _LOGGER.info(message)
 
 
-def _handle_goodbye(frame: Mapping[str, object], owner: str | None) -> dict:
+def _handle_goodbye(frame: Mapping[str, object], worker: _Worker | None) -> dict:
     return {"type": "ok"}
 
 

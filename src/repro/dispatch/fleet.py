@@ -19,8 +19,8 @@ what is multi-sweep on top:
   late results for a cancelled sweep are ignored.
 
 Chunk sizes are per request: the caller passes how many points the asking
-worker should get (the daemon feeds this from
-:class:`~repro.dispatch.health.HealthTracker`).
+worker should get (the daemon sizes it from that worker's observed
+throughput).
 
 Results are stored as their *wire payloads* (the ``encode_result`` dicts):
 the daemon never rebuilds live result objects — decoding against local

@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 from repro import telemetry
 from repro.dispatch import DispatchSpec, FleetSpec
@@ -41,7 +42,7 @@ from repro.experiments.report import (
     print_table,
     write_json,
 )
-from repro.experiments.sweep import resolve_jobs, run_sweep, spec_artifact
+from repro.experiments.sweep import SweepSpec, resolve_jobs, run_sweep, spec_artifact
 
 #: The experiment table, in ``all`` order.  Each row — ``(help, specs(args),
 #: sections(results))`` — is declared by the figure module that owns it.
@@ -252,6 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _traced(spec: SweepSpec) -> SweepSpec:
+    """``spec`` with ``trace=True`` stamped on every point.
+
+    The flag is part of the wire payload (dispatch workers trace in their
+    own processes) and of the fleet fingerprint (a traced submission must
+    not attach to an untraced journal's results, which would come back
+    without telemetry).
+    """
+    return replace(spec, points=[replace(point, trace=True) for point in spec.points])
+
+
 def _run_experiments(args) -> int:
     """The one driver behind every experiment verb and ``all``.
 
@@ -298,42 +310,37 @@ def _run_experiments(args) -> int:
     if args.duration is None and args.spec_path is None:
         args.duration = 30.0
     tracing = args.trace_path is not None
-    if tracing:
-        telemetry.enable()
     payloads = []
     traced = []
-    try:
-        for name in EXPERIMENTS if args.verb == "all" else [args.verb]:
-            experiment = EXPERIMENTS[name]
-            start = time.perf_counter()
-            specs = experiment.specs(args)
-            if args.duration is None:
-                # Only a `scenario --spec` replay gets here: it honoured the
-                # recorded duration, and the artifact reports what was run.
-                args.duration = specs[0].points[0].scenario.duration
-            sweeps = [run_sweep(spec, jobs=jobs, dispatch=dispatch) for spec in specs]
-            sections = experiment.sections(sweeps)
-            elapsed = time.perf_counter() - start
-            for section in sections:
-                print_table(
-                    section["rows"][:: section["stride"]], title=section["title"]
-                )
-            print(f"[{name} done in {elapsed:.1f}s]\n")
-            payloads.append(
-                experiment_payload(
-                    name,
-                    sections,
-                    wall_clock_seconds=elapsed,
-                    # The specs as built, not as run_sweep stamped them for
-                    # tracing: --json bytes do not move under --trace.
-                    sweep_specs=[spec_artifact(spec) for spec in specs],
-                )
+    for name in EXPERIMENTS if args.verb == "all" else [args.verb]:
+        experiment = EXPERIMENTS[name]
+        start = time.perf_counter()
+        specs = experiment.specs(args)
+        if args.duration is None:
+            # Only a `scenario --spec` replay gets here: it honoured the
+            # recorded duration, and the artifact reports what was run.
+            args.duration = specs[0].points[0].scenario.duration
+        sweeps = [
+            run_sweep(_traced(spec) if tracing else spec, jobs=jobs, dispatch=dispatch)
+            for spec in specs
+        ]
+        sections = experiment.sections(sweeps)
+        elapsed = time.perf_counter() - start
+        for section in sections:
+            print_table(section["rows"][:: section["stride"]], title=section["title"])
+        print(f"[{name} done in {elapsed:.1f}s]\n")
+        payloads.append(
+            experiment_payload(
+                name,
+                sections,
+                wall_clock_seconds=elapsed,
+                # The specs as built, not as stamped for tracing: --json
+                # bytes do not move under --trace.
+                sweep_specs=[spec_artifact(spec) for spec in specs],
             )
-            if tracing:
-                traced.extend(sweeps)
-    finally:
+        )
         if tracing:
-            telemetry.disable()
+            traced.extend(sweeps)
 
     if tracing:
         telemetry.write_trace_jsonl(args.trace_path, traced)

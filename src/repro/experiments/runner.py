@@ -88,7 +88,7 @@ def collect_result(column: Column) -> ColumnResult:
     per-edge extraction paths cannot drift.
     """
     return collect_column_result(
-        column.config,
+        column.config.total_time,
         column.monitor.series,
         column.config.warmup,
         cache=column.cache,

@@ -42,7 +42,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro import telemetry
@@ -475,20 +475,10 @@ def run_sweep(
     whichever workers connect, while a
     :class:`~repro.dispatch.client.FleetSpec` submits it to a long-lived
     daemon that is already running and waits.  Every executor returns
-    identical results for the same spec.
+    identical results for the same spec.  A point traces when its own
+    ``trace`` flag says so — the flag rides the wire to dispatch workers —
+    and nothing else switches tracing on.
     """
-    if telemetry.enabled() and not all(point.trace for point in spec.points):
-        # Stamp the trace flag onto the points *before* any executor sees
-        # the spec: the flag is part of the wire payload (dispatch workers
-        # trace in their own processes) and of the fleet fingerprint (a
-        # traced submission must not attach to an untraced journal's
-        # results, which would come back without telemetry).
-        spec = SweepSpec(
-            name=spec.name,
-            points=[replace(point, trace=True) for point in spec.points],
-            root_seed=spec.root_seed,
-            description=spec.description,
-        )
     if dispatch is not None:
         from repro.dispatch.client import FleetSpec, run_fleet_sweep
         from repro.dispatch.coordinator import run_dispatched

@@ -26,7 +26,6 @@ from repro.monitor.stats import CLASSES, ClassCounts
 from repro.sim.channel import ChannelStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.experiments.config import ColumnConfig
     from repro.scenario.spec import EdgeSpec, ScenarioSpec
 
 __all__ = [
@@ -41,7 +40,8 @@ __all__ = [
 class ColumnResult:
     """Everything an experiment needs from one finished edge run."""
 
-    config: ColumnConfig
+    #: Simulated seconds of the whole run, warm-up included.
+    total_time: float
     #: Classification counts within the measured window only.
     counts: ClassCounts
     cache_stats: CacheStats
@@ -91,7 +91,7 @@ class ColumnResult:
         Uses whole-run cache counters scaled to the full run time; the
         steady-state rate is what Fig. 7's bottom panels report.
         """
-        return self.cache_stats.db_accesses / self.config.total_time
+        return self.cache_stats.db_accesses / self.total_time
 
     def class_shares(self) -> dict[str, float]:
         """Fractions of read-only transactions per class (Figs. 6, 8)."""

@@ -287,7 +287,7 @@ def measured_counts(series: TimeSeries, warmup: float) -> ClassCounts:
 
 
 def collect_column_result(
-    config,
+    total_time: float,
     series: TimeSeries,
     warmup: float,
     *,
@@ -304,7 +304,7 @@ def collect_column_result(
     never drift in how metrics are extracted.
     """
     return ColumnResult(
-        config=config,
+        total_time=total_time,
         counts=measured_counts(series, warmup),
         cache_stats=cache.stats,
         db_stats=db_stats,
@@ -360,7 +360,7 @@ def collect_scenario_result(scenario: Scenario) -> ScenarioResult:
             series = TimeSeries(window=spec.monitor_window)
         edge_results.append(
             collect_column_result(
-                spec.edge_config(edge.spec),
+                spec.total_time,
                 series,
                 spec.warmup,
                 cache=edge.cache,

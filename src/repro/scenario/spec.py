@@ -54,8 +54,7 @@ DEFAULT_BACKEND_NAME = "db"
 #: The fields an edge shares, name for name, with a single-column
 #: :class:`~repro.experiments.config.ColumnConfig` (``deplist_limit`` and the
 #: outage windows have no single-column equivalent): what
-#: :meth:`ScenarioSpec.from_column` and :meth:`ScenarioSpec.edge_config`
-#: copy, in either direction.
+#: :meth:`ScenarioSpec.from_column` copies onto its one edge.
 _COLUMN_FIELDS = (
     "protocol", "strategy", "ttl", "cache_capacity", "update_rate", "read_rate",
     "read_gap", "retry_aborted_reads", "invalidation_loss",
@@ -542,28 +541,6 @@ class ScenarioSpec:
             timing=config.timing,
             monitor_window=config.monitor_window,
             backends=list(backends) if backends else [],
-        )
-
-    def edge_config(self, edge: EdgeSpec) -> "ColumnConfig":
-        """The :class:`ColumnConfig` equivalent of one edge of this scenario.
-
-        Used to stamp per-edge results with a self-describing config;
-        ``deplist_limit`` has no single-column equivalent and is carried by
-        the edge spec only. Backend-level overrides (deplist bound, timing,
-        pruning) resolve through the edge's assigned backend.
-        """
-        from repro.experiments.config import ColumnConfig
-
-        backend = self.backend_for(edge.name)
-        return ColumnConfig(
-            seed=self.seed,
-            duration=self.duration,
-            warmup=self.warmup,
-            deplist_max=self.backend_deplist_max(backend),
-            pruning_policy=self.backend_pruning_policy(backend),
-            timing=self.backend_timing(backend),
-            monitor_window=self.monitor_window,
-            **{name: getattr(edge, name) for name in _COLUMN_FIELDS},
         )
 
     def as_dict(self) -> dict[str, object]:

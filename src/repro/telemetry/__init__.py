@@ -29,17 +29,18 @@ Two properties shape the whole design:
   ``Process._resume`` test ``sim.tracer`` once per dispatch and once per
   resume.
 
-Enablement travels in two layers. The CLI's ``--trace`` flag flips the
-module-level flag via :func:`enable`; :func:`repro.experiments.sweep.run_sweep`
-reads it and stamps ``trace=True`` onto every :class:`SweepPoint` it
-executes — that flag rides the wire to dispatch workers and fleet daemons,
-so remote executors trace without sharing our process. At execution time
-:func:`capture` installs a thread-local tracer that
-:class:`~repro.sim.core.Simulator` picks up at construction (thread-local,
-not global, because the fleet integration tests run daemon, workers and
-submitters as threads of one process). The records come back on the
-:class:`SweepResult` ``run_sweep`` returns; whoever called it — the CLI
-driver, for ``--trace`` — holds the results and hands them to the exporter.
+Enablement travels in two layers, and neither is a process global. A
+point traces when its :class:`SweepPoint` says ``trace=True`` — the CLI's
+``--trace`` stamps that onto every point it hands to
+:func:`repro.experiments.sweep.run_sweep`, and the flag rides the wire to
+dispatch workers and fleet daemons, so remote executors trace without
+sharing our process. At execution time :func:`capture` installs a
+thread-local tracer that :class:`~repro.sim.core.Simulator` picks up at
+construction (thread-local, not global, because the fleet integration
+tests run daemon, workers and submitters as threads of one process). The
+records come back on the :class:`SweepResult` ``run_sweep`` returns;
+whoever called it — the CLI driver, for ``--trace`` — holds the results
+and hands them to the exporter.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ __all__ = [
     "active_tracer",
     "capture",
     "chrome_trace",
-    "disable",
-    "enable",
-    "enabled",
     "normalized_trace_lines",
     "trace_jsonl_lines",
     "validate_telemetry",
@@ -76,27 +74,7 @@ __all__ = [
     "write_trace_jsonl",
 ]
 
-#: Module-level switch, set by the CLI's ``--trace`` flag. Read exactly once
-#: per sweep (by ``run_sweep``), never on a hot path.
-_ENABLED = False
-
 _STATE = threading.local()
-
-
-def enable() -> None:
-    """Turn tracing on for subsequently started sweeps."""
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    """Turn tracing off for subsequently started sweeps."""
-    global _ENABLED
-    _ENABLED = False
-
-
-def enabled() -> bool:
-    return _ENABLED
 
 
 def active_tracer() -> Tracer | None:

@@ -30,6 +30,7 @@ from repro.dispatch import (
     run_worker,
     serve_sweep,
 )
+from repro.dispatch import daemon as daemon_module
 from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments.config import ColumnConfig
@@ -77,17 +78,18 @@ def comparable_artifact(result) -> str:
 
 
 def one_sweep_daemon(
-    *, chunk_points: int = 1, lease_timeout: float = 20.0, poll_interval: float = 0.05
+    monkeypatch,
+    *,
+    chunk_points: int = 1,
+    lease_timeout: float = 20.0,
+    poll_interval: float = 0.05,
 ) -> FleetDaemon:
     """What ``run_dispatched`` builds, on an OS-chosen port the test can read
     back, handing out fixed ``chunk_points``-sized leases."""
+    monkeypatch.setattr(daemon_module, "PROBE_CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(daemon_module, "MAX_CHUNK_POINTS", chunk_points)
     return FleetDaemon(
-        FleetConfig(
-            lease_timeout=lease_timeout,
-            poll_interval=poll_interval,
-            probe_chunk_points=chunk_points,
-            max_chunk_points=chunk_points,
-        )
+        FleetConfig(lease_timeout=lease_timeout, poll_interval=poll_interval)
     )
 
 
@@ -112,10 +114,10 @@ def serve_with_worker_threads(spec: SweepSpec, daemon: FleetDaemon, n_workers: i
 
 
 class TestDispatchEquivalence:
-    def test_two_workers_byte_identical_to_serial(self) -> None:
+    def test_two_workers_byte_identical_to_serial(self, monkeypatch) -> None:
         spec = small_spec()
         serial = run_sweep(spec, jobs=1)
-        daemon = one_sweep_daemon(chunk_points=2)
+        daemon = one_sweep_daemon(monkeypatch, chunk_points=2)
         dispatched = serve_with_worker_threads(spec, daemon, n_workers=2)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
         assert dispatched.jobs == 2  # both workers participated
@@ -156,7 +158,7 @@ class TestDispatchEquivalence:
         serial = run_sweep(spec, jobs=1)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
 
-    def test_non_portable_point_rejected_before_serving(self) -> None:
+    def test_non_portable_point_rejected_before_serving(self, monkeypatch) -> None:
         class OpaqueWorkload:
             def access_set(self, rng, now):  # pragma: no cover - never runs
                 return []
@@ -174,7 +176,7 @@ class TestDispatchEquivalence:
                 )
             ],
         )
-        daemon = one_sweep_daemon()
+        daemon = one_sweep_daemon(monkeypatch)
         with pytest.raises(ConfigurationError, match="portable"):
             serve_sweep(daemon, spec)
         assert daemon.queue.names() == []
@@ -247,7 +249,7 @@ class TestDispatchEquivalence:
 
 
 class TestWorkerFailure:
-    def test_sigkilled_worker_mid_chunk_is_reassigned(self) -> None:
+    def test_sigkilled_worker_mid_chunk_is_reassigned(self, monkeypatch) -> None:
         """A worker is SIGKILLed while holding a part-finished chunk: the
         daemon must keep its streamed result, re-queue the rest, and the
         final artifact must stay byte-identical to the serial run."""
@@ -256,7 +258,7 @@ class TestWorkerFailure:
 
         # lease_timeout is deliberately long: recovery in this test must
         # come from the connection-loss path, not the lease clock.
-        daemon = one_sweep_daemon(chunk_points=3, lease_timeout=120.0)
+        daemon = one_sweep_daemon(monkeypatch, chunk_points=3, lease_timeout=120.0)
         entry = daemon.submit(spec)
         daemon.start()  # accept connections while we stage the drill
         host, port = daemon.address
@@ -308,14 +310,14 @@ class TestWorkerFailure:
         # ...and its unfinished lease really was reassigned.
         assert daemon.queue.leases_requeued >= 1
 
-    def test_stalled_worker_loses_lease_to_timeout(self) -> None:
+    def test_stalled_worker_loses_lease_to_timeout(self, monkeypatch) -> None:
         """A connected-but-silent worker holds a lease past the timeout:
         the serve loop's expiry sweep must hand its chunk to a live worker
         without waiting for the connection to die."""
         spec = small_spec(3, scenario=False)
         serial = run_sweep(spec, jobs=1)
         daemon = one_sweep_daemon(
-            chunk_points=3, lease_timeout=1.0, poll_interval=0.1
+            monkeypatch, chunk_points=3, lease_timeout=1.0, poll_interval=0.1
         )
         daemon.submit(spec)
         daemon.start()  # the zombie handshakes before the serve loop
@@ -360,12 +362,12 @@ class TestWorkerFailure:
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
         assert daemon.queue.leases_requeued >= 1
 
-    def test_crash_fault_plan_round_trip(self) -> None:
+    def test_crash_fault_plan_round_trip(self, monkeypatch) -> None:
         """The in-process flavour of the kill drill: a worker thread using
         FaultPlan(disconnect) drops mid-chunk; a second worker finishes."""
         spec = small_spec(4, scenario=False)
         serial = run_sweep(spec, jobs=1)
-        daemon = one_sweep_daemon(chunk_points=2)
+        daemon = one_sweep_daemon(monkeypatch, chunk_points=2)
         host, port = daemon.address
         flaky = threading.Thread(
             target=run_worker,
@@ -389,12 +391,12 @@ class TestWorkerFailure:
             thread.join(timeout=15)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
 
-    def test_after_points_zero_dies_before_any_work(self) -> None:
+    def test_after_points_zero_dies_before_any_work(self, monkeypatch) -> None:
         """``disconnect:0`` is the connect-then-die drill: the worker takes
         a chunk and drops it untouched; another worker must finish."""
         spec = small_spec(2, scenario=False)
         serial = run_sweep(spec, jobs=1)
-        daemon = one_sweep_daemon(chunk_points=2)
+        daemon = one_sweep_daemon(monkeypatch, chunk_points=2)
         daemon.submit(spec)
         daemon.start()  # the drone handshakes before the serve loop
         host, port = daemon.address
@@ -426,8 +428,8 @@ class TestWorkerFailure:
 
 
 class TestProtocolPolicing:
-    def test_version_mismatch_refused_at_hello(self) -> None:
-        daemon = one_sweep_daemon()
+    def test_version_mismatch_refused_at_hello(self, monkeypatch) -> None:
+        daemon = one_sweep_daemon(monkeypatch)
         daemon.submit(small_spec(1, scenario=False))
         daemon.start()
         host, port = daemon.address
@@ -443,8 +445,8 @@ class TestProtocolPolicing:
         finally:
             daemon.shutdown()
 
-    def test_garbage_first_frame_gets_error_not_hang(self) -> None:
-        daemon = one_sweep_daemon()
+    def test_garbage_first_frame_gets_error_not_hang(self, monkeypatch) -> None:
+        daemon = one_sweep_daemon(monkeypatch)
         daemon.submit(small_spec(1, scenario=False))
         daemon.start()
         host, port = daemon.address

@@ -117,7 +117,7 @@ class TestOneSelectorEndToEnd:
             protocols=("locking", "tcache-detector"), duration=0.5, seed=SEED
         )
         for point, result in run_sweep(spec, jobs=1).pairs():
-            assert [edge.config.protocol for edge in result.edges] == [
+            assert [edge.protocol for edge in result.spec.edges] == [
                 edge.protocol for edge in point.scenario.edges
             ]
             assert {edge.protocol for edge in point.scenario.edges} == {
@@ -143,6 +143,6 @@ class TestOneSelectorEndToEnd:
         assert column.counts == edge.counts
         assert column.series == edge.series
         assert asdict(column.cache_stats) == asdict(edge.cache_stats)
-        assert column.config == edge.config
+        assert column == edge
         assert column.counts.total > 0
         assert column.counts.inconsistent == 0  # the pessimistic bound

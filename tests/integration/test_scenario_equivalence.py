@@ -278,7 +278,7 @@ class TestKernelEventOrderGolden:
             scenario.sim.run(until=config.total_time * fraction)
         edge = scenario.edges[0]
         column = collect_column_result(
-            config,
+            config.total_time,
             scenario.monitor.series,
             config.warmup,
             cache=edge.cache,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import protocol_names, telemetry
+from repro import protocol_names
 from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
 from repro.scenario.spec import EdgeSpec, ScenarioSpec
 from repro.workloads.synthetic import PerfectClusterWorkload
@@ -57,15 +57,11 @@ def _protocol_snapshots() -> dict[str, object]:
     spec = SweepSpec(
         name="counters",
         points=[
-            SweepPoint(label=protocol, scenario=_scenario(protocol))
+            SweepPoint(label=protocol, scenario=_scenario(protocol), trace=True)
             for protocol in PROTOCOLS
         ],
     )
-    telemetry.enable()
-    try:
-        sweep = run_sweep(spec, jobs=1)
-    finally:
-        telemetry.disable()
+    sweep = run_sweep(spec, jobs=1)
     reached: set[str] = set()
     digests = {}
     for point, result in sweep.pairs():

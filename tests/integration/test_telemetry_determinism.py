@@ -9,15 +9,18 @@ result bytes).
 
 Simulated runs are expensive, so the traced/untraced reference executions
 are computed once per module (plain lazy caches — the runs are pure
-functions of the spec) and shared across the assertions.
+functions of the spec) and shared across the assertions.  Each run's JSONL
+is serialised once, and traces are compared raw after the header line
+(only the header is normalized): equal raw records imply equal normalized
+traces, without parsing half a million records per comparison.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
-from repro import telemetry
 from repro.dispatch.client import FleetClient, FleetSpec
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.worker import run_worker
@@ -41,32 +44,44 @@ DURATION = 1.0
 PROTOCOLS = ("tcache-detector", "locking")
 
 _CACHE: dict[str, object] = {}
+#: Trace JSONL per cached run, by ``id`` of the (cached, so live) sweep.
+_LINES: dict[int, list[str]] = {}
 
 
-def race_spec():
-    return protocol_race.spec(protocols=PROTOCOLS, duration=DURATION, seed=11)
+def race_spec(*, trace: bool = False):
+    spec = protocol_race.spec(protocols=PROTOCOLS, duration=DURATION, seed=11)
+    return replace(spec, points=[replace(p, trace=trace) for p in spec.points])
 
 
 def traced_run(key: str, jobs: int):
     """One traced execution per (key) for the whole module."""
     if key not in _CACHE:
-        telemetry.enable()
-        try:
-            _CACHE[key] = run_sweep(race_spec(), jobs=jobs)
-        finally:
-            telemetry.disable()
+        _CACHE[key] = run_sweep(race_spec(trace=True), jobs=jobs)
     return _CACHE[key]
 
 
 def untraced_run():
     if "untraced" not in _CACHE:
-        assert not telemetry.enabled()
         _CACHE["untraced"] = run_sweep(race_spec(), jobs=1)
     return _CACHE["untraced"]
 
 
 def trace_of(sweep) -> list[str]:
     return normalized_trace_lines(trace_jsonl_lines([sweep]))
+
+
+def lines_of(sweep) -> list[str]:
+    """``trace_jsonl_lines`` of one cached run, serialised once per module."""
+    if id(sweep) not in _LINES:
+        _LINES[id(sweep)] = trace_jsonl_lines([sweep])
+    return _LINES[id(sweep)]
+
+
+def assert_same_trace(lines: list[str], reference: list[str]) -> None:
+    """Byte-identical records, and headers equal once normalized: a check
+    at least as strict as comparing the two whole normalized traces."""
+    assert lines[1:] == reference[1:]
+    assert normalized_trace_lines(lines[:1]) == normalized_trace_lines(reference[:1])
 
 
 def fleet_run(tmp_path_factory):
@@ -77,7 +92,6 @@ def fleet_run(tmp_path_factory):
             FleetConfig(port=0, journal_dir=journal_dir, secret=SECRET)
         )
         daemon.start()
-        telemetry.enable()
         try:
             host, port = daemon.address
             worker = threading.Thread(
@@ -88,7 +102,7 @@ def fleet_run(tmp_path_factory):
             )
             worker.start()
             result = run_sweep(
-                race_spec(),
+                race_spec(trace=True),
                 dispatch=FleetSpec(
                     host=host,
                     port=port,
@@ -99,7 +113,6 @@ def fleet_run(tmp_path_factory):
             )
             worker.join(timeout=30.0)
         finally:
-            telemetry.disable()
             daemon.shutdown()
         _CACHE["fleet"] = (result, journal_dir)
     return _CACHE["fleet"]
@@ -113,19 +126,16 @@ class TestTraceDeterminism:
         parallel = traced_run("parallel", jobs=2)
         fleet, _journal_dir = fleet_run(tmp_path_factory)
 
-        reference = trace_of(serial)
+        reference = lines_of(serial)
         assert len(reference) > len(race_spec().points)  # header + records
-        assert trace_of(parallel) == reference
-        assert trace_of(fleet) == reference
-
         # Only the header line may differ before normalization.
-        raw_serial = trace_jsonl_lines([serial])
-        raw_parallel = trace_jsonl_lines([parallel])
-        assert raw_serial[1:] == raw_parallel[1:]
+        assert_same_trace(lines_of(parallel), reference)
+        assert_same_trace(lines_of(fleet), reference)
 
     def test_rerun_is_byte_identical_including_order(self):
-        assert trace_of(traced_run("rerun", jobs=1)) == trace_of(
-            traced_run("serial", jobs=1)
+        assert_same_trace(
+            lines_of(traced_run("rerun", jobs=1)),
+            lines_of(traced_run("serial", jobs=1)),
         )
 
 
@@ -147,7 +157,7 @@ class TestTelemetrySections:
         )
 
     def test_core_events_reach_the_trace(self):
-        lines = trace_jsonl_lines([traced_run("serial", jobs=1)])
+        lines = lines_of(traced_run("serial", jobs=1))
         names = {json.loads(line)["name"] for line in lines[1:]}
         # Kernel dispatch, cache serves, channel deliveries and the
         # monitor's SGT verdicts are all first-class trace events.
@@ -175,12 +185,9 @@ def _tiny_column_digests() -> dict[str, object]:
         label="tiny",
         config=ColumnConfig(seed=7, duration=0.6, warmup=0.2),
         workload=PerfectClusterWorkload(n_objects=60, cluster_size=5),
+        trace=True,
     )
-    telemetry.enable()
-    try:
-        sweep = run_sweep(SweepSpec(name="tiny", points=[point]), jobs=1)
-    finally:
-        telemetry.disable()
+    sweep = run_sweep(SweepSpec(name="tiny", points=[point]), jobs=1)
     body = trace_of(sweep)[1:]
     return {
         "records": len(body),

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import shlex
+from dataclasses import replace
 
 import pytest
 
@@ -243,14 +244,11 @@ class TestTraceThroughMain:
         traced, plain = tmp_path / "traced.json", tmp_path / "plain.json"
         run = ["fig6", "--duration", "1", "--jobs", "1"]
         assert main([*run, "--trace", str(trace), "--json", str(traced)]) == 0
-        assert not telemetry.enabled()
         assert main([*run, "--json", str(plain)]) == 0
 
-        telemetry.enable()
-        try:
-            sweep = run_sweep(fig6_strategies.spec(duration=1.0), jobs=1)
-        finally:
-            telemetry.disable()
+        spec = fig6_strategies.spec(duration=1.0)
+        stamped = [replace(point, trace=True) for point in spec.points]
+        sweep = run_sweep(replace(spec, points=stamped), jobs=1)
         lines = trace.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "header"
         assert len(lines) > 1000

@@ -33,7 +33,7 @@ class TestColumnResults:
         decoded = decode_result(
             wire_round_trip(encode_result(result)), point
         )
-        assert decoded.config is config  # reattached, not rebuilt
+        assert decoded.total_time == config.total_time  # from the point
         assert decoded.counts == result.counts
         assert decoded.cache_stats == result.cache_stats
         assert decoded.db_stats == result.db_stats
@@ -72,6 +72,30 @@ class TestColumnResults:
         with pytest.raises(ProtocolError, match="kind"):
             decode_result({}, point)
 
+    def test_malformed_payload_is_a_protocol_error(self) -> None:
+        """A missing or mistyped field names the point; no bare KeyError or
+        TypeError escapes past ``except DispatchError``."""
+        workload = PerfectClusterWorkload(n_objects=100, cluster_size=5)
+        config = ColumnConfig(seed=3, duration=0.3, warmup=0.2)
+        column = SweepPoint(label="col", config=config, workload=workload)
+        fleet = SweepPoint(
+            label="fleet",
+            scenario=heterogeneous_loss_fleet(edges=2, n_objects=100, duration=0.3),
+        )
+        mistyped = wire_round_trip(encode_result(run_column(config, workload)))
+        mistyped["series"] = 5
+        cases = [
+            (column, {"kind": "column"}, "KeyError: 'counts'"),
+            (column, mistyped, "TypeError"),
+            (fleet, {"kind": "scenario", "edges": 3}, "TypeError"),
+        ]
+        for point, payload, cause in cases:
+            with pytest.raises(ProtocolError) as raised:
+                decode_results([point], [(0, payload)])
+            message = str(raised.value)
+            assert message.startswith("result 0: ")
+            assert repr(point.label) in message and cause in message
+
     def test_whole_sweep_decodes_in_spec_order_and_polices_indices(self) -> None:
         workload = PerfectClusterWorkload(n_objects=100, cluster_size=5)
         points = [
@@ -87,7 +111,7 @@ class TestColumnResults:
             for point in points
         ]
         decoded = decode_results(points, [(1, wire[1]), (0, wire[0])])
-        assert [result.config for result in decoded] == [p.config for p in points]
+        assert [result.series for result in decoded] == [w["series"] for w in wire]
         for bad in (2, -1, True, "0"):
             with pytest.raises(ProtocolError, match="outside the sweep"):
                 decode_results(points, [(bad, wire[0])])

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from repro.dispatch.fleet import FleetQueue
-from repro.dispatch.health import HealthTracker
 from repro.dispatch.journal import sweep_fingerprint
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments.config import ColumnConfig
@@ -384,80 +383,3 @@ class TestStatusRows:
         assert by_name["a"]["leased"] == 1
         assert by_name["b"]["pending"] == 4
         assert by_name["a"]["state"] == "running"
-
-
-class TestHealthTracker:
-    def test_validation(self) -> None:
-        with pytest.raises(ConfigurationError):
-            HealthTracker(target_chunk_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            HealthTracker(probe_chunk_points=0)
-        with pytest.raises(ConfigurationError):
-            HealthTracker(probe_chunk_points=8, max_chunk_points=4)
-
-    def test_unknown_worker_gets_probe_chunk(self) -> None:
-        tracker = HealthTracker(probe_chunk_points=2)
-        assert tracker.chunk_points_for("ghost") == 2
-        tracker.on_connect("w")
-        assert tracker.chunk_points_for("w") == 2
-
-    def test_throughput_scales_chunks(self) -> None:
-        clock = FakeClock()
-        tracker = HealthTracker(
-            target_chunk_seconds=5.0, max_chunk_points=64, clock=clock
-        )
-        tracker.on_connect("w")
-        tracker.on_result("w")  # first result: no interval yet
-        assert tracker.chunk_points_for("w") == tracker.probe_chunk_points
-        for _ in range(6):
-            clock.advance(0.5)  # steady 2 points/sec
-            tracker.on_result("w")
-        assert tracker.chunk_points_for("w") == 10  # 2 pts/s x 5 s target
-
-    def test_chunks_clamped_to_max(self) -> None:
-        clock = FakeClock()
-        tracker = HealthTracker(
-            target_chunk_seconds=5.0, max_chunk_points=8, clock=clock
-        )
-        tracker.on_connect("w")
-        tracker.on_result("w")
-        for _ in range(8):
-            clock.advance(0.01)  # 100 points/sec
-            tracker.on_result("w")
-        assert tracker.chunk_points_for("w") == 8
-
-    def test_slow_worker_gets_small_chunks(self) -> None:
-        clock = FakeClock()
-        tracker = HealthTracker(target_chunk_seconds=5.0, clock=clock)
-        tracker.on_connect("w")
-        tracker.on_result("w")
-        for _ in range(4):
-            clock.advance(20.0)  # 0.05 points/sec
-            tracker.on_result("w")
-        assert tracker.chunk_points_for("w") == 1
-
-    def test_snapshot_rows_track_liveness(self) -> None:
-        clock = FakeClock()
-        tracker = HealthTracker(alive_after=15.0, clock=clock)
-        tracker.on_connect("w")
-        tracker.on_heartbeat("w")
-        clock.advance(20.0)
-        (row,) = tracker.snapshot()
-        assert row["worker"] == "w"
-        assert row["heartbeats"] == 1
-        assert row["connected"] and not row["alive"]
-        assert row["silence_seconds"] == 20.0
-
-    def test_disconnect_marks_row_and_resets_interval(self) -> None:
-        clock = FakeClock()
-        tracker = HealthTracker(clock=clock)
-        tracker.on_connect("w")
-        tracker.on_result("w")
-        tracker.on_disconnect("w")
-        (row,) = tracker.snapshot()
-        assert not row["connected"] and not row["alive"]
-        # A reconnect must not compute a rate across the gap.
-        tracker.on_connect("w")
-        clock.advance(1.0)
-        tracker.on_result("w")
-        assert tracker.snapshot()[0]["points_per_sec"] is None

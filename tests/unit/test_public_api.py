@@ -155,6 +155,40 @@ class TestPublicAPI:
             "tuple[Rows, Rows]"
         )
 
+    def test_one_worker_ledger_and_no_trace_global(self) -> None:
+        """1.12.0 removed the second worker registry, its three chunk-size
+        options, the ``--trace`` process global and the per-result
+        ``ColumnConfig``: the daemon books each worker once, chunk sizing is
+        module constants, a point traces by its own ``trace`` flag, and a
+        result carries its run's ``total_time`` only."""
+        import dataclasses
+
+        from repro import dispatch, telemetry
+        from repro.dispatch import daemon
+        from repro.scenario.results import ColumnResult
+        from repro.scenario.spec import ScenarioSpec
+
+        for name in ("HealthTracker", "WorkerHealth"):
+            assert not hasattr(dispatch, name)
+            assert name not in dispatch.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.dispatch.health")
+        fields = [field.name for field in dataclasses.fields(dispatch.FleetConfig)]
+        assert len(fields) == 8
+        for name in ("target_chunk_seconds", "probe_chunk_points", "max_chunk_points"):
+            assert name not in fields
+        assert (
+            daemon.TARGET_CHUNK_SECONDS,
+            daemon.PROBE_CHUNK_POINTS,
+            daemon.MAX_CHUNK_POINTS,
+        ) == (5.0, 1, 64)
+        for name in ("enable", "disable", "enabled", "_ENABLED"):
+            assert not hasattr(telemetry, name)
+            assert name not in telemetry.__all__
+        result_fields = [field.name for field in dataclasses.fields(ColumnResult)]
+        assert "config" not in result_fields and "total_time" in result_fields
+        assert not hasattr(ScenarioSpec, "edge_config")
+
     def test_importing_the_package_leaves_networkx_out(self) -> None:
         """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
         CLI start, pool worker and fleet worker would otherwise pay for it."""

@@ -309,14 +309,3 @@ class TestCapture:
                 assert telemetry.active_tracer() is inner
             assert telemetry.active_tracer() is outer
         assert telemetry.active_tracer() is None
-
-    def test_enable_and_disable_toggle_the_flag(self):
-        from repro import telemetry
-
-        assert not telemetry.enabled()
-        telemetry.enable()
-        try:
-            assert telemetry.enabled()
-        finally:
-            telemetry.disable()
-        assert not telemetry.enabled()
