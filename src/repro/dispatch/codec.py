@@ -19,7 +19,8 @@ point, never a bare ``KeyError`` or ``TypeError``.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from copy import deepcopy
+from dataclasses import fields, is_dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.cache.base import CacheStats
@@ -49,16 +50,44 @@ def _decode_stats(cls: type, payload: Mapping[str, object]):
         raise ProtocolError(f"bad {cls.__name__} payload: {exc}") from exc
 
 
+#: Record class -> its dataclass field names, looked up once per class.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _record_dict(record: object) -> dict[str, object]:
+    """``dataclasses.asdict(record)`` without its per-leaf ``deepcopy``.
+
+    The stat records hold scalars, which pass as they are, and nested
+    records (``FleetAggregates.counts``), which are walked the same way.
+    Anything else (``FleetAggregates.inconsistency_by_backend``) is
+    deep-copied as ``asdict`` would, so a payload never aliases a live
+    result's containers.
+    """
+    kind = type(record)
+    names = _FIELD_NAMES.get(kind)
+    if names is None:
+        names = _FIELD_NAMES[kind] = tuple(field.name for field in fields(kind))
+    payload = {}
+    for name in names:
+        value = getattr(record, name)
+        if type(value) not in _SCALARS:
+            value = _record_dict(value) if is_dataclass(value) else deepcopy(value)
+        payload[name] = value
+    return payload
+
+
 def _encode_column(result: ColumnResult) -> dict[str, object]:
     # ``total_time`` is deliberately omitted: the decoder takes it from the
     # submitter's own config/spec objects (see module docstring).
     return {
-        "counts": asdict(result.counts),
-        "cache_stats": asdict(result.cache_stats),
-        "db_stats": asdict(result.db_stats),
-        "channel_stats": asdict(result.channel_stats),
-        "update_client_stats": asdict(result.update_client_stats),
-        "read_client_stats": asdict(result.read_client_stats),
+        "counts": _record_dict(result.counts),
+        "cache_stats": _record_dict(result.cache_stats),
+        "db_stats": _record_dict(result.db_stats),
+        "channel_stats": _record_dict(result.channel_stats),
+        "update_client_stats": _record_dict(result.update_client_stats),
+        "read_client_stats": _record_dict(result.read_client_stats),
         "series": result.series,
         "detections_eq1": result.detections_eq1,
         "detections_eq2": result.detections_eq2,
@@ -95,14 +124,14 @@ def _decode_column(payload: Mapping[str, object], total_time: float) -> ColumnRe
 def _encode_scenario(result: ScenarioResult) -> dict[str, object]:
     return {
         "edges": [_encode_column(edge) for edge in result.edges],
-        "fleet": asdict(result.fleet),
-        "db_stats": asdict(result.db_stats),
+        "fleet": _record_dict(result.fleet),
+        "db_stats": _record_dict(result.db_stats),
         "backends": [
             {
                 "name": aggregate.name,
                 "edges": list(aggregate.edges),
-                "counts": asdict(aggregate.counts),
-                "db_stats": asdict(aggregate.db_stats),
+                "counts": _record_dict(aggregate.counts),
+                "db_stats": _record_dict(aggregate.db_stats),
                 "db_accesses": aggregate.db_accesses,
                 "read_load": aggregate.read_load,
             }

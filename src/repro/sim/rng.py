@@ -7,25 +7,47 @@ randomness therefore never perturbs the draws seen by existing consumers,
 which keeps figures stable across code changes.
 
 Bounded integers: every index the workloads draw comes from
-:func:`integers_below`, which pulls 32-bit words through the bit generator's
-``ctypes.next_uint32`` — numpy's documented extension interface, the same C
-function and the same buffered half-word ``Generator.integers`` uses — and
-applies numpy's 32-bit Lemire rule in Python ints. It therefore equals
-``rng.integers(0, bound, size=count).tolist()`` value for value and leaves the
-generator in the identical state under any interleaving with ``random``,
-``exponential`` or numpy's own ``integers`` on the same stream; what it skips
-is ``Generator.integers``' per-call shape arithmetic and ``np.int64`` boxing,
-which cost several times the draws. ``tests/property/test_rng_props.py`` pins
-the equivalence on twin generators (it is what fails, and says why, if a
-future numpy changes its algorithm) and ``tests/unit/test_workload_streams.py``
-pins the draws themselves. The helper caches nothing: numpy already keeps the
-ctypes interface on the bit generator after first access, a ``Generator``
-cannot be weakly referenced, and an ``id``-keyed dict would leak one entry per
-stream per sweep point in a long-lived fleet worker.
+:func:`integers_below`, which pulls 32-bit words from the bit generator's own
+``next_uint32`` C function — the one ``bit_generator.ctypes`` exposes, numpy's
+documented extension interface, and the same function and buffered half-word
+``Generator.integers`` uses — and applies numpy's 32-bit Lemire rule in Python
+ints. It therefore equals ``rng.integers(0, bound, size=count).tolist()``
+value for value and leaves the generator in the identical state under any
+interleaving with ``random``, ``exponential`` or numpy's own ``integers`` on
+the same stream; what it skips is ``Generator.integers``' per-call shape
+arithmetic and ``np.int64`` boxing, which cost several times the draws.
+``tests/property/test_rng_props.py`` pins the equivalence on twin generators
+(it is what fails, and says why, if a future numpy changes its algorithm) and
+``tests/unit/test_workload_streams.py`` pins the draws themselves.
+
+Why the interpreter lock is held: numpy's ``ctypes.next_uint32`` is a
+``CFUNCTYPE``, and ctypes releases the lock around every such call. A word
+takes nanoseconds, so with two Python threads in one interpreter (an
+in-process fleet daemon and its workers, or two loopback workers) each word
+became a lock hand-off, and the threads spent most of the draw waiting for
+each other. :func:`integers_below` instead calls the same C function on the
+same state pointer through a ``PYFUNCTYPE``, which keeps the lock; serially it
+is also slightly cheaper per word.
+
+Why the pointer cache is bounded: the ``PYFUNCTYPE`` is built once per
+bit-generator *class* and kept in ``_HELD_NEXT_UINT32``. numpy's bit
+generators point every instance of a class at one static C function (the
+state pointer is per instance, and is read from the instance on every call),
+so the dict holds at most one entry per class however many streams a
+long-lived fleet worker creates — unlike a per-generator cache, which would
+grow by one entry per stream per sweep point.
+
+Why :meth:`BoundedPareto.sample_offsets` is not changed the same way: its
+``rng.random(count)`` is one array fill, which releases the lock once per
+access set, not once per draw; a lock-holding ``next_double`` loop measured
+slower single-threaded (1.75 µs against 1.21 µs for ``rng.random(5).tolist()``
+on a 2-CPU x86-64 VM).
 """
 
 from __future__ import annotations
 
+import ctypes
+import operator
 import zlib
 
 import numpy as np
@@ -33,6 +55,22 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["RngStreams", "BoundedPareto", "integers_below"]
+
+#: ``uint32_t next_uint32(void *state)``, called with the interpreter lock held.
+_HeldNextUint32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+
+#: Bit-generator class -> its ``next_uint32`` as a :data:`_HeldNextUint32`.
+_HELD_NEXT_UINT32: dict[type, _HeldNextUint32] = {}
+
+
+def _held_next_uint32(bit_generator: np.random.BitGenerator) -> _HeldNextUint32:
+    """``bit_generator``'s ``next_uint32`` behind a lock-holding pointer."""
+    kind = type(bit_generator)
+    held = _HELD_NEXT_UINT32.get(kind)
+    if held is None:
+        address = ctypes.cast(bit_generator.ctypes.next_uint32, ctypes.c_void_p)
+        held = _HELD_NEXT_UINT32[kind] = _HeldNextUint32(address.value)
+    return held
 
 
 class RngStreams:
@@ -80,16 +118,27 @@ def integers_below(rng: np.random.Generator, bound: int, count: int) -> list[int
     for ``count == 1``, to the scalar ``int(rng.integers(0, bound))``): numpy's
     Lemire-32 rule over the bit generator's own ``next_uint32``. ``bound == 1``
     consumes nothing, exactly as numpy. ``bound`` stops at ``2**32 - 1``
-    because numpy switches algorithm at ``2**32``.
+    because numpy switches algorithm at ``2**32``. ``bound`` and ``count`` may
+    be any integer type (``np.int64`` included — it is converted first, so the
+    draws are Python ints and the multiply cannot overflow); anything
+    non-integral is a :class:`ConfigurationError`.
     """
+    try:
+        bound = operator.index(bound)
+        count = operator.index(count)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bound and count must be integers, got bound={bound!r} count={count!r}"
+        ) from exc
     if not 1 <= bound <= 0xFFFFFFFF:
         raise ConfigurationError(f"bound must be in [1, 2**32 - 1], got {bound}")
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
     if bound == 1:
         return [0] * count
-    interface = rng.bit_generator.ctypes
-    next_uint32, state = interface.next_uint32, interface.state
+    bit_generator = rng.bit_generator
+    next_uint32 = _held_next_uint32(bit_generator)
+    state = bit_generator.ctypes.state
     draws = []
     for _ in range(count):
         scaled = next_uint32(state) * bound

@@ -135,10 +135,12 @@ class TestDispatchEquivalence:
             # Workers retry the connect until run_sweep's daemon binds the
             # port, so starting them first is fine; if the other worker
             # drains the whole sweep before this one ever connects, the
-            # daemon being gone is a normal outcome, not a failure.
+            # daemon being gone is a normal outcome, not a failure. The
+            # connect deadline stays inside the join below, so a worker
+            # that never got in gives up instead of outliving the test.
             try:
                 run_worker(
-                    "127.0.0.1", port, name=f"w{index}", connect_timeout=20.0
+                    "127.0.0.1", port, name=f"w{index}", connect_timeout=5.0
                 )
             except DispatchError:
                 pass
@@ -155,6 +157,7 @@ class TestDispatchEquivalence:
         )
         for worker in workers:
             worker.join(timeout=15)
+        assert not any(worker.is_alive() for worker in workers)
         serial = run_sweep(spec, jobs=1)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
 

@@ -7,10 +7,14 @@ generators through arbitrary interleavings: the values must agree at every
 step and the two generators must be indistinguishable at the end. If a future
 numpy changes ``Generator.integers``, this is the test that fails — not a
 golden digest three layers up — and CI runs it against the declared floor
-``numpy==1.24.*`` as well as the current release.
+``numpy==1.24.*`` as well as the current release. The same floor leg runs the
+pins on *how* the words are drawn: through a lock-holding pointer to the
+instance's own C function, cached once per bit-generator class.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import integers_below
+from repro.sim import rng as rng_module
+from repro.sim.rng import RngStreams, integers_below
 
 BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937")
 
@@ -124,3 +129,100 @@ class TestRejectedArguments:
     def test_negative_count(self) -> None:
         with pytest.raises(ConfigurationError, match="count"):
             integers_below(np.random.default_rng(1), 5, -1)
+
+    @pytest.mark.parametrize("bound", [5.0, 2.5, "5", None])
+    def test_non_integral_bound(self, bound) -> None:
+        with pytest.raises(ConfigurationError, match="integers"):
+            integers_below(np.random.default_rng(1), bound, 1)
+
+    def test_non_integral_count(self) -> None:
+        with pytest.raises(ConfigurationError, match="integers"):
+            integers_below(np.random.default_rng(1), 5, 2.0)
+
+
+class TestNumpyIntegerArguments:
+    """A numpy-integer bound is the same bound: same draws, Python ints.
+
+    Without conversion the Lemire multiply runs in ``np.int64`` and wraps
+    for bounds near ``2**32`` (with nothing but a ``RuntimeWarning``)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    @pytest.mark.parametrize(
+        "bound",
+        [np.int32(5), np.int32(2**31 - 1)]
+        + [
+            kind(value)
+            for kind in (np.int64, np.uint32, np.uint64)
+            for value in (5, 2**31 - 1, 2**32 - 1)
+        ],
+        ids=repr,
+    )
+    def test_equals_generator_integers(self, name, bound) -> None:
+        ours, numpys = twins(name, 11)
+        draws = integers_below(ours, bound, np.int64(6))
+        assert draws == numpys.integers(0, int(bound), size=6).tolist()
+        assert all(type(draw) is int for draw in draws)
+        assert same_state(ours.bit_generator.state, numpys.bit_generator.state)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_bound_first_value(self) -> None:
+        expected = int(np.random.default_rng(7).integers(0, 2**32 - 1))
+        drawn = integers_below(np.random.default_rng(7), np.int64(2**32 - 1), 1)
+        assert drawn == [expected] and type(drawn[0]) is int
+
+
+def c_address(function: object) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+class TestHeldPointer:
+    """The words come from the instance's own ``next_uint32`` through a
+    ``PYFUNCTYPE`` pointer, which keeps the interpreter lock; numpy's
+    ``ctypes.next_uint32`` is a ``CFUNCTYPE``, which drops it on every word."""
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_pointer_holds_the_lock(self, name) -> None:
+        ours, _ = twins(name, 4)
+        integers_below(ours, 40, 3)
+        held = rng_module._HELD_NEXT_UINT32[type(ours.bit_generator)]
+        numpys_flags = ours.bit_generator.ctypes.next_uint32._flags_
+        assert held._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert not numpys_flags & ctypes._FUNCFLAG_PYTHONAPI
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_pointer_is_the_instances_next_uint32(self, name) -> None:
+        for seed in (4, 5):
+            ours, _ = twins(name, seed)
+            integers_below(ours, 40, 1)
+            held = rng_module._HELD_NEXT_UINT32[type(ours.bit_generator)]
+            assert c_address(held) == c_address(ours.bit_generator.ctypes.next_uint32)
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_draws_go_through_the_cached_pointer(self, name, monkeypatch) -> None:
+        ours, numpys = twins(name, 6)
+        kind = type(ours.bit_generator)
+        held = rng_module._held_next_uint32(ours.bit_generator)
+        calls = []
+
+        def spy(state):
+            calls.append(state)
+            return held(state)
+
+        monkeypatch.setitem(rng_module._HELD_NEXT_UINT32, kind, spy)
+        assert integers_below(ours, 40, 5) == numpys.integers(0, 40, 5).tolist()
+        assert len(calls) >= 5
+
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_cache_holds_one_entry_per_class(self, name) -> None:
+        bit_generator = getattr(np.random, name)
+        integers_below(np.random.Generator(bit_generator(0)), 40, 1)
+        integers_below(RngStreams(0).stream("workload"), 40, 1)
+        before = dict(rng_module._HELD_NEXT_UINT32)
+        for seed in range(1_000):
+            integers_below(RngStreams(seed).stream(f"stream-{seed}"), 40, 2)
+            integers_below(np.random.Generator(bit_generator(seed)), 40, 2)
+        after = rng_module._HELD_NEXT_UINT32
+        assert after.keys() == before.keys()
+        assert all(after[kind] is before[kind] for kind in before)
+        assert all(isinstance(kind, type) for kind in after)

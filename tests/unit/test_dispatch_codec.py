@@ -7,12 +7,13 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.dispatch import codec
 from repro.dispatch.codec import decode_result, decode_results, encode_result
 from repro.dispatch.faults import FaultPlan
 from repro.errors import ConfigurationError, DispatchError, ProtocolError
 from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import run_column
-from repro.experiments.sweep import SweepPoint
+from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
 from repro.scenario import run_scenario
 from repro.scenario.library import heterogeneous_loss_fleet, region_failure_drill
 from repro.workloads.synthetic import PerfectClusterWorkload
@@ -145,6 +146,57 @@ class TestScenarioResults:
         payload["edges"] = payload["edges"][:1]
         with pytest.raises(ProtocolError, match="edges"):
             decode_result(payload, point)
+
+
+class TestRecordEncoding:
+    """The encoder walks the stat records itself instead of calling
+    ``dataclasses.asdict``; the payload must be the one ``asdict`` builds."""
+
+    @staticmethod
+    def results() -> dict[str, object]:
+        workload = PerfectClusterWorkload(n_objects=100, cluster_size=5)
+        config = ColumnConfig(seed=3, duration=1.0, warmup=0.5)
+        traced = run_sweep(
+            SweepSpec(
+                name="traced",
+                points=[
+                    SweepPoint(
+                        label="traced", config=config, workload=workload, trace=True
+                    )
+                ],
+            ),
+            jobs=1,
+        ).results[0]
+        assert traced.trace and traced.telemetry
+        return {
+            "column": run_column(config, workload),
+            "scenario": run_scenario(
+                region_failure_drill(
+                    regions=2, objects_per_region=100, duration=2.0, warmup=0.5
+                )
+            ),
+            "traced": traced,
+        }
+
+    def test_payload_equals_the_asdict_form(self, monkeypatch) -> None:
+        results = self.results()
+        walked = {
+            name: json.dumps(encode_result(result), sort_keys=True)
+            for name, result in results.items()
+        }
+        monkeypatch.setattr(codec, "_record_dict", asdict)
+        for name, result in results.items():
+            assert walked[name] == json.dumps(encode_result(result), sort_keys=True)
+
+    def test_payload_does_not_alias_the_records(self) -> None:
+        result = self.results()["scenario"]
+        by_backend = dict(result.fleet.inconsistency_by_backend)
+        assert by_backend
+        payload = encode_result(result)
+        payload["fleet"]["inconsistency_by_backend"].clear()
+        payload["fleet"]["counts"]["consistent"] = -1
+        assert result.fleet.inconsistency_by_backend == by_backend
+        assert result.fleet.counts.consistent != -1
 
 
 class TestFaultPlans:
