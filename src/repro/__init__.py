@@ -86,7 +86,7 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.walker import RandomWalkWorkload
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "BackendAggregates",

@@ -17,6 +17,7 @@ none of them asks the placement function again.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -86,7 +87,11 @@ class TransactionHandle:
 
 
 class Coordinator:
-    """Drives 2PC over a set of participants with a shared version counter."""
+    """Drives 2PC over a set of participants and allocates their versions.
+
+    Versions are the coordinator's own commit sequence (1, 2, …), global to
+    its participants.
+    """
 
     def __init__(
         self,
@@ -94,11 +99,10 @@ class Coordinator:
         shard_for: Callable[[Key], Participant],
         *,
         timing: TimingProfile,
-        allocate_version: Callable[[], Version],
         deplist_max: int,
         wal: WriteAheadLog,
         deplist_bound_for: Callable[[Key], int] | None = None,
-        pinned_for: Callable[[Key], frozenset[Key]] | None = None,
+        pinned_for: Callable[[Key], frozenset[Key] | None] | None = None,
         pruning_policy: str = "lru",
     ) -> None:
         self._sim = sim
@@ -109,7 +113,9 @@ class Coordinator:
         self._execute_delay = float(timing.execute_delay)
         self._prepare_delay = float(timing.prepare_delay)
         self._commit_delay = float(timing.commit_delay)
-        self._allocate_version = allocate_version
+        self._versions = itertools.count(1)
+        #: The last version allocated; 0 before the first commit.
+        self.latest_version: Version = 0
         self._deplist_max = deplist_max
         self._deplist_bound_for = deplist_bound_for
         self._pinned_for = pinned_for
@@ -217,7 +223,7 @@ class Coordinator:
         participants: Sequence[Participant],
         write_set: frozenset[Key],
     ):
-        version = self._allocate_version()
+        version = self.latest_version = next(self._versions)
         deps_per_key = self._dependency_lists(txn, version, write_set)
         self.decisions[txn.txn_id] = True
         self.wal.append(RecordType.DECISION_COMMIT, txn.txn_id, version)

@@ -75,6 +75,28 @@ class DatabaseStats:
         return self.committed + self.aborted
 
 
+def _placement(participants: list[Participant]) -> Callable[[Key], Participant]:
+    """Key placement over ``participants``: see :meth:`Database.shard_for`.
+
+    A closure over the list and a memo, not a method, so the coordinator
+    can hold it without holding the database.
+    """
+    if len(participants) == 1:
+        only = participants[0]
+        return lambda _key: only
+    shard_of: dict[Key, Participant] = {}
+    count = len(participants)
+
+    def shard_for(key: Key) -> Participant:
+        shard = shard_of.get(key)
+        if shard is None:
+            index = zlib.crc32(key.encode("utf-8")) % count
+            shard = shard_of[key] = participants[index]
+        return shard
+
+    return shard_for
+
+
 class Database:
     """A sharded transactional key-value store with dependency tracking."""
 
@@ -87,24 +109,21 @@ class Database:
             Participant(sim, f"{self.config.name}-shard{i}")
             for i in range(self.config.shards)
         ]
-        #: Placement already computed, by key (see :meth:`shard_for`: every
-        #: cache miss and every key of every transaction asks).
-        self._shard_of: dict[Key, Participant] = {}
+        self._shard_for = _placement(self.participants)
         self._txn_counter = itertools.count(1)
-        self._version_counter = itertools.count(1)
-        self._latest_version: Version = 0
         #: §VII extensions: per-object list bounds and pinned dependencies.
         self._deplist_bounds: dict[Key, int] = {}
         self._pinned_deps: dict[Key, frozenset[Key]] = {}
+        # Nothing handed to the coordinator refers back to this database:
+        # a bound method of ``self`` would tie the two into a cycle.
         self.coordinator = Coordinator(
             sim,
-            self.shard_for,
+            self._shard_for,
             timing=self.config.timing,
-            allocate_version=self._allocate_version,
             deplist_max=self.config.deplist_max,
             wal=WriteAheadLog(name=f"{self.config.name}-coordinator-wal"),
             deplist_bound_for=self._deplist_bounds.get,
-            pinned_for=self._pinned_for,
+            pinned_for=self._pinned_deps.get,
             pruning_policy=self.config.pruning_policy,
         )
         self.stats = DatabaseStats()
@@ -132,6 +151,21 @@ class Database:
         """Observer for committed update transactions (the monitor taps in)."""
         self._commit_listeners.append(listener)
 
+    def close(self) -> None:
+        """Drop the back-references registered here, once the run is over.
+
+        A channel delivers to a cache that reads this database, and a
+        commit listener may belong to a service a cache holds; the lock
+        tables keep the wound callbacks of transactions still in flight,
+        which close over their participants. Each is a reference cycle
+        through this database, so it is cut here and a finished scenario
+        is freed by reference counting.
+        """
+        self._invalidation_channels.clear()
+        self._commit_listeners.clear()
+        for participant in self.participants:
+            participant.locks.close()
+
     # ------------------------------------------------------------------
     # §VII extensions
     # ------------------------------------------------------------------
@@ -158,9 +192,6 @@ class Database:
         """
         current = self._pinned_deps.get(carrier, frozenset())
         self._pinned_deps[carrier] = current | {dependency}
-
-    def _pinned_for(self, key: Key) -> frozenset[Key]:
-        return self._pinned_deps.get(key, frozenset())
 
     # ------------------------------------------------------------------
     # Transactions
@@ -211,10 +242,10 @@ class Database:
         try:
             outcome = yield from self.coordinator.run_transaction(handle)
         except GeneratorExit:
-            # The process generator is being reaped (simulation ended with
-            # the transaction in flight and the interpreter collected it) —
-            # that is teardown, not an abort, and counting it would mutate
-            # the stats object after results were already collected.
+            # The simulation was closed with the transaction in flight
+            # (Simulator.close) — that is teardown, not an abort, and
+            # counting it would mutate the stats object after results were
+            # already collected.
             raise
         except BaseException:
             self.stats.aborted += 1
@@ -259,7 +290,7 @@ class Database:
     def read_entry(self, key: Key) -> VersionedValue:
         """Lock-free read of the current committed entry (cache-miss path)."""
         self.stats.entry_reads += 1
-        entry = self.shard_for(key).read_latest(key)
+        entry = self._shard_for(key).read_latest(key)
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
@@ -294,22 +325,11 @@ class Database:
         determinism guarantee for multi-shard backends. The participant
         list is fixed at construction, so an answer is computed once per key.
         """
-        if len(self.participants) == 1:
-            return self.participants[0]
-        shard = self._shard_of.get(key)
-        if shard is None:
-            index = zlib.crc32(key.encode("utf-8")) % len(self.participants)
-            shard = self._shard_of[key] = self.participants[index]
-        return shard
-
-    def _allocate_version(self) -> Version:
-        version = next(self._version_counter)
-        self._latest_version = version
-        return version
+        return self._shard_for(key)
 
     @property
     def latest_version(self) -> Version:
-        return self._latest_version
+        return self.coordinator.latest_version
 
     def current_version_of(self, key: Key) -> Version:
         """The committed version of ``key`` (diagnostics and tests)."""

@@ -94,6 +94,16 @@ class LockManager:
         self._wound_callbacks[txn_id] = on_wound
         self._held_by_txn[txn_id] = set()
 
+    def close(self) -> None:
+        """Drop the wound callbacks of transactions still registered.
+
+        Called once the simulation is over: a callback closes over its
+        transaction's participants, and so over this table, so a
+        transaction left in flight would otherwise keep the table in a
+        reference cycle.
+        """
+        self._wound_callbacks.clear()
+
     def mark_prepared(self, txn_id: TxnId) -> None:
         """Make ``txn_id`` immune to wounding (entered 2PC prepared state)."""
         self._prepared.add(txn_id)

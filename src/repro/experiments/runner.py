@@ -23,7 +23,7 @@ from repro.db.database import Database
 from repro.experiments.config import ColumnConfig
 from repro.monitor.monitor import ConsistencyMonitor
 from repro.scenario.results import ColumnResult
-from repro.scenario.runner import build_scenario, collect_column_result
+from repro.scenario.runner import Scenario, build_scenario, collect_column_result
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.channel import Channel
 from repro.sim.core import Simulator
@@ -54,8 +54,31 @@ def build_column(
     read_workload: Workload | None = None,
 ) -> Column:
     """Wire every component of Figure 2 without running the clock."""
+    return _column(config, _build(config, workload, read_workload))
+
+
+def run_column(
+    config: ColumnConfig,
+    workload: Workload,
+    *,
+    read_workload: Workload | None = None,
+) -> ColumnResult:
+    """Run one column to completion, collect its metrics and free it."""
+    scenario = _build(config, workload, read_workload)
+    scenario.sim.run(until=config.total_time)
+    result = collect_result(_column(config, scenario))
+    scenario.close()
+    return result
+
+
+def _build(
+    config: ColumnConfig, workload: Workload, read_workload: Workload | None
+) -> Scenario:
     spec = ScenarioSpec.from_column(config, workload, read_workload=read_workload)
-    scenario = build_scenario(spec)
+    return build_scenario(spec)
+
+
+def _column(config: ColumnConfig, scenario: Scenario) -> Column:
     edge = scenario.edges[0]
     return Column(
         sim=scenario.sim,
@@ -67,18 +90,6 @@ def build_column(
         update_client=edge.update_client,
         read_client=edge.read_client,
     )
-
-
-def run_column(
-    config: ColumnConfig,
-    workload: Workload,
-    *,
-    read_workload: Workload | None = None,
-) -> ColumnResult:
-    """Run one column to completion and collect its metrics."""
-    column = build_column(config, workload, read_workload=read_workload)
-    column.sim.run(until=config.total_time)
-    return collect_result(column)
 
 
 def collect_result(column: Column) -> ColumnResult:

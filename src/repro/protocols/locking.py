@@ -61,6 +61,15 @@ class LockingService:
         self.write_locks_replayed = 0
         database.add_commit_listener(self._on_commit)
 
+    def close(self) -> None:
+        """Drop the wound callbacks of reads still in flight; call once the
+        run is over.
+
+        Each is a bound method of the cache that holds this service, so a
+        read left open would tie the two into a reference cycle.
+        """
+        self.locks.close()
+
     def _on_commit(self, txn: CommittedTransaction) -> None:
         if not txn.writes:
             return

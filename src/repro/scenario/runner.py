@@ -91,6 +91,27 @@ class Scenario:
     databases: list[Database]
     monitor: ConsistencyMonitor
     edges: list[ScenarioEdge]
+    #: Backend-side protocol services by ``(protocol, backend namespace)``,
+    #: one per pair, shared by the edges of that pair.
+    services: dict[tuple[str, str], object]
+
+    def close(self) -> None:
+        """End the run and free it: call once its result is collected.
+
+        Closes the simulator (its suspended processes receive
+        ``GeneratorExit``), then each database and each protocol service
+        that has a ``close`` drops the back-references it registered. What
+        is left holds no reference cycle, so dropping the scenario frees it
+        at once rather than at the cyclic collector's next pass. Collected
+        results stay valid: nothing here counts or records anything.
+        """
+        self.sim.close()
+        for database in self.databases:
+            database.close()
+        for service in self.services.values():
+            close = getattr(service, "close", None)
+            if close is not None:
+                close()
 
     @property
     def database(self) -> Database:
@@ -265,7 +286,12 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
         )
 
     return Scenario(
-        sim=sim, spec=spec, databases=databases, monitor=monitor, edges=edges
+        sim=sim,
+        spec=spec,
+        databases=databases,
+        monitor=monitor,
+        edges=edges,
+        services=protocol_services,
     )
 
 
@@ -273,7 +299,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run one scenario to completion and collect per-edge + fleet metrics."""
     scenario = build_scenario(spec)
     scenario.sim.run(until=spec.total_time)
-    return collect_scenario_result(scenario)
+    result = collect_scenario_result(scenario)
+    scenario.close()
+    return result
 
 
 def measured_counts(series: TimeSeries, warmup: float) -> ClassCounts:

@@ -42,6 +42,15 @@ shared between waiters, be composed in :class:`AnyOf` / :class:`AllOf`,
 carry callbacks or a value; ``yield sim.timeout(d)`` and ``yield d`` execute
 the same ``(time, sequence)`` order (:mod:`repro.sim.process` gives the
 argument), the second in one dispatch instead of two.
+
+Lifecycle: build, :meth:`Simulator.run` (as often as wanted), read the
+results, then :meth:`Simulator.close`. Closing clears both queues and closes
+the generator of every process that has not ended, in creation order — the
+``GeneratorExit`` the cyclic collector would otherwise throw into it later,
+at a moment and in a thread nobody chose. After that the run holds no
+reference cycle through the kernel, so dropping it frees it at once;
+``run`` and ``step`` on a closed simulator raise, and closing again does
+nothing. The scenario and column runners close every run they build.
 """
 
 from __future__ import annotations
@@ -260,6 +269,10 @@ class Simulator:
         self._immediate: deque[tuple[int, Callable[..., None], Any]] = deque()
         self._sequence = 0
         self._running = False
+        self._closed = False
+        #: Processes not yet ended, in creation order (a dict used as an
+        #: ordered set): what :meth:`close` has to close.
+        self._processes: dict[Process, None] = {}
         #: Callbacks executed so far, for throughput (events/sec) reporting.
         #: A sleeper resumed in the dispatch that woke it counts as the two
         #: events it replaces, so the count does not depend on the wait form.
@@ -327,6 +340,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         if until != until:  # NaN: false in every comparison below, would drain all
             raise SimulationError(f"run until must not be NaN, got {until}")
         self._running = True
@@ -381,6 +396,8 @@ class Simulator:
         """Execute a single event; returns False when nothing is pending."""
         if self._running:
             raise SimulationError("simulator is already running (step() inside run())")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         immediate = self._immediate
         queue = self._queue
         if immediate:
@@ -408,6 +425,42 @@ class Simulator:
         else:
             callback(arg)
         return True
+
+    def close(self) -> None:
+        """End the simulation: drop what is pending, close what is suspended.
+
+        Closes the generator of every process that has not ended, in
+        creation order, and marks it not alive: each receives the
+        :class:`GeneratorExit` the cyclic collector's finalizer would
+        otherwise throw into it at some later moment, possibly in another
+        thread. Then both queues are cleared. If a generator raises anything
+        else, the rest are still closed and the first such exception is
+        raised after them.
+
+        A closed simulator refuses :meth:`run` and :meth:`step`; closing
+        again does nothing. Closing inside :meth:`run` is an error.
+        """
+        if self._running:
+            raise SimulationError("simulator is running (close() inside run())")
+        self._closed = True
+        processes = self._processes
+        error: Exception | None = None
+        while processes:  # a closing generator may start another process
+            for process in list(processes):
+                if process not in processes:  # ended by an earlier close
+                    continue
+                del processes[process]
+                process._resume_callback = None
+                try:
+                    process._generator.close()
+                except Exception as exc:  # raised once the rest are closed
+                    if error is None:
+                        error = exc
+        # After the generators: whatever a closing one scheduled never runs.
+        self._queue.clear()
+        self._immediate.clear()
+        if error is not None:
+            raise error
 
     @property
     def pending_events(self) -> int:

@@ -84,6 +84,15 @@ class Process(Event):
     holds ``self``). A wake-up that is already queued for a process that
     ended while asleep still runs: :meth:`_wake` falls back to
     ``self._resume``, which counts and traces it and returns.
+
+    A process still suspended when the run stops is the other cycle: its
+    generator's frame holds whatever started it (a client holds its process
+    in turn), and the simulator's queues hold the process. The simulator
+    keeps every process that has not ended in a dict used as an ordered set
+    (added here, removed on each termination path), and
+    :meth:`~repro.sim.core.Simulator.close` closes their generators in
+    creation order, clears ``_resume_callback`` and empties the queues, so
+    the run is freed by reference counting too.
     """
 
     __slots__ = ("_generator", "_resume_callback")
@@ -101,6 +110,7 @@ class Process(Event):
         self._value = None
         self._generator = generator
         self._resume_callback = self._resume
+        sim._processes[self] = None
         # First resumption happens as a scheduled event so that process
         # start order matches creation order at the current instant.
         sequence = sim._sequence
@@ -153,10 +163,12 @@ class Process(Event):
                 target = generator.throw(error)
         except StopIteration as stop:
             self._resume_callback = None
+            del self.sim._processes[self]
             self.succeed(stop.value)
             return
         except ProcessKilled as killed:
             self._resume_callback = None
+            del self.sim._processes[self]
             # The value is a marker, not an error to report; its traceback
             # holds this frame (so ``self``) and the generator's, which may
             # hold the awaited event that still lists this process.
@@ -210,6 +222,7 @@ class Process(Event):
         caller may read it there after the run.
         """
         self._resume_callback = None
+        del self.sim._processes[self]
         unobserved = not self._callbacks
         self.fail(error)
         if unobserved and not isinstance(error, TransactionAborted):

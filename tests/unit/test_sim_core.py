@@ -1,4 +1,8 @@
-"""Unit tests for the discrete-event simulation kernel (event loop)."""
+"""Unit tests for the discrete-event simulation kernel (event loop).
+
+A simulation belongs to the one thread that runs it: nothing in the kernel
+is shared between simulators, so none of these tests needs a second thread.
+"""
 
 from __future__ import annotations
 
@@ -119,6 +123,53 @@ class TestScheduling:
         assert seen == [] and sim.pending_events == 2 and sim.now == 0.0
         sim.run(until=1.0)  # the rejected call did not leave the loop "running"
         assert seen == ["now"]
+
+
+class TestClose:
+    """``close()`` ends a run for good: nothing pending, nothing runnable."""
+
+    def test_close_drops_both_queues(self, sim: Simulator) -> None:
+        seen = []
+        sim.schedule(0.0, lambda: seen.append("now"))
+        sim.schedule(5.0, lambda: seen.append("later"))
+        sim.close()
+        assert sim.pending_events == 0
+        assert seen == []
+
+    def test_close_is_idempotent(self, sim: Simulator) -> None:
+        sim.schedule(1.0, lambda: None)
+        sim.close()
+        sim.close()
+        assert sim.pending_events == 0
+
+    def test_close_inside_run_rejected(self, sim: Simulator) -> None:
+        failures = []
+
+        def close_now() -> None:
+            try:
+                sim.close()
+            except SimulationError as error:
+                failures.append(error)
+
+        sim.schedule(0.0, close_now)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert len(failures) == 1 and "inside run()" in str(failures[0])
+        assert sim.now == 1.0  # the run went on, the simulator is not closed
+        sim.close()
+
+    def test_run_after_close_rejected(self, sim: Simulator) -> None:
+        sim.close()
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run()
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run(until=1.0)
+
+    def test_step_after_close_rejected(self, sim: Simulator) -> None:
+        sim.schedule(1.0, lambda: None)
+        sim.close()
+        with pytest.raises(SimulationError, match="closed"):
+            sim.step()
 
 
 class TestImmediateQueueOrdering:

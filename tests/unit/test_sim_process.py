@@ -1,4 +1,9 @@
-"""Unit tests for generator-based simulation processes."""
+"""Unit tests for generator-based simulation processes.
+
+A process belongs to the simulator that created it, and a simulation to the
+one thread that runs it; :meth:`Simulator.close` touches no state shared
+with another simulator, so the close tests run single-threaded.
+"""
 
 from __future__ import annotations
 
@@ -543,4 +548,142 @@ class TestFreedByReferenceCount:
         assert sim.events_executed == before + 3  # wake, callback, dropped resume
         ref = weakref.ref(process)
         del process
+        assert ref() is None
+
+
+class TestClose:
+    """``Simulator.close`` closes every suspended generator, in creation
+    order, exactly once; a process that already ended is left alone."""
+
+    def test_suspended_finally_blocks_run_once_in_creation_order(
+        self, sim: Simulator
+    ) -> None:
+        log = []
+
+        def body(tag, wait):
+            try:
+                yield wait
+            finally:
+                log.append((tag, sim.now))
+
+        gate = sim.event()
+        sim.process(body("sleeper", 5.0))
+        sim.process(body("waiter", gate))
+        sim.process(body("sleeper-2", 3.0))
+        sim.run(until=1.0)
+        assert log == []
+        sim.close()
+        assert log == [("sleeper", 1.0), ("waiter", 1.0), ("sleeper-2", 1.0)]
+        sim.close()
+        assert len(log) == 3
+
+    def test_no_process_is_alive_after_close(self, sim: Simulator) -> None:
+        def sleeper():
+            yield 5.0
+
+        def quick():
+            yield 0.5
+
+        processes = [sim.process(sleeper()) for _ in range(3)]
+        done = sim.process(quick())
+        sim.run(until=1.0)
+        assert all(process.alive for process in processes)
+        assert done.triggered and not done.alive
+        sim.close()
+        assert not any(process.alive for process in processes + [done])
+        assert sim.pending_events == 0
+        # Closing does not trigger: a joiner is never woken.
+        assert not any(process.triggered for process in processes)
+
+    def test_a_process_not_yet_started_never_runs(self, sim: Simulator) -> None:
+        started = []
+
+        def body():
+            started.append(True)
+            yield 1.0
+
+        process = sim.process(body())
+        sim.close()
+        assert started == [] and not process.alive
+
+    def test_a_finished_process_is_not_closed_again(self, sim: Simulator) -> None:
+        log = []
+
+        def body():
+            try:
+                yield 1.0
+            finally:
+                log.append(sim.now)
+
+        sim.process(body())
+        sim.run()
+        sim.close()
+        assert log == [1.0]
+
+    def test_an_error_at_close_is_raised_after_every_process_closed(
+        self, sim: Simulator
+    ) -> None:
+        log = []
+
+        def faulty(tag):
+            try:
+                yield 5.0
+            finally:
+                log.append(tag)
+                raise ValueError(tag)
+
+        def body(tag):
+            try:
+                yield 5.0
+            finally:
+                log.append(tag)
+
+        sim.process(body("first"))
+        sim.process(faulty("faulty"))
+        sim.process(body("after"))
+        sim.process(faulty("faulty-2"))
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="^faulty$"):
+            sim.close()
+        assert log == ["first", "faulty", "after", "faulty-2"]
+        sim.close()  # closed all the same: nothing left to raise
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run()
+
+    def test_generator_exit_is_not_an_error(self, sim: Simulator) -> None:
+        """A process that catches ``GeneratorExit`` and re-raises it — what
+        an in-flight update transaction does — closes quietly."""
+        seen = []
+
+        def body():
+            try:
+                yield 5.0
+            except GeneratorExit:
+                seen.append("teardown")
+                raise
+
+        sim.process(body())
+        sim.run(until=1.0)
+        sim.close()
+        assert seen == ["teardown"]
+
+    @pytest.mark.usefixtures("collector_off")
+    def test_a_closed_process_is_freed_by_reference_count(
+        self, sim: Simulator
+    ) -> None:
+        """A suspended generator's frame holds what it closes over — here
+        the process itself — so only closing it breaks the cycle."""
+
+        def body(box):
+            yield 5.0
+            box.append(None)
+
+        box: list = []
+        process = _Tracked(sim, body(box))
+        box.append(process)
+        sim.run(until=1.0)
+        ref = weakref.ref(process)
+        del process, box
+        assert ref() is not None  # the simulator still holds it
+        sim.close()
         assert ref() is None
