@@ -40,9 +40,8 @@ from repro.dispatch import (
     serve_sweep,
 )
 from repro.experiments.report import normalized_artifact, print_table
-from repro.experiments.scenarios import backend_rows
+from repro.experiments.scenarios import backend_rows, capacity_planning_sweep
 from repro.experiments.sweep import run_sweep
-from repro.scenario import capacity_planning_sweep
 
 
 def main() -> None:

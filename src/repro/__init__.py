@@ -29,125 +29,87 @@ Multi-edge topologies are first-class via the scenario API::
     print(f"worst edge:          {fleet.edge('ap').inconsistency_ratio:.2%}")
 """
 
-from repro.cache.base import CacheServer, CacheStats, CacheStorage
-from repro.cache.ttl import TTLCache
-from repro.core.deplist import UNBOUNDED, DependencyList
-from repro.core.detector import InconsistencyReport, check_read
-from repro.core.multiversion import MultiversionTCache
-from repro.core.strategies import Strategy
-from repro.core.tcache import TCache
-from repro.db.database import Database, DatabaseConfig, TimingConfig
-from repro.db.invalidation import InvalidationRecord
-from repro.errors import (
-    ConfigurationError,
-    InconsistencyDetected,
-    ReproError,
-    TransactionAborted,
-)
-from repro.experiments.config import ColumnConfig
-from repro.experiments.runner import ColumnResult, build_column, run_column
-from repro.monitor.monitor import ConsistencyMonitor
-from repro.protocols import (
-    ProtocolSpec,
-    get_protocol,
-    protocol_for_edge,
-    protocol_names,
-    register_protocol,
-)
-from repro.scenario import (
-    BackendAggregates,
-    BackendSpec,
-    EdgeSpec,
-    FleetAggregates,
-    ScenarioResult,
-    ScenarioSpec,
-    build_scenario,
-    capacity_planning_sweep,
-    flash_crowd_scenario,
-    geo_skewed_scenario,
-    heterogeneous_loss_fleet,
-    hot_backend_overload,
-    region_failure_drill,
-    regional_backends_scenario,
-    run_scenario,
-)
-from repro.monitor.sgt import SerializationGraphTester
-from repro.sim.core import Simulator
-from repro.sim.rng import BoundedPareto, RngStreams
-from repro.types import DepEntry, ReadResult, VersionedValue
-from repro.workloads.graphs import amazon_like_graph, orkut_like_graph, topology_stats
-from repro.workloads.sampling import random_walk_sample
-from repro.workloads.synthetic import (
-    DriftingClusterWorkload,
-    ParetoClusterWorkload,
-    PerfectClusterWorkload,
-    PhaseSwitchWorkload,
-    UniformWorkload,
-)
-from repro.workloads.walker import RandomWalkWorkload
+import importlib
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
-__all__ = [
-    "BackendAggregates",
-    "BackendSpec",
-    "BoundedPareto",
-    "CacheServer",
-    "CacheStats",
-    "CacheStorage",
-    "ColumnConfig",
-    "ColumnResult",
-    "ConfigurationError",
-    "ConsistencyMonitor",
-    "Database",
-    "DatabaseConfig",
-    "DepEntry",
-    "DependencyList",
-    "DriftingClusterWorkload",
-    "EdgeSpec",
-    "FleetAggregates",
-    "InconsistencyDetected",
-    "InconsistencyReport",
-    "InvalidationRecord",
-    "MultiversionTCache",
-    "ParetoClusterWorkload",
-    "PerfectClusterWorkload",
-    "PhaseSwitchWorkload",
-    "ProtocolSpec",
-    "RandomWalkWorkload",
-    "ReadResult",
-    "ReproError",
-    "RngStreams",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SerializationGraphTester",
-    "Simulator",
-    "Strategy",
-    "TCache",
-    "TTLCache",
-    "TimingConfig",
-    "TransactionAborted",
-    "UNBOUNDED",
-    "UniformWorkload",
-    "VersionedValue",
-    "amazon_like_graph",
-    "build_column",
-    "build_scenario",
-    "capacity_planning_sweep",
-    "check_read",
-    "flash_crowd_scenario",
-    "geo_skewed_scenario",
-    "get_protocol",
-    "heterogeneous_loss_fleet",
-    "hot_backend_overload",
-    "orkut_like_graph",
-    "protocol_for_edge",
-    "protocol_names",
-    "region_failure_drill",
-    "regional_backends_scenario",
-    "random_walk_sample",
-    "register_protocol",
-    "run_column",
-    "run_scenario",
-    "topology_stats",
-]
+#: Where each exported name lives.  Nothing is imported until first use
+#: (PEP 562), so ``import repro.sim`` loads the simulator, not the sweep
+#: engine, the scenario layer or the fleet.
+_EXPORTS = {
+    "repro.cache.base": ("CacheServer", "CacheStats", "CacheStorage"),
+    "repro.cache.ttl": ("TTLCache",),
+    "repro.core.deplist": ("UNBOUNDED", "DependencyList"),
+    "repro.core.detector": ("InconsistencyReport", "check_read"),
+    "repro.core.multiversion": ("MultiversionTCache",),
+    "repro.core.strategies": ("Strategy",),
+    "repro.core.tcache": ("TCache",),
+    "repro.db.database": ("Database", "DatabaseConfig", "TimingConfig"),
+    "repro.db.invalidation": ("InvalidationRecord",),
+    "repro.errors": (
+        "ConfigurationError",
+        "InconsistencyDetected",
+        "ReproError",
+        "TransactionAborted",
+    ),
+    "repro.experiments.config": ("ColumnConfig",),
+    "repro.experiments.runner": ("ColumnResult", "build_column", "run_column"),
+    "repro.experiments.scenarios": ("capacity_planning_sweep",),
+    "repro.monitor.monitor": ("ConsistencyMonitor",),
+    "repro.monitor.sgt": ("SerializationGraphTester",),
+    "repro.protocols": (
+        "ProtocolSpec",
+        "get_protocol",
+        "protocol_for_edge",
+        "protocol_names",
+        "register_protocol",
+    ),
+    "repro.scenario": (
+        "BackendAggregates",
+        "BackendSpec",
+        "EdgeSpec",
+        "FleetAggregates",
+        "ScenarioResult",
+        "ScenarioSpec",
+        "build_scenario",
+        "flash_crowd_scenario",
+        "geo_skewed_scenario",
+        "heterogeneous_loss_fleet",
+        "hot_backend_overload",
+        "region_failure_drill",
+        "regional_backends_scenario",
+        "run_scenario",
+    ),
+    "repro.sim.core": ("Simulator",),
+    "repro.sim.rng": ("BoundedPareto", "RngStreams"),
+    "repro.types": ("DepEntry", "ReadResult", "VersionedValue"),
+    "repro.workloads.graphs": (
+        "amazon_like_graph",
+        "orkut_like_graph",
+        "topology_stats",
+    ),
+    "repro.workloads.sampling": ("random_walk_sample",),
+    "repro.workloads.synthetic": (
+        "DriftingClusterWorkload",
+        "ParetoClusterWorkload",
+        "PerfectClusterWorkload",
+        "PhaseSwitchWorkload",
+        "UniformWorkload",
+    ),
+    "repro.workloads.walker": ("RandomWalkWorkload",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,15 +3,18 @@
 The benchmarks and examples print the same rows the paper's figures plot;
 this module renders them as aligned tables so runs are readable in CI logs
 and terminal sessions, and serialises them as JSON artifacts so CI and the
-benchmark harness can consume machine-readable results.
+benchmark harness can consume machine-readable results.  The comparison
+form of an artifact, :func:`normalized_artifact`, and :func:`json_safe` live
+in :mod:`repro.telemetry.export`, below the sweep engine; they are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+
+from repro.telemetry.export import json_safe, normalized_artifact
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     import argparse
@@ -154,64 +157,6 @@ def experiment_payload(
             for section in sections
         ],
     }
-
-
-#: Keys stripped by :func:`normalized_artifact` at any nesting depth: the
-#: run-environment metadata that legitimately differs between two executions
-#: of the same seeded spec.  ``telemetry``/``trace`` are included so a traced
-#: artifact normalizes to exactly its untraced twin.
-_ENVIRONMENT_KEYS = frozenset(
-    {"jobs", "wall_clock_seconds", "telemetry", "trace"}
-)
-
-
-def _strip_environment(value: object) -> object:
-    if isinstance(value, Mapping):
-        return {
-            key: _strip_environment(item)
-            for key, item in value.items()
-            if key not in _ENVIRONMENT_KEYS
-        }
-    if isinstance(value, (list, tuple)):
-        return [_strip_environment(item) for item in value]
-    return value
-
-
-def normalized_artifact(artifact: object) -> str:
-    """Canonical JSON of an artifact minus its run-environment fields.
-
-    The single definition of "byte-identical modulo wall clock": two runs of
-    the same seeded spec — serial, ``jobs=N``, dispatched, fleet, traced or
-    untraced — must normalize to the same string.  Accepts a payload dict
-    (or any JSON value) or an object with ``to_artifact()``; strips ``jobs``,
-    ``wall_clock_seconds`` and the telemetry fields at every nesting depth,
-    then serialises with sorted keys and fixed separators.
-    """
-    to_artifact = getattr(artifact, "to_artifact", None)
-    if callable(to_artifact):
-        artifact = to_artifact()
-    return json.dumps(
-        json_safe(_strip_environment(artifact)),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def json_safe(value: object) -> object:
-    """Recursively coerce a payload to JSON-serialisable types.
-
-    Enums serialise by name, dataclasses by field dict; containers recurse.
-    Anything already serialisable passes through unchanged.
-    """
-    if isinstance(value, Enum):
-        return value.name
-    if is_dataclass(value) and not isinstance(value, type):
-        return json_safe(asdict(value))
-    if isinstance(value, Mapping):
-        return {str(key): json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [json_safe(item) for item in value]
-    return value
 
 
 def _json_default(value: object) -> object:

@@ -8,6 +8,9 @@ scenario points, then reports three views: per-edge rows (which edge hurts
 and why), per-backend rows (which backend carries the load), and fleet
 aggregates (what the whole deployment looks like).
 
+:func:`capacity_planning_sweep` builds the capacity-planning grid; it is a
+sweep of library fleets, so it lives here rather than in the library.
+
 ``replay_spec`` rebuilds a single scenario from a JSON artifact
 (``repro-experiments scenario --spec file.json``) — the round-trip partner
 of :meth:`~repro.scenario.spec.ScenarioSpec.as_dict`.
@@ -18,10 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+from repro.errors import ConfigurationError
 from repro.experiments.report import Experiment, section
 from repro.experiments.sweep import SweepPoint, SweepResult, SweepSpec
 from repro.scenario.library import (
-    capacity_planning_sweep,
     flash_crowd_scenario,
     geo_skewed_scenario,
     heterogeneous_loss_fleet,
@@ -34,6 +37,7 @@ from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "EXPERIMENT",
+    "capacity_planning_sweep",
     "spec",
     "replay_spec",
     "rows",
@@ -41,6 +45,66 @@ __all__ = [
     "edge_rows",
     "fleet_rows",
 ]
+
+
+def capacity_planning_sweep(
+    *,
+    regions: int = 2,
+    edges_per_region: int = 2,
+    load_factors: tuple[float, ...] = (0.5, 1.0, 2.0),
+    shard_options: tuple[int, ...] = (1, 2),
+    objects_per_region: int = 400,
+    base_read_rate: float = 300.0,
+    base_update_rate: float = 60.0,
+    duration: float = 30.0,
+    warmup: float = 5.0,
+    seed: int = 701,
+) -> SweepSpec:
+    """A capacity-planning grid over the regional tier, as a sweep spec.
+
+    Re-runs :func:`~repro.scenario.library.regional_backends_scenario`
+    across every ``(load factor, shard count)`` combination on one shared
+    seed, so rows differ only by the knob under study: how does the tier's
+    per-backend read load, commit throughput and inconsistency move as
+    client traffic multiplies, and how much of it does sharding buy back?
+    Returns a :class:`SweepSpec` whose points are whole scenarios — exactly
+    the independent, chunkable units the dispatch tier
+    (``run_sweep(spec, dispatch=...)``) fans out across hosts.
+    """
+    if not load_factors:
+        raise ConfigurationError("need at least one load factor")
+    if not shard_options:
+        raise ConfigurationError("need at least one shard count")
+    if any(factor <= 0 for factor in load_factors):
+        raise ConfigurationError(f"load factors must be positive, got {load_factors}")
+    points = [
+        SweepPoint(
+            label=f"load{factor:g}x-shards{shards}",
+            scenario=regional_backends_scenario(
+                regions=regions,
+                edges_per_region=edges_per_region,
+                objects_per_region=objects_per_region,
+                shards=shards,
+                duration=duration,
+                warmup=warmup,
+                seed=seed,
+                read_rate=base_read_rate * factor,
+                update_rate=base_update_rate * factor,
+            ),
+            params={"load_factor": factor, "shards": shards},
+        )
+        for factor in load_factors
+        for shards in shard_options
+    ]
+    return SweepSpec(
+        name="capacity-planning",
+        description=(
+            f"{regions}-region tier under load x{list(load_factors)} with "
+            f"{list(shard_options)} shard option(s), one shared seed"
+        ),
+        root_seed=seed,
+        points=points,
+    )
 
 
 def spec(

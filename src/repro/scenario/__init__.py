@@ -29,7 +29,6 @@ parallelise exactly like figure columns.
 """
 
 from repro.scenario.library import (
-    capacity_planning_sweep,
     flash_crowd_scenario,
     geo_skewed_scenario,
     heterogeneous_loss_fleet,
@@ -68,7 +67,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "build_scenario",
-    "capacity_planning_sweep",
     "flash_crowd_scenario",
     "geo_skewed_scenario",
     "heterogeneous_loss_fleet",

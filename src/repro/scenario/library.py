@@ -14,7 +14,7 @@ Five families, all parameterised and cheap to scale down for smoke tests:
   rate concentrated on a small hot set) next to quiet edges, all over the
   same catalogue.
 
-Four exercise the routed backend tier:
+Three exercise the routed backend tier:
 
 * :func:`regional_backends_scenario` — one backend database per region,
   several edges per region placed on it (a metro edge with a clean channel,
@@ -27,10 +27,10 @@ Four exercise the routed backend tier:
   out mid-run while a share of its users is displaced onto the surviving
   regions' backends; the drill measures both the failed region's stale
   serving and the survivors' absorption cost.
-* :func:`capacity_planning_sweep` — not one fleet but a whole
-  :class:`~repro.experiments.sweep.SweepSpec` grid: the regional tier re-run
-  across load multipliers and shard counts on one shared seed, the "how
-  much tier do we need" question as a chunked-dispatch-friendly workload.
+
+A grid of these fleets is a sweep, so it lives above this layer:
+:func:`repro.experiments.scenarios.capacity_planning_sweep` re-runs the
+regional tier across load multipliers and shard counts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.workloads.synthetic import (
 )
 
 __all__ = [
-    "capacity_planning_sweep",
     "flash_crowd_scenario",
     "geo_skewed_scenario",
     "heterogeneous_loss_fleet",
@@ -518,68 +517,3 @@ def region_failure_drill(
         warmup=warmup,
     )
 
-
-def capacity_planning_sweep(
-    *,
-    regions: int = 2,
-    edges_per_region: int = 2,
-    load_factors: tuple[float, ...] = (0.5, 1.0, 2.0),
-    shard_options: tuple[int, ...] = (1, 2),
-    objects_per_region: int = 400,
-    base_read_rate: float = 300.0,
-    base_update_rate: float = 60.0,
-    duration: float = 30.0,
-    warmup: float = 5.0,
-    seed: int = 701,
-):
-    """A capacity-planning grid over the regional tier, as a sweep spec.
-
-    Re-runs :func:`regional_backends_scenario` across every
-    ``(load factor, shard count)`` combination on one shared seed, so rows
-    differ only by the knob under study: how does the tier's per-backend
-    read load, commit throughput and inconsistency move as client traffic
-    multiplies, and how much of it does sharding buy back?  Returns a
-    :class:`~repro.experiments.sweep.SweepSpec` whose points are whole
-    scenarios — exactly the independent, chunkable units the dispatch tier
-    (``run_sweep(spec, dispatch=...)``) fans out across hosts.
-    """
-    # Imported lazily: the sweep engine imports the scenario package, so a
-    # module-level import here would be circular.
-    from repro.experiments.sweep import SweepPoint, SweepSpec
-
-    if not load_factors:
-        raise ConfigurationError("need at least one load factor")
-    if not shard_options:
-        raise ConfigurationError("need at least one shard count")
-    if any(factor <= 0 for factor in load_factors):
-        raise ConfigurationError(
-            f"load factors must be positive, got {load_factors}"
-        )
-    points = [
-        SweepPoint(
-            label=f"load{factor:g}x-shards{shards}",
-            scenario=regional_backends_scenario(
-                regions=regions,
-                edges_per_region=edges_per_region,
-                objects_per_region=objects_per_region,
-                shards=shards,
-                duration=duration,
-                warmup=warmup,
-                seed=seed,
-                read_rate=base_read_rate * factor,
-                update_rate=base_update_rate * factor,
-            ),
-            params={"load_factor": factor, "shards": shards},
-        )
-        for factor in load_factors
-        for shards in shard_options
-    ]
-    return SweepSpec(
-        name="capacity-planning",
-        description=(
-            f"{regions}-region tier under load x{list(load_factors)} with "
-            f"{list(shard_options)} shard option(s), one shared seed"
-        ),
-        root_seed=seed,
-        points=points,
-    )

@@ -130,6 +130,15 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
+        """Trigger as failed: each waiter gets ``exception`` thrown into it.
+
+        Failing an event that nobody waits on does not raise, and must not:
+        :meth:`Process.kill <repro.sim.process.Process.kill>` fails a fresh
+        event that no one waits on, and a waiter may attach after the fail
+        (``test_sim_process.py::test_failed_event_raises_inside_generator``
+        fails the event before the process that yields it has started).  A
+        failure nobody handles surfaces through the process that receives it.
+        """
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail() requires an exception instance")
         self.succeed(exception)  # raises, changing nothing, if already triggered

@@ -18,7 +18,7 @@ Two properties shape the whole design:
   byte-identical across reruns, ``jobs=N`` fork pools, ``--dispatch``
   runs and the fleet daemon — the same contract the artifacts
   already honour, and tested the same way
-  (:func:`repro.experiments.report.normalized_artifact`).
+  (:func:`repro.telemetry.export.normalized_artifact`).
 
 * **Zero cost when off.** Tracing is opt-in per sweep point. The kernel
   caches the active tracer once per :class:`~repro.sim.core.Simulator`

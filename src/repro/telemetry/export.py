@@ -11,9 +11,9 @@ The JSONL layout isolates wall clock in exactly one place:
 
 Because record lines carry sim time only, two traces of the same seeded
 sweep compare byte-identical once the header's wall-clock field is dropped —
-:func:`normalized_trace_lines` applies the same
-:func:`repro.experiments.report.normalized_artifact` canonicalization the
-artifact tests use, line by line.
+:func:`normalized_trace_lines` applies :func:`normalized_artifact`, the one
+definition of "identical modulo wall clock" that artifacts are compared by
+too (:mod:`repro.experiments.report` re-exports it), line by line.
 
 The Chrome converter maps records onto the ``trace_event`` JSON format
 (load the file in about://tracing or https://ui.perfetto.dev): one virtual
@@ -24,11 +24,15 @@ seconds scaled to trace microseconds.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from dataclasses import asdict, is_dataclass
+from enum import Enum
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "TRACE_SCHEMA",
     "chrome_trace",
+    "json_safe",
+    "normalized_artifact",
     "normalized_trace_lines",
     "sweep_trace_lines",
     "trace_jsonl_lines",
@@ -39,6 +43,57 @@ __all__ = [
 TRACE_SCHEMA = "repro.trace/1"
 
 _CANONICAL = {"separators": (",", ":"), "sort_keys": True}
+
+#: Keys stripped by :func:`normalized_artifact` at any nesting depth: the
+#: run-environment metadata that legitimately differs between two executions
+#: of the same seeded spec.  ``telemetry``/``trace`` are included so a traced
+#: artifact normalizes to exactly its untraced twin.
+_ENVIRONMENT_KEYS = frozenset({"jobs", "wall_clock_seconds", "telemetry", "trace"})
+
+
+def _strip_environment(value: object) -> object:
+    if isinstance(value, Mapping):
+        return {
+            key: _strip_environment(item)
+            for key, item in value.items()
+            if key not in _ENVIRONMENT_KEYS
+        }
+    if isinstance(value, (list, tuple)):
+        return [_strip_environment(item) for item in value]
+    return value
+
+
+def normalized_artifact(artifact: object) -> str:
+    """Canonical JSON of an artifact minus its run-environment fields.
+
+    The single definition of "byte-identical modulo wall clock": two runs of
+    the same seeded spec — serial, ``jobs=N``, dispatched, fleet, traced or
+    untraced — must normalize to the same string.  Accepts a payload dict
+    (or any JSON value) or an object with ``to_artifact()``; strips ``jobs``,
+    ``wall_clock_seconds`` and the telemetry fields at every nesting depth,
+    then serialises with sorted keys and fixed separators.
+    """
+    to_artifact = getattr(artifact, "to_artifact", None)
+    if callable(to_artifact):
+        artifact = to_artifact()
+    return json.dumps(json_safe(_strip_environment(artifact)), **_CANONICAL)
+
+
+def json_safe(value: object) -> object:
+    """Recursively coerce a payload to JSON-serialisable types.
+
+    Enums serialise by name, dataclasses by field dict; containers recurse.
+    Anything already serialisable passes through unchanged.
+    """
+    if isinstance(value, Enum):
+        return value.name
+    if is_dataclass(value) and not isinstance(value, type):
+        return json_safe(asdict(value))
+    if isinstance(value, Mapping):
+        return {str(key): json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [json_safe(item) for item in value]
+    return value
 
 
 def sweep_trace_lines(result) -> list[str]:
@@ -87,8 +142,6 @@ def normalized_trace_lines(lines: Iterable[str]) -> list[str]:
     same helper the artifact byte-identity tests use, so "identical modulo
     wall clock" means exactly the same thing for traces and artifacts.
     """
-    from repro.experiments.report import normalized_artifact
-
     return [normalized_artifact(json.loads(line)) for line in lines if line.strip()]
 
 

@@ -12,7 +12,7 @@ counters and sweep gauges (the ``metrics`` verb). A traced result's
 ``repro.telemetry/1`` section holds only the snapshot (aggregates); raw
 trace records never enter artifacts, which keeps traced and untraced
 artifacts byte-identical once the telemetry key is stripped (see
-:func:`repro.experiments.report.normalized_artifact`).
+:func:`repro.telemetry.export.normalized_artifact`).
 """
 
 from __future__ import annotations

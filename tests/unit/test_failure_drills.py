@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.scenarios import capacity_planning_sweep
 from repro.scenario import (
     EdgeSpec,
     ScenarioSpec,
-    capacity_planning_sweep,
     region_failure_drill,
     run_scenario,
 )

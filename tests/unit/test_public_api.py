@@ -14,6 +14,90 @@ import pytest
 import repro
 
 
+#: Every name ``repro`` exports, mapped to the module ``repro/__init__.py``
+#: takes it from (not ``__module__``: constants such as ``UNBOUNDED`` have
+#: none).
+FACADE = {
+    "BackendAggregates": "repro.scenario",
+    "BackendSpec": "repro.scenario",
+    "BoundedPareto": "repro.sim.rng",
+    "CacheServer": "repro.cache.base",
+    "CacheStats": "repro.cache.base",
+    "CacheStorage": "repro.cache.base",
+    "ColumnConfig": "repro.experiments.config",
+    "ColumnResult": "repro.experiments.runner",
+    "ConfigurationError": "repro.errors",
+    "ConsistencyMonitor": "repro.monitor.monitor",
+    "Database": "repro.db.database",
+    "DatabaseConfig": "repro.db.database",
+    "DepEntry": "repro.types",
+    "DependencyList": "repro.core.deplist",
+    "DriftingClusterWorkload": "repro.workloads.synthetic",
+    "EdgeSpec": "repro.scenario",
+    "FleetAggregates": "repro.scenario",
+    "InconsistencyDetected": "repro.errors",
+    "InconsistencyReport": "repro.core.detector",
+    "InvalidationRecord": "repro.db.invalidation",
+    "MultiversionTCache": "repro.core.multiversion",
+    "ParetoClusterWorkload": "repro.workloads.synthetic",
+    "PerfectClusterWorkload": "repro.workloads.synthetic",
+    "PhaseSwitchWorkload": "repro.workloads.synthetic",
+    "ProtocolSpec": "repro.protocols",
+    "RandomWalkWorkload": "repro.workloads.walker",
+    "ReadResult": "repro.types",
+    "ReproError": "repro.errors",
+    "RngStreams": "repro.sim.rng",
+    "ScenarioResult": "repro.scenario",
+    "ScenarioSpec": "repro.scenario",
+    "SerializationGraphTester": "repro.monitor.sgt",
+    "Simulator": "repro.sim.core",
+    "Strategy": "repro.core.strategies",
+    "TCache": "repro.core.tcache",
+    "TTLCache": "repro.cache.ttl",
+    "TimingConfig": "repro.db.database",
+    "TransactionAborted": "repro.errors",
+    "UNBOUNDED": "repro.core.deplist",
+    "UniformWorkload": "repro.workloads.synthetic",
+    "VersionedValue": "repro.types",
+    "amazon_like_graph": "repro.workloads.graphs",
+    "build_column": "repro.experiments.runner",
+    "build_scenario": "repro.scenario",
+    "capacity_planning_sweep": "repro.experiments.scenarios",
+    "check_read": "repro.core.detector",
+    "flash_crowd_scenario": "repro.scenario",
+    "geo_skewed_scenario": "repro.scenario",
+    "get_protocol": "repro.protocols",
+    "heterogeneous_loss_fleet": "repro.scenario",
+    "hot_backend_overload": "repro.scenario",
+    "orkut_like_graph": "repro.workloads.graphs",
+    "protocol_for_edge": "repro.protocols",
+    "protocol_names": "repro.protocols",
+    "random_walk_sample": "repro.workloads.sampling",
+    "region_failure_drill": "repro.scenario",
+    "regional_backends_scenario": "repro.scenario",
+    "register_protocol": "repro.protocols",
+    "run_column": "repro.experiments.runner",
+    "run_scenario": "repro.scenario",
+    "topology_stats": "repro.workloads.graphs",
+}
+
+
+class TestFacade:
+    def test_exports_exactly_the_recorded_names(self) -> None:
+        assert sorted(repro.__all__) == sorted(FACADE)
+
+    @pytest.mark.parametrize("name", sorted(FACADE))
+    def test_each_name_is_its_module_attribute(self, name: str) -> None:
+        module = importlib.import_module(FACADE[name])
+        assert getattr(repro, name) is getattr(module, name)
+
+    def test_star_import_binds_exactly_all(self) -> None:
+        namespace: dict[str, object] = {}
+        exec("from repro import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(repro.__all__)
+
+
 class TestPublicAPI:
     def test_all_names_resolve(self) -> None:
         for name in repro.__all__:
@@ -40,18 +124,6 @@ class TestPublicAPI:
         assert LegacyColumnResult is ColumnResult
         assert repro.ColumnResult is ColumnResult
 
-    def test_cache_kind_is_gone(self) -> None:
-        """1.6.0 removed the second cache selector outright: no enum, no
-        module, no re-export — ``protocol`` is the one way to pick a cache."""
-        import repro.experiments
-
-        assert "CacheKind" not in repro.__all__
-        assert "CacheKind" not in repro.experiments.__all__
-        assert not hasattr(repro, "CacheKind")
-        assert not hasattr(repro.experiments, "CacheKind")
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.cache.kinds")
-
     @pytest.mark.parametrize(
         "module_name",
         [
@@ -72,53 +144,25 @@ class TestPublicAPI:
         assert module.__doc__ and len(module.__doc__.strip()) > 40
 
     def test_dispatch_exports_one_server(self) -> None:
-        """One dispatch stack: the one-shot ``Coordinator`` and its ``Chunk``
-        are gone; what ``--dispatch`` needs is still importable."""
+        """One dispatch stack: what ``--dispatch`` needs is importable (the
+        retired one-shot ``Coordinator`` is a row of ``retired.json``)."""
         import repro.dispatch as dispatch
 
         for name in dispatch.__all__:
             assert hasattr(dispatch, name), f"__all__ advertises missing {name!r}"
-        assert not {"Coordinator", "Chunk"} & set(dispatch.__all__)
-        assert not hasattr(dispatch, "Coordinator")
         assert {"DispatchSpec", "WorkQueue", "run_dispatched", "FleetDaemon"} <= set(
             dispatch.__all__
         )
-        assert "chunk_size" not in dispatch.DispatchSpec.__dataclass_fields__
-
-    def test_journal_index_is_gone(self) -> None:
-        """1.7.0 removed the derived journal cache: journals are the only
-        state, replayed by restarts and ``fleet status --journal-dir`` alike,
-        and ``--journal-expiry`` archives inside the restart's replay."""
-        import repro.dispatch as dispatch
-        import repro.dispatch.journal as journal
-
-        gone = {"JournalIndexEntry", "compact_finished", "journal_index"}
-        assert not gone & set(dispatch.__all__)
-        for name in gone | {"INDEX_FILENAME", "ARCHIVE_DIRNAME"}:
-            assert not hasattr(dispatch, name)
-            assert not hasattr(journal, name)
-
-    def test_bench_is_gone(self, capsys) -> None:
-        """1.8.0 removed the in-package perf suite and its ``bench`` verb:
-        ``perf/`` is the one speed harness, and the two layer probes it
-        lacks live in ``benchmarks/test_micro_overhead.py``."""
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module(".bench", package="repro")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench"])
-        assert excinfo.value.code == 2
 
     def test_one_way_to_run_an_experiment(self) -> None:
         """1.10.0 removed the per-figure ``run*`` wrappers: a figure module
         exposes its grid, its table and its CLI row, and every caller writes
         ``rows(run_sweep(spec(...)))``.  The only ``run`` functions left in
-        ``repro.experiments`` are the engine's two."""
+        ``repro.experiments`` are the engine's two (``ColumnConfig.as_scenario``
+        is a row of ``tests/data/retired.json``)."""
         import pkgutil
 
         import repro.experiments
-        from repro.experiments.config import ColumnConfig
 
         runners = []
         for info in pkgutil.iter_modules(repro.experiments.__path__):
@@ -128,29 +172,25 @@ class TestPublicAPI:
                 if own and (name == "run" or name.startswith("run_")):
                     runners.append(f"{info.name}.{name}")
         assert sorted(runners) == ["runner.run_column", "sweep.run_sweep"]
-        assert not hasattr(ColumnConfig, "as_scenario")
 
     def test_counters_are_a_view_of_the_records(self) -> None:
         """1.11.0 removed the second book of counters: a ``Tracer`` records
-        and derives its snapshot from the records; it counts nothing itself."""
+        and derives its snapshot from the records; it counts nothing itself
+        (its retired counting methods are rows of ``tests/data/retired.json``)."""
         from repro.telemetry import Tracer
 
         tracer = Tracer()
         assert set(Tracer.__slots__) == {"point", "records"}
-        for name in ("metrics", "count", "observe", "gauge"):
-            assert not hasattr(tracer, name)
         for name in ("emit", "records", "record_dicts", "snapshot"):
             assert hasattr(tracer, name)
 
     def test_the_race_writes_one_artifact(self) -> None:
         """1.11.0 removed the never-written ``repro.protocol-race/1``
         payload: the race's artifact is its ``repro.experiments/v1``
-        sections, and ``report`` returns their rows and ranking."""
+        sections, and ``report`` returns their rows and ranking (the retired
+        names are rows of ``tests/data/retired.json``)."""
         from repro.experiments import protocol_race
 
-        for name in ("artifact", "validate_artifact", "RACE_SCHEMA"):
-            assert not hasattr(protocol_race, name)
-            assert name not in protocol_race.__all__
         assert inspect.signature(protocol_race.report).return_annotation == (
             "tuple[Rows, Rows]"
         )
@@ -158,36 +198,23 @@ class TestPublicAPI:
     def test_one_worker_ledger_and_no_trace_global(self) -> None:
         """1.12.0 removed the second worker registry, its three chunk-size
         options, the ``--trace`` process global and the per-result
-        ``ColumnConfig``: the daemon books each worker once, chunk sizing is
-        module constants, a point traces by its own ``trace`` flag, and a
-        result carries its run's ``total_time`` only."""
+        ``ColumnConfig`` (each a row of ``tests/data/retired.json``): chunk
+        sizing is module constants, and a result carries its run's
+        ``total_time`` only."""
         import dataclasses
 
-        from repro import dispatch, telemetry
+        from repro import dispatch
         from repro.dispatch import daemon
         from repro.scenario.results import ColumnResult
-        from repro.scenario.spec import ScenarioSpec
 
-        for name in ("HealthTracker", "WorkerHealth"):
-            assert not hasattr(dispatch, name)
-            assert name not in dispatch.__all__
-        with pytest.raises(ImportError):
-            importlib.import_module("repro.dispatch.health")
-        fields = [field.name for field in dataclasses.fields(dispatch.FleetConfig)]
-        assert len(fields) == 8
-        for name in ("target_chunk_seconds", "probe_chunk_points", "max_chunk_points"):
-            assert name not in fields
+        assert len(dataclasses.fields(dispatch.FleetConfig)) == 8
         assert (
             daemon.TARGET_CHUNK_SECONDS,
             daemon.PROBE_CHUNK_POINTS,
             daemon.MAX_CHUNK_POINTS,
         ) == (5.0, 1, 64)
-        for name in ("enable", "disable", "enabled", "_ENABLED"):
-            assert not hasattr(telemetry, name)
-            assert name not in telemetry.__all__
         result_fields = [field.name for field in dataclasses.fields(ColumnResult)]
-        assert "config" not in result_fields and "total_time" in result_fields
-        assert not hasattr(ScenarioSpec, "edge_config")
+        assert "total_time" in result_fields
 
     def test_importing_the_package_leaves_networkx_out(self) -> None:
         """Only the Fig. 7 topologies need networkx (~0.1 s to import); every
