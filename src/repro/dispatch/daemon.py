@@ -352,7 +352,10 @@ class FleetDaemon:
             journal = replayed = None
             if path is not None and (restore or os.path.exists(path)):
                 journal, replayed = SweepJournal.attach(
-                    path, expected_fingerprint=fingerprint, fsync=self.config.fsync
+                    path,
+                    expected_name=None if restore else name,
+                    expected_fingerprint=fingerprint,
+                    fsync=self.config.fsync,
                 )
                 for warning in replayed.warnings:
                     self._log(f"journal warning: {warning}")

@@ -35,6 +35,10 @@ Trust model — what replay does with a damaged file:
 * **Fingerprint mismatch** against the sweep being resumed:
   :class:`~repro.errors.JournalError`.  A journal written by a different
   grid must never seed this one's results.
+* **Sweep name mismatch** against a submission:
+  :class:`~repro.errors.JournalError`.  Two names can sanitise to one file
+  (``a/b`` and ``a b`` both map to ``a_b.jsonl``), and two sweeps sharing
+  it would append every point twice.
 * **Header ``total`` disagreeing with its spec's column count**:
   :class:`~repro.errors.JournalError`.  The fingerprint hashes the spec,
   not ``total``, and :meth:`SweepJournal.create` always writes the two
@@ -240,15 +244,21 @@ class SweepJournal:
         cls,
         path: str,
         *,
+        expected_name: str | None = None,
         expected_fingerprint: str | None = None,
         fsync: bool = False,
     ) -> tuple["SweepJournal", ReplayedJournal]:
         """Replay ``path`` and reopen it for appending.
 
-        ``expected_fingerprint`` guards resubmission: a live sweep being
-        re-attached must hash to the same grid the journal recorded.
+        ``expected_name`` and ``expected_fingerprint`` guard resubmission: a
+        live sweep being re-attached must be the sweep the journal recorded,
+        by name and by grid.
         """
-        replayed = cls.replay(path, expected_fingerprint=expected_fingerprint)
+        replayed = cls.replay(
+            path,
+            expected_name=expected_name,
+            expected_fingerprint=expected_fingerprint,
+        )
         handle = open(path, "a", encoding="utf-8")
         journal = cls(
             path,
@@ -267,7 +277,10 @@ class SweepJournal:
 
     @staticmethod
     def replay(
-        path: str, *, expected_fingerprint: str | None = None
+        path: str,
+        *,
+        expected_name: str | None = None,
+        expected_fingerprint: str | None = None,
     ) -> ReplayedJournal:
         """Read one journal file back; loud on corruption (module docstring)."""
         try:
@@ -318,6 +331,11 @@ class SweepJournal:
             raise JournalError(
                 f"{path}:1: header total {total} does not match the "
                 f"{len(spec_payload['columns'])} columns of its spec"
+            )
+        if expected_name is not None and name != expected_name:
+            raise JournalError(
+                f"{path}: journal holds sweep {name!r}; sweep {expected_name!r} "
+                "maps to the same file — refusing to share it"
             )
         if (
             expected_fingerprint is not None

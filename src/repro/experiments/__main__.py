@@ -389,8 +389,30 @@ def _with_profile(path: str | None, work):
         )
 
 
+#: The flags that name a file this process writes, by argparse dest.
+_OUTPUTS = {
+    "json_path": "--json",
+    "trace_path": "--trace",
+    "chrome_trace_path": "--chrome-trace",
+    "profile_path": "--profile",
+}
+
+
+def _check_outputs(args) -> None:
+    """Two output flags naming one file would keep only the last write."""
+    named: dict[str, str] = {}
+    for dest, flag in _OUTPUTS.items():
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            args.error(f"{first} and {flag} both name {path}: one file per output")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _check_outputs(args)
     # The daemon's lifecycle notes, the journal's truncated-tail warnings
     # and the worker's per-sweep progress flow through stdlib logging so
     # operators can silence or redirect them; experiment tables and

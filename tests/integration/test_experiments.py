@@ -167,19 +167,6 @@ class TestFig8Shape:
 
 
 @pytest.mark.slow
-class TestSweepParallelism:
-    def test_jobs_do_not_change_figure_rows(self) -> None:
-        """The acceptance bar for the sweep engine: fanning a figure's
-        columns across processes is invisible in its output."""
-        import json
-
-        spec = fig3_alpha.spec((1 / 4, 2.0), duration=4.0)
-        serial = fig3_alpha.rows(run_sweep(spec, jobs=1))
-        parallel = fig3_alpha.rows(run_sweep(spec, jobs=4))
-        assert json.dumps(serial) == json.dumps(parallel)
-
-
-@pytest.mark.slow
 class TestTheorem1EndToEnd:
     def test_zero_inconsistent_commits_everywhere(self) -> None:
         rows = theorem1.rows(run_sweep(theorem1.spec(duration=8.0), jobs=1))

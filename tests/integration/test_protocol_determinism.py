@@ -1,20 +1,13 @@
-"""Byte-identity for the protocol race across every execution backend.
+"""The protocol race's report and its one-selector contract, end to end.
 
-The ISSUE-7 acceptance bar: the race sweep covering **every registered
-protocol** must produce byte-identical per-point artifacts whether it runs
-serial (``jobs=1``), multiprocess (``jobs=2``) or through a fleet daemon
-with auth and journaling enabled — and the race rows and ranking built
-from those results must be byte-identical too.
+That the race is the same bytes serial, in a pool, dispatched and through a
+fleet daemon is ``tools/identity.py record``'s check (run on
+``protocol-race`` in tier-1 by ``tests/integration/test_identity.py``).
 """
 
 from __future__ import annotations
 
 import json
-import threading
-
-from repro.dispatch.client import FleetSpec
-from repro.dispatch.daemon import FleetConfig, FleetDaemon
-from repro.dispatch.worker import run_worker
 from dataclasses import asdict
 
 from repro.experiments import protocol_race
@@ -25,7 +18,6 @@ from repro.protocols import protocol_names
 from repro.scenario import EdgeSpec, ScenarioSpec, run_scenario
 from repro.workloads.synthetic import PerfectClusterWorkload
 
-SECRET = "integration-secret"
 DURATION = 2.0
 SEED = 11
 
@@ -34,10 +26,6 @@ def race_spec():
     return protocol_race.spec(
         protocols=protocol_names(), duration=DURATION, seed=SEED
     )
-
-
-def point_artifacts(sweep) -> list[str]:
-    return [json.dumps(r.to_artifact(), sort_keys=True) for r in sweep.results]
 
 
 def race_payload(sweep) -> str:
@@ -49,58 +37,6 @@ def race_payload(sweep) -> str:
 
 
 class TestRaceDeterminism:
-    def test_serial_parallel_and_fleet_agree(self, tmp_path) -> None:
-        spec = race_spec()
-        assert len(spec.points) == 3 * len(protocol_names())
-
-        serial = run_sweep(spec, jobs=1)
-        parallel = run_sweep(spec, jobs=2)
-        assert point_artifacts(parallel) == point_artifacts(serial)
-        assert race_payload(parallel) == race_payload(serial)
-
-        daemon = FleetDaemon(
-            FleetConfig(
-                port=0,
-                journal_dir=str(tmp_path),
-                secret=SECRET,
-                lease_timeout=60.0,
-                poll_interval=0.05,
-            )
-        )
-        daemon.start()
-        server = threading.Thread(target=daemon.serve_forever, daemon=True)
-        server.start()
-        host, port = daemon.address
-        try:
-            worker = threading.Thread(
-                target=run_worker,
-                args=(host, port),
-                kwargs={
-                    "name": "race-worker",
-                    "secret": SECRET,
-                    "max_idle": 3.0,
-                    "heartbeat_interval": 0.5,
-                },
-                daemon=True,
-            )
-            worker.start()
-            fleet = run_sweep(
-                spec,
-                dispatch=FleetSpec(
-                    host=host,
-                    port=port,
-                    secret=SECRET,
-                    poll_interval=0.1,
-                    wait_timeout=240.0,
-                ),
-            )
-        finally:
-            daemon.shutdown()
-        worker.join(timeout=60.0)
-
-        assert point_artifacts(fleet) == point_artifacts(serial)
-        assert race_payload(fleet) == race_payload(serial)
-
     def test_report_matches_manual_pipeline(self) -> None:
         sweep = run_sweep(race_spec(), jobs=1)
         rows, ranking = protocol_race.report(sweep)

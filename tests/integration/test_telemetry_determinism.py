@@ -1,32 +1,28 @@
-"""Integration tests for the telemetry spine across execution backends.
+"""Integration tests for the telemetry spine on real sweeps.
 
-The ISSUE-9 acceptance bar: the same seeded sweep, traced, must produce a
-trace JSONL byte-identical modulo the wall-clock header line whether it
-runs serial (``jobs=1``), multiprocess (``jobs=2``) or through a fleet
-daemon — and the traced *artifact* must normalize to exactly its untraced
-twin (aggregate telemetry sections ride along; raw records never change
-result bytes).
+A traced sweep carries a valid ``repro.telemetry/1`` section per point and
+its core events reach the trace; an untraced one stays bare; one tiny
+column's trace bytes are pinned; and a fleet daemon serves live metrics.
+That a traced sweep's trace and artifact are the same bytes serial, in a
+pool and through a fleet daemon, and that a traced artifact normalizes to
+its untraced twin, is ``tools/identity.py record``'s check (run in tier-1
+by ``tests/integration/test_identity.py``).
 
-Simulated runs are expensive, so the traced/untraced reference executions
-are computed once per module (plain lazy caches — the runs are pure
-functions of the spec) and shared across the assertions.  Each run's JSONL
-is serialised once, and traces are compared raw after the header line
-(only the header is normalized): equal raw records imply equal normalized
-traces, without parsing half a million records per comparison.
+The traced and untraced reference runs are pure functions of the spec, so
+each is computed once per module and shared across the assertions.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
 from dataclasses import replace
 
-from repro.dispatch.client import FleetClient, FleetSpec
+from repro.dispatch.client import FleetClient
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.worker import run_worker
 from repro.experiments import protocol_race
 from repro.experiments.config import ColumnConfig
-from repro.experiments.report import normalized_artifact
 from repro.experiments.sweep import SweepPoint, SweepSpec, run_sweep
 from repro.telemetry import (
     normalized_trace_lines,
@@ -43,105 +39,34 @@ DURATION = 1.0
 #: the protocol category from two different decision paths.
 PROTOCOLS = ("tcache-detector", "locking")
 
-_CACHE: dict[str, object] = {}
-#: Trace JSONL per cached run, by ``id`` of the (cached, so live) sweep.
-_LINES: dict[int, list[str]] = {}
-
 
 def race_spec(*, trace: bool = False):
     spec = protocol_race.spec(protocols=PROTOCOLS, duration=DURATION, seed=11)
     return replace(spec, points=[replace(p, trace=trace) for p in spec.points])
 
 
-def traced_run(key: str, jobs: int):
-    """One traced execution per (key) for the whole module."""
-    if key not in _CACHE:
-        _CACHE[key] = run_sweep(race_spec(trace=True), jobs=jobs)
-    return _CACHE[key]
+@functools.cache
+def traced_run():
+    return run_sweep(race_spec(trace=True), jobs=1)
 
 
+@functools.cache
 def untraced_run():
-    if "untraced" not in _CACHE:
-        _CACHE["untraced"] = run_sweep(race_spec(), jobs=1)
-    return _CACHE["untraced"]
+    return run_sweep(race_spec(), jobs=1)
+
+
+@functools.cache
+def traced_lines() -> list[str]:
+    return trace_jsonl_lines([traced_run()])
 
 
 def trace_of(sweep) -> list[str]:
     return normalized_trace_lines(trace_jsonl_lines([sweep]))
 
 
-def lines_of(sweep) -> list[str]:
-    """``trace_jsonl_lines`` of one cached run, serialised once per module."""
-    if id(sweep) not in _LINES:
-        _LINES[id(sweep)] = trace_jsonl_lines([sweep])
-    return _LINES[id(sweep)]
-
-
-def assert_same_trace(lines: list[str], reference: list[str]) -> None:
-    """Byte-identical records, and headers equal once normalized: a check
-    at least as strict as comparing the two whole normalized traces."""
-    assert lines[1:] == reference[1:]
-    assert normalized_trace_lines(lines[:1]) == normalized_trace_lines(reference[:1])
-
-
-def fleet_run(tmp_path_factory):
-    """One traced fleet-served execution, its daemon left journaled."""
-    if "fleet" not in _CACHE:
-        journal_dir = str(tmp_path_factory.mktemp("telemetry-journals"))
-        daemon = FleetDaemon(
-            FleetConfig(port=0, journal_dir=journal_dir, secret=SECRET)
-        )
-        daemon.start()
-        try:
-            host, port = daemon.address
-            worker = threading.Thread(
-                target=run_worker,
-                args=(host, port),
-                kwargs={"secret": SECRET, "max_idle": 2.0},
-                daemon=True,
-            )
-            worker.start()
-            result = run_sweep(
-                race_spec(trace=True),
-                dispatch=FleetSpec(
-                    host=host,
-                    port=port,
-                    secret=SECRET,
-                    poll_interval=0.2,
-                    wait_timeout=300.0,
-                ),
-            )
-            worker.join(timeout=30.0)
-        finally:
-            daemon.shutdown()
-        _CACHE["fleet"] = (result, journal_dir)
-    return _CACHE["fleet"]
-
-
-class TestTraceDeterminism:
-    def test_trace_identical_across_serial_parallel_fleet(
-        self, tmp_path_factory
-    ):
-        serial = traced_run("serial", jobs=1)
-        parallel = traced_run("parallel", jobs=2)
-        fleet, _journal_dir = fleet_run(tmp_path_factory)
-
-        reference = lines_of(serial)
-        assert len(reference) > len(race_spec().points)  # header + records
-        # Only the header line may differ before normalization.
-        assert_same_trace(lines_of(parallel), reference)
-        assert_same_trace(lines_of(fleet), reference)
-
-    def test_rerun_is_byte_identical_including_order(self):
-        assert_same_trace(
-            lines_of(traced_run("rerun", jobs=1)),
-            lines_of(traced_run("serial", jobs=1)),
-        )
-
-
 class TestTelemetrySections:
     def test_traced_results_carry_valid_sections(self):
-        sweep = traced_run("serial", jobs=1)
+        sweep = traced_run()
         assert sweep.results
         for result in sweep.results:
             validate_telemetry(result.telemetry)
@@ -157,7 +82,7 @@ class TestTelemetrySections:
         )
 
     def test_core_events_reach_the_trace(self):
-        lines = lines_of(traced_run("serial", jobs=1))
+        lines = traced_lines()
         names = {json.loads(line)["name"] for line in lines[1:]}
         # Kernel dispatch, cache serves, channel deliveries and the
         # monitor's SGT verdicts are all first-class trace events.
@@ -169,13 +94,6 @@ class TestTelemetrySections:
             assert result.telemetry is None
             assert result.trace is None
         assert "telemetry" not in json.dumps(sweep.to_artifact())
-
-
-class TestArtifactByteIdentity:
-    def test_traced_artifact_normalizes_to_untraced(self):
-        assert normalized_artifact(
-            traced_run("serial", jobs=1)
-        ) == normalized_artifact(untraced_run())
 
 
 def _tiny_column_digests() -> dict[str, object]:
@@ -220,9 +138,33 @@ class TestKernelTraceGolden:
         assert digests == self.GOLDEN
 
 
+def fleet_run(journal_dir: str) -> None:
+    """Two tiny traced columns through a journaled fleet daemon, which is
+    then shut down."""
+    config = ColumnConfig(seed=7, duration=0.6, warmup=0.2)
+    workload = PerfectClusterWorkload(n_objects=60, cluster_size=5)
+    points = [
+        SweepPoint(
+            label=f"tiny{seed}",
+            config=replace(config, seed=seed),
+            workload=workload,
+            trace=True,
+        )
+        for seed in (7, 8)
+    ]
+    daemon = FleetDaemon(FleetConfig(port=0, journal_dir=journal_dir, secret=SECRET))
+    daemon.start()
+    try:
+        daemon.submit(SweepSpec(name="tiny-fleet", points=points))
+        run_worker(*daemon.address, secret=SECRET, max_idle=0.5)
+    finally:
+        daemon.shutdown()
+
+
 class TestFleetMetricsVerb:
-    def test_daemon_serves_live_metrics(self, tmp_path_factory):
-        _result, journal_dir = fleet_run(tmp_path_factory)
+    def test_daemon_serves_live_metrics(self, tmp_path):
+        journal_dir = str(tmp_path)
+        fleet_run(journal_dir)
         # fleet_run shut its daemon down; ask a fresh one restored from the
         # same journals, the way an operator polling a long-lived daemon
         # would — its lifetime counters restart, its sweep gauges resume.

@@ -281,6 +281,28 @@ class TestTraceThroughMain:
         assert excinfo.value.code == 2
         assert "--trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("--json", "--trace"),
+            ("--trace", "--chrome-trace"),
+            ("--json", "--chrome-trace"),
+            ("--json", "--profile"),
+        ],
+    )
+    def test_two_outputs_cannot_share_a_file(
+        self, first, second, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        argv = ["fig4", "--duration", "0.3", first, "out", second, "./out"]
+        if "--chrome-trace" in argv and "--trace" not in argv:
+            argv += ["--trace", "t.jsonl"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"{first} and {second} both name ./out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 INVOCATION = re.compile(
     r"(?:python3? -m repro\.experiments|repro-experiments)[ \t]+([^`#|;>&\n\"']+)"

@@ -26,6 +26,7 @@ from repro.dispatch.journal import (
     list_journals,
     sweep_fingerprint,
 )
+from repro.dispatch.worker import run_worker
 from repro.errors import ConfigurationError, JournalError
 from repro.experiments.config import ColumnConfig
 from repro.experiments.sweep import (
@@ -272,6 +273,32 @@ class TestCorruptionPolicy:
             handle.write("[1, 2, 3]\n")
         with pytest.raises(JournalError, match="must be JSON objects"):
             SweepJournal.replay(path)
+
+
+class TestOneSweepPerFile:
+    def test_a_second_name_for_the_same_file_is_refused(self, tmp_path) -> None:
+        """``a/b`` and ``a b`` both sanitise to ``a_b.jsonl``; the second
+        submission must not append its points to the first one's journal."""
+        daemon = FleetDaemon(FleetConfig(journal_dir=str(tmp_path), poll_interval=0.05))
+        daemon.config.secret = None  # never pick up the test environment's
+        daemon.start()
+        try:
+            entry = daemon.submit(tiny_spec(), name="a/b")
+            with pytest.raises(JournalError, match="sweep 'a/b'; sweep 'a b'"):
+                daemon.submit(tiny_spec(), name="a b")
+            assert daemon.queue.names() == ["a/b"]
+            run_worker(*daemon.address, max_idle=0.5)
+            assert entry.finished.is_set()
+        finally:
+            daemon.shutdown()
+        lines = (tmp_path / "a_b.jsonl").read_text(encoding="utf-8").splitlines()
+        indices = [json.loads(line)["index"] for line in lines[1:]]
+        assert sorted(indices) == [0, 1, 2]
+
+        restarted = FleetDaemon(FleetConfig(journal_dir=str(tmp_path)))
+        restarted.shutdown()
+        assert restarted.queue.names() == ["a/b"]
+        assert restarted.queue.entry("a/b").completed == 3
 
 
 class TestRestartArchiving:

@@ -62,16 +62,18 @@ def _searched_files(root: Path, row: dict):
         if not top.exists():
             raise FileNotFoundError(f"{row_id(row)} searches missing {base}")
         for path in [top] if top.is_file() else sorted(top.rglob("*")):
-            relative = path.relative_to(root)
+            # Hidden and cache directories are skipped below a searched
+            # directory; a path a row names (``.github/...``) is searched.
             if not path.is_file() or any(
-                part.startswith(".") or part == "__pycache__" for part in relative.parts
+                part.startswith(".") or part == "__pycache__"
+                for part in path.relative_to(top).parts
             ):
                 continue
             if row.get("globs") and not any(
                 fnmatch(path.name, glob) for glob in row["globs"]
             ):
                 continue
-            yield path, relative.as_posix()
+            yield path, path.relative_to(root).as_posix()
 
 
 def grep_hits(root: Path, row: dict) -> list[str]:
