@@ -5,7 +5,7 @@ The sweep engine's grids are embarrassingly parallel, and they do not stop
 at one process tree: ``run_sweep(spec, dispatch=DispatchSpec(...))`` starts
 a fleet daemon that lives for exactly that sweep and serves the grid as a
 lease-based work queue over TCP, and any number of workers — on any hosts
-that can reach it — pull chunks, execute points, and stream results back.
+that can reach it — pull chunks, execute points, and send results back.
 Three properties matter:
 
 * **Determinism.** Points travel as portable JSON, results come back keyed
@@ -13,7 +13,7 @@ Three properties matter:
   the distributed artifact is byte-identical to a serial ``jobs=1`` run.
 * **Fault tolerance.** Chunks are *leases*: a worker that dies mid-chunk
   (its TCP connection drops) or goes silent past the lease timeout has its
-  unfinished points re-queued.  Results it already streamed are kept.
+  unfinished points re-queued.  Results it already delivered are kept.
 * **Same executor surface.** The capacity-planning grid below is a plain
   ``SweepSpec``; swapping ``jobs=`` for ``dispatch=`` is the whole change.
 

@@ -31,7 +31,7 @@ submits to a long-lived one (``fleet serve``).
   :func:`run_fleet_sweep` — the ``run_sweep(spec, dispatch=FleetSpec(...))``
   backend.
 * :mod:`repro.dispatch.worker` — :func:`run_worker`: pull chunks, execute
-  through the sweep engine's own point executor, stream results.
+  through the sweep engine's own point executor, deliver results.
 * :mod:`repro.dispatch.codec` — results on the wire; decoding reattaches
   the submitter's own spec objects so dispatched artifacts are
   byte-identical to local ones.

@@ -17,8 +17,8 @@ dials the new process, which has already restored the sweep from its
 journal.  :meth:`FleetClient.wait_for` leans into this: each of its
 fetches is held by the daemon until the sweep is done or a poll interval
 passes, and a transport failure — including a held fetch cut off by the
-daemon's death — is retried until its deadline.  An ``error`` reply is
-final.
+daemon's death — is retried until its deadline.  An ``error`` reply or a
+cancelled sweep is final.
 """
 
 from __future__ import annotations
@@ -172,20 +172,27 @@ class FleetClient:
         against a daemon that ignores ``wait``.  Transport failures (a
         refused connect, a reset, a connection closed mid-call) are retried
         until ``timeout``: a daemon bouncing through a restart mid-wait is
-        expected, not fatal.  An ``error`` reply is final.
+        expected, not fatal.  An ``error`` reply is final, and so is a
+        ``pending`` one for a cancelled sweep.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             asked = time.monotonic()
             try:
                 reply = self.fetch(name, wait=poll_interval)
-                if reply["type"] == "results":
-                    return reply
             except (_Refused, AuthenticationError):
                 raise  # the daemon said no; asking again will not change that
             except (DispatchError, OSError):
                 if deadline is not None and time.monotonic() >= deadline:
                     raise
+            else:
+                if reply["type"] == "results":
+                    return reply
+                if reply.get("state") == "cancelled":
+                    raise DispatchError(
+                        f"sweep {name!r} was cancelled with "
+                        f"{reply.get('completed')}/{reply.get('total')} points done"
+                    )
             if deadline is not None and time.monotonic() >= deadline:
                 raise DispatchError(
                     f"sweep {name!r} did not finish within {timeout:g}s"

@@ -6,11 +6,11 @@
 the sweep to it in-process — failing loudly, before any worker connects, if
 a point is not portable — and blocks while workers
 (:mod:`repro.dispatch.worker`) pull chunks, execute each point through the
-same ``_execute_point`` path a local pool uses, and stream one result frame
-per point.  The wire results are then decoded against the caller's own spec
-objects (:mod:`repro.dispatch.codec`) and reassembled in spec order through
-the same :func:`~repro.experiments.sweep.ordered_results` the pool executor
-uses, so a dispatched :class:`SweepResult` is indistinguishable from a
+same ``_execute_point`` path a local pool uses, and deliver a lease's
+results with their next request.  The wire results are then decoded against
+the caller's own spec objects (:mod:`repro.dispatch.codec`) and reassembled
+in spec order through the same :func:`~repro.experiments.sweep.ordered_results`
+the pool executor uses, so a dispatched :class:`SweepResult` is indistinguishable from a
 ``jobs=1`` run (byte-identical ``to_artifact()`` modulo the ``jobs`` /
 ``wall_clock_seconds`` run metadata).
 

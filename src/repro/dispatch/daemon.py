@@ -5,9 +5,9 @@ A :class:`FleetDaemon` accepts *named* sweeps with priorities — from
 and serves their points to workers over the frame protocol
 (:mod:`repro.dispatch.protocol`).  With a journal directory it journals
 every accepted result to an append-only JSONL file
-(:mod:`repro.dispatch.journal`) *before* acknowledging it, and — when a
-shared secret is configured — it refuses any connection that cannot answer
-the HMAC challenge (:mod:`repro.dispatch.auth`) before a single frame
+(:mod:`repro.dispatch.journal`) *before* answering the frame that carried
+it, and — when a shared secret is configured — it refuses any connection
+that cannot answer the HMAC challenge (:mod:`repro.dispatch.auth`) before a single frame
 touches the queue.  ``--dispatch HOST:PORT`` is the same daemon without a
 journal, living for exactly one sweep
 (:func:`repro.dispatch.coordinator.run_dispatched`).
@@ -29,7 +29,7 @@ worker's ``request`` that finds nothing to lease is held until a
 submission, a released or expired lease, or :meth:`FleetDaemon.shutdown`
 moves the queue (for at most ``poll_interval``), and a submitter's
 ``fetch`` with ``wait`` is held until its sweep is done, every result
-journaled, or the wait runs out.
+journaled, or the wait runs out.  Shutdown wakes the accept loop at once.
 
 Each worker connection is booked once, in one small record the daemon
 keeps per connection: liveness (the last frame of any kind), progress, and
@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import logging
 import os
-import socketserver
+import selectors
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -87,13 +88,13 @@ _LOGGER = logging.getLogger("repro.dispatch.daemon")
 
 #: Adaptive chunk sizing: a worker's lease targets this many seconds of its
 #: observed throughput, clamped to ``[1, MAX_CHUNK_POINTS]``.  A worker with
-#: no estimate yet (before its second accepted result) gets
+#: no estimate yet (before its second batch of accepted results) gets
 #: ``PROBE_CHUNK_POINTS``: underestimating a fast host for one lease costs
 #: far less than parking a sweep's tail on a slow one.  Read at call time.
 TARGET_CHUNK_SECONDS = 5.0
 PROBE_CHUNK_POINTS = 1
 MAX_CHUNK_POINTS = 64
-#: Weight of the newest inter-result interval in the throughput EWMA.
+#: Weight of the newest batch's rate in the throughput EWMA.
 _EWMA_ALPHA = 0.3
 
 
@@ -162,18 +163,19 @@ class _Worker:
     connected: bool = True
     points_completed: int = 0
     heartbeats: int = 0
-    #: EWMA of completed points per second; ``None`` until a second result.
+    #: EWMA of completed points per second; ``None`` until a second batch.
     points_per_sec: float | None = None
     last_result_at: float | None = None
 
-    def record_result(self, now: float) -> None:
-        """An accepted result: count it and update the throughput EWMA."""
+    def record_result(self, now: float, points: int = 1) -> None:
+        """A batch of ``points`` accepted results: count them and update the
+        throughput EWMA with ``points`` over the time since the last batch."""
         self.last_seen = now
-        self.points_completed += 1
+        self.points_completed += points
         previous, self.last_result_at = self.last_result_at, now
         if previous is None or now <= previous:
             return
-        rate = 1.0 / (now - previous)
+        rate = points / (now - previous)
         if self.points_per_sec is None:
             self.points_per_sec = rate
         else:
@@ -205,11 +207,6 @@ class _Worker:
                 None if self.points_per_sec is None else round(self.points_per_sec, 4)
             ),
         }
-
-
-class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 @dataclass(slots=True)
@@ -245,7 +242,6 @@ class FleetDaemon:
         #: the ones named here; any other pair is a protocol error.
         self._verbs: dict[tuple[str, str], Callable[..., dict]] = {
             ("worker", "request"): self._handle_request,
-            ("worker", "result"): self._handle_result,
             ("worker", "heartbeat"): self._handle_heartbeat,
             ("worker", "goodbye"): _handle_goodbye,
             ("submitter", "submit"): self._handle_submit,
@@ -262,9 +258,9 @@ class FleetDaemon:
         self._workers: dict[str, _Worker] = {}
         self._owner_lock = threading.Lock()
         self._stop = threading.Event()
-        self._server = _ThreadingTCPServer(
-            (self.config.host, self.config.port), self._handler_class()
-        )
+        self._listener = socket.create_server((self.config.host, self.config.port))
+        #: shutdown() closes the writing end, which wakes the accept loop.
+        self._wake_reader, self._wake_writer = socket.socketpair()
         self._server_thread: threading.Thread | None = None
         if self.config.journal_dir:
             self._restore_from_journals()
@@ -275,19 +271,33 @@ class FleetDaemon:
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self._listener.getsockname()[:2]
         return host, port
 
     def start(self) -> None:
         """Accept connections in the background (idempotent)."""
         if self._server_thread is None:
             self._server_thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": min(0.1, self.config.poll_interval)},
-                name="fleet-daemon",
-                daemon=True,
+                target=self._accept, name="fleet-daemon", daemon=True
             )
             self._server_thread.start()
+
+    def _accept(self) -> None:
+        """Serve each connection on a thread of its own until shutdown."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake_reader, selectors.EVENT_READ)
+            while not self._stop.is_set():
+                for key, _ in selector.select():
+                    if key.fileobj is not self._listener:
+                        continue  # woken: the loop condition ends it
+                    try:
+                        sock, _ = self._listener.accept()
+                    except OSError:  # the peer gave up before it was accepted
+                        continue
+                    threading.Thread(
+                        target=self._handle_connection, args=(sock,), daemon=True
+                    ).start()
 
     def serve_forever(self) -> None:
         """Serve until :meth:`shutdown`; sweeps stale leases while idle."""
@@ -306,9 +316,11 @@ class FleetDaemon:
         """
         self._stop.set()
         self.queue.wake()
+        self._wake_writer.close()
         if self._server_thread is not None:
-            self._server.shutdown()
-        self._server.server_close()
+            self._server_thread.join()
+        self._listener.close()
+        self._wake_reader.close()
         for journal in self._journals.values():
             journal.close()
 
@@ -423,15 +435,6 @@ class FleetDaemon:
     # Connection handling
     # ------------------------------------------------------------------
 
-    def _handler_class(self) -> type:
-        daemon = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:  # pragma: no cover - thin shim
-                daemon._handle_connection(self.request)
-
-        return Handler
-
     def _register_worker(self, name: object) -> _Worker:
         with self._owner_lock:
             owner = f"{name or 'worker'}#{len(self._workers) + 1}"
@@ -498,7 +501,13 @@ class FleetDaemon:
                 handler = isinstance(kind, str) and self._verbs.get((role, kind))
                 if not handler:
                     raise ProtocolError(f"unknown {role} message type {kind!r}")
-                send_frame(sock, handler(frame, worker))
+                # A worker's finished results ride on its next frame: they
+                # are accepted before that frame is answered.
+                accepted = worker and self._accept_results(frame, worker)
+                reply = handler(frame, worker)
+                if accepted is not None:
+                    reply["accepted"] = accepted
+                send_frame(sock, reply)
                 if kind == "goodbye":
                     return
         except AuthenticationError as exc:
@@ -514,6 +523,7 @@ class FleetDaemon:
                 self.queue.release(worker.owner)
                 with self._owner_lock:
                     worker.disconnect()
+            sock.close()
 
     def _authenticate(self, sock, role: str, name: str) -> None:
         nonce = issue_nonce()
@@ -572,39 +582,46 @@ class FleetDaemon:
             ],
         }
 
-    def _handle_result(self, frame: Mapping[str, object], worker: _Worker) -> dict:
+    def _accept_results(
+        self, frame: Mapping[str, object], worker: _Worker
+    ) -> int | None:
+        """Accept and journal the results a frame carries; how many were new
+        (first writer wins), or ``None`` if it carries none.  A malformed
+        batch is refused whole, before any of it is journaled."""
+        batch = frame.get("results")
+        if batch is None:
+            return None
         sweep = frame.get("sweep")
-        index = frame.get("index")
-        payload = frame.get("result")
-        if not isinstance(sweep, str):
-            raise ProtocolError(f"result frame without a sweep name: {sweep!r}")
-        if not is_index(index):
-            raise ProtocolError(f"result with bad index {index!r}")
-        if not isinstance(payload, Mapping):
-            raise ProtocolError(
-                f"result for {sweep!r}[{index}] carries no payload object"
-            )
-        # Accepting, counting and journaling a result is one step under
-        # this lock, so a fetch that finds the sweep done while holding it
-        # never answers before the last journal line is written.
+        entry = self.queue.entry(sweep) if isinstance(sweep, str) else None
+        if entry is None:
+            raise ProtocolError(f"results for an unknown sweep {sweep!r}")
+        if not isinstance(batch, list):
+            raise ProtocolError(f"results for {sweep!r} are not a list")
+        for item in batch:
+            index = item[0] if isinstance(item, list) and len(item) == 2 else None
+            if not (is_index(index) and 0 <= index < entry.total):
+                raise ProtocolError(f"result for {sweep!r} with bad index {index!r}")
+            if not isinstance(item[1], Mapping):
+                raise ProtocolError(f"result {sweep!r}[{index}] carries no payload")
+        # Accepting, counting and journaling a batch is one step under this
+        # lock, so a fetch that finds the sweep done while holding it never
+        # answers before the last journal line is written.
+        accepted = 0
         with self._result_lock:
-            try:
-                accepted = self.queue.complete(sweep, index, payload, worker.owner)
-            except DispatchError as exc:  # unknown sweep / index off the grid
-                raise ProtocolError(str(exc)) from exc
+            for index, payload in batch:
+                if self.queue.complete(sweep, index, payload, worker.owner):
+                    accepted += 1
+                    self._journal_point(sweep, index, payload)
             if accepted:
-                self.stats.results_accepted += 1
+                self.stats.results_accepted += accepted
                 with self._owner_lock:
-                    worker.record_result(time.monotonic())
-                self._journal_point(sweep, index, payload)
-        if accepted:
-            entry = self.queue.entry(sweep)
-            if entry is not None and entry.state == "done":
-                self._log(
-                    f"sweep {sweep!r} complete "
-                    f"({entry.executed} executed, {len(entry.resumed)} resumed)"
-                )
-        return {"type": "ok", "accepted": accepted}
+                    worker.record_result(time.monotonic(), accepted)
+        if accepted and entry.state == "done":
+            self._log(
+                f"sweep {sweep!r} complete "
+                f"({entry.executed} executed, {len(entry.resumed)} resumed)"
+            )
+        return accepted
 
     def _handle_heartbeat(self, frame: Mapping[str, object], worker: _Worker) -> dict:
         with self._owner_lock:

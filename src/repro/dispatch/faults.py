@@ -9,16 +9,16 @@ the worker has completed a given number of points:
 * ``crash`` — hard process death (``os._exit``): the kernel closes the TCP
   connection, exactly like a SIGKILL or OOM kill.  The daemon's fast
   path (connection loss → :meth:`WorkQueue.release`) reassigns the chunk.
-* ``stall`` — the worker stops executing *and stops heartbeating* while its
-  connection stays open, like a worker stuck in GC or swapped out.  Only
-  lease expiry can recover this one; the worker resumes afterwards and its
-  late results are dropped as duplicates.
+* ``stall`` — the worker delivers the results it holds on one last
+  heartbeat, then stops executing *and heartbeating* while its connection
+  stays open, like a worker stuck in GC or swapped out.  Only lease expiry
+  recovers this one; its late results are dropped as duplicates.
 * ``disconnect`` — the worker closes its socket mid-chunk without a
   goodbye and exits cleanly, like a deploy draining a node.
 
 The integration tests use these plans (plus a genuine ``SIGKILL`` of a
 worker subprocess) to assert the daemon's contract: a killed worker
-never loses finished results and never perturbs the final sweep bytes.
+costs at most its undelivered points' recomputation, never sweep bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class FaultPlan:
     """Inject one failure once ``after_points`` points have completed.
 
     The worker checks the plan before executing each point and after
-    streaming each result, so ``after_points=0`` fires as soon as the
+    finishing each one, so ``after_points=0`` fires as soon as the
     worker holds its first chunk — the connect-then-die drill — while
     ``after_points=N`` fires right after the N-th result.
     ``stall_seconds`` only applies to ``kind="stall"``: how long the worker

@@ -1,8 +1,8 @@
 """Append-only JSONL journals: the fleet daemon's durable memory.
 
 Every completed sweep point the daemon accepts is appended — one JSON
-object per line — to a per-sweep journal file before the worker is told
-``ok``.  A daemon that is SIGKILLed mid-sweep therefore loses nothing it
+object per line — to a per-sweep journal file before the daemon answers
+the frame that carried it.  A SIGKILLed daemon therefore loses nothing it
 acknowledged: restarted against the same ``--journal`` directory it
 replays each file, rebuilds the sweep spec recorded in the header line
 (through the same :meth:`SweepSpec.from_dict` round-trip the dispatch
@@ -401,7 +401,7 @@ class SweepJournal:
         """Append one completed point; ``False`` if it was already journaled.
 
         Flushed (and optionally fsynced) before returning, so the caller
-        may acknowledge the worker knowing the result is durable.
+        may answer the worker knowing the result is durable.
         """
         if not 0 <= index < self.total:
             raise JournalError(

@@ -8,13 +8,14 @@ loudly instead of silently), bounded frame sizes so a corrupt or hostile
 length prefix cannot make a peer allocate gigabytes.
 
 The conversation is strictly request/reply from the peer's point of view:
-the peer sends one frame (``hello``, ``request``, ``result``,
-``heartbeat``, ``goodbye``, …) and reads exactly one reply (``welcome``,
+the peer sends one frame (``hello``, ``request``, ``heartbeat``,
+``goodbye``, …) and reads exactly one reply (``welcome``,
 ``chunk``/``wait``/``done``, ``ok``, ``error``, …).  That keeps both ends
 free of interleaving concerns; the worker's background heartbeat thread
-shares the socket under a lock (see :mod:`repro.dispatch.worker`).
+shares the socket under a lock (see :mod:`repro.dispatch.worker`).  A
+worker's finished results ride on its next ``request`` or ``heartbeat``.
 
-Message types (protocol version 2)
+Message types (protocol version 3)
 ----------------------------------
 
 There is one server — the :class:`~repro.dispatch.daemon.FleetDaemon`,
@@ -35,9 +36,11 @@ challenge       srv → peer   ``nonce`` (only when the daemon has a secret;
                              see :mod:`repro.dispatch.auth`)
 auth            peer → srv   ``mac`` (HMAC-SHA256 over the nonce)
 welcome         srv → peer   ``service`` = ``"fleet"``, ``role``
-request         wrk → srv    — (with nothing to lease, the daemon holds the
+request         wrk → srv    optional ``sweep``, ``results``: [[index,
+                             result], …] (see :mod:`repro.dispatch.codec`);
+                             with nothing to lease, the daemon holds the
                              reply up to its poll interval and answers
-                             the moment work arrives or it stops)
+                             the moment work arrives or it stops
 chunk           srv → wrk    ``sweep``, ``chunk_id``, ``points``:
                              [{``index``, ``point``}]
 wait            srv → wrk    ``delay``: seconds to sleep before asking
@@ -48,11 +51,10 @@ wait            srv → wrk    ``delay``: seconds to sleep before asking
 done            srv → wrk    the daemon is stopping: leave cleanly (a
                              running daemon only ever says ``wait`` — new
                              sweeps may arrive at any time)
-result          wrk → srv    ``sweep``, ``index``, ``result`` (encoded, see
-                             :mod:`repro.dispatch.codec`)
-heartbeat       wrk → srv    — (extends the worker's leases)
+heartbeat       wrk → srv    optional ``sweep``, ``results`` as for
+                             ``request``; extends the worker's leases
 goodbye         peer → srv   — (clean disconnect)
-ok              srv → wrk    ``accepted`` (for results: False on duplicates)
+ok              srv → wrk    ``extended`` (leases, for a heartbeat)
 error           srv → peer   ``code`` (``"auth"`` for a failed challenge,
                              ``"protocol"`` for any other violation),
                              ``message``; the connection closes
@@ -78,6 +80,8 @@ results         srv → sub    ``sweep``, ``total``, ``results``:
 pending         srv → sub    ``sweep``, ``state``, ``completed``, ``total``
                              (fetch before the sweep finished)
 =============== ============ ===============================================
+
+The reply to a frame carrying ``results`` adds ``accepted``: how many were new.
 
 Integer fields (``index``, ``priority``) must be JSON integers: JSON
 ``true``/``false`` decode to Python ``bool``, an ``int`` subclass, so every
@@ -106,8 +110,8 @@ __all__ = [
 #: Version of the message schema.  A peer whose version differs from the
 #: server's is refused at ``hello`` time — mixed fleets must fail loudly,
 #: not corrupt results.  Version 2 added the auth handshake and the
-#: submitter verbs.
-PROTOCOL_VERSION = 2
+#: submitter verbs; version 3 retired the per-point ``result`` frame.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's JSON payload.  Scenario results carry full
 #: per-edge time series, so frames are allowed to be large — but never

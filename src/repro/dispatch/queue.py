@@ -2,9 +2,9 @@
 
 The unit of *assignment* is a :class:`Lease` — a batch of point indices
 handed to one worker until a deadline — while the unit of *completion* is
-a single point: workers stream one result per point, so a worker that dies
-mid-lease loses only the points it had not yet reported, never finished
-work.
+a single point: the daemon accepts results one by one as they arrive, so
+a worker that dies mid-lease loses only the points it had not yet
+delivered, and those are simply leased and computed again.
 
 Failure semantics
 -----------------

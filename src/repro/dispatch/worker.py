@@ -1,15 +1,17 @@
-"""The dispatch worker: pull chunks, execute points, stream results.
+"""The dispatch worker: pull chunks, execute points, deliver results.
 
 ``repro-experiments worker --connect HOST:PORT`` lands here.  A worker is a
 single TCP connection to a :class:`~repro.dispatch.daemon.FleetDaemon`: it
 pulls chunk leases, rebuilds each point from its JSON payload
 (:meth:`SweepPoint.from_dict` — the same portable codec the daemon
-validated against), executes it through the *same* ``_execute_point`` path
-a local ``run_sweep`` uses, and streams one result frame per point — tagged
-with the sweep its chunk named, since a daemon serves many sweeps at once —
-so nothing finished is ever lost if the process dies mid-chunk.  A
-background thread heartbeats every few seconds to keep the worker's leases
-alive through long simulations.
+validated against), and executes it through the *same* ``_execute_point``
+path a local ``run_sweep`` uses.  Finished results are held and ride on the
+next frame the worker sends anyway — its next ``request``, or the heartbeat
+a background thread sends every few seconds to keep its leases alive
+through long simulations — tagged with the sweep their chunk named, since
+a daemon serves many sweeps at once.  A worker that dies loses at most one
+lease or one heartbeat interval of finished points; the daemon re-leases
+them and they are recomputed byte-identically.
 
 Workers are expendable by design: once the ``welcome`` handshake is done,
 a dropped connection is a normal way for a run to end (the daemon's
@@ -215,11 +217,22 @@ def run_worker(
     lock = threading.Lock()
     stop = threading.Event()
     heartbeats_suppressed = threading.Event()
+    #: ``[index, encoded result]`` of the current chunk not yet delivered.
+    held: list[list] = []
+    sweep = None
 
-    def rpc(payload: dict) -> dict:
+    def rpc(kind: str) -> dict:
+        """Send ``kind``, carrying every held result, and read the reply."""
+        frame: dict = {"type": kind}
         with lock:
-            send_frame(sock, payload)
+            if held:
+                frame["sweep"], frame["results"] = sweep, held[:]
+                held.clear()
+            send_frame(sock, frame)
             reply = recv_frame(sock)
+            if reply is not None and "results" in frame:
+                carried = len(frame["results"])
+                stats.duplicate_results += carried - reply.get("accepted", carried)
         if reply is None:
             raise ProtocolError("daemon closed the connection")
         if reply.get("type") == "error":
@@ -231,7 +244,7 @@ def run_worker(
             if heartbeats_suppressed.is_set():
                 continue
             try:
-                rpc({"type": "heartbeat"})
+                rpc("heartbeat")
             except (ProtocolError, OSError):
                 return
             stats.heartbeats += 1
@@ -263,7 +276,9 @@ def run_worker(
             sock.close()
             stats.disconnected = True
             return True
-        # stall: go silent (no execution, no heartbeats) past the lease.
+        # stall: deliver what is held, then go silent (no execution, no
+        # heartbeats) past the lease.
+        rpc("heartbeat")
         heartbeats_suppressed.set()
         time.sleep(faults.stall_seconds)
         heartbeats_suppressed.clear()
@@ -273,11 +288,11 @@ def run_worker(
     idle_since: float | None = None
     try:
         while True:
-            reply = rpc({"type": "request"})
+            reply = rpc("request")
             kind = reply.get("type")
             if kind == "done":
                 try:
-                    rpc({"type": "goodbye"})
+                    rpc("goodbye")
                 except (ProtocolError, OSError):
                     pass
                 return stats
@@ -291,7 +306,7 @@ def run_worker(
                     # quiet means the fleet has drained and we may leave.
                     stats.idled_out = True
                     try:
-                        rpc({"type": "goodbye"})
+                        rpc("goodbye")
                     except (ProtocolError, OSError):
                         pass
                     return stats
@@ -324,17 +339,9 @@ def run_worker(
                         point.trace,
                     )
                 )
-                ack = rpc(
-                    {
-                        "type": "result",
-                        "sweep": sweep,
-                        "index": entry["index"],
-                        "result": encode_result(result),
-                    }
-                )
+                with lock:
+                    held.append([entry["index"], encode_result(result)])
                 stats.points_executed += 1
-                if not ack.get("accepted", True):
-                    stats.duplicate_results += 1
                 if maybe_inject_fault():
                     return stats
     except (ProtocolError, OSError):

@@ -9,6 +9,7 @@ mid-chunk — produces a ``SweepResult.to_artifact()`` byte-identical to
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -31,6 +32,8 @@ from repro.dispatch import (
     serve_sweep,
 )
 from repro.dispatch import daemon as daemon_module
+from repro.dispatch import worker as worker_module
+from repro.dispatch.journal import journal_path
 from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments.config import ColumnConfig
@@ -83,14 +86,40 @@ def one_sweep_daemon(
     chunk_points: int = 1,
     lease_timeout: float = 20.0,
     poll_interval: float = 0.05,
+    journal_dir: str | None = None,
 ) -> FleetDaemon:
-    """What ``run_dispatched`` builds, on an OS-chosen port the test can read
-    back, handing out fixed ``chunk_points``-sized leases."""
+    """What ``run_dispatched`` builds (journaled only if asked), on an
+    OS-chosen port the test can read back, handing out fixed
+    ``chunk_points``-sized leases."""
     monkeypatch.setattr(daemon_module, "PROBE_CHUNK_POINTS", chunk_points)
     monkeypatch.setattr(daemon_module, "MAX_CHUNK_POINTS", chunk_points)
     return FleetDaemon(
-        FleetConfig(lease_timeout=lease_timeout, poll_interval=poll_interval)
+        FleetConfig(
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            journal_dir=journal_dir,
+        )
     )
+
+
+def record_frames(monkeypatch, module) -> list[dict]:
+    """Every frame ``module`` sends from now on, in order."""
+    frames: list[dict] = []
+    send = module.send_frame
+
+    def record(sock, payload: dict) -> None:
+        frames.append(payload)
+        send(sock, payload)
+
+    monkeypatch.setattr(module, "send_frame", record)
+    return frames
+
+
+def journaled_indices(journal_dir: str, sweep: str) -> list[int]:
+    """Every point index in ``sweep``'s journal, in file order."""
+    with open(journal_path(journal_dir, sweep), encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle]
+    return [line["index"] for line in lines if line["kind"] == "point"]
 
 
 def serve_with_worker_threads(spec: SweepSpec, daemon: FleetDaemon, n_workers: int):
@@ -353,10 +382,9 @@ class TestWorkerFailure:
         send_frame(
             zombie,
             {
-                "type": "result",
+                "type": "heartbeat",
                 "sweep": chunk["sweep"],
-                "index": 0,
-                "result": {"kind": "column", "payload": {}},
+                "results": [[0, {"kind": "column", "payload": {}}]],
             },
         )
         assert recv_frame(zombie) is None
@@ -428,6 +456,134 @@ class TestWorkerFailure:
         dispatched = serve_sweep(daemon, spec)
         steady.join(timeout=15)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
+
+
+class TestFrameBudget:
+    """Finished results ride on the frames a worker sends anyway: one
+    ``request`` per lease (or a ``heartbeat``), never a frame per point."""
+
+    def test_one_request_per_lease_and_no_frame_per_point(
+        self, monkeypatch, tmp_path
+    ) -> None:
+        spec = small_spec(12, scenario=False)
+        serial = run_sweep(spec, jobs=1)
+        # A long poll: the worker's last request is held until shutdown says
+        # done, never answered wait and asked again.
+        daemon = one_sweep_daemon(
+            monkeypatch, chunk_points=4, poll_interval=5.0, journal_dir=str(tmp_path)
+        )
+        sent = record_frames(monkeypatch, worker_module)
+        replies = record_frames(monkeypatch, daemon_module)
+        dispatched = serve_with_worker_threads(spec, daemon, n_workers=1)
+
+        kinds = [frame["type"] for frame in sent]
+        leases = [reply for reply in replies if reply["type"] == "chunk"]
+        assert [len(lease["points"]) for lease in leases] == [4, 4, 4]
+        assert set(kinds) <= {"hello", "request", "heartbeat", "goodbye"}
+        assert kinds.count("hello") == kinds.count("goodbye") == 1
+        # One request per lease, plus the last one, which is told done.
+        assert kinds.count("request") == len(leases) + 1
+        carried = [index for frame in sent for index, _ in frame.get("results", ())]
+        assert sorted(carried) == list(range(12))
+        assert sorted(journaled_indices(str(tmp_path), spec.name)) == list(range(12))
+        assert comparable_artifact(dispatched) == comparable_artifact(serial)
+
+    def test_undelivered_results_cost_only_reexecution(
+        self, monkeypatch, tmp_path
+    ) -> None:
+        """A worker that drops its connection holding two finished points of
+        a four-point lease loses them: the lease is re-queued whole, another
+        worker recomputes it, and the bytes do not move."""
+        spec = small_spec(4, scenario=False)
+        serial = run_sweep(spec, jobs=1)
+        daemon = one_sweep_daemon(monkeypatch, chunk_points=4, journal_dir=str(tmp_path))
+        entry = daemon.submit(spec)
+        daemon.start()
+        host, port = daemon.address
+        flaky = run_worker(
+            host,
+            port,
+            name="flaky",
+            faults=FaultPlan(kind="disconnect", after_points=2),
+            heartbeat_interval=60.0,  # no heartbeat delivers them either
+        )
+        assert flaky.points_executed == 2 and flaky.disconnected
+        assert entry.completed == 0
+
+        steady = threading.Thread(
+            target=run_worker,
+            args=(host, port),
+            kwargs={"name": "steady"},
+            daemon=True,
+        )
+        steady.start()
+        dispatched = serve_sweep(daemon, spec)
+        steady.join(timeout=15)
+        assert comparable_artifact(dispatched) == comparable_artifact(serial)
+        assert entry.executed == 4
+        assert daemon.queue.leases_requeued == 1
+        assert sorted(journaled_indices(str(tmp_path), spec.name)) == list(range(4))
+
+
+    def test_heartbeats_racing_the_worker_deliver_each_result_once(
+        self, monkeypatch, tmp_path
+    ) -> None:
+        """Three workers on two-point leases of ~3 ms points heartbeat every
+        millisecond with thread switches forced every 10 µs, so heartbeats
+        keep taking results the worker thread is still appending: a result
+        lost between the two stalls the sweep, one sent twice reads as a
+        duplicate."""
+        config = ColumnConfig(seed=1, duration=0.05, warmup=0.02)
+        spec = SweepSpec(
+            name="racing",
+            root_seed=1,
+            points=[
+                SweepPoint(
+                    label=f"col{index}",
+                    config=replace(config, seed=derive_seed(1, index)),
+                    workload=PerfectClusterWorkload(n_objects=40, cluster_size=4),
+                )
+                for index in range(60)
+            ],
+        )
+        serial = run_sweep(spec, jobs=1)
+        daemon = one_sweep_daemon(monkeypatch, chunk_points=2, journal_dir=str(tmp_path))
+        sent = record_frames(monkeypatch, worker_module)
+        host, port = daemon.address
+        stats: list = []
+        workers = [
+            threading.Thread(
+                target=lambda index=index: stats.append(
+                    run_worker(host, port, name=f"w{index}", heartbeat_interval=0.001)
+                ),
+                daemon=True,
+            )
+            for index in range(3)
+        ]
+        served: dict[str, object] = {}
+        server = threading.Thread(
+            target=lambda: served.update(result=serve_sweep(daemon, spec)),
+            daemon=True,
+        )
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers + [server]:
+                thread.start()
+            server.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+            daemon.shutdown()  # frees the workers if a result was lost
+        for thread in workers:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert "result" in served, "a held result never reached the daemon"
+        assert any(
+            frame["type"] == "heartbeat" and frame.get("results") for frame in sent
+        )
+        assert sum(worker.duplicate_results for worker in stats) == 0
+        assert sorted(journaled_indices(str(tmp_path), spec.name)) == list(range(60))
+        assert comparable_artifact(served["result"]) == comparable_artifact(serial)
 
 
 class TestProtocolPolicing:

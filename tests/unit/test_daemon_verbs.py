@@ -98,10 +98,16 @@ class TestVerbTable:
         "role, frame",
         [
             ("submitter", {"type": "fetch", "sweep": "nope"}),
+            ("worker", {"type": "heartbeat", "sweep": "nope", "results": [[0, {}]]}),
             ("worker", {"type": "result", "sweep": "nope", "index": 0, "result": {}}),
             ("submitter", {"type": "submit", "sweep": "no-spec"}),
         ],
-        ids=["fetch-unknown-sweep", "result-unknown-sweep", "submit-without-spec"],
+        ids=[
+            "fetch-unknown-sweep",
+            "result-unknown-sweep",
+            "retired-result-verb",
+            "submit-without-spec",
+        ],
     )
     def test_malformed_verb_is_a_protocol_error(self, daemon, role, frame) -> None:
         reply = exchange(daemon, role, frame)
@@ -130,11 +136,10 @@ def _wrong_role_cases():
     sweep = spec.name
     worker_only = {
         "request": {"type": "request"},
-        "result": {
-            "type": "result",
+        "carried-result": {
+            "type": "heartbeat",
             "sweep": sweep,
-            "index": 0,
-            "result": {"kind": "column", "payload": {}},
+            "results": [[0, {"kind": "column", "payload": {}}]],
         },
         "heartbeat": {"type": "heartbeat"},
     }

@@ -178,10 +178,9 @@ class TestIntegerFields:
             journaled_daemon,
             "worker",
             {
-                "type": "result",
+                "type": "request",
                 "sweep": entry.name,
-                "index": index,
-                "result": {"kind": "column", "payload": {}},
+                "results": [[index, {"kind": "column", "payload": {}}]],
             },
         )
         assert reply["type"] == "error" and reply["code"] == "protocol"

@@ -176,13 +176,16 @@ class TestDaemonGate:
                 "role": "worker",
             }
 
-    def test_protocol_version_mismatch_rejected(self, daemon) -> None:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_protocol_version_mismatch_rejected(self, daemon, version) -> None:
         replies = handshake_frames(
-            daemon, [{"type": "hello", "worker": "w", "protocol": 1}]
+            daemon, [{"type": "hello", "worker": "w", "protocol": version}]
         )
         assert replies[-1]["type"] == "error"
         assert replies[-1]["code"] == "protocol"
-        assert "version" in replies[-1]["message"]
+        message = replies[-1]["message"]
+        assert "version" in message
+        assert f"daemon speaks {PROTOCOL_VERSION}, peer {version}" in message
         assert daemon.stats.rejected_protocol == 1
 
     def test_unknown_role_rejected(self, daemon) -> None:

@@ -7,12 +7,15 @@ peer after a sleep.  The daemons here poll every 5 s, so every reply that
 arrives well inside a second was woken, not polled.
 
 Also here: :meth:`FleetClient.wait_for` treats a daemon's ``error`` reply
-as final, and keeps retrying only a transport failure.
+and a cancelled sweep as final, and keeps retrying only a transport
+failure; and :meth:`FleetDaemon.shutdown` returns without waiting for its
+accept loop to poll.
 """
 
 from __future__ import annotations
 
 import queue
+import selectors
 import socket
 import sys
 import threading
@@ -21,14 +24,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.dispatch.client import FleetClient
+from repro.dispatch.client import FleetClient, FleetSpec
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.fleet import FleetQueue
 from repro.dispatch.journal import SweepJournal, journal_path
 from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.errors import DispatchError
 from repro.experiments.config import ColumnConfig
-from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed
+from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed, run_sweep
 from repro.workloads.synthetic import PerfectClusterWorkload
 
 POLL = 5.0
@@ -200,6 +203,34 @@ class TestNoLostWakeUp:
             assert not thread.is_alive()
 
 
+class TestShutdown:
+    def test_shutdown_does_not_wait_out_a_select_tick(self, monkeypatch) -> None:
+        """Every bounded ``select`` is stretched to ``tick``: an accept loop
+        that polls for the stop flag would keep shutdown waiting for most of
+        a tick; a woken one returns at once."""
+        tick = 4.0
+
+        def stretched(select):
+            def select_with_long_tick(selector, timeout=None):
+                return select(
+                    selector, None if timeout is None else max(timeout, tick)
+                )
+
+            return select_with_long_tick
+
+        for name in ("SelectSelector", "PollSelector", "EpollSelector"):
+            if hasattr(selectors, name):
+                cls = getattr(selectors, name)
+                monkeypatch.setattr(cls, "select", stretched(cls.select))
+        daemon = FleetDaemon(FleetConfig(poll_interval=POLL))
+        daemon.config.secret = None
+        daemon.start()
+        time.sleep(SETTLE)  # the accept loop is inside its select by now
+        stopped = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - stopped < tick / 2
+
+
 class TestHeldFetch:
     def test_results_follow_the_last_result_at_once(self, daemon) -> None:
         daemon.submit(tiny_spec(), name="held")
@@ -213,13 +244,15 @@ class TestHeldFetch:
                 send_frame(
                     worker,
                     {
-                        "type": "result",
+                        "type": "heartbeat",
                         "sweep": "held",
-                        "index": index,
-                        "result": {"kind": "column", "payload": {"index": index}},
+                        "results": [
+                            [index, {"kind": "column", "payload": {"index": index}}]
+                        ],
                     },
                 )
-                assert recv_frame(worker) == {"type": "ok", "accepted": True}
+                ack = recv_frame(worker)
+                assert ack == {"type": "ok", "extended": 0, "accepted": 1}
             reply = recv_frame(fetcher)
             assert reply["type"] == "results"
             assert time.monotonic() - finished < 1.0
@@ -259,13 +292,18 @@ class TestHeldFetch:
                     send_frame(
                         worker,
                         {
-                            "type": "result",
+                            "type": "heartbeat",
                             "sweep": "held",
-                            "index": index,
-                            "result": {"kind": "column", "payload": {"index": index}},
+                            "results": [
+                                [index, {"kind": "column", "payload": {"index": index}}]
+                            ],
                         },
                     )
-                    assert recv_frame(worker) == {"type": "ok", "accepted": True}
+                    assert recv_frame(worker) == {
+                        "type": "ok",
+                        "extended": 0,
+                        "accepted": 1,
+                    }
             waiter.join(timeout=10.0)
             assert not waiter.is_alive()
         finally:
@@ -302,6 +340,37 @@ class TestWaitForRefusal:
         (error,) = outcome
         assert isinstance(error, DispatchError)
         assert "unknown sweep" in str(error)
+
+    def test_a_cancelled_sweep_is_final(self, daemon) -> None:
+        """``fleet cancel`` while a submitter waits in ``run_sweep``: the
+        next fetch's ``pending`` reply says ``cancelled``, and the submitter
+        raises naming it instead of polling out its deadline."""
+        host, port = daemon.address
+        fleet = FleetSpec(
+            host=host, port=port, name="c1", poll_interval=0.2, wait_timeout=POLL
+        )
+        outcome: list[BaseException] = []
+
+        def submit_and_wait() -> None:
+            try:
+                run_sweep(tiny_spec(), dispatch=fleet)
+            except BaseException as exc:  # handed to the test thread
+                outcome.append(exc)
+
+        thread = threading.Thread(target=submit_and_wait, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + POLL
+        while daemon.queue.entry("c1") is None:
+            assert time.monotonic() < deadline, "the sweep was never submitted"
+            time.sleep(0.01)
+        cancelled = time.monotonic()
+        assert FleetClient(host, port).cancel("c1")["existed"]
+        thread.join(timeout=2 * POLL)
+        assert not thread.is_alive()
+        assert time.monotonic() - cancelled < POLL  # inside the wait deadline
+        (error,) = outcome
+        assert isinstance(error, DispatchError)
+        assert "cancelled" in str(error)
 
     def test_a_connection_dropped_mid_call_is_retried(self) -> None:
         """The first fetch is cut off after the handshake (a daemon killed

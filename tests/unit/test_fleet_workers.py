@@ -1,11 +1,12 @@
 """Golden for the daemon's per-worker ledger: chunk sizes and status rows.
 
 Each case replays one worker connection as timed events — ``connect``,
-``request`` (any frame that only proves liveness), ``result``,
-``heartbeat`` and ``disconnect`` — in the order the daemon observes them,
-and pins the lease size the daemon would hand out after every event plus
-the worker's final ``fleet status`` row.  A ``connect`` after a
-``disconnect`` is a reconnect: a new connection, a fresh record.
+``request`` (any frame that only proves liveness), ``result`` (one
+accepted result; ``(time, "result", n)`` is a batch of ``n`` carried on
+one frame), ``heartbeat`` and ``disconnect`` — in the order the daemon
+observes them, and pins the lease size the daemon would hand out after
+every event plus the worker's final ``fleet status`` row.  A ``connect``
+after a ``disconnect`` is a reconnect: a new connection, a fresh record.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.experiments.config import ColumnConfig
 from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed
 from repro.workloads.synthetic import PerfectClusterWorkload
 
-#: (case, lease_timeout, [(time, event), ...], end time,
+#: (case, lease_timeout, [(time, event[, points]), ...], end time,
 #:  [chunk size after each event], final status row)
 CASES = [
     (
@@ -162,6 +163,46 @@ CASES = [
             "points_per_sec": None,
         },
     ),
+    (
+        "batches_sample_per_frame",
+        30.0,
+        [
+            (0.0, "connect"),
+            (1.0, "result"),
+            (2.0, "result"),
+            (4.0, "result", 4),
+            (4.5, "heartbeat"),
+            (6.0, "result", 8),
+        ],
+        7.0,
+        # 1 pt/s, then 4 points over 2 s and 8 over 2 s: EWMA 1.3, then 2.11.
+        [1, 1, 5, 6, 6, 11],
+        {
+            "worker": "w",
+            "connected": True,
+            "alive": True,
+            "silence_seconds": 1.0,
+            "points_completed": 14,
+            "heartbeats": 1,
+            "points_per_sec": 2.11,
+        },
+    ),
+    (
+        "first_batch_has_no_interval",
+        30.0,
+        [(0.0, "connect"), (2.0, "result", 6), (4.0, "result", 6)],
+        4.0,
+        [1, 1, 15],
+        {
+            "worker": "w",
+            "connected": True,
+            "alive": True,
+            "silence_seconds": 0.0,
+            "points_completed": 12,
+            "heartbeats": 0,
+            "points_per_sec": 3.0,
+        },
+    ),
 ]
 
 
@@ -169,7 +210,7 @@ def replay(events, lease_timeout: float, end: float):
     """Feed ``events`` to the ledger as the daemon does; chunks and row."""
     worker = None
     chunks = []
-    for at, event in events:
+    for at, event, *points in events:
         if event == "connect":
             worker = _Worker("w", at)
         elif event == "disconnect":
@@ -177,7 +218,7 @@ def replay(events, lease_timeout: float, end: float):
         else:
             worker.last_seen = at
             if event == "result":
-                worker.record_result(at)
+                worker.record_result(at, *points)
             elif event == "heartbeat":
                 worker.heartbeats += 1
         chunks.append(worker.chunk_points())
