@@ -32,13 +32,7 @@ Run:  python examples/distributed_sweep.py
 
 import threading
 
-from repro.dispatch import (
-    FaultPlan,
-    FleetConfig,
-    FleetDaemon,
-    run_worker,
-    serve_sweep,
-)
+from repro.dispatch import FaultPlan, FleetConfig, FleetDaemon, FleetSpec, run_worker
 from repro.experiments.report import normalized_artifact, print_table
 from repro.experiments.scenarios import backend_rows, capacity_planning_sweep
 from repro.experiments.sweep import run_sweep
@@ -60,10 +54,11 @@ def main() -> None:
     print(f"grid: {len(spec)} scenario points ({spec.description})\n")
 
     # --- the distributed run: one-sweep daemon + 3 loopback workers -----
-    # run_sweep(spec, dispatch=DispatchSpec(port=...)) builds exactly this
-    # daemon; building it here lets the example bind port 0 and read the
-    # address back before the workers start.
+    # run_sweep(spec, dispatch=DispatchSpec(port=...)) starts exactly this
+    # daemon and submits through FleetSpec; starting it here lets the
+    # example bind port 0 and read the address back before the workers do.
     daemon = FleetDaemon(FleetConfig(port=0, lease_timeout=15.0))
+    daemon.start()
     host, port = daemon.address
     workers = [
         threading.Thread(
@@ -93,7 +88,10 @@ def main() -> None:
     ]
     for worker in workers:
         worker.start()
-    distributed = serve_sweep(daemon, spec)
+    try:
+        distributed = run_sweep(spec, dispatch=FleetSpec(host, port))
+    finally:
+        daemon.shutdown()  # tells each worker ``done``
     for worker in workers:
         worker.join(timeout=30)
     print(

@@ -3,9 +3,10 @@
 The paper's evaluation is a declarative grid (``SweepSpec``) over
 declarative topologies (``ScenarioSpec``); this package takes the grid
 across hosts with nothing but the stdlib.  There is one server,
-:class:`FleetDaemon`, reached two ways: ``--dispatch HOST:PORT`` starts one
-in-process, without a journal, for exactly one sweep; ``--fleet HOST:PORT``
-submits to a long-lived one (``fleet serve``).
+:class:`FleetDaemon`, and one submitter, :func:`run_fleet_sweep`:
+``--fleet HOST:PORT`` submits to a long-lived daemon (``fleet serve``), and
+``--dispatch HOST:PORT`` starts one in-process, without a journal, for
+exactly one sweep and submits to that.
 
 * :mod:`repro.dispatch.protocol` — length-prefixed JSON frames over TCP;
   no pickling, bounded sizes, loud failures on malformed input.
@@ -25,7 +26,8 @@ submits to a long-lived one (``fleet serve``).
   next lease.
 * :mod:`repro.dispatch.coordinator` — :class:`DispatchSpec` and
   :func:`run_dispatched`, the ``run_sweep(spec, dispatch=DispatchSpec(...))``
-  backend: an ephemeral daemon holding one entry.
+  backend: a journal-less daemon started for one sweep and driven through
+  :func:`run_fleet_sweep`.
 * :mod:`repro.dispatch.client` — :class:`FleetSpec` / :class:`FleetClient`:
   submit/status/cancel/fetch against a running daemon, and
   :func:`run_fleet_sweep` — the ``run_sweep(spec, dispatch=FleetSpec(...))``
@@ -52,12 +54,7 @@ before any worker connects.
 
 from repro.dispatch.auth import SECRET_ENV_VAR, compute_mac, secret_from_env
 from repro.dispatch.client import FleetClient, FleetSpec, run_fleet_sweep
-from repro.dispatch.coordinator import (
-    DispatchSpec,
-    parse_hostport,
-    run_dispatched,
-    serve_sweep,
-)
+from repro.dispatch.coordinator import DispatchSpec, parse_hostport, run_dispatched
 from repro.dispatch.daemon import FleetConfig, FleetDaemon, run_daemon
 from repro.dispatch.faults import FaultPlan
 from repro.dispatch.fleet import FleetQueue
@@ -97,6 +94,5 @@ __all__ = [
     "run_fleet_sweep",
     "run_worker",
     "secret_from_env",
-    "serve_sweep",
     "sweep_fingerprint",
 ]

@@ -47,10 +47,10 @@ __all__ = ["FleetClient", "FleetSpec", "run_fleet_sweep"]
 class FleetSpec:
     """How to hand a sweep to a running fleet daemon.
 
-    The ``dispatch=`` twin of :class:`~repro.dispatch.coordinator.DispatchSpec`:
-    passing one to :func:`~repro.experiments.sweep.run_sweep` (or
-    ``--fleet HOST:PORT`` on the CLI) submits the sweep to a long-lived
-    daemon and waits, instead of starting a one-sweep daemon of its own.
+    Passing one to :func:`~repro.experiments.sweep.run_sweep` as
+    ``dispatch=`` (or ``--fleet HOST:PORT`` on the CLI) submits the sweep
+    and waits; :class:`~repro.dispatch.coordinator.DispatchSpec` does the
+    same against a daemon it starts for the one sweep.
     """
 
     host: str = "127.0.0.1"
@@ -87,6 +87,9 @@ class FleetSpec:
                 )
         if self.secret is None:
             self.secret = secret_from_env()
+
+    def run(self, spec: SweepSpec) -> SweepResult:
+        return run_fleet_sweep(spec, self)
 
 
 class FleetClient:
@@ -258,16 +261,20 @@ def run_fleet_sweep(spec: SweepSpec, fleet: FleetSpec) -> SweepResult:
     submit (named by content, so identical re-runs resume from the
     daemon's journal), wait, fetch, decode against our own spec objects,
     reassemble in spec order through the shared
-    :func:`~repro.experiments.sweep.ordered_results`.
+    :func:`~repro.experiments.sweep.ordered_results`.  The spec is rebuilt
+    from its artifact first, as the daemon will, so a point that cannot
+    travel to a worker raises :class:`ConfigurationError` before any
+    connection is made.
     """
     start = time.perf_counter()
+    artifact = spec_artifact(spec)
+    SweepSpec.from_dict(artifact)
     client = FleetClient(
         fleet.host,
         fleet.port,
         secret=fleet.secret,
         connect_timeout=fleet.connect_timeout,
     )
-    artifact = spec_artifact(spec)
     name = fleet.name or fleet_sweep_name(spec, artifact)
     submitted = client.submit(artifact, name=name, priority=fleet.priority)
     if submitted.get("total") != len(spec.points):

@@ -10,7 +10,9 @@ it, and — when a shared secret is configured — it refuses any connection
 that cannot answer the HMAC challenge (:mod:`repro.dispatch.auth`) before a single frame
 touches the queue.  ``--dispatch HOST:PORT`` is the same daemon without a
 journal, living for exactly one sweep
-(:func:`repro.dispatch.coordinator.run_dispatched`).
+(:func:`repro.dispatch.coordinator.run_dispatched`).  Every started daemon
+keeps its own lease clock: its accept thread re-queues stalled leases once
+per ``poll_interval``.
 
 Because the journal is the state, a journaled daemon survives its own
 failure drills: SIGKILL it mid-sweep, restart it against the same
@@ -39,8 +41,8 @@ machine.  Sizing changes wall-clock shape only, never result bytes.
 
 The daemon stores and serves *wire payloads* only; decoding results
 against live spec objects is the submitter's job
-(:mod:`repro.dispatch.client`, :mod:`repro.dispatch.coordinator`), which is
-what keeps a daemon-served artifact byte-identical to a ``jobs=1`` run.
+(:mod:`repro.dispatch.client`), which is what keeps a daemon-served
+artifact byte-identical to a ``jobs=1`` run.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class FleetConfig:
     secret: str | None = None
     lease_timeout: float = 30.0
     #: Longest a worker's ``request`` is held with nothing to lease; also
-    #: the stale-lease sweep tick of :meth:`FleetDaemon.serve_forever`.
+    #: the daemon's stale-lease tick.
     poll_interval: float = 0.5
     #: fsync journal appends (survive machine crash, not just SIGKILL).
     fsync: bool = False
@@ -226,8 +228,8 @@ class FleetDaemon:
 
     Construction binds the listening socket and — when ``journal_dir`` is
     set — restores every journaled sweep found there.  :meth:`start`
-    accepts connections in the background; :meth:`serve_forever` blocks
-    and doubles as the stale-lease sweeper.
+    accepts connections and re-queues stalled leases in the background;
+    :meth:`serve_forever` also blocks until :meth:`shutdown`.
     """
 
     def __init__(self, config: FleetConfig | None = None) -> None:
@@ -283,12 +285,15 @@ class FleetDaemon:
             self._server_thread.start()
 
     def _accept(self) -> None:
-        """Serve each connection on a thread of its own until shutdown."""
+        """Serve each connection on a thread of its own until shutdown, and
+        reap expired leases every ``poll_interval``."""
         with selectors.DefaultSelector() as selector:
             selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._wake_reader, selectors.EVENT_READ)
             while not self._stop.is_set():
-                for key, _ in selector.select():
+                ready = selector.select(timeout=self.config.poll_interval)
+                self.queue.expire_stale_leases()
+                for key, _ in ready:
                     if key.fileobj is not self._listener:
                         continue  # woken: the loop condition ends it
                     try:
@@ -300,11 +305,9 @@ class FleetDaemon:
                     ).start()
 
     def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown`; sweeps stale leases while idle."""
+        """Serve until :meth:`shutdown` (or a signal) stops the daemon."""
         self.start()
-        while not self._stop.is_set():
-            self._stop.wait(timeout=self.config.poll_interval)
-            self.queue.expire_stale_leases()
+        self._stop.wait()
 
     def shutdown(self) -> None:
         """Stop accepting connections, close journals, release the port.

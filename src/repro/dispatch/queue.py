@@ -180,9 +180,9 @@ class WorkQueue:
     def expire_stale_leases(self) -> int:
         """Reap leases past their deadline; returns how many were re-queued.
 
-        The serve loop calls this periodically so stalled workers are
-        detected even while every live worker is busy (i.e. nobody is
-        calling :meth:`acquire`).
+        The daemon's accept thread calls this every poll interval, so
+        stalled workers are detected even while every live worker is busy
+        (i.e. nobody is calling :meth:`acquire`).
         """
         now = self._clock()
         return self._requeue(

@@ -43,7 +43,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping, Protocol
 
 from repro import telemetry
 
@@ -62,10 +62,6 @@ from repro.workloads.codec import (
     portable_workload_specs,
     workload_from_dict,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.dispatch.client import FleetSpec
-    from repro.dispatch.coordinator import DispatchSpec
 
 __all__ = [
     "SweepPoint",
@@ -456,11 +452,17 @@ def _pool_chunksize(n_points: int, workers: int) -> int:
     return max(1, n_points // (workers * 4))
 
 
+class SweepExecutor(Protocol):
+    """What ``run_sweep(dispatch=...)`` hands a spec to."""
+
+    def run(self, spec: SweepSpec) -> SweepResult: ...
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
     jobs: int | None = None,
-    dispatch: "DispatchSpec | FleetSpec | None" = None,
+    dispatch: SweepExecutor | None = None,
 ) -> SweepResult:
     """Execute every point of ``spec`` and collect results in spec order.
 
@@ -480,12 +482,7 @@ def run_sweep(
     and nothing else switches tracing on.
     """
     if dispatch is not None:
-        from repro.dispatch.client import FleetSpec, run_fleet_sweep
-        from repro.dispatch.coordinator import run_dispatched
-
-        if isinstance(dispatch, FleetSpec):
-            return run_fleet_sweep(spec, dispatch)
-        return run_dispatched(spec, dispatch)
+        return dispatch.run(spec)
     jobs = resolve_jobs(jobs)
     payloads = [
         (point.config, point.workload, point.read_workload, point.scenario, point.trace)

@@ -5,6 +5,9 @@ The load-bearing property: a sweep served by an ephemeral, journal-less
 mid-chunk — produces a ``SweepResult.to_artifact()`` byte-identical to
 ``run_sweep(spec, jobs=1)``, modulo the two run-metadata fields (``jobs``,
 ``wall_clock_seconds``) that describe the executor rather than the results.
+Drills that need to reach into the daemon build it themselves and submit
+through ``run_sweep(dispatch=FleetSpec(...))``, the client ``--dispatch``
+uses (:func:`serve`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.dispatch import (
     FleetDaemon,
     FleetSpec,
     run_worker,
-    serve_sweep,
 )
 from repro.dispatch import daemon as daemon_module
 from repro.dispatch import worker as worker_module
@@ -88,7 +90,7 @@ def one_sweep_daemon(
     poll_interval: float = 0.05,
     journal_dir: str | None = None,
 ) -> FleetDaemon:
-    """What ``run_dispatched`` builds (journaled only if asked), on an
+    """The daemon ``run_dispatched`` starts (journaled only if asked), on an
     OS-chosen port the test can read back, handing out fixed
     ``chunk_points``-sized leases."""
     monkeypatch.setattr(daemon_module, "PROBE_CHUNK_POINTS", chunk_points)
@@ -100,6 +102,13 @@ def one_sweep_daemon(
             journal_dir=journal_dir,
         )
     )
+
+
+def free_port() -> int:
+    """A port nothing listens on, for a daemon that binds it later."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def record_frames(monkeypatch, module) -> list[dict]:
@@ -122,6 +131,26 @@ def journaled_indices(journal_dir: str, sweep: str) -> list[int]:
     return [line["index"] for line in lines if line["kind"] == "point"]
 
 
+def serve(daemon: FleetDaemon, spec: SweepSpec):
+    """What ``run_dispatched`` does, against a daemon the test built: start
+    it, submit ``spec`` under its own name through the fleet client (so an
+    entry the test queued in advance is attached, not duplicated), wait for
+    the workers, and shut the daemon down."""
+    daemon.start()
+    try:
+        return run_sweep(
+            spec,
+            dispatch=FleetSpec(
+                *daemon.address,
+                secret=daemon.config.secret,
+                name=spec.name,
+                poll_interval=daemon.config.poll_interval,
+            ),
+        )
+    finally:
+        daemon.shutdown()
+
+
 def serve_with_worker_threads(spec: SweepSpec, daemon: FleetDaemon, n_workers: int):
     host, port = daemon.address
     threads = [
@@ -135,7 +164,7 @@ def serve_with_worker_threads(spec: SweepSpec, daemon: FleetDaemon, n_workers: i
     ]
     for thread in threads:
         thread.start()
-    result = serve_sweep(daemon, spec)
+    result = serve(daemon, spec)
     for thread in threads:
         thread.join(timeout=15)
         assert not thread.is_alive(), "worker was not told the sweep is done"
@@ -156,9 +185,7 @@ class TestDispatchEquivalence:
         """``run_sweep(spec, dispatch=...)`` is the same executor behind the
         library API: workers dial the fixed port while the sweep serves."""
         spec = small_spec(2, scenario=False)
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = free_port()
 
         def patient_worker(index: int) -> None:
             # Workers retry the connect until run_sweep's daemon binds the
@@ -210,7 +237,7 @@ class TestDispatchEquivalence:
         )
         daemon = one_sweep_daemon(monkeypatch)
         with pytest.raises(ConfigurationError, match="portable"):
-            serve_sweep(daemon, spec)
+            serve(daemon, spec)
         assert daemon.queue.names() == []
         assert daemon.stats.connections == 0
 
@@ -230,9 +257,7 @@ class TestDispatchEquivalence:
         reports ``journal_dir: None`` and leaves no file behind."""
         spec = small_spec(3, scenario=False)
         monkeypatch.chdir(tmp_path)
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = free_port()
         status_box: dict[str, object] = {}
 
         def worker_after_status() -> None:
@@ -330,7 +355,7 @@ class TestWorkerFailure:
                 daemon=True,
             )
             rescuer.start()
-            dispatched = serve_sweep(daemon, spec)
+            dispatched = serve(daemon, spec)
             rescuer.join(timeout=30)
         finally:
             if victim.poll() is None:  # pragma: no cover - cleanup on failure
@@ -344,7 +369,7 @@ class TestWorkerFailure:
 
     def test_stalled_worker_loses_lease_to_timeout(self, monkeypatch) -> None:
         """A connected-but-silent worker holds a lease past the timeout:
-        the serve loop's expiry sweep must hand its chunk to a live worker
+        the daemon's own lease clock must hand its chunk to a live worker
         without waiting for the connection to die."""
         spec = small_spec(3, scenario=False)
         serial = run_sweep(spec, jobs=1)
@@ -352,7 +377,7 @@ class TestWorkerFailure:
             monkeypatch, chunk_points=3, lease_timeout=1.0, poll_interval=0.1
         )
         daemon.submit(spec)
-        daemon.start()  # the zombie handshakes before the serve loop
+        daemon.start()  # the zombie handshakes before the submitter
         host, port = daemon.address
 
         # A protocol-level zombie: says hello, takes the whole sweep as one
@@ -374,7 +399,7 @@ class TestWorkerFailure:
             daemon=True,
         )
         rescuer.start()
-        dispatched = serve_sweep(daemon, spec)
+        dispatched = serve(daemon, spec)
         rescuer.join(timeout=30)
         # The zombie limps back with a result for a point the rescuer has
         # long since delivered.  A stopped daemon just hangs up on it; the
@@ -417,7 +442,7 @@ class TestWorkerFailure:
         )
         flaky.start()
         steady.start()
-        dispatched = serve_sweep(daemon, spec)
+        dispatched = serve(daemon, spec)
         for thread in (flaky, steady):
             thread.join(timeout=15)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
@@ -429,7 +454,7 @@ class TestWorkerFailure:
         serial = run_sweep(spec, jobs=1)
         daemon = one_sweep_daemon(monkeypatch, chunk_points=2)
         daemon.submit(spec)
-        daemon.start()  # the drone handshakes before the serve loop
+        daemon.start()  # the drone handshakes before the submitter
         host, port = daemon.address
         stats_box: dict[str, object] = {}
 
@@ -453,7 +478,7 @@ class TestWorkerFailure:
             daemon=True,
         )
         steady.start()
-        dispatched = serve_sweep(daemon, spec)
+        dispatched = serve(daemon, spec)
         steady.join(timeout=15)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
 
@@ -476,6 +501,9 @@ class TestFrameBudget:
         replies = record_frames(monkeypatch, daemon_module)
         dispatched = serve_with_worker_threads(spec, daemon, n_workers=1)
 
+        # The submitter's hellos go through the worker module's handshake
+        # too; everything else counted here is the worker connection's.
+        sent = [frame for frame in sent if frame.get("role") != "submitter"]
         kinds = [frame["type"] for frame in sent]
         leases = [reply for reply in replies if reply["type"] == "chunk"]
         assert [len(lease["points"]) for lease in leases] == [4, 4, 4]
@@ -517,7 +545,7 @@ class TestFrameBudget:
             daemon=True,
         )
         steady.start()
-        dispatched = serve_sweep(daemon, spec)
+        dispatched = serve(daemon, spec)
         steady.join(timeout=15)
         assert comparable_artifact(dispatched) == comparable_artifact(serial)
         assert entry.executed == 4
@@ -562,7 +590,7 @@ class TestFrameBudget:
         ]
         served: dict[str, object] = {}
         server = threading.Thread(
-            target=lambda: served.update(result=serve_sweep(daemon, spec)),
+            target=lambda: served.update(result=serve(daemon, spec)),
             daemon=True,
         )
         switch = sys.getswitchinterval()
@@ -584,6 +612,37 @@ class TestFrameBudget:
         assert sum(worker.duplicate_results for worker in stats) == 0
         assert sorted(journaled_indices(str(tmp_path), spec.name)) == list(range(60))
         assert comparable_artifact(served["result"]) == comparable_artifact(serial)
+
+
+class TestCancel:
+    def test_cancelling_a_dispatched_sweep_fails_the_submitter(self) -> None:
+        """``fleet cancel`` against a ``--dispatch`` address ends the run with
+        an error naming the cancel, instead of blocking it for good."""
+        port = free_port()
+        outcome: dict[str, Exception] = {}
+
+        def submit() -> None:
+            try:
+                run_sweep(
+                    small_spec(3, scenario=False),
+                    dispatch=DispatchSpec(port=port, poll_interval=0.05),
+                )
+            except Exception as exc:  # reported below
+                outcome["error"] = exc
+
+        submitter = threading.Thread(target=submit, daemon=True)
+        submitter.start()
+        client = FleetClient("127.0.0.1", port, connect_timeout=5.0)
+        deadline = time.monotonic() + 10.0
+        while not (sweeps := client.status()["sweeps"]):
+            assert time.monotonic() < deadline, "the sweep was never submitted"
+            time.sleep(0.01)
+        (row,) = sweeps  # no worker ever connects
+        assert client.cancel(row["sweep"])["existed"]
+        submitter.join(timeout=5.0)
+        assert not submitter.is_alive(), "run_sweep still blocked after the cancel"
+        assert isinstance(outcome.get("error"), DispatchError), outcome
+        assert "cancelled" in str(outcome["error"])
 
 
 class TestProtocolPolicing:

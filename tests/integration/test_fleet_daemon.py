@@ -99,9 +99,7 @@ class TestByteIdentity:
                 poll_interval=0.05,
             )
         )
-        daemon.start()
-        sweeper = threading.Thread(target=daemon.serve_forever, daemon=True)
-        sweeper.start()
+        daemon.start()  # also the stale-lease sweeper
         host, port = daemon.address
         try:
             workers = [

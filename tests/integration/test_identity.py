@@ -145,15 +145,15 @@ class TestRecord:
     def test_a_bit_flipped_on_the_dispatch_path_is_named(
         self, tmp_path, monkeypatch, capsys
     ) -> None:
-        decode_results = coordinator.decode_results
+        run_dispatched = coordinator.run_dispatched
 
-        def flipped(points, wire_results):
-            results = decode_results(points, wire_results)
-            series = results[0].series
+        def flipped(spec, dispatch):
+            result = run_dispatched(spec, dispatch)
+            series = result.results[0].series
             series[-1]["consistent"] = flip_lowest_bit(series[-1]["consistent"])
-            return results
+            return result
 
-        monkeypatch.setattr(coordinator, "decode_results", flipped)
+        monkeypatch.setattr(coordinator, "run_dispatched", flipped)
         assert identity.record(str(tmp_path / "identity.json"), ["fig4"]) == 1
         out = capsys.readouterr().out
         failures = [line for line in out.splitlines() if "disagrees" in line]

@@ -18,10 +18,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.dispatch import FleetConfig, FleetDaemon, run_worker, serve_sweep
+from repro.dispatch import FleetConfig, FleetDaemon, FleetSpec, run_worker
 from repro.dispatch.daemon import _Worker
 from repro.experiments.config import ColumnConfig
-from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed
+from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed, run_sweep
 from repro.workloads.synthetic import PerfectClusterWorkload
 
 #: (case, lease_timeout, [(time, event[, points]), ...], end time,
@@ -271,7 +271,11 @@ def test_daemon_books_each_connection_once() -> None:
         target=run_worker, args=(host, port), kwargs={"name": "solo"}, daemon=True
     )
     worker.start()
-    result = serve_sweep(daemon, spec)
+    daemon.start()
+    try:
+        result = run_sweep(spec, dispatch=FleetSpec(host, port, poll_interval=0.05))
+    finally:
+        daemon.shutdown()
     worker.join(timeout=30.0)
     assert not worker.is_alive()
     assert result.jobs == 1

@@ -48,13 +48,7 @@ LAYERS = (
 FACADE = "repro"
 
 #: Upward imports executed at run time: ``(file, imported layer) -> reason``.
-RUNTIME_EXCEPTIONS = {
-    ("experiments/sweep.py", "dispatch"): (
-        "run_sweep(dispatch=...) hands the spec to run_dispatched or "
-        "run_fleet_sweep; folding those two into one function is blocked "
-        "while the perf/ harness wraps both by name"
-    ),
-}
+RUNTIME_EXCEPTIONS: dict[tuple[str, str], str] = {}
 
 #: Upward imports under ``if TYPE_CHECKING:``.  They load nothing at run
 #: time.  Entries may be deleted, never added.
@@ -64,10 +58,9 @@ ANNOTATION_ONLY = frozenset(
         # Each cache factory takes the EdgeSpec it builds for.
         ("protocols/registry.py", "scenario"),
         ("scenario/spec.py", "experiments"),
-        ("experiments/sweep.py", "dispatch"),
     }
 )
-ANNOTATION_ONLY_CEILING = 4
+ANNOTATION_ONLY_CEILING = 3
 
 
 def layer_of(path: PurePosixPath) -> str | None:

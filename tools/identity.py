@@ -165,7 +165,7 @@ def _workers(mode: str, journal_dir: str):
     else:
         daemon = FleetDaemon(FleetConfig(host=HOST, journal_dir=journal_dir))
         port = daemon.address[1]
-        threading.Thread(target=daemon.serve_forever, daemon=True).start()
+        daemon.start()
     stop = threading.Event()
 
     def serve(name: str) -> None:
