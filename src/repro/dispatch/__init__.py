@@ -13,17 +13,20 @@ exactly one sweep and submits to that.
 * :mod:`repro.dispatch.queue` — :class:`WorkQueue`, one sweep's lease
   mechanics: point indices leased to named workers, heartbeat-extended,
   re-queued on connection loss or lease expiry, first-writer-wins results.
-* :mod:`repro.dispatch.fleet` — :class:`FleetQueue`: many named sweeps,
-  each a ``WorkQueue``, served by priority; resubmit-attach by
-  fingerprint, cancel and revive.
-* :mod:`repro.dispatch.daemon` — :class:`FleetDaemon`: the queue service
-  over those frames — one verb table says which role may send what — with
-  an optional append-only JSONL journal (:mod:`repro.dispatch.journal`;
-  the files are the only durable state, replayed once per restart) that
-  makes restarts resume instead of recompute, shared-secret HMAC
-  authentication (:mod:`repro.dispatch.auth`), and one record per worker
-  connection — liveness, progress, and the throughput that sizes its
-  next lease.
+* :mod:`repro.dispatch.fleet` — :class:`FleetQueue`, the daemon's whole
+  ledger: many named sweeps, each a ``WorkQueue``, served by priority;
+  resubmit-attach by fingerprint, cancel and revive; and one record per
+  worker connection — liveness, progress, and the throughput that sizes
+  its next lease.  It takes no lock, reads time only through its
+  ``clock`` and does no I/O.
+* :mod:`repro.dispatch.daemon` — :class:`FleetDaemon`: the shell around
+  that ledger — sockets, one verb table that says which role may send
+  what, and one condition held around every ledger call and notified
+  after each — with an optional append-only JSONL journal
+  (:mod:`repro.dispatch.journal`; the files are the only durable state,
+  replayed once per restart) that makes restarts resume instead of
+  recompute, and shared-secret HMAC authentication
+  (:mod:`repro.dispatch.auth`).
 * :mod:`repro.dispatch.coordinator` — :class:`DispatchSpec` and
   :func:`run_dispatched`, the ``run_sweep(spec, dispatch=DispatchSpec(...))``
   backend: a journal-less daemon started for one sweep and driven through

@@ -1,9 +1,8 @@
 """The fleet daemon: the one dispatch server.
 
-A :class:`FleetDaemon` accepts *named* sweeps with priorities — from
-``submit`` connections, or in-process through :meth:`FleetDaemon.submit` —
-and serves their points to workers over the frame protocol
-(:mod:`repro.dispatch.protocol`).  With a journal directory it journals
+A :class:`FleetDaemon` accepts *named* sweeps with priorities from
+``submit`` connections and serves their points to workers over the frame
+protocol (:mod:`repro.dispatch.protocol`).  With a journal directory it journals
 every accepted result to an append-only JSONL file
 (:mod:`repro.dispatch.journal`) *before* answering the frame that carried
 it, and — when a shared secret is configured — it refuses any connection
@@ -26,18 +25,20 @@ entry (or the journal on disk) instead of recomputing.
 
 A submission is serialised once: the daemon rebuilds the peer's spec
 payload through :meth:`SweepSpec.from_dict` and hashes, journals and queues
-that one canonical ``spec_artifact``.  Nobody waits on a poll either: a
-worker's ``request`` that finds nothing to lease is held until a
-submission, a released or expired lease, or :meth:`FleetDaemon.shutdown`
-moves the queue (for at most ``poll_interval``), and a submitter's
-``fetch`` with ``wait`` is held until its sweep is done, every result
-journaled, or the wait runs out.  Shutdown wakes the accept loop at once.
+that one canonical ``spec_artifact``.
 
-Each worker connection is booked once, in one small record the daemon
-keeps per connection: liveness (the last frame of any kind), progress, and
-an EWMA of observed points/sec that sizes its next lease, so heterogeneous
-hosts drain a sweep's tail together instead of parking it on the slowest
-machine.  Sizing changes wall-clock shape only, never result bytes.
+All state — sweeps, leases, results and one record per worker connection —
+is one lock-free ledger, :class:`~repro.dispatch.fleet.FleetQueue`; the
+daemon is the shell around it.  One condition is held while a frame is
+answered, around the ledger calls it makes and the journal appends of
+what they accepted, and is notified after each.  Nobody waits on a poll: a
+worker's ``request`` that finds nothing to lease is held on that condition
+until it gets a lease, another worker takes the work that woke it, the
+daemon shuts down, or ``poll_interval`` passes; a submitter's ``fetch``
+with ``wait`` is held until its sweep is no longer running — and because
+results are journaled under the same condition, a ``done`` sweep has every
+line on disk — or the wait runs out.  Shutdown wakes the accept loop at
+once.
 
 The daemon stores and serves *wire payloads* only; decoding results
 against live spec objects is the submitter's job
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.dispatch.auth import issue_nonce, secret_from_env, verify_mac
-from repro.dispatch.fleet import FleetEntry, FleetQueue
+from repro.dispatch.fleet import DONE, RUNNING, FleetEntry, FleetQueue
 from repro.dispatch.journal import (
     ReplayedJournal,
     SweepJournal,
@@ -87,18 +88,6 @@ __all__ = ["FleetConfig", "FleetDaemon", "run_daemon"]
 #: Daemon diagnostics go through stdlib logging (the CLI configures the
 #: root handler and ``--log-level``); user-facing tables stay on stdout.
 _LOGGER = logging.getLogger("repro.dispatch.daemon")
-
-#: Adaptive chunk sizing: a worker's lease targets this many seconds of its
-#: observed throughput, clamped to ``[1, MAX_CHUNK_POINTS]``.  A worker with
-#: no estimate yet (before its second batch of accepted results) gets
-#: ``PROBE_CHUNK_POINTS``: underestimating a fast host for one lease costs
-#: far less than parking a sweep's tail on a slow one.  Read at call time.
-TARGET_CHUNK_SECONDS = 5.0
-PROBE_CHUNK_POINTS = 1
-MAX_CHUNK_POINTS = 64
-#: Weight of the newest batch's rate in the throughput EWMA.
-_EWMA_ALPHA = 0.3
-
 
 @dataclass(slots=True)
 class FleetConfig:
@@ -150,68 +139,6 @@ class FleetConfig:
 
 
 @dataclass(slots=True)
-class _Worker:
-    """One worker connection's ledger: liveness, progress, throughput.
-
-    Created by :meth:`FleetDaemon._register_worker` and written only under
-    the daemon's ``_owner_lock``, which status snapshots take too.  Methods
-    take ``now`` (``time.monotonic()`` in the daemon) instead of reading a
-    clock.
-    """
-
-    owner: str
-    #: When the last frame of any kind arrived.
-    last_seen: float
-    connected: bool = True
-    points_completed: int = 0
-    heartbeats: int = 0
-    #: EWMA of completed points per second; ``None`` until a second batch.
-    points_per_sec: float | None = None
-    last_result_at: float | None = None
-
-    def record_result(self, now: float, points: int = 1) -> None:
-        """A batch of ``points`` accepted results: count them and update the
-        throughput EWMA with ``points`` over the time since the last batch."""
-        self.last_seen = now
-        self.points_completed += points
-        previous, self.last_result_at = self.last_result_at, now
-        if previous is None or now <= previous:
-            return
-        rate = points / (now - previous)
-        if self.points_per_sec is None:
-            self.points_per_sec = rate
-        else:
-            self.points_per_sec += _EWMA_ALPHA * (rate - self.points_per_sec)
-
-    def disconnect(self) -> None:
-        """The connection is gone: no rate is ever measured across the gap."""
-        self.connected = False
-        self.last_result_at = None
-
-    def chunk_points(self) -> int:
-        """How many points to lease this worker next."""
-        if self.points_per_sec is None:
-            return PROBE_CHUNK_POINTS
-        sized = round(self.points_per_sec * TARGET_CHUNK_SECONDS)
-        return max(1, min(MAX_CHUNK_POINTS, sized))
-
-    def row(self, now: float, alive_after: float) -> dict[str, object]:
-        """A JSON-safe ``fleet status`` row."""
-        silence = max(0.0, now - self.last_seen)
-        return {
-            "worker": self.owner,
-            "connected": self.connected,
-            "alive": self.connected and silence <= alive_after,
-            "silence_seconds": round(silence, 3),
-            "points_completed": self.points_completed,
-            "heartbeats": self.heartbeats,
-            "points_per_sec": (
-                None if self.points_per_sec is None else round(self.points_per_sec, 4)
-            ),
-        }
-
-
-@dataclass(slots=True)
 class _DaemonStats:
     """Per-lifetime counters surfaced in status reports and tests."""
 
@@ -239,9 +166,10 @@ class FleetDaemon:
         self.queue = FleetQueue(lease_timeout=self.config.lease_timeout)
         self.stats = _DaemonStats()
         #: Every reply after ``welcome``: ``(role, message type)`` →
-        #: ``handler(frame, worker)`` (the connection's :class:`_Worker`,
-        #: ``None`` for submitters).  The roles a ``hello`` may claim are
-        #: the ones named here; any other pair is a protocol error.
+        #: ``handler(frame, owner)`` (the worker connection's owner name,
+        #: ``None`` for submitters), called through :meth:`_change`.  The
+        #: roles a ``hello`` may claim are the ones named here; any other
+        #: pair is a protocol error.
         self._verbs: dict[tuple[str, str], Callable[..., dict]] = {
             ("worker", "request"): self._handle_request,
             ("worker", "heartbeat"): self._handle_heartbeat,
@@ -254,11 +182,9 @@ class FleetDaemon:
             ("submitter", "goodbye"): _handle_goodbye,
         }
         self._journals: dict[str, SweepJournal] = {}
-        self._submit_lock = threading.Lock()
-        self._result_lock = threading.Lock()
-        #: Every worker connection this daemon has served, by owner name.
-        self._workers: dict[str, _Worker] = {}
-        self._owner_lock = threading.Lock()
+        #: The one lock: held around every ledger call and the journal
+        #: appends of what it accepted, and notified after every change.
+        self._changed = threading.Condition()
         self._stop = threading.Event()
         self._listener = socket.create_server((self.config.host, self.config.port))
         #: shutdown() closes the writing end, which wakes the accept loop.
@@ -292,7 +218,7 @@ class FleetDaemon:
             selector.register(self._wake_reader, selectors.EVENT_READ)
             while not self._stop.is_set():
                 ready = selector.select(timeout=self.config.poll_interval)
-                self.queue.expire_stale_leases()
+                self._change(self.queue.expire_stale_leases)
                 for key, _ in ready:
                     if key.fileobj is not self._listener:
                         continue  # woken: the loop condition ends it
@@ -318,14 +244,16 @@ class FleetDaemon:
         dropped link.
         """
         self._stop.set()
-        self.queue.wake()
+        with self._changed:  # wake every held reply
+            self._changed.notify_all()
         self._wake_writer.close()
         if self._server_thread is not None:
             self._server_thread.join()
         self._listener.close()
         self._wake_reader.close()
-        for journal in self._journals.values():
-            journal.close()
+        with self._changed:  # never under an append
+            for journal in self._journals.values():
+                journal.close()
 
     # ------------------------------------------------------------------
     # Journal restore
@@ -353,58 +281,58 @@ class FleetDaemon:
         is finished and idle past ``journal_expiry``: then the file moves to
         ``<journal_dir>/archive/`` and nothing is queued (``None``).  Either
         way each file is replayed once; only submissions count in
-        ``stats.submissions``.
+        ``stats.submissions``.  The caller holds :attr:`_changed`, but for
+        the restore in the constructor, which runs before any thread.
         """
-        with self._submit_lock:
-            path = restore
-            if (
-                path is None
-                and self.config.journal_dir is not None
-                and self.queue.entry(name) is None
-            ):
-                path = journal_path(self.config.journal_dir, name)
-            fingerprint = None if artifact is None else artifact_fingerprint(artifact)
-            journal = replayed = None
-            if path is not None and (restore or os.path.exists(path)):
-                journal, replayed = SweepJournal.attach(
-                    path,
-                    expected_name=None if restore else name,
-                    expected_fingerprint=fingerprint,
-                    fsync=self.config.fsync,
-                )
-                for warning in replayed.warnings:
-                    self._log(f"journal warning: {warning}")
-            elif path is not None:
-                journal = SweepJournal.create(
-                    self.config.journal_dir,
-                    artifact,
-                    name=name,
-                    fingerprint=fingerprint,
-                    priority=priority,
-                    fsync=self.config.fsync,
-                )
-            try:
-                if restore is not None:
-                    if self._archive_if_expired(replayed):
-                        journal.close()
-                        return None
-                    artifact, name = replayed.rebuild_artifact(), replayed.name
-                    priority, fingerprint = replayed.priority, replayed.fingerprint
-                if journal is not None and name in self._journals:  # pragma: no cover
-                    raise JournalError(f"{path}: a second journal for sweep {name!r}")
-                entry, created = self.queue.submit(
-                    name,
-                    artifact["columns"],
-                    fingerprint,
-                    priority=priority,
-                    resumed_results=replayed.results if replayed else None,
-                )
-            except Exception:
-                if journal is not None:
+        path = restore
+        if (
+            path is None
+            and self.config.journal_dir is not None
+            and self.queue.entry(name) is None
+        ):
+            path = journal_path(self.config.journal_dir, name)
+        fingerprint = None if artifact is None else artifact_fingerprint(artifact)
+        journal = replayed = None
+        if path is not None and (restore or os.path.exists(path)):
+            journal, replayed = SweepJournal.attach(
+                path,
+                expected_name=None if restore else name,
+                expected_fingerprint=fingerprint,
+                fsync=self.config.fsync,
+            )
+            for warning in replayed.warnings:
+                self._log(f"journal warning: {warning}")
+        elif path is not None:
+            journal = SweepJournal.create(
+                self.config.journal_dir,
+                artifact,
+                name=name,
+                fingerprint=fingerprint,
+                priority=priority,
+                fsync=self.config.fsync,
+            )
+        try:
+            if restore is not None:
+                if self._archive_if_expired(replayed):
                     journal.close()
-                raise
+                    return None
+                artifact, name = replayed.rebuild_artifact(), replayed.name
+                priority, fingerprint = replayed.priority, replayed.fingerprint
+            if journal is not None and name in self._journals:  # pragma: no cover
+                raise JournalError(f"{path}: a second journal for sweep {name!r}")
+            entry, created = self.queue.submit(
+                name,
+                artifact["columns"],
+                fingerprint,
+                priority=priority,
+                resumed_results=replayed.results if replayed else None,
+            )
+        except Exception:
             if journal is not None:
-                self._journals[name] = journal
+                journal.close()
+            raise
+        if journal is not None:
+            self._journals[name] = journal
         if restore is not None:
             self._log(
                 f"restored sweep {name!r} from journal: "
@@ -438,23 +366,17 @@ class FleetDaemon:
     # Connection handling
     # ------------------------------------------------------------------
 
-    def _register_worker(self, name: object) -> _Worker:
-        with self._owner_lock:
-            owner = f"{name or 'worker'}#{len(self._workers) + 1}"
-            worker = self._workers[owner] = _Worker(owner, time.monotonic())
-            return worker
-
-    def worker_rows(self) -> list[dict[str, object]]:
-        """``fleet status`` rows for every worker connection, by owner name."""
-        now = time.monotonic()
-        with self._owner_lock:
-            return [
-                self._workers[owner].row(now, self.config.lease_timeout)
-                for owner in sorted(self._workers)
-            ]
+    def _change(self, call: Callable[..., object], *args: object) -> object:
+        """Make one ledger call holding the condition, then wake every
+        waiter.  A held reply's ``wait_for`` inside ``call`` releases the
+        condition while it waits."""
+        with self._changed:
+            result = call(*args)
+            self._changed.notify_all()
+            return result
 
     def _handle_connection(self, sock) -> None:
-        worker = None
+        owner = None
         self.stats.connections += 1
         try:
             hello = recv_frame(sock)
@@ -478,7 +400,7 @@ class FleetDaemon:
                 # anywhere: a failed MAC never touches the queue.
                 self._authenticate(sock, role, name)
             if role == "worker":
-                worker = self._register_worker(name)
+                owner = self._change(self.queue.register, name)
             send_frame(
                 sock,
                 {"type": "welcome", "service": "fleet", "role": role},
@@ -494,20 +416,20 @@ class FleetDaemon:
                     # closes the connection rather than keep serving a
                     # dead daemon's queue (workers reconnect to whatever
                     # replaces it).
-                    if worker is None or kind != "request":
+                    if owner is None or kind != "request":
                         return
                     send_frame(sock, {"type": "done"})
                     continue
-                if worker is not None:
-                    with self._owner_lock:
-                        worker.last_seen = time.monotonic()
                 handler = isinstance(kind, str) and self._verbs.get((role, kind))
                 if not handler:
                     raise ProtocolError(f"unknown {role} message type {kind!r}")
-                # A worker's finished results ride on its next frame: they
-                # are accepted before that frame is answered.
-                accepted = worker and self._accept_results(frame, worker)
-                reply = handler(frame, worker)
+                accepted = None
+                if owner is not None:
+                    # A worker's finished results ride on its next frame:
+                    # they are accepted, journaled and announced before
+                    # that frame is answered (or held).
+                    accepted = self._change(self._accept_results, frame, owner)
+                reply = self._change(handler, frame, owner)
                 if accepted is not None:
                     reply["accepted"] = accepted
                 send_frame(sock, reply)
@@ -522,10 +444,8 @@ class FleetDaemon:
         except OSError:
             pass  # connection died; leases are released below
         finally:
-            if worker is not None:
-                self.queue.release(worker.owner)
-                with self._owner_lock:
-                    worker.disconnect()
+            if owner is not None:
+                self._change(self.queue.release, owner)
             sock.close()
 
     def _authenticate(self, sock, role: str, name: str) -> None:
@@ -559,22 +479,26 @@ class FleetDaemon:
     # Worker verbs
     # ------------------------------------------------------------------
 
-    def _handle_request(self, frame: Mapping[str, object], worker: _Worker) -> dict:
-        seen = self.queue.changes()
-        lease = self.queue.acquire(worker.owner, worker.chunk_points())
-        if lease is None:
-            # Hold the reply until work may have arrived, for at most the
-            # poll interval.  Every other answer is ``wait`` with no delay:
-            # the worker asks again at once, and that request's acquire
-            # reaps any lease that expired meanwhile, or holds again.
-            poll = self.config.poll_interval
-            woken = not self._stop.is_set() and self.queue.wait_for_change(seen, poll)
+    def _handle_request(self, frame: Mapping[str, object], owner: str) -> dict:
+        # Held for at most the poll interval, until this worker gets a
+        # lease or the daemon stops — or until another worker takes a
+        # lease first: the work that woke this request went elsewhere, and
+        # the ``wait`` with no delay has the worker ask again at once.
+        issued = self.queue.leases_issued
+        lease = None
+
+        def answered() -> bool:
+            nonlocal lease
             if self._stop.is_set():
-                return {"type": "done"}
-            if woken:
-                lease = self.queue.acquire(worker.owner, worker.chunk_points())
-            if lease is None:  # a full hold, or another worker got there first
-                return {"type": "wait", "delay": 0.0}
+                return True
+            lease = self.queue.acquire(owner)
+            return lease is not None or self.queue.leases_issued != issued
+
+        self._changed.wait_for(answered, self.config.poll_interval)
+        if lease is None and self._stop.is_set():
+            return {"type": "done"}
+        if lease is None:
+            return {"type": "wait", "delay": 0.0}
         payloads = self.queue.entry(lease.sweep).point_payloads
         return {
             "type": "chunk",
@@ -585,72 +509,45 @@ class FleetDaemon:
             ],
         }
 
-    def _accept_results(
-        self, frame: Mapping[str, object], worker: _Worker
-    ) -> int | None:
-        """Accept and journal the results a frame carries; how many were new
-        (first writer wins), or ``None`` if it carries none.  A malformed
-        batch is refused whole, before any of it is journaled."""
+    def _accept_results(self, frame: Mapping[str, object], owner: str) -> int | None:
+        """Book a worker's frame: accept and journal the results it carries;
+        how many were new (first writer wins), or ``None`` if it carries
+        none.  A malformed batch is refused whole, before any of it is
+        journaled."""
+        self.queue.seen(owner)
         batch = frame.get("results")
         if batch is None:
             return None
         sweep = frame.get("sweep")
-        entry = self.queue.entry(sweep) if isinstance(sweep, str) else None
-        if entry is None:
-            raise ProtocolError(f"results for an unknown sweep {sweep!r}")
-        if not isinstance(batch, list):
-            raise ProtocolError(f"results for {sweep!r} are not a list")
-        for item in batch:
-            index = item[0] if isinstance(item, list) and len(item) == 2 else None
-            if not (is_index(index) and 0 <= index < entry.total):
-                raise ProtocolError(f"result for {sweep!r} with bad index {index!r}")
-            if not isinstance(item[1], Mapping):
-                raise ProtocolError(f"result {sweep!r}[{index}] carries no payload")
-        # Accepting, counting and journaling a batch is one step under this
-        # lock, so a fetch that finds the sweep done while holding it never
-        # answers before the last journal line is written.
-        accepted = 0
-        with self._result_lock:
-            for index, payload in batch:
-                if self.queue.complete(sweep, index, payload, worker.owner):
-                    accepted += 1
-                    self._journal_point(sweep, index, payload)
-            if accepted:
-                self.stats.results_accepted += accepted
-                with self._owner_lock:
-                    worker.record_result(time.monotonic(), accepted)
-        if accepted and entry.state == "done":
-            self._log(
-                f"sweep {sweep!r} complete "
-                f"({entry.executed} executed, {len(entry.resumed)} resumed)"
-            )
-        return accepted
-
-    def _handle_heartbeat(self, frame: Mapping[str, object], worker: _Worker) -> dict:
-        with self._owner_lock:
-            worker.heartbeats += 1
-        return {"type": "ok", "extended": self.queue.heartbeat(worker.owner)}
-
-    def _journal_point(
-        self, sweep: str, index: int, payload: Mapping[str, object]
-    ) -> None:
+        accepted = self.queue.accept(owner, sweep, batch)
         journal = self._journals.get(sweep)
-        if journal is None:
-            return
         try:
-            journal.record(index, payload)
+            for index, payload in accepted:
+                if journal is not None:
+                    journal.record(index, payload)
         except ValueError:
             # A handler thread raced shutdown() past the closed journal.
             # Dropping the append is crash-equivalent: the restarted
             # daemon simply re-queues this point as not-yet-durable.
             if not self._stop.is_set():
                 raise
+        self.stats.results_accepted += len(accepted)
+        entry = self.queue.entry(sweep)
+        if accepted and entry.state == DONE:
+            self._log(
+                f"sweep {sweep!r} complete "
+                f"({entry.executed} executed, {len(entry.resumed)} resumed)"
+            )
+        return len(accepted)
+
+    def _handle_heartbeat(self, frame: Mapping[str, object], owner: str) -> dict:
+        return {"type": "ok", "extended": self.queue.heartbeat(owner)}
 
     # ------------------------------------------------------------------
     # Submitter verbs
     # ------------------------------------------------------------------
 
-    def _handle_cancel(self, frame: Mapping[str, object], worker: None) -> dict:
+    def _handle_cancel(self, frame: Mapping[str, object], owner: None) -> dict:
         sweep = frame.get("sweep")
         if not isinstance(sweep, str):
             raise ProtocolError(f"cancel without a sweep name: {sweep!r}")
@@ -659,7 +556,7 @@ class FleetDaemon:
             self._log(f"sweep {sweep!r} cancelled")
         return {"type": "cancelled", "sweep": sweep, "existed": existed}
 
-    def _handle_submit(self, frame: Mapping[str, object], worker: None) -> dict:
+    def _handle_submit(self, frame: Mapping[str, object], owner: None) -> dict:
         spec_payload = frame.get("spec")
         if not isinstance(spec_payload, Mapping):
             raise ProtocolError("submit frame carries no spec object")
@@ -693,22 +590,7 @@ class FleetDaemon:
             "resumed": len(entry.resumed),
         }
 
-    def submit(
-        self, spec: SweepSpec, *, name: str | None = None, priority: int = 0
-    ) -> FleetEntry:
-        """Queue ``spec`` from inside the daemon's own process.
-
-        What a ``submit`` frame does, minus the wire: the spec's artifact is
-        pushed through :meth:`SweepSpec.from_dict`, so a point that cannot
-        travel to a worker raises :class:`ConfigurationError` here, before
-        any worker connects.  ``name`` defaults to ``spec.name``.
-        """
-        artifact = spec_artifact(spec)
-        SweepSpec.from_dict(artifact)
-        entry, _ = self._submit(artifact, name or spec.name, priority)
-        return entry
-
-    def _handle_status(self, frame: Mapping[str, object], worker: None) -> dict:
+    def _handle_status(self, frame: Mapping[str, object], owner: None) -> dict:
         sweep = frame.get("sweep")
         rows = self.queue.status_rows()
         if isinstance(sweep, str):
@@ -716,7 +598,7 @@ class FleetDaemon:
         return {
             "type": "status_report",
             "sweeps": rows,
-            "workers": self.worker_rows(),
+            "workers": self.queue.worker_rows(),
             "daemon": {
                 "protocol": PROTOCOL_VERSION,
                 "uptime_seconds": round(
@@ -729,16 +611,17 @@ class FleetDaemon:
             },
         }
 
-    def _handle_metrics(self, frame: Mapping[str, object], worker: None) -> dict:
+    def _handle_metrics(self, frame: Mapping[str, object], owner: None) -> dict:
         """Live ``repro.telemetry/1`` snapshot of the daemon's own state.
 
         Built on demand from the same counters ``status`` reads — the
         daemon keeps no registry between calls, so the verb costs nothing
         while nobody asks.  Per-sweep throughput uses the ``executed``
         counter (results accepted over the wire this lifetime); journal lag
-        is results completed but not yet durable in that sweep's journal —
-        nonzero only in the window between accept and append (omitted for
-        daemons running without a journal directory).
+        is results completed but not in that sweep's journal — appends run
+        under the same condition as the accepts, so it is nonzero only after
+        an append dropped at shutdown (omitted for daemons running without a
+        journal directory).
         """
         registry = MetricsRegistry()
         uptime = max(time.monotonic() - self.stats.started_at, 1e-9)
@@ -765,7 +648,7 @@ class FleetDaemon:
                     f"sweep.{name}.journal_lag",
                     row["completed"] - len(journal.journaled_indices),
                 )
-        for row in self.worker_rows():
+        for row in self.queue.worker_rows():
             worker = row["worker"]
             registry.gauge(
                 f"worker.{worker}.points_completed", row["points_completed"]
@@ -776,7 +659,7 @@ class FleetDaemon:
                 )
         return {"type": "metrics_report", "telemetry": registry.snapshot()}
 
-    def _handle_fetch(self, frame: Mapping[str, object], worker: None) -> dict:
+    def _handle_fetch(self, frame: Mapping[str, object], owner: None) -> dict:
         sweep = frame.get("sweep")
         if not isinstance(sweep, str):
             raise ProtocolError(f"fetch without a sweep name: {sweep!r}")
@@ -788,11 +671,14 @@ class FleetDaemon:
         entry = self.queue.entry(sweep)
         if entry is None:
             raise ProtocolError(f"fetch for unknown sweep {sweep!r}")
-        if wait and entry.state == "running":
-            entry.finished.wait(min(wait, self.config.lease_timeout))
-        with self._result_lock:  # let the last result's journal line land
-            done = entry.state == "done"
-        if not done:
+        if wait:
+            # Results are journaled under this same condition, so a sweep
+            # that reads done here has every journal line written.
+            self._changed.wait_for(
+                lambda: entry.state != RUNNING or self._stop.is_set(),
+                min(wait, self.config.lease_timeout),
+            )
+        if entry.state != DONE:
             return {
                 "type": "pending",
                 "sweep": sweep,
@@ -816,7 +702,7 @@ class FleetDaemon:
         _LOGGER.info(message)
 
 
-def _handle_goodbye(frame: Mapping[str, object], worker: _Worker | None) -> dict:
+def _handle_goodbye(frame: Mapping[str, object], owner: str | None) -> dict:
     return {"type": "ok"}
 
 

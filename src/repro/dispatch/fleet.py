@@ -1,4 +1,4 @@
-"""Multi-sweep, priority-ordered work state behind the fleet daemon.
+"""The fleet daemon's ledger: every sweep, lease, result and worker.
 
 A :class:`FleetQueue` holds *many* named sweeps at once and outlives all of
 them.  Each sweep's lease mechanics — per-point completion, deadlines
@@ -17,28 +17,46 @@ what is multi-sweep on top:
   recomputing.
 * **Cancellation**: pending work is dropped, live leases are torn up, and
   late results for a cancelled sweep are ignored.
-
-Chunk sizes are per request: the caller passes how many points the asking
-worker should get (the daemon sizes it from that worker's observed
-throughput).
+* **Workers**: one record per worker connection — liveness (the last
+  frame of any kind), progress, and an EWMA of observed points/sec that
+  sizes its next lease, so heterogeneous hosts drain a sweep's tail
+  together instead of parking it on the slowest machine.  Sizing changes
+  wall-clock shape only, never result bytes.
 
 Results are stored as their *wire payloads* (the ``encode_result`` dicts):
 the daemon never rebuilds live result objects — decoding against local
 spec objects is the submitter's job, which is exactly what keeps
 daemon-served artifacts byte-identical to ``jobs=1`` runs.
+
+A :class:`FleetQueue` is the daemon's whole ledger and nothing else: it
+takes no lock, reads time only through its injected ``clock`` and does no
+I/O.  The daemon serialises every call under its one condition;
+``tests/unit/test_fleet_ledger.py`` checks the ledger over every small
+schedule of worker, clock and submitter events.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from repro.dispatch.protocol import is_index
 from repro.dispatch.queue import Lease, WorkQueue
-from repro.errors import ConfigurationError, DispatchError
+from repro.errors import ConfigurationError, DispatchError, ProtocolError
 
 __all__ = ["FleetEntry", "FleetQueue"]
+
+#: Adaptive chunk sizing: a worker's lease targets this many seconds of its
+#: observed throughput, clamped to ``[1, MAX_CHUNK_POINTS]``.  A worker with
+#: no estimate yet (before its second batch of accepted results) gets
+#: ``PROBE_CHUNK_POINTS``: underestimating a fast host for one lease costs
+#: far less than parking a sweep's tail on a slow one.  Read at call time.
+TARGET_CHUNK_SECONDS = 5.0
+PROBE_CHUNK_POINTS = 1
+MAX_CHUNK_POINTS = 64
+#: Weight of the newest batch's rate in the throughput EWMA.
+_EWMA_ALPHA = 0.3
 
 #: Entry lifecycle: accepting/serving work → every point has a result →
 #: explicitly cancelled.  There is no separate "queued" state — a sweep
@@ -62,9 +80,6 @@ class FleetEntry:
     #: Indices seeded from a journal rather than executed this lifetime.
     resumed: frozenset[int] = frozenset()
     cancelled: bool = False
-    #: Set once every point has a result — what an in-process submitter
-    #: blocks on instead of polling :attr:`state`.
-    finished: threading.Event = field(default_factory=threading.Event)
 
     @property
     def total(self) -> int:
@@ -109,20 +124,72 @@ class FleetEntry:
         }
 
 
+@dataclass(slots=True)
+class _Worker:
+    """One worker connection's ledger: liveness, progress, throughput.
+
+    Methods take ``now`` (the :class:`FleetQueue`'s clock) instead of
+    reading one.
+    """
+
+    owner: str
+    #: When the last frame of any kind arrived.
+    last_seen: float
+    connected: bool = True
+    points_completed: int = 0
+    heartbeats: int = 0
+    #: EWMA of completed points per second; ``None`` until a second batch.
+    points_per_sec: float | None = None
+    last_result_at: float | None = None
+
+    def record_result(self, now: float, points: int = 1) -> None:
+        """A batch of ``points`` accepted results: count them and update the
+        throughput EWMA with ``points`` over the time since the last batch."""
+        self.last_seen = now
+        self.points_completed += points
+        previous, self.last_result_at = self.last_result_at, now
+        if previous is None or now <= previous:
+            return
+        rate = points / (now - previous)
+        if self.points_per_sec is None:
+            self.points_per_sec = rate
+        else:
+            self.points_per_sec += _EWMA_ALPHA * (rate - self.points_per_sec)
+
+    def disconnect(self) -> None:
+        """The connection is gone: no rate is ever measured across the gap."""
+        self.connected = False
+        self.last_result_at = None
+
+    def chunk_points(self) -> int:
+        """How many points to lease this worker next."""
+        if self.points_per_sec is None:
+            return PROBE_CHUNK_POINTS
+        sized = round(self.points_per_sec * TARGET_CHUNK_SECONDS)
+        return max(1, min(MAX_CHUNK_POINTS, sized))
+
+    def row(self, now: float, alive_after: float) -> dict[str, object]:
+        """A JSON-safe ``fleet status`` row."""
+        silence = max(0.0, now - self.last_seen)
+        return {
+            "worker": self.owner,
+            "connected": self.connected,
+            "alive": self.connected and silence <= alive_after,
+            "silence_seconds": round(silence, 3),
+            "points_completed": self.points_completed,
+            "heartbeats": self.heartbeats,
+            "points_per_sec": (
+                None if self.points_per_sec is None else round(self.points_per_sec, 4)
+            ),
+        }
+
+
 class FleetQueue:
-    """Thread-safe state for every sweep a daemon is serving.
+    """Every sweep and every worker connection a daemon is serving.
 
-    One lock guards all entries and their work queues — submissions,
-    leases and results are tiny bookkeeping operations next to the
-    simulations they schedule, so a single lock keeps the invariants easy
-    to believe.  ``clock`` is injectable for tests.
-
-    A change counter under the same lock moves whenever work may have
-    become acquirable — a submission, a revived sweep, released or
-    expired leases — and on :meth:`wake`.  A caller that found nothing
-    reads it with :meth:`changes` *before* its :meth:`acquire` and then
-    blocks in :meth:`wait_for_change`; whatever lands in between moves the
-    counter, so no wake-up is lost.  :meth:`acquire` itself never blocks.
+    Not thread-safe by itself: the daemon holds its one condition around
+    every call (and around the journal appends of what a call accepted),
+    and notifies after each.  ``clock`` is injectable for tests.
     """
 
     def __init__(
@@ -137,35 +204,9 @@ class FleetQueue:
             )
         self.lease_timeout = lease_timeout
         self._clock = clock
-        self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
-        self._changes = 0
         self._entries: dict[str, FleetEntry] = {}
-
-    # ------------------------------------------------------------------
-    # Waiting for work
-    # ------------------------------------------------------------------
-
-    def changes(self) -> int:
-        """The change counter, to hand to :meth:`wait_for_change`."""
-        with self._lock:
-            return self._changes
-
-    def wait_for_change(self, seen: int, timeout: float) -> bool:
-        """Block until the counter moves past ``seen``, for at most
-        ``timeout`` seconds; ``True`` if it moved."""
-        with self._changed:
-            return self._changed.wait_for(lambda: self._changes != seen, timeout)
-
-    def wake(self) -> None:
-        """Move the counter, waking every waiter (the daemon is stopping)."""
-        with self._lock:
-            self._bump()
-
-    def _bump(self) -> None:
-        # Caller holds the lock.
-        self._changes += 1
-        self._changed.notify_all()
+        #: Every worker connection ever registered, by owner name.
+        self._workers: dict[str, _Worker] = {}
 
     # ------------------------------------------------------------------
     # Submissions
@@ -190,78 +231,123 @@ class FleetQueue:
         """
         if not name:
             raise ConfigurationError("sweep name must be non-empty")
-        with self._lock:
-            existing = self._entries.get(name)
-            if existing is not None:
-                if existing.fingerprint != fingerprint:
-                    raise DispatchError(
-                        f"sweep {name!r} already exists with fingerprint "
-                        f"{existing.fingerprint}, submission has "
-                        f"{fingerprint} — pick a new name or submit the "
-                        "identical spec to resume it"
-                    )
-                if existing.cancelled:
-                    existing.cancelled = False
-                    existing.work.requeue_missing()
-                    self._bump()
-                return existing, False
-            resumed = {
-                index: dict(result)
-                for index, result in (resumed_results or {}).items()
-            }
-            entry = FleetEntry(
-                name=name,
-                priority=priority,
-                fingerprint=fingerprint,
-                point_payloads=point_payloads,
-                work=WorkQueue(
-                    len(point_payloads),
-                    lease_timeout=self.lease_timeout,
-                    sweep=name,
-                    resumed=resumed,
-                    clock=self._clock,
-                ),
-                resumed=frozenset(resumed),
-            )
-            if entry.work.done:  # empty, or fully resumed from a journal
-                entry.finished.set()
-            self._entries[name] = entry
-            self._bump()
-            return entry, True
+        existing = self._entries.get(name)
+        if existing is not None:
+            if existing.fingerprint != fingerprint:
+                raise DispatchError(
+                    f"sweep {name!r} already exists with fingerprint "
+                    f"{existing.fingerprint}, submission has "
+                    f"{fingerprint} — pick a new name or submit the "
+                    "identical spec to resume it"
+                )
+            if existing.cancelled:
+                existing.cancelled = False
+                existing.work.requeue_missing()
+            return existing, False
+        resumed = {
+            index: dict(result) for index, result in (resumed_results or {}).items()
+        }
+        entry = FleetEntry(
+            name=name,
+            priority=priority,
+            fingerprint=fingerprint,
+            point_payloads=point_payloads,
+            work=WorkQueue(
+                len(point_payloads),
+                lease_timeout=self.lease_timeout,
+                sweep=name,
+                resumed=resumed,
+                clock=self._clock,
+            ),
+            resumed=frozenset(resumed),
+        )
+        self._entries[name] = entry
+        return entry, True
 
     def cancel(self, name: str) -> bool:
         """Stop serving ``name``; ``False`` if no such sweep."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                return False
-            entry.cancelled = True
-            entry.work.drop_outstanding()
-            return True
+        entry = self._entries.get(name)
+        if entry is None:
+            return False
+        entry.cancelled = True
+        entry.work.drop_outstanding()
+        return True
+
+    # ------------------------------------------------------------------
+    # Worker connections
+    # ------------------------------------------------------------------
+
+    def register(self, name: str) -> str:
+        """Book a new worker connection; returns its unique owner name."""
+        owner = f"{name or 'worker'}#{len(self._workers) + 1}"
+        self._workers[owner] = _Worker(owner, self._clock())
+        return owner
+
+    def seen(self, owner: str) -> None:
+        """A frame of any kind arrived from ``owner``."""
+        self._workers[owner].last_seen = self._clock()
+
+    def worker_rows(self) -> list[dict[str, object]]:
+        """``fleet status`` rows for every worker connection, by owner name."""
+        now = self._clock()
+        return [
+            self._workers[owner].row(now, self.lease_timeout)
+            for owner in sorted(self._workers)
+        ]
 
     # ------------------------------------------------------------------
     # Worker-facing operations
     # ------------------------------------------------------------------
 
-    def acquire(self, owner: str, max_points: int) -> Lease | None:
-        """Lease up to ``max_points`` indices of the most urgent sweep.
+    def acquire(self, owner: str, max_points: int | None = None) -> Lease | None:
+        """Lease the most urgent sweep's pending indices to ``owner``.
 
         Urgency: highest ``priority`` first, then earliest submission.
         Each sweep reaps its expired leases before answering, so a dead
-        worker's points are re-acquirable the moment anyone asks.  ``None``
-        when nothing is pending anywhere.
+        worker's points are re-acquirable the moment anyone asks.  The
+        lease is sized from ``owner``'s record unless ``max_points`` is
+        given.  ``None`` when nothing is pending anywhere.
         """
-        with self._lock:
-            # Entries are never removed and the sort is stable, so equal
-            # priorities keep their submission (insertion) order; a
-            # cancelled entry has nothing pending and yields no lease.
-            for entry in sorted(
-                self._entries.values(), key=lambda entry: -entry.priority
-            ):
-                lease = entry.work.acquire(owner, max_points)
-                if lease is not None:
-                    return lease
-            return None
+        if max_points is None:
+            max_points = self._workers[owner].chunk_points()
+        # Entries are never removed and the sort is stable, so equal
+        # priorities keep their submission (insertion) order; a cancelled
+        # entry has nothing pending and yields no lease.
+        for entry in sorted(self._entries.values(), key=lambda entry: -entry.priority):
+            lease = entry.work.acquire(owner, max_points)
+            if lease is not None:
+                return lease
+        return None
+
+    def accept(
+        self, owner: str, sweep: object, batch: object
+    ) -> list[tuple[int, Mapping[str, object]]]:
+        """Accept a frame's batch of ``[index, payload]`` results.
+
+        Returns the newly accepted pairs (first writer wins), in batch
+        order.  A malformed batch, or one for a sweep this ledger has never
+        heard of, raises :class:`ProtocolError` before any of it is kept.
+        """
+        entry = self._entries.get(sweep) if isinstance(sweep, str) else None
+        if entry is None:
+            raise ProtocolError(f"results for an unknown sweep {sweep!r}")
+        if not isinstance(batch, list):
+            raise ProtocolError(f"results for {sweep!r} are not a list")
+        for item in batch:
+            index = item[0] if isinstance(item, list) and len(item) == 2 else None
+            if not (is_index(index) and 0 <= index < entry.total):
+                raise ProtocolError(f"result for {sweep!r} with bad index {index!r}")
+            if not isinstance(item[1], Mapping):
+                raise ProtocolError(f"result {sweep!r}[{index}] carries no payload")
+        accepted = [
+            (index, payload)
+            for index, payload in batch
+            if self.complete(sweep, index, payload, owner)
+        ]
+        worker = self._workers.get(owner)
+        if accepted and worker is not None:
+            worker.record_result(self._clock(), len(accepted))
+        return accepted
 
     def complete(
         self, sweep: str, index: int, result: Mapping[str, object], owner: str
@@ -272,77 +358,63 @@ class FleetQueue:
         sweep; raises for sweeps the daemon has never heard of or indices
         outside the grid — those are protocol violations, not races.
         """
-        with self._lock:
-            entry = self._entries.get(sweep)
-            if entry is None:
-                raise DispatchError(f"result for unknown sweep {sweep!r}")
-            if entry.cancelled:
-                return False
-            accepted = entry.work.complete(index, dict(result), owner)
-            if accepted and entry.work.done:
-                entry.finished.set()
-            return accepted
+        entry = self._entries.get(sweep)
+        if entry is None:
+            raise DispatchError(f"result for unknown sweep {sweep!r}")
+        if entry.cancelled:
+            return False
+        return entry.work.complete(index, dict(result), owner)
 
     def heartbeat(self, owner: str) -> int:
         """Extend every lease held by ``owner``; returns how many."""
-        with self._lock:
-            return sum(
-                entry.work.heartbeat(owner) for entry in self._entries.values()
-            )
+        worker = self._workers.get(owner)
+        if worker is not None:
+            worker.heartbeats += 1
+        return sum(entry.work.heartbeat(owner) for entry in self._entries.values())
 
     def release(self, owner: str) -> int:
-        """Re-queue the unfinished work of every lease held by ``owner``."""
-        with self._lock:
-            requeued = sum(
-                entry.work.release(owner) for entry in self._entries.values()
-            )
-            if requeued:
-                self._bump()
-            return requeued
+        """``owner``'s connection is gone: mark it so, and re-queue the
+        unfinished work of every lease it held; returns how many leases."""
+        worker = self._workers.get(owner)
+        if worker is not None:
+            worker.disconnect()
+        return sum(entry.work.release(owner) for entry in self._entries.values())
 
     def expire_stale_leases(self) -> int:
         """Reap every sweep's leases past their deadline."""
-        with self._lock:
-            requeued = sum(
-                entry.work.expire_stale_leases()
-                for entry in self._entries.values()
-            )
-            if requeued:
-                self._bump()
-            return requeued
+        return sum(
+            entry.work.expire_stale_leases() for entry in self._entries.values()
+        )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     @property
+    def leases_issued(self) -> int:
+        """Lifetime count of leases handed out, over every sweep."""
+        return sum(entry.work.issued for entry in self._entries.values())
+
+    @property
     def leases_requeued(self) -> int:
         """Lifetime count of leases whose unfinished work was re-queued
         (worker death, disconnect, or expiry) — the "lease churn" gauge
         the daemon's ``metrics`` verb reports."""
-        with self._lock:
-            return sum(entry.work.requeued for entry in self._entries.values())
+        return sum(entry.work.requeued for entry in self._entries.values())
 
     def entry(self, name: str) -> FleetEntry | None:
-        with self._lock:
-            return self._entries.get(name)
+        return self._entries.get(name)
 
     def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(self._entries)
 
     def results_for(self, name: str) -> dict[int, dict] | None:
         """Snapshot of a sweep's wire results; ``None`` for unknown names."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                return None
-            return {
-                index: dict(result)
-                for index, result in entry.work.results.items()
-            }
+        entry = self._entries.get(name)
+        if entry is None:
+            return None
+        return {index: dict(result) for index, result in entry.work.results.items()}
 
     def status_rows(self) -> list[dict[str, object]]:
         """One JSON-safe row per sweep, in submission order."""
-        with self._lock:
-            return [entry.status_row() for entry in self._entries.values()]
+        return [entry.status_row() for entry in self._entries.values()]

@@ -24,10 +24,10 @@ worker limping back after its lease moved on — are ignored with
 first-writer-wins semantics.  Results are deterministic functions of their
 point, so which writer wins cannot affect the sweep.
 
-A :class:`WorkQueue` is one sweep's half of the composition: the
-:class:`~repro.dispatch.fleet.FleetQueue` holds one per named sweep, decides
-which sweep to serve next, and serialises every call under its own lock —
-a ``WorkQueue`` takes no lock itself.
+A :class:`WorkQueue` is one sweep's half of the daemon's ledger: the
+:class:`~repro.dispatch.fleet.FleetQueue` holds one per named sweep and
+decides which sweep to serve next.  Neither takes a lock; the daemon
+serialises every call under its one condition.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class WorkQueue:
         #: Leases whose unfinished work went back to the queue (worker
         #: death, disconnect or expiry).
         self.requeued = 0
+        #: Leases handed out; the next lease's id.
+        self.issued = 0
         self._clock = clock
-        self._next_lease_id = 0
         self._pending: deque[int] = deque()
         self._leases: dict[int, Lease] = {}
         self.requeue_missing()
@@ -119,13 +120,13 @@ class WorkQueue:
         if not indices:
             return None
         lease = Lease(
-            lease_id=self._next_lease_id,
+            lease_id=self.issued,
             sweep=self.sweep,
             indices=tuple(indices),
             owner=owner,
             deadline=self._clock() + self.lease_timeout,
         )
-        self._next_lease_id += 1
+        self.issued += 1
         self._leases[lease.lease_id] = lease
         return lease
 

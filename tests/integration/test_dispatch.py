@@ -34,6 +34,7 @@ from repro.dispatch import (
     run_worker,
 )
 from repro.dispatch import daemon as daemon_module
+from repro.dispatch import fleet as fleet_module
 from repro.dispatch import worker as worker_module
 from repro.dispatch.journal import journal_path
 from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
@@ -93,8 +94,8 @@ def one_sweep_daemon(
     """The daemon ``run_dispatched`` starts (journaled only if asked), on an
     OS-chosen port the test can read back, handing out fixed
     ``chunk_points``-sized leases."""
-    monkeypatch.setattr(daemon_module, "PROBE_CHUNK_POINTS", chunk_points)
-    monkeypatch.setattr(daemon_module, "MAX_CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(fleet_module, "PROBE_CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(fleet_module, "MAX_CHUNK_POINTS", chunk_points)
     return FleetDaemon(
         FleetConfig(
             lease_timeout=lease_timeout,
@@ -129,6 +130,14 @@ def journaled_indices(journal_dir: str, sweep: str) -> list[int]:
     with open(journal_path(journal_dir, sweep), encoding="utf-8") as handle:
         lines = [json.loads(line) for line in handle]
     return [line["index"] for line in lines if line["kind"] == "point"]
+
+
+def submit(daemon: FleetDaemon, spec: SweepSpec):
+    """Start ``daemon`` and stage ``spec`` through the wire verb before any
+    worker asks; returns the daemon's entry for it."""
+    daemon.start()
+    FleetClient(*daemon.address, secret=daemon.config.secret).submit(spec)
+    return daemon.queue.entry(spec.name)
 
 
 def serve(daemon: FleetDaemon, spec: SweepSpec):
@@ -316,8 +325,7 @@ class TestWorkerFailure:
         # lease_timeout is deliberately long: recovery in this test must
         # come from the connection-loss path, not the lease clock.
         daemon = one_sweep_daemon(monkeypatch, chunk_points=3, lease_timeout=120.0)
-        entry = daemon.submit(spec)
-        daemon.start()  # accept connections while we stage the drill
+        entry = submit(daemon, spec)  # accept connections while we stage the drill
         host, port = daemon.address
         # The victim executes one point of its three-point chunk, then goes
         # silent (still connected, heartbeats suppressed) — a deterministic
@@ -376,8 +384,7 @@ class TestWorkerFailure:
         daemon = one_sweep_daemon(
             monkeypatch, chunk_points=3, lease_timeout=1.0, poll_interval=0.1
         )
-        daemon.submit(spec)
-        daemon.start()  # the zombie handshakes before the submitter
+        submit(daemon, spec)  # the zombie handshakes before the submitter
         host, port = daemon.address
 
         # A protocol-level zombie: says hello, takes the whole sweep as one
@@ -453,8 +460,7 @@ class TestWorkerFailure:
         spec = small_spec(2, scenario=False)
         serial = run_sweep(spec, jobs=1)
         daemon = one_sweep_daemon(monkeypatch, chunk_points=2)
-        daemon.submit(spec)
-        daemon.start()  # the drone handshakes before the submitter
+        submit(daemon, spec)  # the drone handshakes before the submitter
         host, port = daemon.address
         stats_box: dict[str, object] = {}
 
@@ -525,8 +531,7 @@ class TestFrameBudget:
         spec = small_spec(4, scenario=False)
         serial = run_sweep(spec, jobs=1)
         daemon = one_sweep_daemon(monkeypatch, chunk_points=4, journal_dir=str(tmp_path))
-        entry = daemon.submit(spec)
-        daemon.start()
+        entry = submit(daemon, spec)
         host, port = daemon.address
         flaky = run_worker(
             host,
@@ -648,8 +653,7 @@ class TestCancel:
 class TestProtocolPolicing:
     def test_version_mismatch_refused_at_hello(self, monkeypatch) -> None:
         daemon = one_sweep_daemon(monkeypatch)
-        daemon.submit(small_spec(1, scenario=False))
-        daemon.start()
+        submit(daemon, small_spec(1, scenario=False))
         host, port = daemon.address
         try:
             sock = socket.create_connection((host, port))
@@ -665,8 +669,7 @@ class TestProtocolPolicing:
 
     def test_garbage_first_frame_gets_error_not_hang(self, monkeypatch) -> None:
         daemon = one_sweep_daemon(monkeypatch)
-        daemon.submit(small_spec(1, scenario=False))
-        daemon.start()
+        submit(daemon, small_spec(1, scenario=False))
         host, port = daemon.address
         try:
             sock = socket.create_connection((host, port))

@@ -155,7 +155,9 @@ def fleet_run(journal_dir: str) -> None:
     daemon = FleetDaemon(FleetConfig(port=0, journal_dir=journal_dir, secret=SECRET))
     daemon.start()
     try:
-        daemon.submit(SweepSpec(name="tiny-fleet", points=points))
+        FleetClient(*daemon.address, secret=SECRET).submit(
+            SweepSpec(name="tiny-fleet", points=points)
+        )
         run_worker(*daemon.address, secret=SECRET, max_idle=0.5)
     finally:
         daemon.shutdown()

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.dispatch.client import FleetClient
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.experiments.config import ColumnConfig
@@ -114,7 +115,7 @@ class TestVerbTable:
         assert reply["type"] == "error" and reply["code"] == "protocol"
 
     def test_fetch_with_wait_on_a_running_sweep(self, daemon) -> None:
-        daemon.submit(tiny_spec())
+        FleetClient(*daemon.address, secret=daemon.config.secret).submit(tiny_spec())
         frame = {"type": "fetch", "sweep": "verbs", "wait": 0.05}
         reply = exchange(daemon, "submitter", frame)
         assert reply["type"] == "pending" and reply["state"] == "running"
@@ -125,7 +126,7 @@ class TestVerbTable:
         ids=["bool", "string", "negative", "huge-int", "huge-float"],
     )
     def test_bad_fetch_wait_is_a_protocol_error(self, daemon, wait) -> None:
-        daemon.submit(tiny_spec())
+        FleetClient(*daemon.address, secret=daemon.config.secret).submit(tiny_spec())
         frame = {"type": "fetch", "sweep": "verbs", "wait": wait}
         reply = exchange(daemon, "submitter", frame)
         assert reply["type"] == "error" and reply["code"] == "protocol"
@@ -166,7 +167,7 @@ class TestWrongRole:
     def test_refused_once_then_closed_and_nothing_changes(
         self, daemon, role, frame
     ) -> None:
-        daemon.submit(tiny_spec())
+        FleetClient(*daemon.address, secret=daemon.config.secret).submit(tiny_spec())
         rows = daemon.queue.status_rows()
         accepted = daemon.stats.results_accepted
         with connect(daemon, role) as sock:

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.dispatch.client import FleetClient
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.journal import journal_path
 from repro.dispatch.protocol import (
@@ -173,7 +174,8 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize("index", [True, False])
     def test_boolean_result_index_refused(self, journaled_daemon, index) -> None:
-        entry = journaled_daemon.submit(self.spec())
+        FleetClient(*journaled_daemon.address).submit(self.spec())
+        entry = journaled_daemon.queue.entry(self.spec().name)
         reply = self.exchange(
             journaled_daemon,
             "worker",

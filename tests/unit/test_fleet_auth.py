@@ -151,7 +151,7 @@ class TestDaemonGate:
         )
         assert replies[-1]["type"] == "error"
         # Registration (and health tracking) happens strictly after auth.
-        assert daemon.worker_rows() == []
+        assert daemon.queue.worker_rows() == []
         assert daemon.stats.rejected_auth == 1
 
     def test_correct_secret_is_welcomed(self, daemon) -> None:

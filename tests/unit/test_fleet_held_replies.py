@@ -66,6 +66,13 @@ def daemon():
         daemon.shutdown()
 
 
+def submit(daemon: FleetDaemon, spec: SweepSpec, **kwargs) -> dict:
+    """Stage ``spec`` through the wire verb, as every submitter does."""
+    return FleetClient(*daemon.address, secret=daemon.config.secret).submit(
+        spec, **kwargs
+    )
+
+
 def connect(daemon: FleetDaemon, role: str) -> socket.socket:
     sock = socket.create_connection(daemon.address, timeout=10.0)
     send_frame(
@@ -87,7 +94,7 @@ class TestHeldRequest:
             send_frame(sock, {"type": "request"})
             time.sleep(SETTLE)
             submitted = time.monotonic()
-            daemon.submit(tiny_spec())
+            submit(daemon, tiny_spec())
             reply = recv_frame(sock)
             assert reply["type"] == "chunk"
             assert time.monotonic() - submitted < 1.0
@@ -125,7 +132,7 @@ class TestHeldRequest:
                 send_frame(sock, {"type": "request"})
             time.sleep(SETTLE)
             submitted = time.monotonic()
-            daemon.submit(spec)
+            submit(daemon, spec)
             replies = sorted(
                 (recv_frame(first), recv_frame(second)), key=lambda r: r["type"]
             )
@@ -139,13 +146,18 @@ class TestNoLostWakeUp:
         self, daemon, monkeypatch
     ) -> None:
         original = FleetQueue.acquire
-        raced: list[bool] = []
+        raced: list[threading.Thread] = []
 
-        def racing(queue_self, owner, max_points):
+        def racing(queue_self, owner, max_points=None):
             lease = original(queue_self, owner, max_points)
             if lease is None and not raced:
-                raced.append(True)
-                daemon.submit(tiny_spec())
+                # The submission is sent between the request's empty
+                # acquire and its hold; it lands once the hold releases
+                # the daemon's condition, and must wake it.
+                raced.append(
+                    threading.Thread(target=submit, args=(daemon, tiny_spec()))
+                )
+                raced[0].start()
             return lease
 
         monkeypatch.setattr(FleetQueue, "acquire", racing)
@@ -155,6 +167,7 @@ class TestNoLostWakeUp:
             assert recv_frame(sock)["type"] == "chunk"
             assert time.monotonic() - asked < 1.0
         assert raced
+        raced[0].join(timeout=10.0)
 
     def test_every_submission_is_leased_at_once_under_contention(self, daemon) -> None:
         """Six workers hold requests while twenty one-point sweeps land one
@@ -187,7 +200,7 @@ class TestNoLostWakeUp:
             time.sleep(SETTLE)
             for index in range(20):
                 submitted = time.monotonic()
-                daemon.submit(spec, name=f"one-{index}")
+                submit(daemon, spec, name=f"one-{index}")
                 assert leased.get(timeout=POLL) == f"one-{index}"
                 assert time.monotonic() - submitted < 1.0
             # Nothing is leased twice while every worker is still connected
@@ -233,7 +246,7 @@ class TestShutdown:
 
 class TestHeldFetch:
     def test_results_follow_the_last_result_at_once(self, daemon) -> None:
-        daemon.submit(tiny_spec(), name="held")
+        submit(daemon, tiny_spec(), name="held")
         with connect(daemon, "submitter") as fetcher, connect(
             daemon, "worker"
         ) as worker:
@@ -257,6 +270,23 @@ class TestHeldFetch:
             assert reply["type"] == "results"
             assert time.monotonic() - finished < 1.0
             assert [index for index, _ in reply["results"]] == [0, 1]
+
+    def test_results_on_a_held_request_wake_the_fetch_at_once(self, daemon) -> None:
+        """The last results ride on a request that then finds nothing to
+        lease and is held: the waiting fetch is answered as soon as they are
+        accepted, not when that request's hold ends."""
+        submit(daemon, tiny_spec(), name="held")
+        results = [[i, {"kind": "column", "payload": {"index": i}}] for i in range(2)]
+        with connect(daemon, "submitter") as fetcher, connect(
+            daemon, "worker"
+        ) as worker:
+            send_frame(fetcher, {"type": "fetch", "sweep": "held", "wait": POLL})
+            time.sleep(SETTLE)
+            finished = time.monotonic()
+            send_frame(worker, {"type": "request", "sweep": "held", "results": results})
+            reply = recv_frame(fetcher)
+            assert reply["type"] == "results"
+            assert time.monotonic() - finished < 1.0
 
     def test_results_wait_for_the_last_journal_line(
         self, tmp_path, monkeypatch
@@ -283,7 +313,7 @@ class TestHeldFetch:
             replayed.append(sorted(journal.results))
 
         try:
-            daemon.submit(tiny_spec(), name="held")
+            submit(daemon, tiny_spec(), name="held")
             waiter = threading.Thread(target=wait, daemon=True)
             waiter.start()
             time.sleep(SETTLE)
@@ -311,7 +341,7 @@ class TestHeldFetch:
         assert replayed == [[0, 1]]
 
     def test_hold_is_bounded_by_the_requested_wait(self, daemon) -> None:
-        daemon.submit(tiny_spec(), name="held")
+        submit(daemon, tiny_spec(), name="held")
         host, port = daemon.address
         started = time.monotonic()
         reply = FleetClient(host, port).fetch("held", wait=0.2)

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.dispatch.client import FleetClient
 from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.journal import (
     JOURNAL_SCHEMA,
@@ -27,7 +28,7 @@ from repro.dispatch.journal import (
     sweep_fingerprint,
 )
 from repro.dispatch.worker import run_worker
-from repro.errors import ConfigurationError, JournalError
+from repro.errors import ConfigurationError, DispatchError, JournalError
 from repro.experiments.config import ColumnConfig
 from repro.experiments.sweep import (
     SweepPoint,
@@ -282,13 +283,14 @@ class TestOneSweepPerFile:
         daemon = FleetDaemon(FleetConfig(journal_dir=str(tmp_path), poll_interval=0.05))
         daemon.config.secret = None  # never pick up the test environment's
         daemon.start()
+        client = FleetClient(*daemon.address)
         try:
-            entry = daemon.submit(tiny_spec(), name="a/b")
-            with pytest.raises(JournalError, match="sweep 'a/b'; sweep 'a b'"):
-                daemon.submit(tiny_spec(), name="a b")
+            client.submit(tiny_spec(), name="a/b")
+            with pytest.raises(DispatchError, match="sweep 'a/b'; sweep 'a b'"):
+                client.submit(tiny_spec(), name="a b")
             assert daemon.queue.names() == ["a/b"]
             run_worker(*daemon.address, max_idle=0.5)
-            assert entry.finished.is_set()
+            assert daemon.queue.entry("a/b").state == "done"
         finally:
             daemon.shutdown()
         lines = (tmp_path / "a_b.jsonl").read_text(encoding="utf-8").splitlines()

@@ -1,13 +1,25 @@
-"""Unit tests for the fleet daemon's multi-sweep queue and health tracker."""
+"""Unit tests for the fleet daemon's multi-sweep ledger.
+
+The ledger takes no lock; the daemon's one condition serialises it, and
+``test_fleet_held_replies.py`` drives that from many threads.
+"""
 
 from __future__ import annotations
 
+import socket
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.dispatch import fleet
+from repro.dispatch.client import FleetClient
+from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.fleet import FleetQueue
-from repro.dispatch.journal import sweep_fingerprint
+from repro.dispatch.journal import SweepJournal, journal_path, sweep_fingerprint
+from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments.config import ColumnConfig
 from repro.experiments.sweep import (
@@ -304,11 +316,11 @@ class TestCompletionSignal:
         entry, _ = submit(queue, "a", tiny_spec(2, name="a"))
         queue.acquire("w", 2)
         queue.complete("a", 0, wire(0), "w")
-        assert not entry.finished.is_set()
+        assert entry.state == "running"
         queue.complete("a", 0, wire(0), "w")  # a duplicate finishes nothing
-        assert not entry.finished.is_set()
+        assert entry.state == "running"
         queue.complete("a", 1, wire(1), "w")
-        assert entry.finished.is_set()
+        assert entry.state == "done"
 
     def test_finished_at_submission_when_nothing_is_left(self) -> None:
         queue, _ = make_queue()
@@ -319,7 +331,7 @@ class TestCompletionSignal:
             tiny_spec(2, name="resumed"),
             resumed_results={0: wire(0), 1: wire(1)},
         )
-        assert empty.finished.is_set() and resumed.finished.is_set()
+        assert empty.state == resumed.state == "done"
 
     def test_requeue_counter_spans_sweeps(self) -> None:
         queue, clock = make_queue(lease_timeout=10.0)
@@ -332,43 +344,70 @@ class TestCompletionSignal:
         assert queue.expire_stale_leases() == 1
         assert queue.leases_requeued == 2
 
-    def test_concurrent_workers_lose_no_update(self) -> None:
-        """More threads than cores hammer one queue: every index must end
-        up with exactly one accepted result and the signal must fire."""
-        import sys
-        import threading
-
-        queue = FleetQueue(lease_timeout=30.0)
-        spec = tiny_spec(1, name="stress")
-        point = spec_artifact(spec)["columns"][0]
+    def test_concurrent_workers_lose_no_update(self, tmp_path, monkeypatch) -> None:
+        """More worker connections than cores hammer one journaled daemon,
+        delivering results on requests and heartbeats alike: every index
+        must be accepted exactly once and journaled exactly once."""
+        monkeypatch.setattr(fleet, "PROBE_CHUNK_POINTS", 3)
+        monkeypatch.setattr(fleet, "MAX_CHUNK_POINTS", 3)
         total = 400
-        entry, _ = queue.submit("stress", [point] * total, "fp")
+        daemon = FleetDaemon(FleetConfig(journal_dir=str(tmp_path), poll_interval=0.05))
+        daemon.config.secret = None  # never pick up the test environment's
+        daemon.start()
+        FleetClient(*daemon.address).submit(tiny_spec(total, name="stress"))
+        entry = daemon.queue.entry("stress")
         accepted: list[int] = []
 
-        def worker(owner: str) -> None:
-            while (lease := queue.acquire(owner, 3)) is not None:
-                for index in lease.indices:
-                    if queue.complete("stress", index, wire(index), owner):
-                        accepted.append(index)
-                queue.heartbeat(owner)
+        def worker(name: str) -> None:
+            with socket.create_connection(daemon.address, timeout=30.0) as sock:
+                hello = {"type": "hello", "worker": name, "protocol": PROTOCOL_VERSION}
+                send_frame(sock, hello)
+                assert recv_frame(sock)["type"] == "welcome"
+                carried: list[list] = []
+                while True:
+                    # Half of each lease rides on a heartbeat, the rest on
+                    # the next request.
+                    if len(carried) > 1:
+                        half, carried = carried[:1], carried[1:]
+                        heartbeat = {"type": "heartbeat", "sweep": "stress"}
+                        send_frame(sock, heartbeat | {"results": half})
+                        accepted.append(recv_frame(sock)["accepted"])
+                    frame = {"type": "request"}
+                    if carried:
+                        frame |= {"sweep": "stress", "results": carried}
+                    send_frame(sock, frame)
+                    reply = recv_frame(sock)
+                    accepted.append(reply.get("accepted", 0))
+                    if reply["type"] == "done":
+                        return
+                    carried = [
+                        [point["index"], wire(point["index"])]
+                        for point in reply.get("points", ())
+                    ]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        threads = [
+            threading.Thread(target=worker, args=(f"w{i}",), daemon=True)
+            for i in range(8)
+        ]
         try:
-            threads = [
-                threading.Thread(target=worker, args=(f"w{i}",), daemon=True)
-                for i in range(8)
-            ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-                assert not thread.is_alive()
+            deadline = time.monotonic() + 30.0
+            while entry.state != "done":
+                assert time.monotonic() < deadline, entry.status_row()
+                time.sleep(0.01)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(accepted) == list(range(total))
-        assert entry.finished.is_set() and entry.duplicates == 0
-        assert queue.status_rows()[0]["leased"] == 0
+            daemon.shutdown()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert sum(accepted) == total and entry.duplicates == 0
+        assert entry.status_row()["leased"] == 0
+        replayed = SweepJournal.replay(journal_path(str(tmp_path), "stress"))
+        assert sorted(replayed.results) == list(range(total))
 
 
 class TestStatusRows:

@@ -106,17 +106,13 @@ def expected_header(spec: SweepSpec, name: str, priority: int) -> str:
 
 
 class TestSameBytes:
-    @pytest.mark.parametrize("path", ["in-process", "wire"])
     def test_journal_header_and_fingerprint_match_the_spec_artifact(
-        self, daemon, tmp_path, path
+        self, daemon, tmp_path
     ) -> None:
         spec = tiny_spec()
-        if path == "in-process":
-            daemon.submit(spec, name="pinned", priority=3)
-        else:
-            host, port = daemon.address
-            reply = FleetClient(host, port).submit(spec, name="pinned", priority=3)
-            assert reply["created"] and reply["total"] == len(spec.points)
+        host, port = daemon.address
+        reply = FleetClient(host, port).submit(spec, name="pinned", priority=3)
+        assert reply["created"] and reply["total"] == len(spec.points)
         with open(journal_path(str(tmp_path), "pinned"), encoding="utf-8") as handle:
             assert handle.readline() == expected_header(spec, "pinned", 3)
         entry = daemon.queue.entry("pinned")
@@ -139,12 +135,6 @@ class TestSerialisedOnce:
         artifact_calls.clear()
         host, port = daemon.address
         FleetClient(host, port).submit(payload, name="wire")
-        assert len(artifact_calls) == 1
-
-    def test_in_process_submit_builds_one_artifact(
-        self, daemon, artifact_calls
-    ) -> None:
-        daemon.submit(tiny_spec(), name="local")
         assert len(artifact_calls) == 1
 
     def test_fleet_sweep_builds_one_artifact_on_each_side(

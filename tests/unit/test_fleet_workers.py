@@ -19,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.dispatch import FleetConfig, FleetDaemon, FleetSpec, run_worker
-from repro.dispatch.daemon import _Worker
+from repro.dispatch.fleet import _Worker
 from repro.experiments.config import ColumnConfig
 from repro.experiments.sweep import SweepPoint, SweepSpec, derive_seed, run_sweep
 from repro.workloads.synthetic import PerfectClusterWorkload
@@ -235,16 +235,16 @@ def test_chunks_and_status_row(lease_timeout, events, end, chunks, row) -> None:
 
 
 def test_sizing_constants_are_read_at_call_time(monkeypatch) -> None:
-    from repro.dispatch import daemon
+    from repro.dispatch import fleet
 
     worker = _Worker("w", 0.0)
-    monkeypatch.setattr(daemon, "PROBE_CHUNK_POINTS", 3)
+    monkeypatch.setattr(fleet, "PROBE_CHUNK_POINTS", 3)
     assert worker.chunk_points() == 3
     worker.record_result(1.0)
     worker.record_result(1.1)  # 10 points/s
-    monkeypatch.setattr(daemon, "TARGET_CHUNK_SECONDS", 0.5)
+    monkeypatch.setattr(fleet, "TARGET_CHUNK_SECONDS", 0.5)
     assert worker.chunk_points() == 5
-    monkeypatch.setattr(daemon, "MAX_CHUNK_POINTS", 4)
+    monkeypatch.setattr(fleet, "MAX_CHUNK_POINTS", 4)
     assert worker.chunk_points() == 4
 
 
@@ -280,7 +280,7 @@ def test_daemon_books_each_connection_once() -> None:
     assert not worker.is_alive()
     assert result.jobs == 1
     deadline = time.monotonic() + 10.0  # the handler thread books the hang-up
-    while daemon.worker_rows()[0]["connected"] and time.monotonic() < deadline:
+    while daemon.queue.worker_rows()[0]["connected"] and time.monotonic() < deadline:
         time.sleep(0.01)
     (row,) = daemon._handle_status({}, None)["workers"]
     assert list(row) == list(CASES[0][-1])  # the golden rows' keys, in order
@@ -292,15 +292,18 @@ def test_daemon_books_each_connection_once() -> None:
 
 
 def test_concurrent_registrations_get_distinct_owners() -> None:
-    """Owner names count the ledger under its lock: no two connections that
-    register at once may share a name (and so a lease owner)."""
+    """Owner names count the ledger under the daemon's condition: no two
+    connections that register at once may share a name (and so a lease
+    owner)."""
     daemon = FleetDaemon(FleetConfig())
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [
             threading.Thread(
-                target=lambda: [daemon._register_worker("w") for _ in range(200)]
+                target=lambda: [
+                    daemon._change(daemon.queue.register, "w") for _ in range(200)
+                ]
             )
             for _ in range(8)
         ]
@@ -312,5 +315,5 @@ def test_concurrent_registrations_get_distinct_owners() -> None:
     finally:
         sys.setswitchinterval(previous)
         daemon.shutdown()
-    owners = [row["worker"] for row in daemon.worker_rows()]
+    owners = [row["worker"] for row in daemon.queue.worker_rows()]
     assert len(owners) == len(set(owners)) == 1600

@@ -204,14 +204,14 @@ class TestPublicAPI:
         import dataclasses
 
         from repro import dispatch
-        from repro.dispatch import daemon
+        from repro.dispatch import fleet
         from repro.scenario.results import ColumnResult
 
         assert len(dataclasses.fields(dispatch.FleetConfig)) == 8
         assert (
-            daemon.TARGET_CHUNK_SECONDS,
-            daemon.PROBE_CHUNK_POINTS,
-            daemon.MAX_CHUNK_POINTS,
+            fleet.TARGET_CHUNK_SECONDS,
+            fleet.PROBE_CHUNK_POINTS,
+            fleet.MAX_CHUNK_POINTS,
         ) == (5.0, 1, 64)
         result_fields = [field.name for field in dataclasses.fields(ColumnResult)]
         assert "total_time" in result_fields
