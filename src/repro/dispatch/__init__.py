@@ -10,15 +10,18 @@ exactly one sweep and submits to that.
 
 * :mod:`repro.dispatch.protocol` — length-prefixed JSON frames over TCP;
   no pickling, bounded sizes, loud failures on malformed input.
-* :mod:`repro.dispatch.queue` — :class:`WorkQueue`, one sweep's lease
-  mechanics: point indices leased to named workers, heartbeat-extended,
-  re-queued on connection loss or lease expiry, first-writer-wins results.
+* :mod:`repro.dispatch.queue` — :class:`WorkQueue`, the one record of a
+  sweep: name, priority, fingerprint, points, and its lease mechanics —
+  point indices leased to named workers, heartbeat-extended, re-queued on
+  connection loss or lease expiry, first-writer-wins results, cancel and
+  revive.  It reads no clock: every deadline is set against a ``now`` it
+  is handed.
 * :mod:`repro.dispatch.fleet` — :class:`FleetQueue`, the daemon's whole
-  ledger: many named sweeps, each a ``WorkQueue``, served by priority;
-  resubmit-attach by fingerprint, cancel and revive; and one record per
+  ledger: many named sweeps served by priority, resubmit-attach by
+  fingerprint, the one check of what workers send, and one record per
   worker connection — liveness, progress, and the throughput that sizes
-  its next lease.  It takes no lock, reads time only through its
-  ``clock`` and does no I/O.
+  its next lease.  It takes no lock, does no I/O, and reads its ``clock``
+  once per call.
 * :mod:`repro.dispatch.daemon` — :class:`FleetDaemon`: the shell around
   that ledger — sockets, one verb table that says which role may send
   what, and one condition held around every ledger call and notified

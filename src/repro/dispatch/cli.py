@@ -230,7 +230,7 @@ def mount(
         "--metrics",
         action="store_true",
         help="print the daemon's live repro.telemetry/1 snapshot instead of "
-        "the status tables: per-sweep throughput and journal lag, worker "
+        "the status tables: per-sweep progress and throughput, worker "
         "EWMA rates, lease churn (live daemons only)",
     )
     status.add_argument(

@@ -61,8 +61,7 @@ class FleetSpec:
     secret: str | None = None
     #: Override the content-derived sweep name (rarely needed).
     name: str | None = None
-    #: Longest the daemon is asked to hold each fetch while waiting (and the
-    #: fetch period against a daemon that answers at once).
+    #: Longest the daemon is asked to hold each fetch while waiting.
     poll_interval: float = 0.5
     #: How long to keep retrying an unreachable daemon per operation.
     connect_timeout: float = 30.0
@@ -101,13 +100,11 @@ class FleetClient:
         port: int,
         *,
         secret: str | None = None,
-        client_name: str = "submitter",
         connect_timeout: float = 30.0,
     ) -> None:
         self.host = host
         self.port = port
         self.secret = secret
-        self.client_name = client_name
         self.connect_timeout = connect_timeout
 
     # ------------------------------------------------------------------
@@ -171,12 +168,12 @@ class FleetClient:
         """Fetch until ``name`` is done; returns the ``results`` reply.
 
         Each fetch asks the daemon to hold it for ``poll_interval``, and the
-        client sleeps only through what the daemon did not hold — all of it
-        against a daemon that ignores ``wait``.  Transport failures (a
-        refused connect, a reset, a connection closed mid-call) are retried
-        until ``timeout``: a daemon bouncing through a restart mid-wait is
-        expected, not fatal.  An ``error`` reply is final, and so is a
-        ``pending`` one for a cancelled sweep.
+        client sleeps only through what the daemon did not hold: the daemon
+        caps a hold at its lease timeout, and a failed fetch holds nothing.
+        Transport failures (a refused connect, a reset, a connection closed
+        mid-call) are retried until ``timeout``: a daemon bouncing through a
+        restart mid-wait is expected, not fatal.  An ``error`` reply is
+        final, and so is a ``pending`` one for a cancelled sweep.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -214,7 +211,7 @@ class FleetClient:
             self.host, self.port, self.connect_timeout, retry_delay=0.2
         )
         try:
-            _handshake(sock, "submitter", self.client_name, self.secret)
+            _handshake(sock, "submitter", "submitter", self.secret)
             send_frame(sock, frame)
             reply = recv_frame(sock)
             if reply is None:

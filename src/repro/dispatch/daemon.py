@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.dispatch.auth import issue_nonce, secret_from_env, verify_mac
-from repro.dispatch.fleet import DONE, RUNNING, FleetEntry, FleetQueue
+from repro.dispatch.fleet import FleetQueue
 from repro.dispatch.journal import (
     ReplayedJournal,
     SweepJournal,
@@ -73,6 +73,7 @@ from repro.dispatch.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.dispatch.queue import DONE, RUNNING, WorkQueue
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -147,7 +148,6 @@ class _DaemonStats:
     rejected_auth: int = 0
     rejected_protocol: int = 0
     submissions: int = 0
-    results_accepted: int = 0
 
 
 class FleetDaemon:
@@ -190,8 +190,12 @@ class FleetDaemon:
         #: shutdown() closes the writing end, which wakes the accept loop.
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._server_thread: threading.Thread | None = None
-        if self.config.journal_dir:
-            self._restore_from_journals()
+        try:
+            if self.config.journal_dir:
+                self._restore_from_journals()
+        except BaseException:
+            self.shutdown()  # the port, the wake pair, journals attached
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -270,7 +274,7 @@ class FleetDaemon:
         priority: int = 0,
         *,
         restore: str | None = None,
-    ) -> tuple[FleetEntry, bool] | None:
+    ) -> tuple[WorkQueue, bool] | None:
         """Create-or-attach a sweep's journal, then queue the sweep.
 
         A submission passes the sweep's canonical ``spec_artifact``, its
@@ -531,7 +535,6 @@ class FleetDaemon:
             # daemon simply re-queues this point as not-yet-durable.
             if not self._stop.is_set():
                 raise
-        self.stats.results_accepted += len(accepted)
         entry = self.queue.entry(sweep)
         if accepted and entry.state == DONE:
             self._log(
@@ -606,7 +609,7 @@ class FleetDaemon:
                 ),
                 "journal_dir": self.config.journal_dir,
                 "authenticated": self.config.secret is not None,
-                "results_accepted": self.stats.results_accepted,
+                "results_accepted": self.queue.results_accepted,
                 "rejected_auth": self.stats.rejected_auth,
             },
         }
@@ -617,11 +620,7 @@ class FleetDaemon:
         Built on demand from the same counters ``status`` reads — the
         daemon keeps no registry between calls, so the verb costs nothing
         while nobody asks.  Per-sweep throughput uses the ``executed``
-        counter (results accepted over the wire this lifetime); journal lag
-        is results completed but not in that sweep's journal — appends run
-        under the same condition as the accepts, so it is nonzero only after
-        an append dropped at shutdown (omitted for daemons running without a
-        journal directory).
+        counter (results accepted over the wire this lifetime).
         """
         registry = MetricsRegistry()
         uptime = max(time.monotonic() - self.stats.started_at, 1e-9)
@@ -630,7 +629,7 @@ class FleetDaemon:
         registry.count("daemon.rejected_auth", self.stats.rejected_auth)
         registry.count("daemon.rejected_protocol", self.stats.rejected_protocol)
         registry.count("daemon.submissions", self.stats.submissions)
-        registry.count("daemon.results_accepted", self.stats.results_accepted)
+        registry.count("daemon.results_accepted", self.queue.results_accepted)
         registry.count("queue.leases_requeued", self.queue.leases_requeued)
         for row in self.queue.status_rows():
             name = row["sweep"]
@@ -642,12 +641,6 @@ class FleetDaemon:
                 f"sweep.{name}.throughput_points_per_sec",
                 round(row["executed"] / uptime, 6),
             )
-            journal = self._journals.get(name)
-            if journal is not None:
-                registry.gauge(
-                    f"sweep.{name}.journal_lag",
-                    row["completed"] - len(journal.journaled_indices),
-                )
         for row in self.queue.worker_rows():
             worker = row["worker"]
             registry.gauge(
@@ -686,12 +679,13 @@ class FleetDaemon:
                 "completed": entry.completed,
                 "total": entry.total,
             }
-        results = self.queue.results_for(sweep)
+        # A done sweep's results never change again, so the reply may
+        # share their payloads after the condition is released.
         return {
             "type": "results",
             "sweep": sweep,
             "total": entry.total,
-            "results": sorted(results.items()),
+            "results": sorted(entry.results.items()),
         }
 
     # ------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """The fleet daemon's ledger: every sweep, lease, result and worker.
 
 A :class:`FleetQueue` holds *many* named sweeps at once and outlives all of
-them.  Each sweep's lease mechanics — per-point completion, deadlines
-extended by heartbeats and results, connection loss and expiry re-queueing
-only unfinished indices at the front, first-writer-wins results — live in
-that sweep's :class:`~repro.dispatch.queue.WorkQueue`; this module adds
-what is multi-sweep on top:
+them.  Each sweep is one record, a :class:`~repro.dispatch.queue.WorkQueue`:
+its identity, points, leases and results, with the per-sweep rules —
+per-point completion, deadlines extended by heartbeats and results,
+connection loss and expiry re-queueing only unfinished indices at the
+front, first-writer-wins results, cancel and revive.  This module adds
+what spans sweeps:
 
-* **Named entries with priorities**: ``acquire`` always drains the
-  highest-priority sweep with pending work first (FIFO among equals), so
-  an urgent grid submitted mid-run overtakes a bulk backfill without
-  cancelling it.
-* **Resume**: entries can be seeded with journaled results, and
-  resubmitting a sweep whose fingerprint matches an existing entry
-  attaches to it — reviving it if it was cancelled — rather than
-  recomputing.
-* **Cancellation**: pending work is dropped, live leases are torn up, and
-  late results for a cancelled sweep are ignored.
+* **Priorities**: ``acquire`` always drains the highest-priority sweep with
+  pending work first (FIFO among equals), so an urgent grid submitted
+  mid-run overtakes a bulk backfill without cancelling it.
+* **Resume**: sweeps can be seeded with journaled results, and
+  resubmitting a sweep whose fingerprint matches an existing one attaches
+  to it — reviving it if it was cancelled — rather than recomputing.
+* **Input checks**: :meth:`FleetQueue.accept` is where worker results
+  enter, and the one place they are validated.
 * **Workers**: one record per worker connection — liveness (the last
   frame of any kind), progress, and an EWMA of observed points/sec that
   sizes its next lease, so heterogeneous hosts drain a sweep's tail
@@ -29,10 +28,11 @@ spec objects is the submitter's job, which is exactly what keeps
 daemon-served artifacts byte-identical to ``jobs=1`` runs.
 
 A :class:`FleetQueue` is the daemon's whole ledger and nothing else: it
-takes no lock, reads time only through its injected ``clock`` and does no
-I/O.  The daemon serialises every call under its one condition;
-``tests/unit/test_fleet_ledger.py`` checks the ledger over every small
-schedule of worker, clock and submitter events.
+takes no lock and does no I/O, and it owns the only clock: each ledger
+call reads its injected ``clock`` once and hands that ``now`` to the
+records it touches.  The daemon serialises every call under its one
+condition; ``tests/unit/test_fleet_ledger.py`` checks the ledger over every
+small schedule of worker, clock and submitter events.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.dispatch.protocol import is_index
 from repro.dispatch.queue import Lease, WorkQueue
 from repro.errors import ConfigurationError, DispatchError, ProtocolError
 
-__all__ = ["FleetEntry", "FleetQueue"]
+__all__ = ["FleetQueue"]
 
 #: Adaptive chunk sizing: a worker's lease targets this many seconds of its
 #: observed throughput, clamped to ``[1, MAX_CHUNK_POINTS]``.  A worker with
@@ -57,72 +57,6 @@ PROBE_CHUNK_POINTS = 1
 MAX_CHUNK_POINTS = 64
 #: Weight of the newest batch's rate in the throughput EWMA.
 _EWMA_ALPHA = 0.3
-
-#: Entry lifecycle: accepting/serving work → every point has a result →
-#: explicitly cancelled.  There is no separate "queued" state — a sweep
-#: with no worker yet is simply running with zero progress.
-RUNNING = "running"
-DONE = "done"
-CANCELLED = "cancelled"
-
-
-@dataclass(slots=True)
-class FleetEntry:
-    """One named sweep inside the daemon: identity plus its work queue."""
-
-    name: str
-    priority: int
-    fingerprint: str
-    #: Portable JSON payloads, one per point, in spec order.
-    point_payloads: list[dict]
-    #: Pending indices, leases and wire result payloads (journaled + live).
-    work: WorkQueue
-    #: Indices seeded from a journal rather than executed this lifetime.
-    resumed: frozenset[int] = frozenset()
-    cancelled: bool = False
-
-    @property
-    def total(self) -> int:
-        return self.work.total
-
-    @property
-    def completed(self) -> int:
-        return len(self.work.results)
-
-    @property
-    def executed(self) -> int:
-        """Results accepted over the wire by *this* daemon process — the
-        counter the no-re-execution drills assert on."""
-        return self.completed - len(self.resumed)
-
-    @property
-    def duplicates(self) -> int:
-        return self.work.duplicates
-
-    @property
-    def state(self) -> str:
-        if self.cancelled:
-            return CANCELLED
-        if self.work.done:
-            return DONE
-        return RUNNING
-
-    def status_row(self) -> dict[str, object]:
-        """A JSON-safe row for ``status`` reports."""
-        return {
-            "sweep": self.name,
-            "state": self.state,
-            "priority": self.priority,
-            "total": self.total,
-            "completed": self.completed,
-            "pending": self.work.pending,
-            "leased": self.work.leased,
-            "resumed": len(self.resumed),
-            "executed": self.executed,
-            "duplicates": self.duplicates,
-            "fingerprint": self.fingerprint,
-        }
-
 
 @dataclass(slots=True)
 class _Worker:
@@ -204,7 +138,7 @@ class FleetQueue:
             )
         self.lease_timeout = lease_timeout
         self._clock = clock
-        self._entries: dict[str, FleetEntry] = {}
+        self._entries: dict[str, WorkQueue] = {}
         #: Every worker connection ever registered, by owner name.
         self._workers: dict[str, _Worker] = {}
 
@@ -220,7 +154,7 @@ class FleetQueue:
         *,
         priority: int = 0,
         resumed_results: Mapping[int, dict] | None = None,
-    ) -> tuple[FleetEntry, bool]:
+    ) -> tuple[WorkQueue, bool]:
         """Register a sweep; returns ``(entry, created)``.
 
         A resubmission whose fingerprint matches the existing entry
@@ -240,26 +174,15 @@ class FleetQueue:
                     f"{fingerprint} — pick a new name or submit the "
                     "identical spec to resume it"
                 )
-            if existing.cancelled:
-                existing.cancelled = False
-                existing.work.requeue_missing()
+            existing.revive()
             return existing, False
-        resumed = {
-            index: dict(result) for index, result in (resumed_results or {}).items()
-        }
-        entry = FleetEntry(
-            name=name,
+        entry = WorkQueue(
+            name,
+            point_payloads,
+            fingerprint,
             priority=priority,
-            fingerprint=fingerprint,
-            point_payloads=point_payloads,
-            work=WorkQueue(
-                len(point_payloads),
-                lease_timeout=self.lease_timeout,
-                sweep=name,
-                resumed=resumed,
-                clock=self._clock,
-            ),
-            resumed=frozenset(resumed),
+            lease_timeout=self.lease_timeout,
+            resumed=resumed_results,
         )
         self._entries[name] = entry
         return entry, True
@@ -267,11 +190,9 @@ class FleetQueue:
     def cancel(self, name: str) -> bool:
         """Stop serving ``name``; ``False`` if no such sweep."""
         entry = self._entries.get(name)
-        if entry is None:
-            return False
-        entry.cancelled = True
-        entry.work.drop_outstanding()
-        return True
+        if entry is not None:
+            entry.cancel()
+        return entry is not None
 
     # ------------------------------------------------------------------
     # Worker connections
@@ -310,11 +231,14 @@ class FleetQueue:
         """
         if max_points is None:
             max_points = self._workers[owner].chunk_points()
+        if max_points < 1:
+            raise ConfigurationError(f"max_points must be >= 1, got {max_points}")
+        now = self._clock()
         # Entries are never removed and the sort is stable, so equal
         # priorities keep their submission (insertion) order; a cancelled
         # entry has nothing pending and yields no lease.
         for entry in sorted(self._entries.values(), key=lambda entry: -entry.priority):
-            lease = entry.work.acquire(owner, max_points)
+            lease = entry.acquire(owner, max_points, now)
             if lease is not None:
                 return lease
         return None
@@ -324,9 +248,11 @@ class FleetQueue:
     ) -> list[tuple[int, Mapping[str, object]]]:
         """Accept a frame's batch of ``[index, payload]`` results.
 
-        Returns the newly accepted pairs (first writer wins), in batch
-        order.  A malformed batch, or one for a sweep this ledger has never
-        heard of, raises :class:`ProtocolError` before any of it is kept.
+        Returns the newly accepted pairs (first writer wins; a cancelled
+        sweep accepts none), in batch order.  A malformed batch, or one for
+        a sweep this ledger has never heard of, raises
+        :class:`ProtocolError` before any of it is kept: this is the one
+        check of what a worker sends.
         """
         entry = self._entries.get(sweep) if isinstance(sweep, str) else None
         if entry is None:
@@ -352,25 +278,18 @@ class FleetQueue:
     def complete(
         self, sweep: str, index: int, result: Mapping[str, object], owner: str
     ) -> bool:
-        """Record one point's wire result; ``False`` if dropped.
-
-        Drops (without error) duplicates and anything for a cancelled
-        sweep; raises for sweeps the daemon has never heard of or indices
-        outside the grid — those are protocol violations, not races.
-        """
-        entry = self._entries.get(sweep)
-        if entry is None:
-            raise DispatchError(f"result for unknown sweep {sweep!r}")
-        if entry.cancelled:
-            return False
-        return entry.work.complete(index, dict(result), owner)
+        """Record one point's wire result, as :meth:`accept` checked it;
+        ``False`` if dropped (a duplicate, or any result for a cancelled
+        sweep)."""
+        return self._entries[sweep].complete(index, dict(result), owner, self._clock())
 
     def heartbeat(self, owner: str) -> int:
         """Extend every lease held by ``owner``; returns how many."""
         worker = self._workers.get(owner)
         if worker is not None:
             worker.heartbeats += 1
-        return sum(entry.work.heartbeat(owner) for entry in self._entries.values())
+        now = self._clock()
+        return sum(entry.heartbeat(owner, now) for entry in self._entries.values())
 
     def release(self, owner: str) -> int:
         """``owner``'s connection is gone: mark it so, and re-queue the
@@ -378,13 +297,17 @@ class FleetQueue:
         worker = self._workers.get(owner)
         if worker is not None:
             worker.disconnect()
-        return sum(entry.work.release(owner) for entry in self._entries.values())
+        return sum(entry.release(owner) for entry in self._entries.values())
 
     def expire_stale_leases(self) -> int:
-        """Reap every sweep's leases past their deadline."""
-        return sum(
-            entry.work.expire_stale_leases() for entry in self._entries.values()
-        )
+        """Reap every sweep's leases past their deadline.
+
+        The daemon's accept thread calls this every poll interval, so
+        stalled workers are detected even while every live worker is busy
+        (i.e. nobody is calling :meth:`acquire`).
+        """
+        now = self._clock()
+        return sum(entry.expire_stale_leases(now) for entry in self._entries.values())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -393,27 +316,26 @@ class FleetQueue:
     @property
     def leases_issued(self) -> int:
         """Lifetime count of leases handed out, over every sweep."""
-        return sum(entry.work.issued for entry in self._entries.values())
+        return sum(entry.issued for entry in self._entries.values())
 
     @property
     def leases_requeued(self) -> int:
         """Lifetime count of leases whose unfinished work was re-queued
         (worker death, disconnect, or expiry) — the "lease churn" gauge
         the daemon's ``metrics`` verb reports."""
-        return sum(entry.work.requeued for entry in self._entries.values())
+        return sum(entry.requeued for entry in self._entries.values())
 
-    def entry(self, name: str) -> FleetEntry | None:
+    @property
+    def results_accepted(self) -> int:
+        """Results accepted over the wire this lifetime, over every sweep
+        (sweeps and results are never dropped, so nothing is lost)."""
+        return sum(entry.executed for entry in self._entries.values())
+
+    def entry(self, name: str) -> WorkQueue | None:
         return self._entries.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._entries)
-
-    def results_for(self, name: str) -> dict[int, dict] | None:
-        """Snapshot of a sweep's wire results; ``None`` for unknown names."""
-        entry = self._entries.get(name)
-        if entry is None:
-            return None
-        return {index: dict(result) for index, result in entry.work.results.items()}
 
     def status_rows(self) -> list[dict[str, object]]:
         """One JSON-safe row per sweep, in submission order."""

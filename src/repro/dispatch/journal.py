@@ -393,10 +393,6 @@ class SweepJournal:
     # Appending
     # ------------------------------------------------------------------
 
-    @property
-    def journaled_indices(self) -> frozenset[int]:
-        return frozenset(self._journaled)
-
     def record(self, index: int, result: Mapping[str, object]) -> bool:
         """Append one completed point; ``False`` if it was already journaled.
 

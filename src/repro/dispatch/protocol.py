@@ -44,10 +44,10 @@ request         wrk → srv    optional ``sweep``, ``results``: [[index,
 chunk           srv → wrk    ``sweep``, ``chunk_id``, ``points``:
                              [{``index``, ``point``}]
 wait            srv → wrk    ``delay``: seconds to sleep before asking
-                             again — always 0 from a daemon that held the
-                             request (an older one quotes its poll
-                             interval); a number in ``[0, MAX_SECONDS]``,
-                             else the worker disconnects
+                             again — 0, as the daemon held the request up
+                             to its poll interval before answering; a
+                             number in ``[0, MAX_SECONDS]``, else the
+                             worker disconnects
 done            srv → wrk    the daemon is stopping: leave cleanly (a
                              running daemon only ever says ``wait`` — new
                              sweeps may arrive at any time)
@@ -68,7 +68,7 @@ status_report   srv → sub    ``sweeps``: rows, ``workers``: rows,
 metrics         sub → srv    —
 metrics_report  srv → sub    ``telemetry``: a ``repro.telemetry/1``
                              snapshot (daemon counters, per-sweep
-                             throughput/journal-lag gauges, worker EWMAs)
+                             progress/throughput gauges, worker EWMAs)
 cancel          sub → srv    ``sweep``
 cancelled       srv → sub    ``sweep``, ``existed``
 fetch           sub → srv    ``sweep``, optional ``wait`` (seconds in

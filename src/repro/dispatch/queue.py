@@ -1,4 +1,13 @@
-"""Lease-based work state for one sweep.
+"""One sweep's record in the daemon's ledger: identity, leases, results.
+
+A :class:`WorkQueue` is everything the daemon knows about one named sweep:
+its name, priority, fingerprint and point payloads, the indices pending or
+out on a lease, the results collected so far and whether it was cancelled.
+The :class:`~repro.dispatch.fleet.FleetQueue` builds one per submitted
+sweep and decides which sweep to serve next.  Neither takes a lock (the
+daemon serialises every call under its one condition), and neither reads
+a clock: the ``FleetQueue`` reads its own once per ledger call and passes
+that ``now`` to every method here that sets or checks a deadline.
 
 The unit of *assignment* is a :class:`Lease` — a batch of point indices
 handed to one worker until a deadline — while the unit of *completion* is
@@ -23,23 +32,24 @@ another worker picks them up next; and duplicate results — the original
 worker limping back after its lease moved on — are ignored with
 first-writer-wins semantics.  Results are deterministic functions of their
 point, so which writer wins cannot affect the sweep.
-
-A :class:`WorkQueue` is one sweep's half of the daemon's ledger: the
-:class:`~repro.dispatch.fleet.FleetQueue` holds one per named sweep and
-decides which sweep to serve next.  Neither takes a lock; the daemon
-serialises every call under its one condition.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
-from repro.errors import ConfigurationError, DispatchError
+from repro.errors import DispatchError
 
 __all__ = ["Lease", "WorkQueue"]
+
+#: Sweep lifecycle: accepting/serving work → every point has a result →
+#: explicitly cancelled.  There is no separate "queued" state — a sweep
+#: with no worker yet is simply running with zero progress.
+RUNNING = "running"
+DONE = "done"
+CANCELLED = "cancelled"
 
 
 @dataclass(slots=True)
@@ -54,38 +64,42 @@ class Lease:
 
 
 class WorkQueue:
-    """Pending indices, live leases and collected results of one sweep.
+    """One named sweep: its points, pending indices, live leases and
+    results (wire payloads, journaled and live).
 
     ``resumed`` seeds results that are already known (a journal replay);
-    those indices are never handed out.  ``clock`` is injectable for tests;
-    the default is ``time.monotonic``.
+    those indices are never handed out.
     """
 
     def __init__(
         self,
-        total: int,
+        name: str,
+        point_payloads: list[dict],
+        fingerprint: str,
         *,
+        priority: int,
         lease_timeout: float,
-        sweep: str = "",
-        resumed: Mapping[int, object] | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        resumed: Mapping[int, Mapping[str, object]] | None = None,
     ) -> None:
-        if total < 0:
-            raise ConfigurationError(f"total must be >= 0, got {total}")
-        if lease_timeout <= 0:
-            raise ConfigurationError(
-                f"lease_timeout must be positive, got {lease_timeout}"
-            )
-        self.total = total
-        self.sweep = sweep
+        self.name = name
+        #: Portable JSON payloads, one per point, in spec order.
+        self.point_payloads = point_payloads
+        self.fingerprint = fingerprint
+        self.priority = priority
+        self.total = len(point_payloads)
         self.lease_timeout = lease_timeout
-        self.results: dict[int, object] = dict(resumed or {})
-        bad = sorted(i for i in self.results if not 0 <= i < total)
+        self.results: dict[int, dict] = {
+            index: dict(result) for index, result in (resumed or {}).items()
+        }
+        bad = sorted(i for i in self.results if not 0 <= i < self.total)
         if bad:
             raise DispatchError(
-                f"sweep {sweep!r}: resumed result indices {bad} outside "
-                f"sweep of {total} points"
+                f"sweep {name!r}: resumed result indices {bad} outside "
+                f"sweep of {self.total} points"
             )
+        #: Indices seeded from a journal rather than executed this lifetime.
+        self.resumed = frozenset(self.results)
+        self.cancelled = False
         #: Results dropped because their index already had one.
         self.duplicates = 0
         #: Leases whose unfinished work went back to the queue (worker
@@ -93,25 +107,21 @@ class WorkQueue:
         self.requeued = 0
         #: Leases handed out; the next lease's id.
         self.issued = 0
-        self._clock = clock
-        self._pending: deque[int] = deque()
+        self._pending = deque(i for i in range(self.total) if i not in self.results)
         self._leases: dict[int, Lease] = {}
-        self.requeue_missing()
 
     # ------------------------------------------------------------------
     # Worker-facing operations
     # ------------------------------------------------------------------
 
-    def acquire(self, owner: str, max_points: int) -> Lease | None:
+    def acquire(self, owner: str, max_points: int, now: float) -> Lease | None:
         """Lease up to ``max_points`` pending indices to ``owner``.
 
         Expired leases are reaped first, so a dead worker's points become
         acquirable the moment any live worker asks for more work.  ``None``
         if nothing is pending.
         """
-        if max_points < 1:
-            raise ConfigurationError(f"max_points must be >= 1, got {max_points}")
-        self.expire_stale_leases()
+        self.expire_stale_leases(now)
         indices: list[int] = []
         while self._pending and len(indices) < max_points:
             index = self._pending.popleft()
@@ -121,41 +131,38 @@ class WorkQueue:
             return None
         lease = Lease(
             lease_id=self.issued,
-            sweep=self.sweep,
+            sweep=self.name,
             indices=tuple(indices),
             owner=owner,
-            deadline=self._clock() + self.lease_timeout,
+            deadline=now + self.lease_timeout,
         )
         self.issued += 1
         self._leases[lease.lease_id] = lease
         return lease
 
-    def heartbeat(self, owner: str) -> int:
+    def heartbeat(self, owner: str, now: float) -> int:
         """Extend every lease held by ``owner``; returns how many."""
-        deadline = self._clock() + self.lease_timeout
         extended = 0
         for lease in self._leases.values():
             if lease.owner == owner:
-                lease.deadline = deadline
+                lease.deadline = now + self.lease_timeout
                 extended += 1
         return extended
 
-    def complete(self, index: int, result: object, owner: str) -> bool:
-        """Record one point's result; ``False`` for duplicates (ignored).
+    def complete(self, index: int, result: dict, owner: str, now: float) -> bool:
+        """Record one point's result; ``False`` if dropped.
 
-        First writer wins: a result for an index that already has one is
-        dropped, which is how a reassigned worker's late results are
-        neutralised.  Accepting results from non-leaseholders is deliberate
-        — the work is deterministic, so finished work is never wasted just
-        because the lease moved on.  Either way the result proves ``owner``
-        is alive, so its leases are extended like a heartbeat.
+        A cancelled sweep drops every late result.  Otherwise first writer
+        wins: a result for an index that already has one is dropped, which
+        is how a reassigned worker's late results are neutralised.
+        Accepting results from non-leaseholders is deliberate — the work is
+        deterministic, so finished work is never wasted just because the
+        lease moved on.  Either way the result proves ``owner`` is alive,
+        so its leases are extended like a heartbeat.
         """
-        if not 0 <= index < self.total:
-            raise DispatchError(
-                f"sweep {self.sweep!r}: result index {index} outside "
-                f"{self.total} points"
-            )
-        self.heartbeat(owner)
+        if self.cancelled:
+            return False
+        self.heartbeat(owner, now)
         if index in self.results:
             self.duplicates += 1
             return False
@@ -178,26 +185,47 @@ class WorkQueue:
             [lease for lease in self._leases.values() if lease.owner == owner]
         )
 
-    def expire_stale_leases(self) -> int:
-        """Reap leases past their deadline; returns how many were re-queued.
-
-        The daemon's accept thread calls this every poll interval, so
-        stalled workers are detected even while every live worker is busy
-        (i.e. nobody is calling :meth:`acquire`).
-        """
-        now = self._clock()
+    def expire_stale_leases(self, now: float) -> int:
+        """Reap leases past their deadline; returns how many were re-queued."""
         return self._requeue(
             [lease for lease in self._leases.values() if lease.deadline <= now]
         )
 
     # ------------------------------------------------------------------
-    # Owner-facing state
+    # Submitter-facing operations and state
     # ------------------------------------------------------------------
 
+    def cancel(self) -> None:
+        """Stop serving: forget pending work and tear up live leases
+        (results are kept)."""
+        self.cancelled = True
+        self._pending.clear()
+        self._leases.clear()
+
+    def revive(self) -> None:
+        """Serve a cancelled sweep again: queue every index without a
+        result.  A no-op on a sweep that was never cancelled."""
+        if self.cancelled:
+            self.cancelled = False
+            self._pending.extend(
+                i for i in range(self.total) if i not in self.results
+            )
+
     @property
-    def done(self) -> bool:
-        """Every point of the sweep has a result."""
-        return len(self.results) == self.total
+    def completed(self) -> int:
+        return len(self.results)
+
+    @property
+    def executed(self) -> int:
+        """Results accepted over the wire by *this* daemon process — the
+        counter the no-re-execution drills assert on."""
+        return len(self.results) - len(self.resumed)
+
+    @property
+    def state(self) -> str:
+        if self.cancelled:
+            return CANCELLED
+        return DONE if len(self.results) == self.total else RUNNING
 
     @property
     def pending(self) -> int:
@@ -213,21 +241,21 @@ class WorkQueue:
         """Indices currently out on a lease."""
         return sum(len(lease.indices) for lease in self._leases.values())
 
-    def drop_outstanding(self) -> None:
-        """Forget pending work and tear up live leases (results are kept)."""
-        self._pending.clear()
-        self._leases.clear()
-
-    def requeue_missing(self) -> None:
-        """Queue every index that has no result and is not already out."""
-        out = set(self._pending)
-        for lease in self._leases.values():
-            out.update(lease.indices)
-        self._pending.extend(
-            index
-            for index in range(self.total)
-            if index not in self.results and index not in out
-        )
+    def status_row(self) -> dict[str, object]:
+        """A JSON-safe row for ``status`` reports."""
+        return {
+            "sweep": self.name,
+            "state": self.state,
+            "priority": self.priority,
+            "total": self.total,
+            "completed": self.completed,
+            "pending": self.pending,
+            "leased": self.leased,
+            "resumed": len(self.resumed),
+            "executed": self.executed,
+            "duplicates": self.duplicates,
+            "fingerprint": self.fingerprint,
+        }
 
     # ------------------------------------------------------------------
     # Internals

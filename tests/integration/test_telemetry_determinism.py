@@ -198,12 +198,9 @@ class TestFleetMetricsVerb:
                 name.endswith(".throughput_points_per_sec")
                 for name in sweep_gauges
             )
-            # Everything journaled, nothing in flight: lag is exactly zero.
-            lags = [
-                gauges[name]
-                for name in sweep_gauges
-                if name.endswith(".journal_lag")
-            ]
-            assert lags and all(lag == 0 for lag in lags)
+            # Accepts and journal appends share one condition, so there is
+            # no lag to report; the journal's contents are checked directly
+            # (test_dispatch.py's journaled_indices).
+            assert not any(name.endswith(".journal_lag") for name in gauges)
         finally:
             daemon.shutdown()

@@ -169,14 +169,14 @@ class TestWrongRole:
     ) -> None:
         FleetClient(*daemon.address, secret=daemon.config.secret).submit(tiny_spec())
         rows = daemon.queue.status_rows()
-        accepted = daemon.stats.results_accepted
+        accepted = daemon.queue.results_accepted
         with connect(daemon, role) as sock:
             send_frame(sock, frame)
             reply = recv_frame(sock)
             assert reply["type"] == "error" and reply["code"] == "protocol"
             assert recv_frame(sock) is None  # exactly one frame, then closed
         assert daemon.queue.status_rows() == rows
-        assert daemon.stats.results_accepted == accepted
+        assert daemon.queue.results_accepted == accepted
         # The refusal cost that one connection, not the daemon.
         status = exchange(daemon, "submitter", {"type": "status"})
         assert status["type"] == "status_report"

@@ -187,7 +187,7 @@ class TestIntegerFields:
         )
         assert reply["type"] == "error" and reply["code"] == "protocol"
         assert "bad index" in reply["message"]
-        assert journaled_daemon.queue.results_for(entry.name) == {}
+        assert entry.results == {}
         path = journal_path(journaled_daemon.config.journal_dir, entry.name)
         with open(path, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1  # the header, no point line

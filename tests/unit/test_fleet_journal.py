@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +142,6 @@ class TestRoundTrip:
         )
         with attached:
             assert replayed.results == {0: wire_result(0)}
-            assert attached.journaled_indices == frozenset({0})
             assert not attached.record(0, wire_result(0))  # already durable
             assert attached.record(2, wire_result(2))
         final = SweepJournal.replay(journal.path)
@@ -204,7 +205,7 @@ class TestCorruptionPolicy:
         # Keep the header's fingerprint but swap in a different grid: the
         # rebuild re-hashes and refuses.
         path = self.make_journal(tmp_path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         header["spec"] = spec_artifact(tiny_spec(root_seed=99))
         lines[0] = json.dumps(header, separators=(",", ":"))
@@ -216,7 +217,7 @@ class TestCorruptionPolicy:
 
     def test_garbage_middle_line_is_loud(self, tmp_path) -> None:
         path = self.make_journal(tmp_path, points=(0,))
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         lines.insert(1, "not json at all")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -237,7 +238,7 @@ class TestCorruptionPolicy:
     @pytest.mark.parametrize("field", ["total", "priority"])
     def test_boolean_header_integer_is_loud(self, tmp_path, field) -> None:
         path = self.make_journal(tmp_path, points=())
-        header = json.loads(open(path, encoding="utf-8").readline())
+        header = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[0])
         header[field] = True
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
@@ -249,7 +250,7 @@ class TestCorruptionPolicy:
         # fewer points than its grid would let the queue accept a result
         # the journal then refuses to record.
         path = self.make_journal(tmp_path, points=())
-        header = json.loads(open(path, encoding="utf-8").readline())
+        header = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[0])
         assert header["total"] == len(header["spec"]["columns"]) == 3
         header["total"] = 1
         with open(path, "w", encoding="utf-8") as handle:
@@ -259,7 +260,7 @@ class TestCorruptionPolicy:
 
     def test_unknown_schema_is_loud(self, tmp_path) -> None:
         path = self.make_journal(tmp_path, points=())
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         assert header["schema"] == JOURNAL_SCHEMA
         header["schema"] = "repro.fleet-journal/99"
@@ -301,6 +302,42 @@ class TestOneSweepPerFile:
         restarted.shutdown()
         assert restarted.queue.names() == ["a/b"]
         assert restarted.queue.entry("a/b").completed == 3
+
+
+class TestFailedRestore:
+    def test_a_corrupt_journal_releases_what_the_daemon_opened(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """``a-good`` is attached before ``b-bad`` fails its replay.  While
+        the exception — and through its traceback the half-built daemon —
+        is still alive, the port binds again and nothing is left open."""
+        with create(tmp_path, tiny_spec(), name="a-good") as journal:
+            journal.record(0, wire_result(0))
+        (tmp_path / "b-bad.jsonl").write_text("not json\n", encoding="utf-8")
+        attached: list[SweepJournal] = []
+        attach = SweepJournal.attach.__func__
+
+        def tracking(cls, path, **kwargs):
+            journal, replayed = attach(cls, path, **kwargs)
+            attached.append(journal)
+            return journal, replayed
+
+        monkeypatch.setattr(SweepJournal, "attach", classmethod(tracking))
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        with pytest.raises(JournalError, match="b-bad") as excinfo:
+            FleetDaemon(FleetConfig(port=port, journal_dir=str(tmp_path)))
+        daemon = next(
+            entry.frame.f_locals["self"]
+            for entry in excinfo.traceback
+            if isinstance(entry.frame.f_locals.get("self"), FleetDaemon)
+        )
+        with socket.create_server(("127.0.0.1", port)):
+            pass
+        sockets = (daemon._listener, daemon._wake_reader, daemon._wake_writer)
+        assert [sock.fileno() for sock in sockets] == [-1, -1, -1]
+        assert [os.path.basename(j.path) for j in attached] == ["a-good.jsonl"]
+        assert all(journal._handle.closed for journal in attached)
 
 
 class TestRestartArchiving:

@@ -22,9 +22,10 @@ Two workers, ``w1`` and ``w2``, drive the ledger with these events:
 * ``restart`` — a new ledger seeded with the results accepted so far, as a
   journal restore seeds it.
 
-The invariants are listed on :meth:`Run.check`.  The check reads one
-sweep's pending indices and leases from its ``WorkQueue`` directly, so a
-wrong ``pending`` or ``leased`` count cannot hide a lost index.
+The invariants are listed on :meth:`Run.check`.  The check reads each
+sweep's pending indices and leases from its record (a ``WorkQueue``)
+directly, so a wrong ``pending`` or ``leased`` count cannot hide a lost
+index.  A result enters through ``accept``, as a worker's frame does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.dispatch.fleet import FleetQueue
-from repro.dispatch.queue import WorkQueue
+from repro.dispatch.queue import DONE, WorkQueue
 
 #: Longest event sequence explored.
 DEPTH = 6
@@ -139,7 +140,7 @@ class Run:
         elif kind == "result":
             worker, sweep, index = args
             payload = {"index": index, "by": worker}
-            if queue.complete(sweep, index, payload, worker):
+            if queue.accept(worker, sweep, [[index, payload]]):
                 if index in self.accepted[sweep]:
                     raise Violation(f"{sweep}[{index}] accepted twice")
                 self.accepted[sweep][index] = payload
@@ -174,12 +175,12 @@ class Run:
         for name, _, _ in sorted(self.scope.sweeps, key=lambda sweep: -sweep[2]):
             if lease is not None and name == lease.sweep:
                 break
-            pending = self.queue.entry(name).work.pending
+            pending = self.queue.entry(name).pending
             if pending:
                 served = "no lease" if lease is None else f"a lease of {lease.sweep}"
                 raise Violation(f"{served} while {name} has {pending} pending")
         if lease is not None:
-            results = self.queue.entry(lease.sweep).work.results
+            results = self.queue.entry(lease.sweep).results
             if not lease.indices or any(i in results for i in lease.indices):
                 raise Violation(f"lease of finished or no work: {lease.indices}")
 
@@ -195,19 +196,19 @@ class Run:
         * a cancelled sweep holds no lease and nothing pending.
         """
         for name, _, _ in self.scope.sweeps:
-            entry = self.queue.entry(name)
-            work = entry.work
+            work = self.queue.entry(name)
             if work.results != self.accepted[name]:
                 raise Violation(
                     f"{name} stores {work.results}, accepted {self.accepted[name]}"
                 )
-            if work.done != (len(work.results) == work.total):
-                raise Violation(f"{name} done={work.done} with {len(work.results)}")
-            if work.done and (work.pending or work.leased):
+            finished = len(work.results) == work.total
+            if (work.state == DONE) != (finished and not work.cancelled):
+                raise Violation(f"{name} {work.state} with {len(work.results)}")
+            if finished and (work.pending or work.leased):
                 raise Violation(
                     f"{name} done with pending {work.pending}, leased {work.leased}"
                 )
-            if entry.cancelled:
+            if work.cancelled:
                 if work.pending or work.leased:
                     raise Violation(
                         f"cancelled {name} holds pending {work.pending}, "
@@ -228,11 +229,10 @@ class Run:
         lease ids, counters and the clock's absolute reading are left out."""
         sweeps = []
         for name, _, _ in self.scope.sweeps:
-            entry = self.queue.entry(name)
-            work = entry.work
+            work = self.queue.entry(name)
             sweeps.append(
                 (
-                    entry.cancelled,
+                    work.cancelled,
                     tuple(sorted((i, r["by"]) for i, r in work.results.items())),
                     tuple(work._pending),
                     tuple(
@@ -295,8 +295,10 @@ def _pending_counts_finished(monkeypatch) -> None:
 def _duplicate_overwrites(monkeypatch) -> None:
     """No first-writer check: a second result replaces the first."""
 
-    def complete(self, index, result, owner):
-        self.heartbeat(owner)
+    def complete(self, index, result, owner, now):
+        if self.cancelled:
+            return False
+        self.heartbeat(owner, now)
         self.results[index] = result
         for lease_id in [
             lease_id

@@ -20,7 +20,7 @@ from repro.dispatch.daemon import FleetConfig, FleetDaemon
 from repro.dispatch.fleet import FleetQueue
 from repro.dispatch.journal import SweepJournal, journal_path, sweep_fingerprint
 from repro.dispatch.protocol import PROTOCOL_VERSION, recv_frame, send_frame
-from repro.errors import ConfigurationError, DispatchError
+from repro.errors import ConfigurationError, DispatchError, ProtocolError
 from repro.experiments.config import ColumnConfig
 from repro.experiments.sweep import (
     SweepPoint,
@@ -97,14 +97,15 @@ class TestValidation:
 
     def test_result_for_unknown_sweep_raises(self) -> None:
         queue, _ = make_queue()
-        with pytest.raises(DispatchError, match="unknown sweep"):
-            queue.complete("ghost", 0, wire(0), "w")
+        with pytest.raises(ProtocolError, match="unknown sweep"):
+            queue.accept("w", "ghost", [[0, wire(0)]])
 
     def test_result_outside_grid_raises(self) -> None:
         queue, _ = make_queue()
-        submit(queue, "a", tiny_spec(2, name="a"))
-        with pytest.raises(DispatchError, match="outside"):
-            queue.complete("a", 2, wire(2), "w")
+        entry, _ = submit(queue, "a", tiny_spec(2, name="a"))
+        with pytest.raises(ProtocolError, match="bad index"):
+            queue.accept("w", "a", [[0, wire(0)], [2, wire(2)]])
+        assert entry.results == {}  # refused whole, before any was kept
 
     def test_resumed_indices_outside_grid_raise(self) -> None:
         queue, _ = make_queue()
@@ -159,7 +160,8 @@ class TestCompletionAndResume:
         assert seen == [0, 1, 2, 3]
         assert entry.state == "done"
         assert entry.executed == 4
-        assert queue.results_for("a") == {i: wire(i) for i in range(4)}
+        assert entry.results == {i: wire(i) for i in range(4)}
+        assert queue.results_accepted == 4
 
     def test_duplicate_results_dropped_first_writer_wins(self) -> None:
         queue, _ = make_queue()
@@ -168,7 +170,7 @@ class TestCompletionAndResume:
         assert queue.complete("a", lease.indices[0], wire(0), "w1")
         assert not queue.complete("a", lease.indices[0], {"other": 1}, "w2")
         assert entry.duplicates == 1
-        assert queue.results_for("a")[lease.indices[0]] == wire(0)
+        assert entry.results[lease.indices[0]] == wire(0)
 
     def test_resumed_results_seed_completion(self) -> None:
         queue, _ = make_queue()
