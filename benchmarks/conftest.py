@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark regenerates one artifact of the paper's evaluation (Figures
-3-8, the Theorem 1 configuration, and the §V-B2 overhead micro-benchmarks),
-prints the series the figure plots next to the paper's reported values, and
-asserts the qualitative shape.
+``test_claims.py`` regenerates each artifact of the paper's evaluation
+(Figures 3-8, the Theorem 1 configuration, the sensitivity sweeps and two
+ablations) once per session and checks each claim of the paper against it;
+``test_micro_overhead.py`` times the §V-B2 overhead micro-benchmarks.
 
 ``REPRO_BENCH_SCALE`` scales simulated durations: 1.0 (default) runs the
 full-fidelity experiments; smaller values (e.g. 0.3) run faster

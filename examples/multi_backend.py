@@ -20,7 +20,7 @@ import tempfile
 
 from repro import run_scenario
 from repro.experiments.report import print_table
-from repro.scenario import ScenarioSpec, regional_backends_scenario
+from repro.scenario import regional_backends_scenario
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ Multi-edge topologies are first-class via the scenario API::
 
 import importlib
 
-__version__ = "1.19.0"
+__version__ = "1.19.1"
 
 #: Where each exported name lives.  Nothing is imported until first use
 #: (PEP 562), so ``import repro.sim`` loads the simulator, not the sweep

@@ -85,11 +85,14 @@ def rows(sweep: SweepResult) -> list[dict[str, float]]:
 def phase_summaries(
     rows: list[dict[str, float]], switch_time: float = SWITCH_TIME
 ) -> dict[str, dict[str, float]]:
-    """Mean rates before and after the switch (skipping 5 s of transition).
+    """Mean rates before and after the switch, skipping the transitions.
 
     This is the quantitative reading of Fig. 4 the benchmarks assert on:
     the inconsistent-commit rate collapses after cluster formation while the
-    abort rate rises.
+    abort rate rises. On the paper's timeline the first 5 s, the last second
+    before the switch and the 5 s after it are skipped; a compressed
+    timeline scales those spans by ``switch_time / SWITCH_TIME``, never below
+    one per-second window, so both phases keep rows.
     """
 
     def mean_rates(selected: list[dict[str, float]]) -> dict[str, float]:
@@ -98,8 +101,11 @@ def phase_summaries(
         keys = ("consistent_tps", "inconsistent_tps", "aborted_tps")
         return {key: sum(row[key] for row in selected) / len(selected) for key in keys}
 
-    before = [row for row in rows if 5.0 <= row["time"] < switch_time - 1.0]
-    after = [row for row in rows if row["time"] >= switch_time + 5.0]
+    lead, guard, settle = (
+        max(seconds * switch_time / SWITCH_TIME, 1.0) for seconds in (5.0, 1.0, 5.0)
+    )
+    before = [row for row in rows if lead <= row["time"] < switch_time - guard]
+    after = [row for row in rows if row["time"] >= switch_time + settle]
     return {"before": mean_rates(before), "after": mean_rates(after)}
 
 

@@ -7,6 +7,13 @@ detects 43 %. In both cases EVICT reduces uncommittable transactions
 considerably — 20 % with the Amazon workload and 36 % with Orkut. In the
 Amazon workload, RETRY further reduces this value to 11 % of its value with
 ABORT."
+
+Each number is a claim row in ``benchmarks/test_claims.py``: 70 % is
+``fig8-detection-amazon``, 43 % ``fig8-detection-orkut``, 20 % and 36 %
+``fig8-evict-amazon`` and ``fig8-evict-orkut``, 11 % ``fig8-retry-amazon``.
+The detection ratios are checked as bands around the paper's values; the
+last three as a trend (under 75 % of ABORT's band), because on the
+stand-in graphs EVICT and RETRY both leave about half of it.
 """
 
 from __future__ import annotations

@@ -24,9 +24,12 @@ community structure:
   denser, matching the paper's description of Fig. 7(b).
 
 With dependency lists of length 3 these stand-ins reproduce the paper's
-headline detection ratios (≈70 % Amazon, ≈43 % Orkut) and the relative
-EVICT/RETRY improvements, which is the validation that the substitution
-preserves the relevant behaviour. Known divergence: degree distributions
+headline detection ratios (≈70 % Amazon, ≈43 % Orkut: claims
+``fig8-detection-amazon`` and ``fig8-detection-orkut`` in
+``benchmarks/test_claims.py``) and the direction, though not the size, of
+the EVICT/RETRY improvements (see :mod:`repro.experiments.fig8_strategies`),
+which is the validation that the substitution preserves the relevant
+behaviour. Known divergence: degree distributions
 here are more homogeneous than the real snapshots' power laws; T-Cache is
 insensitive to that (dependencies arise "from the topology of the object
 graph", §IV, via co-access locality, not from degree tails).

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 
-def collect_fig7ab(**env: str) -> subprocess.CompletedProcess:
+def collect_claims(**env: str) -> subprocess.CompletedProcess:
     inherited = {
         name: value
         for name, value in os.environ.items()
@@ -30,7 +30,7 @@ def collect_fig7ab(**env: str) -> subprocess.CompletedProcess:
             sys.executable,
             "-m",
             "pytest",
-            "benchmarks/test_fig7ab_topologies.py",
+            "benchmarks/test_claims.py",
             "--collect-only",
             "-q",
             "-p",
@@ -59,7 +59,7 @@ def collect_fig7ab(**env: str) -> subprocess.CompletedProcess:
     ],
 )
 def test_bad_value_fails_the_session(name, value) -> None:
-    done = collect_fig7ab(**{name: value})
+    done = collect_claims(**{name: value})
     assert done.returncode != 0
     assert name in done.stdout + done.stderr
 

@@ -43,6 +43,38 @@ class TestPhaseSummaries:
         summaries = fig4_convergence.phase_summaries([], switch_time=25.0)
         assert summaries["before"]["consistent_tps"] == 0.0
 
+    def test_compressed_timeline_keeps_both_phases(self) -> None:
+        # Fig. 4 at a tenth of the paper's timeline: 16 s, switch at 5.8 s.
+        # The skipped spans shrink to one window each: 0, 5 and 6 go.
+        rows = [
+            {"time": float(t), "consistent_tps": 300.0,
+             "inconsistent_tps": 100.0 if t < 5.8 else 10.0,
+             "aborted_tps": 10.0 if t < 5.8 else 80.0}
+            for t in range(16)
+        ]
+        for skipped in (0, 5, 6):
+            rows[skipped]["inconsistent_tps"] = 1e9
+        summaries = fig4_convergence.phase_summaries(rows, switch_time=5.8)
+        assert summaries["before"]["inconsistent_tps"] == pytest.approx(100.0)
+        assert summaries["after"]["inconsistent_tps"] == pytest.approx(10.0)
+        assert summaries["after"]["aborted_tps"] == pytest.approx(80.0)
+
+    def test_paper_timeline_windows_unchanged(self) -> None:
+        # At the paper's switch time the spans are 5 s, 1 s and 5 s.
+        rows = [
+            {"time": float(t), "consistent_tps": float(t),
+             "inconsistent_tps": 0.0, "aborted_tps": 0.0}
+            for t in range(160)
+        ]
+        summaries = fig4_convergence.phase_summaries(rows)
+        before, after = range(5, 57), range(63, 160)
+        assert summaries["before"]["consistent_tps"] == pytest.approx(
+            sum(before) / len(before)
+        )
+        assert summaries["after"]["consistent_tps"] == pytest.approx(
+            sum(after) / len(after)
+        )
+
 
 class TestSpikeProfile:
     def test_post_shift_vs_settled(self) -> None:
