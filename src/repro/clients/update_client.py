@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import TransactionAborted
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.types import Key
 from repro.workloads.base import Workload
 
@@ -103,7 +103,3 @@ class UpdateClient:
         if self._poisson:
             return float(self._rng.exponential(self._mean_gap))
         return self._mean_gap
-
-    def completion_event(self) -> Event:
-        """The client process itself (never completes unless killed)."""
-        return self.process

@@ -48,8 +48,8 @@ class TransactionContext:
         if prior is None or version > prior:
             self.read_versions[key] = version
 
-        # _require, inlined: this runs once per dependency entry of every
-        # transactional read, and the call overhead dominated the work.
+        # Merged inline: this runs once per dependency entry of every
+        # transactional read, where a helper call per entry dominates the work.
         requirements = self.requirements
         current = requirements.get(key)
         if current is None or version > current[0]:
@@ -59,11 +59,6 @@ class TransactionContext:
             current = requirements.get(entry_key)
             if current is None or entry.version > current[0]:
                 requirements[entry_key] = (entry.version, key)
-
-    def _require(self, key: Key, version: Version, source: Key) -> None:
-        current = self.requirements.get(key)
-        if current is None or version > current[0]:
-            self.requirements[key] = (version, source)
 
     def required_version(self, key: Key) -> tuple[Version, Key] | None:
         """The strongest requirement prior reads place on ``key``, if any."""

@@ -1,14 +1,16 @@
-"""Integration tests: capacity-bounded caches and the §VII extensions."""
+"""Integration tests: capacity-bounded caches.
+
+The §VI multiversion and §V-A3 pruning-policy claims are rows of
+``benchmarks/test_claims.py`` (``extension-multiversion-fewer-aborts``,
+``ablation-lru-beats-random``), checked on the paper-scale sweeps.
+"""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.deplist import UNBOUNDED
-from repro.core.strategies import Strategy
 from repro.experiments.config import ColumnConfig
 from repro.experiments.runner import run_column
-from repro.workloads.synthetic import ParetoClusterWorkload, PerfectClusterWorkload
+from repro.workloads.synthetic import PerfectClusterWorkload
 
 WORKLOAD = PerfectClusterWorkload(n_objects=200, cluster_size=5)
 
@@ -57,42 +59,3 @@ class TestCapacityEviction:
         )
         assert tight.counts.inconsistency_ratio <= roomy.counts.inconsistency_ratio
         assert tight.cache_stats.db_accesses > roomy.cache_stats.db_accesses
-
-
-class TestMultiversionColumn:
-    def test_multiversion_cuts_aborts_end_to_end(self) -> None:
-        workload = ParetoClusterWorkload(n_objects=400, cluster_size=5, alpha=1.0)
-        base = ColumnConfig(seed=9, duration=6.0, warmup=2.0, deplist_max=3)
-        retry = run_column(
-            ColumnConfig(seed=9, duration=6.0, warmup=2.0, deplist_max=3,
-                         strategy=Strategy.RETRY),
-            workload,
-        )
-        multi = run_column(
-            ColumnConfig(seed=9, duration=6.0, warmup=2.0, deplist_max=3,
-                         protocol="multiversion"),
-            workload,
-        )
-        assert multi.counts.abort_ratio < retry.counts.abort_ratio
-        assert multi.counts.committed > 0
-
-
-class TestPruningPolicyColumn:
-    @pytest.mark.slow
-    def test_lru_beats_random_on_drift(self) -> None:
-        from repro.workloads.synthetic import DriftingClusterWorkload
-
-        workload = DriftingClusterWorkload(
-            n_objects=500, cluster_size=5, shift_interval=8.0
-        )
-        results = {}
-        for policy in ("lru", "random"):
-            config = ColumnConfig(
-                seed=12, duration=24.0, warmup=4.0, deplist_max=3,
-                pruning_policy=policy,
-            )
-            results[policy] = run_column(config, workload)
-        assert (
-            results["lru"].detection_ratio
-            > results["random"].detection_ratio + 0.1
-        )

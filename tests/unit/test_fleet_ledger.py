@@ -3,11 +3,12 @@
 The fleet daemon's whole state is one :class:`FleetQueue`; its rules are
 few, but the faults they guard against show up only under particular
 interleavings of workers, clocks and submitters.  This module explores
-every sequence of up to :data:`DEPTH` ledger events at three small scopes,
-breadth-first, deduplicating states and rebuilding each one by replay from
-the root, and checks the invariants after every event.  A fault that needs
-a small schedule to show — and the dispatch layer's past ones all did — is
-found here with its shortest counterexample.
+every sequence of up to :data:`DEPTH` ledger events at three small scopes
+with the repository's one explorer, ``tools/explore.py`` (breadth-first,
+deduplicating states by :meth:`Run.key` and rebuilding each one by replay
+from the root), and checks the invariants after every event.  A fault that
+needs a small schedule to show — and the dispatch layer's past ones all
+did — is found here with its shortest counterexample.
 
 Two workers, ``w1`` and ``w2``, drive the ledger with these events:
 
@@ -36,6 +37,7 @@ import pytest
 
 from repro.dispatch.fleet import FleetQueue
 from repro.dispatch.queue import DONE, WorkQueue
+from tools.explore import Exploration, Violation, explore
 
 #: Longest event sequence explored.
 DEPTH = 6
@@ -58,10 +60,6 @@ SCOPES = {
     "1x3": Scope((("a", 3, 0),), states=4_435),
     "2 sweeps": Scope((("a", 2, 0), ("b", 1, 1)), states=2_887),
 }
-
-
-class Violation(AssertionError):
-    pass
 
 
 class Clock:
@@ -120,15 +118,8 @@ class Run:
         events.append(("restart",))
         return events
 
-    def step(self, event: tuple) -> None:
-        """Apply ``event``, then check every invariant."""
-        lease = self.apply(event)
-        if event[0] == "request":
-            self._check_served(lease)
-        self.check()
-
-    def apply(self, event: tuple):
-        """Apply ``event``; a ``request`` returns its lease."""
+    def apply(self, event: tuple) -> None:
+        """Apply ``event``; a ``request`` checks the lease it was served."""
         kind, *args = event
         queue = self.queue
         if kind == "request":
@@ -136,7 +127,7 @@ class Run:
             lease = queue.acquire(worker, chunk)
             if lease is not None:
                 self.leased[worker].update((lease.sweep, i) for i in lease.indices)
-            return lease
+            self._check_served(lease)
         elif kind == "result":
             worker, sweep, index = args
             payload = {"index": index, "by": worker}
@@ -161,7 +152,6 @@ class Run:
             self.queue = self._ledger()
         else:  # pragma: no cover - a typo in the event table
             raise ValueError(kind)
-        return None
 
     # ------------------------------------------------------------------
     # Invariants
@@ -244,43 +234,15 @@ class Run:
         return tuple(sweeps), tuple(tuple(sorted(self.leased[w])) for w in WORKERS)
 
 
-def replay(scope: Scope, path: tuple) -> Run:
-    run = Run(scope)
-    for event in path:
-        run.apply(event)
-    return run
-
-
-def explore(scope: Scope, depth: int = DEPTH) -> tuple[int, tuple | None, str]:
-    """Breadth-first over every event sequence up to ``depth``.
-
-    Returns ``(states, None, "")`` when every reachable state keeps the
-    invariants, else ``(states so far, shortest failing path, message)``.
-    """
-    root = Run(scope)
-    root.check()
-    seen = {root.key()}
-    frontier: list[tuple] = [()]
-    for _ in range(depth):
-        following: list[tuple] = []
-        for path in frontier:
-            for event in replay(scope, path).events():
-                run = replay(scope, path)
-                try:
-                    run.step(event)
-                except Violation as violation:
-                    return len(seen), (*path, event), str(violation)
-                key = run.key()
-                if key not in seen:
-                    seen.add(key)
-                    following.append((*path, event))
-        frontier = following
-    return len(seen), None, ""
+def explore_ledger(scope: Scope) -> Exploration:
+    return explore(
+        lambda: Run(scope), Run.events, Run.apply, Run.check, Run.key, DEPTH
+    )
 
 
 @pytest.mark.parametrize("scope", SCOPES.values(), ids=SCOPES)
 def test_every_schedule_keeps_the_invariants(scope: Scope) -> None:
-    states, path, message = explore(scope)
+    states, path, message = explore_ledger(scope)
     assert path is None, f"{message} after {path}"
     # Pinned: a ledger that reaches a different state space has changed
     # its rules, not just its structure.
@@ -333,7 +295,7 @@ def _requeue_drops_indices(monkeypatch) -> None:
 )
 def test_a_planted_fault_is_found(monkeypatch, plant, message, events) -> None:
     plant(monkeypatch)
-    _, path, found = explore(SCOPES["1x2"])
+    _, path, found = explore_ledger(SCOPES["1x2"])
     assert path is not None, "the planted fault went unnoticed"
     assert message in found
     assert len(path) == events <= 5, path

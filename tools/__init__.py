@@ -1,1 +1,2 @@
-"""Repository tools that run against a ``repro`` source tree (see ``identity.py``)."""
+"""Repository tools: ``identity.py`` runs against a ``repro`` source tree;
+``explore.py`` drives any small state machine and imports only the stdlib."""
