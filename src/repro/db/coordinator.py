@@ -172,8 +172,8 @@ class Coordinator:
     ):
         txn_id = txn.txn_id
         lock_delay = self._lock_delay
-        # Deterministic global order keeps the common path deadlock-light;
-        # wound-wait still protects arbitrary orders (exercised in tests).
+        # One global order, one mode per key: wound-wait is deadlock-free
+        # under it, not under arbitrary orders (db/locks.py).
         for key in sorted(shards):
             self._check_wounded(txn)
             mode = LockMode.EXCLUSIVE if key in write_set else LockMode.SHARED

@@ -8,12 +8,24 @@ Theorem 1 proof and our consistency monitor build on.
 
 Deadlock avoidance is wound-wait (Rosenkrantz et al.): a requester *older*
 than a conflicting holder wounds (aborts) the younger holder; a *younger*
-requester waits. Age is the transaction's start sequence number, so the
-scheme is deadlock-free and the oldest transaction always makes progress.
-Transactions that have entered the prepared state of two-phase commit are
-immune to wounding — a prepared participant may no longer unilaterally abort
-— which is safe because prepared transactions never wait for locks and
-therefore cannot take part in a deadlock cycle.
+requester waits. Age is the transaction's start sequence number. Wounds are
+issued only when a request has to wait, and only at its holders: a request
+queued behind a younger *waiter* wounds nobody, so an older transaction can
+come to wait for a younger one. The scheme is therefore deadlock-free when
+every transaction requests its keys in one global order, as the coordinator
+does (sorted keys, one mode per key), and not for arbitrary orders; the
+``locking`` protocol's readers never wait at all, because they abort
+instead. Transactions that have
+entered the prepared state of two-phase commit are immune to wounding — a
+prepared participant may no longer unilaterally abort — which is safe because
+prepared transactions never wait for locks and therefore cannot take part in a
+deadlock cycle.
+
+Every grant goes through one routine, ``_settle``: it grants the head of a
+key's FIFO queue for as long as no other holder blocks it. A request joins
+the tail of the queue (an upgrade its head) and the key is settled; a release
+fails the releasing transaction's own waits, drops its holds and settles each
+key it asked for, in the order it asked. The queue holds only live requests.
 
 Two ways to ask what is held. :meth:`LockManager.mode_held` probes one key's
 holder map and is what the participant calls before every read and buffered
@@ -47,10 +59,8 @@ class LockRequest:
     """A queued lock request waiting for conflicting holders to release."""
 
     txn_id: TxnId
-    age: int
     mode: LockMode
     event: Event
-    cancelled: bool = False
 
 
 @dataclass(slots=True)
@@ -59,6 +69,14 @@ class _KeyLock:
 
     holders: dict[TxnId, LockMode] = field(default_factory=dict)
     queue: list[LockRequest] = field(default_factory=list)
+
+    def blockers(self, txn_id: TxnId, mode: LockMode) -> list[TxnId]:
+        """The other holders whose mode conflicts with ``mode``."""
+        return [
+            holder
+            for holder, held in self.holders.items()
+            if holder != txn_id and not mode.compatible_with(held)
+        ]
 
 
 class LockManager:
@@ -71,11 +89,9 @@ class LockManager:
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._locks: dict[Key, _KeyLock] = {}
-        self._held_by_txn: dict[TxnId, set[Key]] = {}
-        #: Keys on whose queue each transaction ever waited, in join order.
-        #: Lets release_all cancel waits without scanning every lock table
-        #: entry in the store (dict-as-ordered-set for determinism).
-        self._queued_by_txn: dict[TxnId, dict[Key, None]] = {}
+        #: Keys each transaction asked for, in the order it asked
+        #: (dict-as-ordered-set, so release order is acquisition order).
+        self._keys_by_txn: dict[TxnId, dict[Key, None]] = {}
         self._ages: dict[TxnId, int] = {}
         self._wound_callbacks: dict[TxnId, Callable[[TxnId], None]] = {}
         self._prepared: set[TxnId] = set()
@@ -92,7 +108,7 @@ class LockManager:
             raise SimulationError(f"transaction {txn_id} registered twice")
         self._ages[txn_id] = age
         self._wound_callbacks[txn_id] = on_wound
-        self._held_by_txn[txn_id] = set()
+        self._keys_by_txn[txn_id] = {}
 
     def close(self) -> None:
         """Drop the wound callbacks of transactions still registered.
@@ -116,69 +132,42 @@ class LockManager:
         """Request a lock; the returned event succeeds when granted.
 
         The event fails with :class:`DeadlockDetected` if the requester is
-        wounded while waiting. Lock upgrades (S already held, X requested)
-        are honoured in place when the requester is the sole holder and get
-        queue priority otherwise.
+        wounded while waiting. An upgrade (S held, X requested) goes to the
+        head of the queue, so it is granted as soon as its requester is the
+        sole holder.
         """
         if txn_id not in self._ages:
             raise SimulationError(f"transaction {txn_id} not registered with lock manager")
-        event = self._sim.event()
         state = self._locks.get(key)
         if state is None:
             state = self._locks[key] = _KeyLock()
-
         held = state.holders.get(txn_id)
-        if held is not None:
-            if held is LockMode.EXCLUSIVE or held is mode:
-                event.succeed(mode)  # already sufficient
-                return event
-            # Upgrade S -> X.
-            others = [t for t in state.holders if t != txn_id]
-            if not others:
-                state.holders[txn_id] = LockMode.EXCLUSIVE
-                event.succeed(mode)
-                return event
-            self._wound_younger(txn_id, others)
-            state.queue.insert(0, LockRequest(txn_id, self._ages[txn_id], mode, event))
-            self._queued_by_txn.setdefault(txn_id, {})[key] = None
-            return event
-
-        conflicting = [
-            holder
-            for holder, held_mode in state.holders.items()
-            if not mode.compatible_with(held_mode)
-        ]
-        if not conflicting and not self._blocked_by_queue(state, txn_id, mode):
-            self._grant(state, txn_id, key, mode)
-            event.succeed(mode)
-            return event
-
-        if conflicting:
-            self._wound_younger(txn_id, conflicting)
-        state.queue.append(LockRequest(txn_id, self._ages[txn_id], mode, event))
-        self._queued_by_txn.setdefault(txn_id, {})[key] = None
-        return event
+        if held is LockMode.EXCLUSIVE or held is mode:
+            return self._sim.event().succeed(mode)  # already sufficient
+        request = LockRequest(txn_id, mode, self._sim.event())
+        if held is None:
+            state.queue.append(request)
+        else:
+            state.queue.insert(0, request)
+        self._keys_by_txn[txn_id][key] = None
+        self._settle(state)
+        if not request.event.triggered:
+            self._wound_younger(txn_id, state.blockers(txn_id, mode))
+        return request.event
 
     def release_all(self, txn_id: TxnId) -> None:
-        """Release every lock held by ``txn_id`` and cancel its waits."""
-        keys = self._held_by_txn.pop(txn_id, set())
+        """Fail ``txn_id``'s waits, release its locks, and grant what that
+        frees, key by key in the order ``txn_id`` asked for them."""
+        keys = self._keys_by_txn.pop(txn_id, {})
         for key in keys:
-            state = self._locks.get(key)
-            if state is None:
-                continue
+            state = self._locks[key]
+            for request in [r for r in state.queue if r.txn_id == txn_id]:
+                state.queue.remove(request)
+                error = DeadlockDetected(txn_id, "lock wait cancelled by abort")
+                request.event.fail(error)
             state.holders.pop(txn_id, None)
-            self._promote_waiters(state, key)
-        for queued_key in self._queued_by_txn.pop(txn_id, ()):
-            state = self._locks.get(queued_key)
-            if state is None:
-                continue
-            for request in state.queue:
-                if request.txn_id == txn_id and not request.cancelled:
-                    request.cancelled = True
-                    if not request.event.triggered:
-                        request.event.fail(
-                            DeadlockDetected(txn_id, "lock wait cancelled by abort")
-                        )
+        for key in keys:
+            self._settle(self._locks[key])
         self._ages.pop(txn_id, None)
         self._wound_callbacks.pop(txn_id, None)
         self._prepared.discard(txn_id)
@@ -203,31 +192,26 @@ class LockManager:
 
     def queue_length(self, key: Key) -> int:
         state = self._locks.get(key)
-        return sum(1 for r in state.queue if not r.cancelled) if state else 0
+        return len(state.queue) if state else 0
 
     def held_keys(self, txn_id: TxnId) -> set[Key]:
-        return set(self._held_by_txn.get(txn_id, set()))
+        return {
+            key
+            for key in self._keys_by_txn.get(txn_id, ())
+            if txn_id in self._locks[key].holders
+        }
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _grant(self, state: _KeyLock, txn_id: TxnId, key: Key, mode: LockMode) -> None:
-        state.holders[txn_id] = mode
-        self._held_by_txn.setdefault(txn_id, set()).add(key)
-
-    def _blocked_by_queue(self, state: _KeyLock, txn_id: TxnId, mode: LockMode) -> bool:
-        """FIFO fairness: a new request must not overtake waiting ones.
-
-        Shared requests may still be granted alongside compatible holders if
-        every queued request is also shared (no writer starvation risk).
-        """
-        for request in state.queue:
-            if request.cancelled:
-                continue
-            if mode is LockMode.EXCLUSIVE or request.mode is LockMode.EXCLUSIVE:
-                return True
-        return False
+    def _settle(self, state: _KeyLock) -> None:
+        """Grant the head of the queue for as long as nothing blocks it."""
+        queue = state.queue
+        while queue and not state.blockers(queue[0].txn_id, queue[0].mode):
+            request = queue.pop(0)
+            state.holders[request.txn_id] = request.mode
+            request.event.succeed(request.mode)
 
     def _wound_younger(self, requester: TxnId, holders: list[TxnId]) -> None:
         requester_age = self._ages[requester]
@@ -242,34 +226,3 @@ class LockManager:
                     # Deliver asynchronously so the victim aborts through its
                     # own control flow, not re-entrantly inside acquire().
                     self._sim.schedule(0.0, callback, holder)
-
-    def _promote_waiters(self, state: _KeyLock, key: Key) -> None:
-        """Grant queued requests that are now compatible, in FIFO order."""
-        while state.queue:
-            request = state.queue[0]
-            if request.cancelled:
-                state.queue.pop(0)
-                continue
-            held = state.holders.get(request.txn_id)
-            if held is LockMode.SHARED and request.mode is LockMode.EXCLUSIVE:
-                # Pending upgrade: grant once sole holder.
-                others = [t for t in state.holders if t != request.txn_id]
-                if others:
-                    return
-                state.holders[request.txn_id] = LockMode.EXCLUSIVE
-                state.queue.pop(0)
-                if not request.event.triggered:
-                    request.event.succeed(request.mode)
-                continue
-            conflicting = [
-                holder
-                for holder, held_mode in state.holders.items()
-                if holder != request.txn_id
-                and not request.mode.compatible_with(held_mode)
-            ]
-            if conflicting:
-                return
-            state.queue.pop(0)
-            self._grant(state, request.txn_id, key, request.mode)
-            if not request.event.triggered:
-                request.event.succeed(request.mode)

@@ -22,11 +22,13 @@ def canonical_sha256(payload: object) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def json_from_child(module: str, function: str) -> object:
+def json_from_child(module: str, function: str, hash_seed: str = "0") -> object:
     """``module.function()`` evaluated in a child interpreter, back as JSON.
 
-    The child runs with ``PYTHONHASHSEED=0``, as the benchmark's children do:
-    golden digests of seeded runs are recorded under that string hash.
+    The child runs with ``PYTHONHASHSEED=hash_seed``; the default ``"0"`` is
+    what the benchmark's children use, and golden digests of seeded runs
+    are recorded under it.  A drill passes other seeds to show that a
+    result does not follow the string hash.
     """
     child = subprocess.run(
         [
@@ -37,7 +39,7 @@ def json_from_child(module: str, function: str) -> object:
         ],
         env={
             **os.environ,
-            "PYTHONHASHSEED": "0",
+            "PYTHONHASHSEED": hash_seed,
             "PYTHONPATH": os.pathsep.join(path for path in sys.path if path),
         },
         cwd=Path(__file__).resolve().parents[1],

@@ -124,6 +124,10 @@ def _commit_path_trace() -> dict:
     Returns what the participants saw, in the order they saw it: the
     registration / prepare calls across participants, and each participant's
     log as ``(lsn, record_type, txn_id)``.
+
+    Also asserts the precondition ``db/locks.py``'s deadlock freedom rests
+    on: each transaction asks for its keys in one global (sorted) order,
+    each key once, so never S and then X on one key.
     """
     sim = Simulator()
     db = Database(
@@ -135,6 +139,7 @@ def _commit_path_trace() -> dict:
     keys = [f"k{i}" for i in range(12)]
     db.load({key: 0 for key in keys})
     calls: list[list] = []
+    locked: dict[int, list[str]] = {}
     for participant in db.participants:
         for method in ("register_txn", "prepare"):
             original = getattr(participant, method)
@@ -144,6 +149,12 @@ def _commit_path_trace() -> dict:
                 return _original(txn_id, *args)
 
             setattr(participant, method, recording)
+
+        def lock(txn_id, key, mode, _original=participant.lock):
+            locked.setdefault(txn_id, []).append(key)
+            return _original(txn_id, key, mode)
+
+        participant.lock = lock
     rng = random.Random(15)
     processes = []
 
@@ -158,6 +169,8 @@ def _commit_path_trace() -> dict:
         sim.schedule(index * 0.0007, launch, index)
     sim.run()
     assert all(process.triggered for process in processes)
+    for txn_id, keys in locked.items():
+        assert keys == sorted(set(keys)), f"T{txn_id} locked {keys}"
     return {
         "calls": calls,
         "wal": {
@@ -174,29 +187,33 @@ def _commit_path_trace() -> dict:
 
 
 class TestCommitPathOrder:
-    """The 2PC driver's observable order, pinned against the commit before
-    the per-transaction plan (PR 15): resolving shards, lock order and lock
-    modes once must not change who is registered, prepared or logged when.
+    """The 2PC coordinator's observable order, pinned: resolving shards, lock
+    order and lock modes once per transaction must not change who is
+    registered, prepared or logged when.
 
-    The run happens in a child interpreter with ``PYTHONHASHSEED=0`` (as the
-    benchmark's children do): ``LockManager.release_all`` walks a ``set`` of
-    string keys, so the order waiters are promoted in — and with it which of
-    two contenders is wounded — follows the interpreter's string hash.
+    The golden pins acquisition order: ``LockManager.release_all`` grants
+    what a release frees key by key in the order the transaction asked for
+    them, so which waiter is granted first — and with it which of two
+    contenders is wounded — does not follow the interpreter's string hash.
+    The run happens in a child interpreter under each of three
+    ``PYTHONHASHSEED``s, against one golden.
     """
 
-    #: Recorded at e30ec08 (PR 14) with this same function.
-    GOLDEN_SHA256 = "60cab6d4b0523dd8797257395934dd285954bf101d973a52718df6cf7d8de8e5"
+    #: Recorded when release order became acquisition order; the same
+    #: function under every hash seed.
+    GOLDEN_SHA256 = "6da2307097387f8a2444769f6157f744ee4b3baf2870c6e2d1fbe2946e934313"
     GOLDEN_SUMMARY = {
-        "calls": 198,
-        "records": {"db-shard0": 91, "db-shard1": 102, "db-shard2": 117},
+        "calls": 197,
+        "records": {"db-shard0": 90, "db-shard1": 102, "db-shard2": 117},
         "committed": 38,
         "aborted": 12,
-        "wounds": 14,
+        "wounds": 13,
     }
 
-    def test_seeded_run_matches_the_recorded_order(self) -> None:
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+    def test_seeded_run_matches_the_recorded_order(self, hash_seed: str) -> None:
         trace = json_from_child(
-            "tests.integration.test_multi_shard", "_commit_path_trace"
+            "tests.integration.test_multi_shard", "_commit_path_trace", hash_seed
         )
         assert sum(1 for records in trace["wal"].values() if records) >= 2
         summary = {

@@ -22,7 +22,8 @@ strict-2PL compatibility table with wound-wait's age rule and prepared
 immunity added.  It checks properties and does not re-implement the queue:
 grant order is compared as state (which transaction holds which key in
 which mode), not as a sequence.  The invariants are listed on
-:meth:`Run.apply` and :meth:`Run.check`.
+:meth:`Run.apply`, :meth:`Run.check` and :meth:`Run.check_grants`; all of
+them but deadlock freedom are also explored to :data:`GRANTS_DEPTH`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ KEYS = ("x", "y")
 DEPTH = 5
 #: Distinct states reached within :data:`DEPTH` events.
 STATES = 6_936
+#: Distinct states reached one event deeper, where the first path that
+#: breaks an invariant ends (:data:`KNOWN_FAULTS`).
+DEEPER_STATES = 7_974
+#: Explored with every invariant but deadlock freedom, and the distinct
+#: states reached.
+GRANTS_DEPTH = 8
+GRANTS_STATES = 11_280
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 
 
@@ -205,26 +213,10 @@ class Run:
     # ------------------------------------------------------------------
 
     def check(self) -> None:
-        """After every event:
-
-        * ``mode_held`` agrees with the grants the events returned;
-        * no grant is lost: on a key with waiters, the table refuses at
-          least one of them (the queue's head, whichever it is);
-        * the waits-for graph among unwounded transactions has no cycle,
-          so wound-wait never deadlocks.
-        """
-        for key, lock in self.table.items():
-            for txn in TXNS:
-                held = self.locks.mode_held(txn, key)
-                if held is not lock.mode(txn):
-                    raise Violation(
-                        f"mode_held(T{txn}, {key}) is {held}, granted {lock.mode(txn)}"
-                    )
-            waiters = [
-                (txn, mode) for txn, (at, mode, _) in self.waiting.items() if at == key
-            ]
-            if waiters and not any(lock.blockers(txn, mode) for txn, mode in waiters):
-                raise Violation(f"{key} grantable to every waiter {waiters}")
+        """:meth:`check_grants`, and after every event the waits-for graph
+        among unwounded transactions has no cycle, so wound-wait never
+        deadlocks."""
+        self.check_grants()
         waits_for = {
             txn: self.table[key].blockers(txn, mode) - self.wounded
             for txn, (key, mode, _) in self.waiting.items()
@@ -240,6 +232,26 @@ class Run:
                         reached.add(blocker)
                         frontier.append(blocker)
 
+    def check_grants(self) -> None:
+        """After every event:
+
+        * ``mode_held`` agrees with the grants the events returned;
+        * no grant is lost: on a key with waiters, the table refuses at
+          least one of them (the queue's head, whichever it is).
+        """
+        for key, lock in self.table.items():
+            for txn in TXNS:
+                held = self.locks.mode_held(txn, key)
+                if held is not lock.mode(txn):
+                    raise Violation(
+                        f"mode_held(T{txn}, {key}) is {held}, granted {lock.mode(txn)}"
+                    )
+            waiters = [
+                (txn, mode) for txn, (at, mode, _) in self.waiting.items() if at == key
+            ]
+            if waiters and not any(lock.blockers(txn, mode) for txn, mode in waiters):
+                raise Violation(f"{key} grantable to every waiter {waiters}")
+
     def key(self) -> tuple:
         """Everything that decides what happens next: the table's holders
         and live queues, and each transaction's standing."""
@@ -250,7 +262,7 @@ class Run:
             state.append(
                 (
                     tuple(sorted((txn, mode.value) for txn, mode in holders.items())),
-                    tuple((r.txn_id, r.mode.value) for r in queue if not r.cancelled),
+                    tuple((r.txn_id, r.mode.value) for r in queue),
                 )
             )
         standing = tuple(
@@ -265,8 +277,8 @@ class Run:
         return tuple(state), standing
 
 
-def explore_locks(depth: int = DEPTH) -> Exploration:
-    return explore(Run, Run.events, Run.apply, Run.check, Run.key, depth)
+def explore_locks(depth: int = DEPTH, check=Run.check) -> Exploration:
+    return explore(Run, Run.events, Run.apply, check, Run.key, depth)
 
 
 def fails(path: tuple) -> str:
@@ -284,40 +296,51 @@ def test_every_schedule_keeps_strict_2pl() -> None:
     assert states == STATES
 
 
+def test_grants_hold_three_events_deeper() -> None:
+    """Every invariant but deadlock freedom, which :data:`KNOWN_FAULTS`
+    breaks at depth 6, holds to :data:`GRANTS_DEPTH`."""
+    states, path, message = explore_locks(GRANTS_DEPTH, Run.check_grants)
+    assert path is None, f"{message} after {path}"
+    assert states == GRANTS_STATES
+
+
 # ----------------------------------------------------------------------
-# Faults of db/locks.py found by this check and not yet mended
+# Faults of db/locks.py found by this check
 # ----------------------------------------------------------------------
 
-#: Each is the shortest schedule that shows its fault, found by exploring
-#: past :data:`DEPTH` with the faults above it let through, and replayed
-#: here, so it must keep failing until ``db/locks.py`` mends it.  Then
-#: delete its entry, and raise :data:`DEPTH` once none is left.
+#: Not yet mended.  Each is the shortest schedule that shows its fault,
+#: replayed here, so it must keep failing until ``db/locks.py`` mends it.
+#: Then move it to :data:`MENDED`, and raise :data:`DEPTH` once none is
+#: left.
 KNOWN_FAULTS = {
-    # T1 holds S on x; T2's X on x waits, and T3's S queues behind it.  T2
-    # is wounded on y and aborts: release_all cancels its wait but promotes
-    # only the keys T2 held, so T3 waits behind a dead request until T1
-    # leaves, though the table would grant it now.
-    "waiter-behind-cancelled-request": (
-        (("S", 1, "x"), ("S", 2, "y"), ("X", 2, "x"), ("X", 1, "y"),
-         ("S", 3, "x"), ("abort", 2)),
-        "grantable to every waiter",
-    ),
     # T2's S on x queues behind T3's X without wounding it (no holder of x
     # conflicts), so once T1 leaves, older T2 waits for younger T3, and T3
     # then waits for T2 on y.  The coordinator locks in sorted key order,
-    # which rules this cycle out; the table alone does not.
+    # one mode per key, which rules this cycle out
+    # (``test_multi_shard.py::TestCommitPathOrder``); the table alone does
+    # not.
     "older-waits-behind-younger": (
         (("S", 1, "x"), ("S", 2, "y"), ("X", 3, "x"), ("S", 2, "x"),
          ("release", 1), ("X", 3, "y")),
         "deadlock",
     ),
-    # Wounded T3 waits to upgrade x.  release_all promotes x's queue before
-    # it cancels T3's own request, so it grants T3 its X while releasing,
-    # and x stays locked by a finished transaction.
+}
+
+#: Mended since they were found: each schedule must replay clean, every
+#: event allowed and every invariant kept after it.
+MENDED = {
+    # T1 holds S on x; T2's X on x waits, and T3's S queues behind it.  T2
+    # is wounded on y and aborts: its request leaves x's queue, so T3's S
+    # is granted beside T1's at once, not when T1 leaves.
+    "waiter-behind-cancelled-request": (
+        ("S", 1, "x"), ("S", 2, "y"), ("X", 2, "x"), ("X", 1, "y"),
+        ("S", 3, "x"), ("abort", 2),
+    ),
+    # Wounded T3 waits to upgrade x.  Its abort fails that wait before it
+    # settles x's queue, so a finished transaction is never granted X.
     "release-grants-itself": (
-        (("S", 2, "x"), ("S", 3, "x"), ("X", 3, "x"), ("X", 2, "x"),
-         ("X", 1, "x"), ("abort", 2), ("abort", 3)),
-        "T3 granted x after it released",
+        ("S", 2, "x"), ("S", 3, "x"), ("X", 3, "x"), ("X", 2, "x"),
+        ("X", 1, "x"), ("abort", 2), ("abort", 3),
     ),
 }
 
@@ -327,10 +350,20 @@ def test_a_known_fault_still_shows(path: tuple, message: str) -> None:
     assert message in fails(path)
 
 
+@pytest.mark.parametrize("path", MENDED.values(), ids=MENDED)
+def test_a_mended_fault_replays_clean(path: tuple) -> None:
+    run = Run()
+    for event in path:
+        assert event in run.events(), event
+        run.apply(event)
+        run.check()
+
+
 def test_one_event_deeper_finds_a_known_fault() -> None:
     """:data:`DEPTH` is the deepest clean bound, not one that hides more."""
-    _, path, _ = explore_locks(DEPTH + 1)
-    assert path in [known for known, _ in KNOWN_FAULTS.values()], path
+    states, path, _ = explore_locks(DEPTH + 1)
+    assert path == KNOWN_FAULTS["older-waits-behind-younger"][0]
+    assert states == DEEPER_STATES
 
 
 # ----------------------------------------------------------------------
@@ -364,15 +397,17 @@ def _younger_wounds_older(monkeypatch) -> None:
 
 
 def _release_skips_a_waiter(monkeypatch) -> None:
-    """A release drops the head of the queue instead of granting it."""
-    promote = LockManager._promote_waiters
+    """A release that frees a key with two or more waiters drops the head
+    one instead of granting it.  (A key an ``acquire`` settles free has
+    only the new request queued.)"""
+    settle = LockManager._settle
 
-    def planted(self, state, key):
-        if state.queue:
+    def planted(self, state):
+        if len(state.queue) > 1 and not state.holders:
             state.queue.pop(0)
-        promote(self, state, key)
+        settle(self, state)
 
-    monkeypatch.setattr(LockManager, "_promote_waiters", planted)
+    monkeypatch.setattr(LockManager, "_settle", planted)
 
 
 @pytest.mark.parametrize(
@@ -380,7 +415,7 @@ def _release_skips_a_waiter(monkeypatch) -> None:
     [
         (_upgrade_beside_a_sharer, "granted X on x beside [2]", 3),
         (_younger_wounds_older, "wounded older", 2),
-        (_release_skips_a_waiter, "grantable to every waiter", 3),
+        (_release_skips_a_waiter, "grantable to every waiter", 4),
     ],
     ids=["upgrade-beside-a-sharer", "younger-wounds-older", "release-skips-a-waiter"],
 )

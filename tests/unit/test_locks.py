@@ -102,6 +102,21 @@ class TestReleaseAndPromotion:
         locks.release_all(2)
         assert late_reader.triggered
 
+    def test_release_grants_in_acquisition_order(self, sim, locks) -> None:
+        # String keys, so a walk over a set of them would follow the hash.
+        keys = [f"key-{n}" for n in (7, 2, 5, 0, 3, 6, 1, 4)]
+        register(locks, 1)
+        for key in keys:
+            locks.acquire(1, key, LockMode.EXCLUSIVE)
+        granted: list[str] = []
+        for waiter, key in enumerate(keys, start=2):
+            register(locks, waiter)
+            event = locks.acquire(waiter, key, LockMode.EXCLUSIVE)
+            event.add_callback(lambda _event, key=key: granted.append(key))
+        locks.release_all(1)
+        sim.run()
+        assert granted == keys
+
     def test_release_all_clears_held_keys(self, sim, locks) -> None:
         register(locks, 1)
         locks.acquire(1, "a", LockMode.SHARED)
