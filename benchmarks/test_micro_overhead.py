@@ -243,7 +243,6 @@ def test_sgt_record_allocates_one_container_per_transaction():
     finally:
         if was_enabled:
             gc.enable()
-    assert tester.reordered_count == 0
     assert created <= 1.5 * n_updates + 3 * len(current), (
         f"{created} GC-tracked containers for {n_updates} transactions over "
         f"{len(current)} keys ({created / n_updates:.2f} per transaction)"

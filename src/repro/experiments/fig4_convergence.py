@@ -84,7 +84,7 @@ def rows(sweep: SweepResult) -> list[dict[str, float]]:
 
 def phase_summaries(
     rows: list[dict[str, float]], switch_time: float = SWITCH_TIME
-) -> dict[str, dict[str, float]]:
+) -> dict[str, dict[str, float | None]]:
     """Mean rates before and after the switch, skipping the transitions.
 
     This is the quantitative reading of Fig. 4 the benchmarks assert on:
@@ -92,13 +92,16 @@ def phase_summaries(
     abort rate rises. On the paper's timeline the first 5 s, the last second
     before the switch and the 5 s after it are skipped; a compressed
     timeline scales those spans by ``switch_time / SWITCH_TIME``, never below
-    one per-second window, so both phases keep rows.
+    one per-second window, so both phases keep rows down to a tenth of the
+    paper's timeline. A phase left with no whole window (a timeline of a few
+    seconds) reads as absent: its rates are None, shown as ``-`` in the
+    table.
     """
 
-    def mean_rates(selected: list[dict[str, float]]) -> dict[str, float]:
-        if not selected:
-            return {"consistent_tps": 0.0, "inconsistent_tps": 0.0, "aborted_tps": 0.0}
+    def mean_rates(selected: list[dict[str, float]]) -> dict[str, float | None]:
         keys = ("consistent_tps", "inconsistent_tps", "aborted_tps")
+        if not selected:
+            return dict.fromkeys(keys)
         return {key: sum(row[key] for row in selected) / len(selected) for key in keys}
 
     lead, guard, settle = (

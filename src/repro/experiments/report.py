@@ -51,7 +51,7 @@ def format_table(
 
     ``columns`` selects and orders the rendered keys (default: keys of the
     first row in insertion order). Floats are shown with four significant
-    digits; everything else via ``str``.
+    digits, an absent value (None) as ``-``; everything else via ``str``.
     """
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
@@ -59,6 +59,8 @@ def format_table(
         columns = list(rows[0].keys())
 
     def cell(value: object) -> str:
+        if value is None:
+            return "-"
         if isinstance(value, bool):
             return str(value)
         if isinstance(value, float):

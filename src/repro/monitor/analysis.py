@@ -72,7 +72,7 @@ class StalenessProbe:
         self._stale_by_key: Counter = Counter()
         self._depths: Counter = Counter()
         self._reads = 0
-        self._stale = 0
+        self._stale_reads = 0
         self._worst_keys = worst_keys
 
     # ------------------------------------------------------------------
@@ -90,7 +90,7 @@ class StalenessProbe:
             current = self._current.get(key)
             if current is None or version >= current:
                 continue
-            self._stale += 1
+            self._stale_reads += 1
             self._stale_by_key[key] += 1
             self._depths[self._depth_of(key, version, current)] += 1
 
@@ -108,7 +108,7 @@ class StalenessProbe:
     def report(self) -> StalenessReport:
         return StalenessReport(
             reads_observed=self._reads,
-            stale_reads=self._stale,
+            stale_reads=self._stale_reads,
             depth_histogram=dict(sorted(self._depths.items())),
             worst_keys=self._stale_by_key.most_common(self._worst_keys),
         )

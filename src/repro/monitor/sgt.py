@@ -7,8 +7,8 @@ commit-sequence counter, so every conflict edge between update transactions
 (write-write, write-read, read-write on a common key) points from a lower
 version to a higher version: the conflict graph of update transactions is a
 DAG and the version order is a valid serialization. (This is asserted, not
-assumed: :meth:`SerializationGraphTester.verify_update_dag` recomputes the
-edge directions, and the database test suite calls it.)
+assumed: :meth:`SerializationGraphTester.verify_update_dag` checks the
+direction of every recorded edge, and the database test suite calls it.)
 
 A read-only transaction ``T`` that observed version ``v_i`` of object ``o_i``
 adds, per standard serialization-graph construction:
@@ -26,39 +26,32 @@ transactions whose version is at most ``max_i version(W_i)`` — every
 conflict edge increases the version, so nothing beyond that bound can reach
 a writer.
 
-Incremental adjacency
----------------------
-The tester keeps every update transaction's outgoing conflict edges
-(WW/WR/RW) as a prebuilt adjacency list — the precomputed-conflict idea of
-Nagar & Jagannathan's violation detector — so ``is_consistent`` is a walk
-over lists, O(1) in the history size (§V-B2). :meth:`record_update` builds
-those lists on one of two paths, chosen only by what the arriving
-transaction looks like:
+Conflict adjacency, in commit order
+-----------------------------------
+The tester keeps only its conflict graph: per update transaction the list of
+its outgoing conflict successors (WW/WR/RW), prebuilt as in the
+precomputed-conflict idea of Nagar & Jagannathan's violation detector, so
+``is_consistent`` is a walk over lists, O(1) in the history size (§V-B2),
+and per key the version chain and the ``pending`` readers still waiting for
+their overwriter. No transaction is stored.
 
-* **Commit order** (the transaction is newer than everything recorded and
-  reads nothing newer than its key's chain tail — what the backend emits,
-  since versions come from its commit-sequence counter). Every edge the
-  transaction creates then points *at* it, so recording only appends: per
-  key there is one version chain and one ``pending`` list of readers still
-  waiting for their overwriter; a write gives the chain tail its WW edge
-  and each pending reader its RW edge, then clears ``pending`` in place; a
-  read gives the writer of the observed version its WR edge. The one edge
-  that leaves the new transaction is the RW edge of a *stale* read (an
-  update transaction that observed an already-overwritten version), found
-  with one ``bisect``; it descends, which is exactly what
-  :meth:`verify_update_dag` reports. One new container per transaction.
-* **Any other arrival** (an older ``txn_id``, or a read of a version whose
-  writer has not been recorded yet) is only indexed; the adjacency is
-  marked stale and the next query re-derives every chain and edge from the
-  definition — next writer by ``bisect``, readers by ``(key, version)``.
-  That costs O(history) per query that follows such an arrival, so
-  ``reordered_count`` says how many arrivals took this path (0 for every
-  producer in this repository).
+:meth:`record_update` takes transactions in commit order — what the backend
+emits, since versions come from its commit-sequence counter. Every edge a
+new transaction creates then points *at* it, so recording only appends: the
+writer of each version it read (WR), the tail of each chain it extends (WW)
+and each pending reader of a key it writes (RW) are its predecessors, and
+each gets the new transaction appended once, however many keys they share —
+one edge per conflicting pair. The one edge that leaves the new transaction
+is the RW edge of a *stale* read (an update transaction that observed an
+already-overwritten version), found with one ``bisect``; it descends, which
+is exactly what :meth:`verify_update_dag` reports.
 
-Both paths leave every adjacency list **ascending** (a multiset: two
-conflicts with the same endpoints, one per key, stay two entries — the
-search dedupes through its visited set). A bounded search can therefore stop
-scanning a list at the first successor above its bound.
+An arrival that is not newer than everything recorded (a duplicate or an
+out-of-order commit), or that reads a version whose writer is not recorded,
+is refused with :class:`~repro.errors.SimulationError`, and nothing of it is
+recorded. Every adjacency list is therefore **ascending** and free of
+repeats, and a bounded search can stop scanning a list at the first
+successor above its bound.
 
 Because conflict edges only ever point towards *later* versions, a read set
 that is consistent now can never become inconsistent as more update
@@ -90,24 +83,16 @@ class SerializationGraphTester:
 
     def __init__(self, namespace: str | None = None) -> None:
         self.namespace = namespace
-        self._txns: dict[TxnId, CommittedTransaction] = {}
         #: Per key ``(chain, pending)``: the versions installed, ascending,
         #: and the update transactions whose read of that key has no
         #: overwriter yet (they take their RW edge from the next writer).
         self._keys: dict[Key, tuple[list[Version], list[TxnId]]] = {}
         #: Outgoing conflict edges (WW/WR/RW) per update transaction,
-        #: ascending. Entries repeat when two conflicts share endpoints (one
-        #: per conflicting key) — the BFS dedupes via its visited set.
+        #: ascending, one per conflicting pair.
         self._adjacency: dict[TxnId, list[TxnId]] = {}
         #: Largest transaction id recorded.
         self._newest: TxnId = 0
-        #: True while ``_keys``/``_adjacency`` lag ``_txns`` (an arrival out
-        #: of commit order); queries call :meth:`_derive` first.
-        self._stale = False
         self.update_count = 0
-        #: Arrivals that were not in commit order, or came while the
-        #: adjacency was stale, and so await re-derivation by a query.
-        self.reordered_count = 0
         self.checks = 0
         #: Total BFS node expansions, for overhead reporting.
         self.expansions = 0
@@ -117,38 +102,35 @@ class SerializationGraphTester:
     # ------------------------------------------------------------------
 
     def record_update(self, txn: CommittedTransaction) -> None:
-        """Add a committed update transaction to the history.
+        """Add the next committed update transaction to the history.
 
-        O(reads + writes) appends for an arrival in commit order; anything
-        else is indexed and left to the next query (module docstring).
-        Nothing is recorded when the transaction is rejected.
+        O(reads + writes): each recorded transaction with a conflict edge
+        into ``txn`` (WR, WW or RW, on any number of keys) gets ``txn``
+        appended to its list once. ``txn`` must be newer than everything
+        recorded, write its own version only and read only versions whose
+        writer is recorded; otherwise it is refused with
+        :class:`SimulationError` and nothing of it is recorded. The tester
+        keeps no reference to ``txn`` or its maps.
         """
         version = txn.txn_id
-        txns = self._txns
-        if version in txns:
-            where = f" in namespace {self.namespace!r}" if self.namespace else ""
-            raise SimulationError(
-                f"update transaction {version} recorded twice{where}"
+        if version <= self._newest:
+            if version in self._adjacency:
+                raise self._refusal(f"update transaction {version} recorded twice")
+            raise self._refusal(
+                f"update transaction {version} arrived after {self._newest}"
             )
         writes = txn.writes
         for written in writes.values():
             if written != version:
-                raise SimulationError(
+                raise self._refusal(
                     f"write version {written} differs from txn version {version}"
                 )
-        txns[version] = txn
-        self.update_count += 1
-        if self._stale or version <= self._newest:
-            self._stale = True
-            self.reordered_count += 1
-            return
-        self._newest = version
 
-        keys = self._keys
-        adjacency = self._adjacency
-        adjacency[version] = edges = []
         # Reads first: a transaction that reads and overwrites the same
         # version is then the last entry of that key's pending list.
+        keys = self._keys
+        predecessors: dict[TxnId, None] = {}
+        edges: list[TxnId] = []
         for key, observed in txn.reads.items():
             state = keys.get(key)
             if state is None:
@@ -158,20 +140,20 @@ class SerializationGraphTester:
             if observed == tail:
                 pending.append(version)
                 if observed:
-                    adjacency[observed].append(version)  # WR
+                    predecessors[observed] = None  # WR
             elif observed < tail:
                 index = bisect_right(chain, observed)
                 edges.append(chain[index])  # RW of a stale read: descends
                 if index and chain[index - 1] == observed:
-                    adjacency[observed].append(version)  # WR
+                    predecessors[observed] = None  # WR
             else:
-                # Reads a version whose writer is not recorded yet; whatever
-                # was appended above is discarded by the re-derivation.
-                self._stale = True
-                self.reordered_count += 1
-                return
-        if len(edges) > 1:
-            edges.sort()
+                self._withdraw(txn, key)
+                raise self._refusal(
+                    f"update transaction {version} reads {key!r} @ {observed},"
+                    " whose writer is not recorded"
+                )
+        self._newest = version
+        self.update_count += 1
         for key in writes:
             state = keys.get(key)
             if state is None:
@@ -179,57 +161,39 @@ class SerializationGraphTester:
                 continue
             chain, pending = state
             if chain:
-                adjacency[chain[-1]].append(version)  # WW
+                predecessors[chain[-1]] = None  # WW
             if pending:
                 if pending[-1] == version:
                     del pending[-1]
                 for reader in pending:
-                    adjacency[reader].append(version)  # RW
+                    predecessors[reader] = None  # RW
                 pending.clear()
             chain.append(version)
+        adjacency = self._adjacency
+        for predecessor in predecessors:
+            adjacency[predecessor].append(version)
+        adjacency[version] = sorted(set(edges)) if len(edges) > 1 else edges
 
-    def _derive(self) -> None:
-        """Rebuild every chain, pending list and edge from the definition.
+    def _withdraw(self, txn: CommittedTransaction, refused: Key) -> None:
+        """Undo what the reads of ``txn`` up to ``refused`` changed.
 
-        The any-order path: WW to the next writer of each written key, WR to
-        every other reader of each written version, RW from each read to the
-        next writer of the version it observed.
+        Those reads joined pending lists and opened states for unseen keys;
+        a recorded state never has both its chain and its pending list
+        empty, so an emptied one was opened here.
         """
-        txns = self._txns
-        commit_order = sorted(txns)
-        keys: dict[Key, tuple[list[Version], list[TxnId]]] = {}
-        readers: dict[tuple[Key, Version], list[TxnId]] = {}
-        for txn_id in commit_order:
-            txn = txns[txn_id]
-            for key in txn.writes:
-                keys.setdefault(key, ([], []))[0].append(txn_id)
-            for key, observed in txn.reads.items():
-                keys.setdefault(key, ([], []))
-                readers.setdefault((key, observed), []).append(txn_id)
-        adjacency: dict[TxnId, list[TxnId]] = {}
-        for txn_id in commit_order:
-            txn = txns[txn_id]
-            edges = adjacency[txn_id] = []
-            for key in txn.writes:
-                chain = keys[key][0]
-                index = bisect_right(chain, txn_id)
-                if index < len(chain):
-                    edges.append(chain[index])  # WW
-                for reader in readers.get((key, txn_id), ()):
-                    if reader != txn_id:
-                        edges.append(reader)  # WR
-            for key, observed in txn.reads.items():
-                chain, pending = keys[key]
-                index = bisect_right(chain, observed)
-                if index == len(chain):
-                    pending.append(txn_id)
-                elif chain[index] != txn_id:
-                    edges.append(chain[index])  # RW
-            edges.sort()
-        self._keys = keys
-        self._adjacency = adjacency
-        self._newest = commit_order[-1]
-        self._stale = False
+        keys = self._keys
+        for key in txn.reads:
+            chain, pending = keys[key]
+            if pending and pending[-1] == txn.txn_id:
+                del pending[-1]
+            if not chain and not pending:
+                del keys[key]
+            if key == refused:
+                return
+
+    def _refusal(self, message: str) -> SimulationError:
+        where = f" in namespace {self.namespace!r}" if self.namespace else ""
+        return SimulationError(message + where)
 
     # ------------------------------------------------------------------
     # Queries
@@ -242,15 +206,15 @@ class SerializationGraphTester:
         """
         if version == 0:
             return None
-        txn = self._txns.get(version)
-        if txn is None or key not in txn.writes:
+        state = self._keys.get(key)
+        chain = state[0] if state is not None else ()
+        index = bisect_right(chain, version)
+        if not (index and chain[index - 1] == version):
             raise SimulationError(f"no recorded writer for {key!r} @ {version}")
         return version
 
     def next_writer(self, key: Key, version: Version) -> TxnId | None:
         """The earliest transaction that overwrote ``(key, version)``."""
-        if self._stale:
-            self._derive()
         state = self._keys.get(key)
         if state is None:
             return None
@@ -270,8 +234,6 @@ class SerializationGraphTester:
         self.checks += 1
         if len(reads) <= 1:
             return True
-        if self._stale:
-            self._derive()
 
         # One pass resolves both ends of the search: the writer of each
         # version read (it must sit in the key's chain) and its next writer.
@@ -373,11 +335,9 @@ class SerializationGraphTester:
     def _successors(self, txn_id: TxnId) -> Iterable[TxnId]:
         """Outgoing conflict edges of an update transaction, ascending.
 
-        The multiset union over keys of WW/WR/RW conflicts (benign
-        duplicates kept), empty for an unrecorded transaction.
+        The union over keys of WW/WR/RW conflicts, each successor once;
+        empty for an unrecorded transaction.
         """
-        if self._stale:
-            self._derive()
         return self._adjacency.get(txn_id, ())
 
     def _reaches(self, start: TxnId, target: TxnId) -> bool:
@@ -403,8 +363,8 @@ class SerializationGraphTester:
 
     def verify_update_dag(self) -> bool:
         """Assert every conflict edge increases the version (DAG witness)."""
-        for txn_id in self._txns:
-            for successor in self._successors(txn_id):
-                if successor <= txn_id:
-                    return False
-        return True
+        return all(
+            successor > txn_id
+            for txn_id, successors in self._adjacency.items()
+            for successor in successors
+        )

@@ -133,10 +133,9 @@ class TestMonitorAgreement:
         column.sim.run(until=column.config.total_time)
         tester = column.monitor.tester
         assert tester.verify_update_dag()
-        # The backend publishes commits in version order; a producer that
-        # stops doing so costs the tester O(history) per query.
-        assert tester.update_count > 300
-        assert tester.reordered_count == 0
+        # The backend publishes commits in version order; the tester refuses
+        # any other arrival, so every commit was recorded.
+        assert tester.update_count == column.database.stats.committed > 300
 
     def test_cache_versions_never_exceed_database(self) -> None:
         column = build_column(quick_config(duration=4.0), WORKLOAD)

@@ -7,16 +7,21 @@ fleet daemon is ``tools/identity.py record``'s check (run on
 
 from __future__ import annotations
 
+import hashlib
 import json
+import multiprocessing
 from dataclasses import asdict
 
+from repro.dispatch.codec import encode_result
 from repro.experiments import protocol_race
 from repro.experiments.config import ColumnConfig
+from repro.experiments.report import normalized_artifact
 from repro.experiments.runner import run_column
 from repro.experiments.sweep import run_sweep
 from repro.protocols import protocol_names
-from repro.scenario import EdgeSpec, ScenarioSpec, run_scenario
+from repro.scenario import BackendSpec, EdgeSpec, ScenarioSpec, run_scenario
 from repro.workloads.synthetic import PerfectClusterWorkload
+from tests.helpers import json_from_child
 
 DURATION = 2.0
 SEED = 11
@@ -82,3 +87,44 @@ class TestOneSelectorEndToEnd:
         assert column == edge
         assert column.counts.total > 0
         assert column.counts.inconsistent == 0  # the pessimistic bound
+
+
+def _locking_scenario_digest() -> str:
+    """SHA-256 of a two-edge ``locking`` scenario's result bytes, on one
+    backend split over two shards (lock waits, wounds and 2PC across them)."""
+    workload = PerfectClusterWorkload(n_objects=100, cluster_size=5)
+    result = run_scenario(
+        ScenarioSpec(
+            name="locking",
+            seed=SEED,
+            duration=1.0,
+            warmup=0.5,
+            backends=[BackendSpec(name="db", shards=2)],
+            edges=[
+                EdgeSpec(name=f"edge{index}", workload=workload, protocol="locking")
+                for index in range(2)
+            ],
+        )
+    )
+    assert result.edges[0].counts.total > 0
+    artifact = normalized_artifact(encode_result(result))
+    return hashlib.sha256(artifact.encode("utf-8")).hexdigest()
+
+
+class TestLockingScenarioDigest:
+    """The ``locking`` scenario's bytes follow neither the string hash nor
+    the start method: child interpreters under three ``PYTHONHASHSEED``s
+    and a ``spawn`` child give one digest."""
+
+    def test_one_digest_under_three_hash_seeds_and_spawn(self) -> None:
+        module = "tests.integration.test_protocol_determinism"
+        digests = {
+            f"PYTHONHASHSEED={seed}": json_from_child(
+                module, "_locking_scenario_digest", seed
+            )
+            for seed in ("0", "1", "2")
+        }
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            child = pool.apply_async(_locking_scenario_digest)
+            digests["spawn"] = child.get(timeout=120)
+        assert len(set(digests.values())) == 1, digests

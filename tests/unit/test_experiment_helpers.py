@@ -8,6 +8,7 @@ from repro.core.strategies import Strategy
 from repro.experiments import fig4_convergence, fig5_drift
 from repro.experiments.config import ColumnConfig
 from repro.experiments.realistic import realistic_workload, sampled_topology
+from repro.experiments.report import format_table
 from repro.experiments.runner import build_column
 from repro.workloads.synthetic import PerfectClusterWorkload
 
@@ -39,9 +40,21 @@ class TestPhaseSummaries:
         assert summaries["before"]["inconsistent_tps"] < 1e6
         assert summaries["after"]["inconsistent_tps"] < 1e6
 
-    def test_empty_selection_yields_zero(self) -> None:
+    def test_empty_phase_reads_as_absent(self) -> None:
+        absent = dict.fromkeys(("consistent_tps", "inconsistent_tps", "aborted_tps"))
         summaries = fig4_convergence.phase_summaries([], switch_time=25.0)
-        assert summaries["before"]["consistent_tps"] == 0.0
+        assert summaries == {"before": absent, "after": absent}
+        # A timeline too short for a whole window before the switch.
+        rows = [
+            {"time": float(t), "consistent_tps": 300.0,
+             "inconsistent_tps": 10.0, "aborted_tps": 80.0}
+            for t in range(3)
+        ]
+        summaries = fig4_convergence.phase_summaries(rows, switch_time=0.97)
+        assert summaries["before"] == absent
+        assert summaries["after"]["consistent_tps"] == pytest.approx(300.0)
+        table = format_table([{"phase": "before", **summaries["before"]}])
+        assert table.splitlines()[-1].split() == ["before", "-", "-", "-"]
 
     def test_compressed_timeline_keeps_both_phases(self) -> None:
         # Fig. 4 at a tenth of the paper's timeline: 16 s, switch at 5.8 s.

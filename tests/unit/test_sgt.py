@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
@@ -15,6 +17,16 @@ def txn(version: int, reads: dict, writes: dict) -> CommittedTransaction:
 
 def write_all(version: int, keys: list[str], read_versions: dict) -> CommittedTransaction:
     return txn(version, read_versions, {k: version for k in keys})
+
+
+def held(tester: SerializationGraphTester) -> tuple:
+    """A copy of everything the tester holds."""
+    return (
+        {key: (list(chain), list(pend)) for key, (chain, pend) in tester._keys.items()},
+        {node: list(edges) for node, edges in tester._adjacency.items()},
+        tester._newest,
+        tester.update_count,
+    )
 
 
 class TestHistoryConstruction:
@@ -45,8 +57,63 @@ class TestHistoryConstruction:
         tester.record_update(txn(2, {"a": 1}, {"a": 2, "b": 2}))
         assert tester.update_count == 2
         assert tester.next_writer("a", 1) == 2
-        assert sorted(tester._successors(1)) == [2, 2]  # WW and WR
-        assert tester.reordered_count == 0
+        assert list(tester._successors(1)) == [2]  # WW and WR: one edge
+
+    def test_arrival_out_of_commit_order_is_refused(self) -> None:
+        """The backend publishes commits in version order; an older arrival
+        is refused and leaves the tester as it was."""
+        tester = SerializationGraphTester(namespace="db-0")
+        tester.record_update(txn(1, {"a": 0}, {"a": 1}))
+        tester.record_update(txn(3, {"a": 1, "b": 0}, {"b": 3}))
+        before = held(tester)
+        with pytest.raises(SimulationError, match="2 arrived after 3 in namespace"):
+            tester.record_update(txn(2, {"a": 1}, {"a": 2}))
+        assert held(tester) == before
+
+        tester.record_update(txn(4, {"a": 1}, {"a": 4}))
+        assert list(tester._successors(1)) == [3, 4]  # WR; WR and WW
+        assert list(tester._successors(3)) == [4]  # RW on a
+        assert tester.verify_update_dag()
+
+    def test_read_of_an_unrecorded_version_is_refused(self) -> None:
+        """The refused read comes after a pending join, an unseen key and a
+        write of its own: none of them is recorded."""
+        tester = SerializationGraphTester()
+        tester.record_update(txn(1, {"a": 0, "b": 0}, {"a": 1}))
+        before = held(tester)
+        for unrecorded in ({"b": 2}, {"d": 5}):
+            with pytest.raises(SimulationError, match="whose writer is not recorded"):
+                tester.record_update(
+                    txn(3, {"a": 1, "c": 0, **unrecorded}, {"a": 3, "c": 3})
+                )
+            assert held(tester) == before
+
+        tester.record_update(txn(3, {"a": 1, "c": 0, "b": 0}, {"a": 3, "c": 3}))
+        assert tester.next_writer("a", 1) == 3
+        assert tester.next_writer("c", 0) == 3
+        assert tester.writer_of("c", 3) == 3
+
+    def test_one_edge_per_conflicting_pair(self) -> None:
+        """A successor conflicting on several keys, or in several ways, is
+        in the predecessor's list once."""
+        tester = SerializationGraphTester()
+        tester.record_update(write_all(1, ["a", "b"], {"a": 0, "b": 0}))
+        tester.record_update(write_all(2, ["a", "b"], {"a": 1, "b": 1}))
+        tester.record_update(txn(3, {"c": 0, "d": 0}, {"e": 3}))
+        tester.record_update(txn(4, {}, {"c": 4, "d": 4}))
+        tester.record_update(txn(5, {"a": 1, "b": 1}, {"f": 5}))
+        assert list(tester._successors(1)) == [2, 5]  # WW and WR on a and b
+        assert list(tester._successors(3)) == [4]  # RW on c and d
+        assert list(tester._successors(5)) == [2]  # stale reads of a and b
+
+    def test_recorded_transaction_is_not_kept(self) -> None:
+        tester = SerializationGraphTester()
+        tester.record_update(write_all(1, ["a"], {"a": 0}))
+        committed = txn(2, {"a": 1, "b": 0}, {"a": 2})
+        parts = (committed, committed.reads, committed.writes)
+        before = [sys.getrefcount(part) for part in parts]
+        tester.record_update(committed)
+        assert [sys.getrefcount(part) for part in parts] == before
 
     def test_writer_lookup(self) -> None:
         tester = SerializationGraphTester()
@@ -166,24 +233,8 @@ class TestConsistency:
         tester.record_update(txn(1, {"a": 0}, {"a": 1}))
         tester.record_update(txn(2, {"a": 1}, {"a": 2}))
         tester.record_update(txn(3, {"a": 1, "b": 0}, {"b": 3}))
-        assert tester.reordered_count == 0
         assert list(tester._successors(3)) == [2]
         assert not tester.verify_update_dag()
-
-    def test_arrival_out_of_commit_order_is_counted_and_rederived(self) -> None:
-        tester = SerializationGraphTester()
-        tester.record_update(txn(2, {"a": 1, "b": 0}, {"b": 2}))  # reads unrecorded a@1
-        assert tester.reordered_count == 1
-        with pytest.raises(SimulationError):
-            tester.is_consistent({"a": 1, "b": 2})
-        tester.record_update(txn(1, {"a": 0}, {"a": 1}))  # older than 2
-        assert tester.reordered_count == 2
-        assert list(tester._successors(1)) == [2]
-        assert not tester.is_consistent({"a": 0, "b": 2})
-        tester.record_update(txn(3, {"b": 2}, {"b": 3}))  # commit order again
-        assert tester.reordered_count == 2
-        assert list(tester._successors(2)) == [3, 3]
-        assert tester.verify_update_dag()
 
     def test_counters(self) -> None:
         tester = SerializationGraphTester()
